@@ -42,6 +42,16 @@ class PreconditionError(ModernSetError):
     """An operation was called outside its stated precondition."""
 
 
+class CountError(ModernSetError, ValueError):
+    """A sample count or search budget is negative."""
+
+
+def require_count(name: str, value: int) -> None:
+    """Raise CountError unless ``value`` is a non-negative count."""
+    if value < 0:
+        raise CountError(f"{name} must be non-negative, got {value}")
+
+
 class ExpressionSyntaxError(ModernSetError):
     """Set-expression source text could not be parsed."""
 

@@ -10,6 +10,10 @@ so complement binds tightest, then intersection, then union. The Unicode
 spellings of the three operators are accepted as aliases on input; output
 always uses the ASCII forms. Identifiers are C-style names bound to sets at
 evaluation time. Syntax errors carry a 1-based column.
+
+Parsing, printing and evaluation recurse once per level of nesting, so an
+expression nested more than ``MAX_DEPTH`` levels deep (counting each
+operator above an identifier, and each open parenthesis) is a syntax error.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class _Token(NamedTuple):
     text: str
     column: int
 
+
+MAX_DEPTH = 100
 
 _SINGLE = {"(": "LPAREN", ")": "RPAREN", "~": "NOT", "¬": "NOT"}
 _UNICODE_BINARY = {"∨": "VEE", "∧": "WEDGE"}
@@ -97,6 +103,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.open = 0  # '~' and '(' enclosing the current token
 
     def _eof_column(self) -> int:
         return max(len(self.src), 1)
@@ -109,51 +116,68 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expression(self) -> Expression:
-        node = self.term()
+    # Each method returns the tree and its height: the operators on the
+    # longest path from the root down to an identifier.
+
+    def _check_depth(self, depth: int, token: _Token) -> int:
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nests deeper than {MAX_DEPTH} levels", token.column
+            )
+        return depth
+
+    def expression(self) -> tuple[Expression, int]:
+        node, height = self.term()
         while (t := self.peek()) and t.kind == "VEE":
             self.advance()
-            node = Union(node, self.term())
-        return node
+            right, right_height = self.term()
+            node = Union(node, right)
+            height = self._check_depth(max(height, right_height) + 1, t)
+        return node, height
 
-    def term(self) -> Expression:
-        node = self.factor()
+    def term(self) -> tuple[Expression, int]:
+        node, height = self.factor()
         while (t := self.peek()) and t.kind == "WEDGE":
             self.advance()
-            node = Intersection(node, self.factor())
-        return node
+            right, right_height = self.factor()
+            node = Intersection(node, right)
+            height = self._check_depth(max(height, right_height) + 1, t)
+        return node, height
 
-    def factor(self) -> Expression:
+    def factor(self) -> tuple[Expression, int]:
         token = self.peek()
         if token is None:
             raise ExpressionSyntaxError(
                 "expected an identifier, '~', or '('", self._eof_column()
             )
-        if token.kind == "NOT":
-            self.advance()
-            return Complement(self.factor())
         if token.kind == "IDENT":
             self.advance()
-            return Ident(token.text)
-        if token.kind == "LPAREN":
-            self.advance()
-            node = self.expression()
+            return Ident(token.text), 0
+        if token.kind not in ("NOT", "LPAREN"):
+            raise ExpressionSyntaxError(
+                f"unexpected token {token.text!r}", token.column
+            )
+        self.advance()
+        self.open = self._check_depth(self.open + 1, token)
+        if token.kind == "NOT":
+            operand, height = self.factor()
+            node, height = Complement(operand), self._check_depth(height + 1, token)
+        else:
+            node, height = self.expression()
             closing = self.peek()
             if closing is None:
                 raise ExpressionSyntaxError("expected ')'", self._eof_column())
             if closing.kind != "RPAREN":
                 raise ExpressionSyntaxError("expected ')'", closing.column)
             self.advance()
-            return node
-        raise ExpressionSyntaxError(
-            f"unexpected token {token.text!r}", token.column
-        )
+        self.open -= 1
+        return node, height
 
 
 def parse_expression(src: str) -> Expression:
     """Parse source text to an expression tree."""
     parser = _Parser(src)
-    node = parser.expression()
+    node, _ = parser.expression()
     trailing = parser.peek()
     if trailing is not None:
         raise ExpressionSyntaxError(

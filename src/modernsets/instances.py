@@ -26,7 +26,7 @@ from itertools import product
 from typing import Callable, Mapping
 
 from .algebra import AlgebraHandle, Element
-from .errors import DomainError, ShapeError, StructuralError
+from .errors import DomainError, ShapeError, StructuralError, require_count
 from .lattice import FiniteLattice, lattice_from_hasse
 from .matrix import RationalMatrix
 from .reporting import Witness
@@ -282,6 +282,7 @@ def find_noncommuting_witness(
     """
     if op not in ("wedge", "vee"):
         raise ValueError(f"op must be 'wedge' or 'vee', got {op!r}")
+    require_count("budget", budget)
     operation = a.wedge if op == "wedge" else a.vee
     label = f"{op}(x, y) = {op}(y, x)"
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, islice, product
 from math import prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import AlgebraHandle, Element, check_wba_axioms
-from .errors import PreconditionError
+from .errors import PreconditionError, StructuralError, require_count
 from .lattice import check_cha
 from .reporting import LawReport, Verdict, Witness
 from .sets import (
@@ -188,6 +188,7 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
     Finite carriers: exhaustive, declaration order. Infinite carriers: all
     tuples of boundary elements, then ``samples`` seeded random tuples.
     """
+    require_count("samples", samples)
     law = _resolve(law)
     if law.needs_complement and a.complement is None:
         return LawReport(law.name, Verdict.not_applicable(
@@ -254,6 +255,145 @@ def _all_sets(family: AlgebraFamily):
     carriers = [family.algebra_at(x).elements for x in points]
     for combo in product(*carriers):
         yield ModernSet(family, dict(zip(points, combo)))
+
+
+class _PointTables(NamedTuple):
+    """One point's operations as tables over indices into its elements."""
+
+    wedge: list[int]  # wedge(elements[i], elements[j]) at i * k + j
+    vee: list[int]
+    complement: list[int]
+    zero: int
+    one: int
+
+
+def _compile_point(
+    alg: AlgebraHandle, with_complement: bool, max_exhaustive: int
+) -> _PointTables | None:
+    """Integer tables of one finite point, or None if they would not be exact.
+
+    Calls the handle's own wedge, vee and (when asked) complement once per
+    element pair and stores each result as its index in ``alg.elements``.
+    Returns None when the elements are not distinct, or O, I or some result
+    is not a listed element that ``is_member`` accepts. It also returns None
+    when the carrier has more than ``max_exhaustive`` pairs, so compiling
+    never costs more than an exhaustive scan may.
+    """
+    elements = alg.elements
+    if len(elements) ** 2 > max_exhaustive:
+        return None
+    try:
+        index = {e: i for i, e in enumerate(elements)}
+        wedge = [alg.wedge(x, y) for x in elements for y in elements]
+        vee = [alg.vee(x, y) for x in elements for y in elements]
+        comp = [alg.complement(x) for x in elements] if with_complement else []
+        results = (alg.zero, alg.one, *wedge, *vee, *comp)
+        if len(index) != len(elements) or not all(
+            r in index and alg.is_member(r) for r in results
+        ):
+            return None
+    except Exception:
+        # Whatever an operation raises, the set-by-set scan raises it too,
+        # at the same operation, if it gets that far.
+        return None
+    code = index.__getitem__
+    return _PointTables(
+        [code(r) for r in wedge],
+        [code(r) for r in vee],
+        [code(r) for r in comp],
+        code(alg.zero),
+        code(alg.one),
+    )
+
+
+class _IndexOps:
+    """Set operations on integer set indices over a finite family.
+
+    A set is a mixed-radix number whose digits are element indices, point 0
+    most significant, so ``range(size)`` runs through the sets in exactly
+    the order of :func:`_all_sets`. Wedge and vee results are kept in flat
+    lists of ``size * size`` entries, filled on first use, when that many
+    entries stay within ``max_exhaustive``; otherwise each result is worked
+    out from the digits again.
+    """
+
+    def __init__(self, family: AlgebraFamily, tables: list[_PointTables], max_exhaustive: int):
+        points = family.universe.points
+        self.family = family
+        self._carriers = [family.algebra_at(x).elements for x in points]
+        radices = [len(c) for c in self._carriers]
+        self._weights = [prod(radices[i + 1:]) for i in range(len(radices))]
+        self.size = n = prod(radices)
+        digits = list(zip(self._weights, radices))
+        self.zero = sum(t.zero * w for t, w in zip(tables, self._weights))
+        self.one = sum(t.one * w for t, w in zip(tables, self._weights))
+
+        def binary(op: str) -> Callable[[int, int], int]:
+            layout = [(w, k, getattr(t, op)) for (w, k), t in zip(digits, tables)]
+
+            def direct(a: int, b: int) -> int:
+                r = 0
+                for w, k, table in layout:
+                    r += table[a // w % k * k + b // w % k] * w
+                return r
+
+            if n * n > max_exhaustive:
+                return direct
+            memo = [-1] * (n * n)
+
+            def cached(a: int, b: int) -> int:
+                i = a * n + b
+                r = memo[i]
+                if r < 0:
+                    r = memo[i] = direct(a, b)
+                return r
+
+            return cached
+
+        def complement(a: int) -> int:
+            r = 0
+            for (w, k), t in zip(digits, tables):
+                r += t.complement[a // w % k] * w
+            return r
+
+        self.wedge = binary("wedge")
+        self.vee = binary("vee")
+        self.complement = complement
+
+    def decode(self, a: int) -> ModernSet:
+        values = {
+            x: elements[a // w % len(elements)]
+            for x, elements, w in zip(self.family.universe.points, self._carriers, self._weights)
+        }
+        return ModernSet(self.family, values)
+
+
+def _exhaustive_witness(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhaustive: int):
+    """First failing tuple of all sets of a finite family, in declaration order.
+
+    Scans integer set indices when every point compiles to exact tables,
+    and rebuilds the witness from the sets through ``ops``; otherwise scans
+    the sets themselves.
+    """
+    tables = [
+        _compile_point(family.algebra_at(x), law.needs_complement, max_exhaustive)
+        for x in family.universe.points
+    ]
+    if any(t is None for t in tables):
+        return _scan(ops, law, product(_all_sets(family), repeat=law.arity))
+    index_ops = _IndexOps(family, tables, max_exhaustive)
+    found = _scan(index_ops, law, product(range(index_ops.size), repeat=law.arity))
+    if found is None:
+        return None
+    sets = tuple(index_ops.decode(a) for a in found.inputs)
+    witness = _first_failure(ops, law, sets)
+    if witness is None:
+        raise StructuralError(
+            f"law {law.name!r} fails on the compiled tables of family {family!r} "
+            f"but not on the sets {', '.join(s.describe() for s in sets)}; "
+            f"its operations do not give the same result twice"
+        )
+    return witness
 
 
 def _random_set(family: AlgebraFamily, rng: random.Random) -> ModernSet:
@@ -332,7 +472,19 @@ def check_family_law(
     Exhaustive when every carrier is finite and the tuple count stays
     within ``max_exhaustive``; otherwise forced spike tuples (capped at
     ``forced_cap``) followed by seeded random sets.
+
+    The exhaustive scan runs on an integer kernel (:class:`_IndexOps`):
+    each point's operations are compiled once to tables over element
+    indices, and each set is a mixed-radix index, so the scan visits the
+    tuples in declaration order and reports the same first witness as a
+    scan over the sets themselves; the witness is rebuilt from sets. Its
+    wedge and vee memos hold ``n * n`` entries for ``n`` sets, and exist
+    only when that is at most ``max_exhaustive``. A point is not compiled
+    when its carrier has more than ``max_exhaustive`` pairs or its
+    operations leave its listed elements; the family is then scanned set by
+    set, and raises the same StructuralError at the same operation.
     """
+    require_count("samples", samples)
     law = _resolve(law)
     ops = _SetOps(family)
     if law.needs_complement and ops.complement is None:
@@ -346,7 +498,7 @@ def check_family_law(
         ))
 
     if _family_is_finite(family) and _set_count(family) ** law.arity <= max_exhaustive:
-        witness = _scan(ops, law, product(_all_sets(family), repeat=law.arity))
+        witness = _exhaustive_witness(family, ops, law, max_exhaustive)
         if witness is None:
             return LawReport(law.name, Verdict.holds_exhaustive())
         return LawReport(law.name, Verdict.fails(witness))
@@ -491,6 +643,7 @@ def check_gf_ring_conditions(
     anything else (matrix algebras in particular) has no candidate order,
     so the check refuses with PreconditionError rather than guessing.
     """
+    require_count("samples", samples)
     points = family.universe.points
     if len(points) > universe_size_cap:
         raise PreconditionError(

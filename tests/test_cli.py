@@ -81,6 +81,19 @@ class TestLaws:
         assert code == 1  # excluded middle fails
         assert "seed=3" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("laws", "fuzzy", "--samples", "-5"),
+        ("lift", "fuzzy@2", "absorption", "--samples", "-5"),
+        ("gfcheck", "chain3@2", "--samples", "-5"),
+        ("witness", "mat2", "wedge", "--budget", "-5"),
+    ])
+    def test_negative_counts_are_input_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        option = argv[-2].lstrip("-")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {option} must be non-negative, got -5\n"
+
 
 class TestValidate:
     def test_broken_algebra_names_identity(self, capsys, tmp_path):
@@ -219,6 +232,14 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--load", str(path), "fam", "A \\/")
         assert code == 2
         assert "column" in err
+
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "sets.def"
+        path.write_text(FUZZY_SETS, encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--load", str(path), "fam", "~" * 5000 + "A")
+        assert code == 2
+        assert out == ""
+        assert err == "error: expression nests deeper than 100 levels (column 101)\n"
 
     def test_unbound_name(self, capsys, tmp_path):
         path = tmp_path / "sets.def"

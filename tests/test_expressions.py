@@ -26,6 +26,7 @@ from modernsets import (
     parse_expression,
     union,
 )
+from modernsets.expressions import MAX_DEPTH
 
 A, B, C, D = Ident("A"), Ident("B"), Ident("C"), Ident("D")
 
@@ -95,6 +96,29 @@ def test_syntax_errors_carry_columns(source, column):
         parse_expression(source)
     assert err.value.column == column
     assert f"(column {column})" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "source,column",
+    [
+        ("~" * 5000 + "A", MAX_DEPTH + 1),
+        ("(" * 5000 + "A" + ")" * 5000, MAX_DEPTH + 1),
+        (" \\/ ".join(["A"] * 5000), 5 * MAX_DEPTH + 3),
+        ("~(" + " /\\ ".join(["A"] * (MAX_DEPTH + 1)) + ")", 1),
+    ],
+    ids=["complements", "parentheses", "union-chain", "complement-over-chain"],
+)
+def test_deep_nesting_is_a_syntax_error(source, column):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(source)
+    assert err.value.column == column
+    assert f"nests deeper than {MAX_DEPTH} levels" in str(err.value)
+
+
+def test_nesting_up_to_the_limit_round_trips():
+    for source in ("~" * MAX_DEPTH + "A", " \\/ ".join(["A"] * (MAX_DEPTH + 1))):
+        tree = parse_expression(source)
+        assert parse_expression(format_expression(tree)) == tree
 
 
 FORMAT_CASES = [

@@ -157,6 +157,10 @@ class TestNoncommutingWitness:
         with pytest.raises(ValueError):
             find_noncommuting_witness(matrix_algebra(2), op="plus")
 
+    def test_negative_budget(self):
+        with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+            find_noncommuting_witness(matrix_algebra(2), budget=-1)
+
 
 class TestChainAlgebras:
     def test_tokens(self):

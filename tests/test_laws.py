@@ -1,15 +1,21 @@
 import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modernsets import (
     LAW_NAMES,
     LAWS,
     AlgebraFamily,
+    AlgebraHandle,
+    FiniteAlgebraTable,
     PreconditionError,
+    StructuralError,
     RationalMatrix,
     Universe,
+    Verdict,
     chain_algebra,
     check_all_laws,
     check_family_law,
@@ -30,9 +36,11 @@ from modernsets import (
     m3_lattice,
     matrix_algebra,
     modern_set,
+    n5_lattice,
     powerset_lattice,
     union,
 )
+from modernsets.laws import _SetOps, _all_sets, _scan
 
 E01 = RationalMatrix([[0, 1], [0, 0]])
 E10 = RationalMatrix([[0, 0], [1, 0]])
@@ -234,6 +242,133 @@ class TestFamilyLaws:
         assert equals(lhs, verdict.witness.lhs)
         assert equals(verdict.witness.rhs, full_set(fam))
         assert not equals(lhs, full_set(fam))
+
+
+NAMED_ALGEBRAS = {
+    "classical2": classical_algebra(),
+    "chain3": chain_algebra(3),
+    "pow2": pow2_algebra(),
+    "chain5": chain_algebra(5),
+    "m3": lattice_algebra(m3_lattice()),
+    "n5": lattice_algebra(n5_lattice()),
+}
+
+CENSUS_TOKENS = ("O", "m", "I")
+
+
+@st.composite
+def census_algebras(draw):
+    """A 3-element table algebra: the eight identities fixed, the rest drawn."""
+    wedge = {("O", "O"): "O", ("O", "I"): "O", ("I", "O"): "O", ("I", "I"): "I"}
+    vee = {("O", "O"): "O", ("O", "I"): "I", ("I", "O"): "I", ("I", "I"): "I"}
+    for cell in product(CENSUS_TOKENS, repeat=2):
+        if "m" in cell:
+            wedge[cell] = draw(st.sampled_from(CENSUS_TOKENS))
+            vee[cell] = draw(st.sampled_from(CENSUS_TOKENS))
+    complement = {"O": "I", "m": "m", "I": "O"} if draw(st.booleans()) else None
+    table = FiniteAlgebraTable("census", CENSUS_TOKENS, "O", "I", wedge, vee, complement)
+    return table.as_handle()
+
+
+def family_of(algebras):
+    points = tuple(f"x{i}" for i in range(1, len(algebras) + 1))
+    return AlgebraFamily(Universe(points), dict(zip(points, algebras)))
+
+
+def assert_kernel_matches_object_path(family, law):
+    """The exhaustive verdict equals the object-level scan and the lift oracle."""
+    verdict = check_family_law(family, law).verdict
+    per_point = [check_law(family.algebra_at(x), law).verdict for x in family.universe.points]
+    if not verdict.applicable:
+        assert any(not v.applicable for v in per_point), law.name
+        return
+    expected = _scan(_SetOps(family), law, product(_all_sets(family), repeat=law.arity))
+    if expected is None:
+        assert verdict == Verdict.holds_exhaustive(), law.name
+    else:
+        assert verdict.failed, law.name
+        assert verdict.witness == expected, law.name
+    # Birkhoff: an identity holds on the product exactly when it holds at every point
+    assert verdict.holds == all(v.holds for v in per_point), law.name
+
+
+class TestFamilyKernel:
+    @pytest.mark.parametrize("names", [
+        ("classical2",), ("chain3",), ("pow2",), ("chain5",), ("m3",), ("n5",),
+        ("classical2", "chain3"), ("pow2", "m3"), ("chain5", "n5"), ("n5", "classical2"),
+        ("m3", "chain3"), ("chain3", "pow2", "classical2"), ("classical2", "n5", "classical2"),
+    ])
+    def test_named_families_match_object_path(self, names):
+        family = family_of([NAMED_ALGEBRAS[name] for name in names])
+        for law in LAWS:
+            if len(list(_all_sets(family))) ** law.arity <= 50_000:
+                assert_kernel_matches_object_path(family, law)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(census_algebras(), min_size=1, max_size=3))
+    def test_census_families_match_object_path(self, algebras):
+        family = family_of(algebras)
+        for law in LAWS:
+            assert_kernel_matches_object_path(family, law)
+
+    def test_carrier_escape_keeps_object_path_error(self):
+        chain3 = chain_algebra(3)
+        leaky = AlgebraHandle(
+            name="leaky",
+            carrier_kind="finite",
+            structure="table",
+            zero="O",
+            one="I",
+            wedge=chain3.wedge,
+            vee=lambda x, y: "Z" if (x, y) == ("m", "I") else chain3.vee(x, y),
+            is_member=lambda x: x in ("O", "m", "I"),
+            complement=chain3.complement,
+            elements=("O", "m", "I"),
+        )
+        family = AlgebraFamily(Universe(("p", "q")), {"p": chain3, "q": leaky})
+        message = "operation of algebra 'leaky' left the carrier at point 'q': Z"
+        for law in ("commutative-vee", "absorption", "distributive", "de-morgan"):
+            with pytest.raises(StructuralError) as excinfo:
+                check_family_law(family, law)
+            assert str(excinfo.value) == message
+        # laws whose scan never reaches the escaping pair keep their verdicts
+        assert check_family_law(family, "idempotent-vee").verdict.mode == "exhaustive"
+        assert check_family_law(family, "excluded-middle").verdict.failed
+
+    def test_witness_that_does_not_reevaluate_is_an_error(self):
+        classical = classical_algebra()
+        calls = []
+
+        def drifting_vee(x, y):
+            # noncommutative while the tables are compiled, a join afterwards
+            calls.append((x, y))
+            if len(calls) <= 4 and (x, y) == ("O", "I"):
+                return "O"
+            return classical.vee(x, y)
+
+        drifting = dataclasses.replace(classical, name="drifting", vee=drifting_vee)
+        family = constant_family(("p",), drifting)
+        with pytest.raises(StructuralError, match="do not give the same result twice"):
+            check_family_law(family, "commutative-vee")
+
+
+class TestSampleCounts:
+    def test_negative_counts_are_rejected(self):
+        fam = constant_family(("p", "q"), classical_algebra())
+        calls = [
+            lambda: check_law(fuzzy_algebra(), "absorption", samples=-5),
+            lambda: check_law(classical_algebra(), "absorption", samples=-1),
+            lambda: check_family_law(fam, "absorption", samples=-1),
+            lambda: lift_check(fam, "absorption", samples=-1),
+            lambda: check_gf_ring_conditions(fam, samples=-1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="samples must be non-negative, got -"):
+                call()
+
+    def test_zero_samples_still_checks_boundary(self):
+        verdict = check_law(fuzzy_algebra(), "absorption", samples=0).verdict
+        assert verdict.describe() == "holds (sampled, samples=9, seed=0)"
 
 
 class TestLifting:
