@@ -43,11 +43,12 @@ from .instances import (
     fuzzy_algebra,
     matrix_algebra,
 )
-from .lattice import check_lattice_laws, m3_lattice, n5_lattice, powerset_lattice
+from .lattice import m3_lattice, n5_lattice, powerset_lattice
 from .laws import (
     LAW_NAMES,
     check_all_laws,
     check_gf_ring_conditions,
+    check_lattice_laws,
     classify_family,
     get_law,
     lift_check,

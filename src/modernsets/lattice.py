@@ -1,30 +1,18 @@
-"""Finite lattices built from Hasse diagrams, with law certification.
+"""Finite lattices built from Hasse diagrams.
 
 A lattice is described by its element tokens and covering pairs
 ``(lower, upper)``. Construction computes the reflexive-transitive closure,
 rejects cycles (NotAPosetError) and missing or non-unique meets/joins
-(NotALatticeError), and derives the bottom and top elements.
-
-Certification checks, each exhaustive over the finite carrier:
-
-  * commutativity and associativity of meet and join
-  * the absorption identities x meet (x join y) = x and dually
-  * distributivity in both standard forms
-  * complete-Heyting behaviour (the frame law: join distributes over meet
-    across finite families), cross-checked against binary distributivity
-  * Boolean structure (exactly one complement per element)
-
-Failures come back as Verdicts carrying the lexicographically first
-witness, so diamond M3 and pentagon N5 report stable counterexamples.
+(NotALatticeError), and derives the bottom and top elements. This module
+only builds lattices; their laws are certified in :mod:`modernsets.laws`,
+by the same registry and scanner that check every other algebra.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
 
-from .errors import DomainError, NotALatticeError, NotAPosetError, PreconditionError, StructuralError
-from .reporting import Verdict, Witness
+from .errors import DomainError, NotALatticeError, NotAPosetError, StructuralError
 
 
 class FiniteLattice:
@@ -75,6 +63,10 @@ class FiniteLattice:
 
     def join(self, x: str, y: str) -> str:
         return self.elements[self._join[self.index(x)][self.index(y)]]
+
+    # The names the law registry's equations call, so a lattice is its own ops.
+    wedge = meet
+    vee = join
 
     def join_of(self, tokens) -> str:
         """Join of a finite family; the empty family joins to bottom."""
@@ -227,220 +219,4 @@ def n5_lattice() -> FiniteLattice:
         "n5",
         ("0", "a", "b", "c", "1"),
         (("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Law certification
-
-
-def _first_witness(lat: FiniteLattice, arity: int, equations) -> Witness | None:
-    """Scan tuples in declaration order; equations are tried in given order.
-
-    Each equation is (label, fn) with fn(lat, *args) -> (lhs, rhs).
-    """
-    for args in product(lat.elements, repeat=arity):
-        for label, fn in equations:
-            lhs, rhs = fn(lat, *args)
-            if lhs != rhs:
-                return Witness(inputs=args, lhs=lhs, rhs=rhs, note=label)
-    return None
-
-
-def _verdict(witness: Witness | None) -> Verdict:
-    if witness is None:
-        return Verdict.holds_exhaustive()
-    return Verdict.fails(witness)
-
-
-_COMMUTATIVE = (
-    ("x wedge y = y wedge x", lambda l, x, y: (l.meet(x, y), l.meet(y, x))),
-    ("x vee y = y vee x", lambda l, x, y: (l.join(x, y), l.join(y, x))),
-)
-
-_ASSOCIATIVE = (
-    (
-        "x wedge (y wedge z) = (x wedge y) wedge z",
-        lambda l, x, y, z: (l.meet(x, l.meet(y, z)), l.meet(l.meet(x, y), z)),
-    ),
-    (
-        "x vee (y vee z) = (x vee y) vee z",
-        lambda l, x, y, z: (l.join(x, l.join(y, z)), l.join(l.join(x, y), z)),
-    ),
-)
-
-_ABSORPTION = (
-    ("x wedge (x vee y) = x", lambda l, x, y: (l.meet(x, l.join(x, y)), x)),
-    ("x vee (x wedge y) = x", lambda l, x, y: (l.join(x, l.meet(x, y)), x)),
-)
-
-_DISTRIBUTIVE = (
-    (
-        "x vee (y wedge z) = (x vee y) wedge (x vee z)",
-        lambda l, x, y, z: (l.join(x, l.meet(y, z)), l.meet(l.join(x, y), l.join(x, z))),
-    ),
-    (
-        "x wedge (y vee z) = (x wedge y) vee (x wedge z)",
-        lambda l, x, y, z: (l.meet(x, l.join(y, z)), l.join(l.meet(x, y), l.meet(x, z))),
-    ),
-)
-
-# Variant with mismatched right-hand side, useful as a diagnostic: it is NOT
-# equivalent to distributivity and fails even on some distributive lattices.
-_DISTRIBUTIVE_MIXED = (
-    (
-        "x vee (y wedge z) = (x vee y) wedge (y vee z)",
-        lambda l, x, y, z: (l.join(x, l.meet(y, z)), l.meet(l.join(x, y), l.join(y, z))),
-    ),
-)
-
-
-def check_distributive(lat: FiniteLattice) -> Verdict:
-    """Both standard distributive laws, exhaustively.
-
-    At each triple the join-over-meet form is tried first, so the reported
-    witness for the diamond M3 is the classic (a, b, c) one.
-    """
-    return _verdict(_first_witness(lat, 3, _DISTRIBUTIVE))
-
-
-def check_cha(lat: FiniteLattice, subset_cap: int | None = None) -> Verdict:
-    """Frame law: the join of a family meets y as the join of the meets.
-
-    Families are enumerated as subsets of the carrier up to ``subset_cap``
-    elements (default min(len, 5)), the empty family included. The verdict's
-    details carry the binary-distributivity verdict computed independently;
-    for a finite lattice the two must agree, and tests hold us to that.
-    """
-    if subset_cap is None:
-        subset_cap = min(len(lat.elements), 5)
-    binary = check_distributive(lat)
-    witness = None
-    for size in range(subset_cap + 1):
-        for family in combinations(lat.elements, size):
-            joined = lat.join_of(family)
-            for y in lat.elements:
-                lhs = lat.meet(joined, y)
-                rhs = lat.join_of(lat.meet(s, y) for s in family)
-                if lhs != rhs:
-                    witness = Witness(
-                        inputs=(family, y),
-                        lhs=lhs,
-                        rhs=rhs,
-                        note="(vee family) wedge y = vee of (s wedge y)",
-                    )
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    details = (("binary-distributive", binary),)
-    if witness is None:
-        return Verdict.holds_exhaustive(details=details)
-    return Verdict.fails(witness, details=details)
-
-
-def check_boolean(lat: FiniteLattice) -> Verdict:
-    """Exactly one complement per element; requires distributivity first."""
-    distributive = check_distributive(lat)
-    if distributive.failed:
-        raise PreconditionError(
-            f"lattice {lat.name!r} is not distributive; Boolean check needs "
-            f"distributivity (witness {distributive.witness.inputs})"
-        )
-    for x in lat.elements:
-        complements = [
-            y
-            for y in lat.elements
-            if lat.meet(x, y) == lat.bottom and lat.join(x, y) == lat.top
-        ]
-        if len(complements) != 1:
-            return Verdict.fails(
-                Witness(
-                    inputs=(x,),
-                    lhs=len(complements),
-                    rhs=1,
-                    note=f"element {x!r} has {len(complements)} complement(s), expected 1",
-                )
-            )
-    return Verdict.holds_exhaustive()
-
-
-class LatticeCertificate:
-    """Bundle of exhaustive verdicts for one finite lattice."""
-
-    def __init__(
-        self,
-        lattice: FiniteLattice,
-        commutative: Verdict,
-        associative: Verdict,
-        absorption: Verdict,
-        distributive: Verdict,
-        cha: Verdict,
-        boolean_complemented: Verdict,
-        distributive_mixed_form: Verdict | None = None,
-    ):
-        self.lattice = lattice
-        self.commutative = commutative
-        self.associative = associative
-        self.absorption = absorption
-        self.distributive = distributive
-        self.cha = cha
-        self.boolean_complemented = boolean_complemented
-        self.distributive_mixed_form = distributive_mixed_form
-
-    @property
-    def entries(self) -> tuple[tuple[str, Verdict], ...]:
-        entries = [
-            ("commutative", self.commutative),
-            ("associative", self.associative),
-            ("absorption", self.absorption),
-            ("distributive", self.distributive),
-            ("complete-heyting", self.cha),
-            ("boolean-complemented", self.boolean_complemented),
-        ]
-        if self.distributive_mixed_form is not None:
-            entries.append(("distributive-mixed-form", self.distributive_mixed_form))
-        return tuple(entries)
-
-    @property
-    def witnesses(self) -> dict[str, Witness]:
-        return {
-            label: verdict.witness
-            for label, verdict in self.entries
-            if verdict.failed and verdict.witness is not None
-        }
-
-    def describe(self) -> str:
-        lines = [f"lattice {self.lattice.name}: {len(self.lattice.elements)} elements"]
-        for label, verdict in self.entries:
-            lines.append(f"  {label}: {verdict.describe()}")
-        return "\n".join(lines)
-
-
-def check_lattice_laws(
-    lat: FiniteLattice, check_mixed_form_distributivity: bool = False
-) -> LatticeCertificate:
-    """Certify the standard laws; every check is exhaustive.
-
-    The Boolean check is reported not-applicable on non-distributive
-    lattices rather than raising, so a certificate always completes.
-    """
-    distributive = check_distributive(lat)
-    if distributive.holds:
-        boolean = check_boolean(lat)
-    else:
-        boolean = Verdict.not_applicable("lattice is not distributive")
-    mixed = None
-    if check_mixed_form_distributivity:
-        mixed = _verdict(_first_witness(lat, 3, _DISTRIBUTIVE_MIXED))
-    return LatticeCertificate(
-        lattice=lat,
-        commutative=_verdict(_first_witness(lat, 2, _COMMUTATIVE)),
-        associative=_verdict(_first_witness(lat, 3, _ASSOCIATIVE)),
-        absorption=_verdict(_first_witness(lat, 2, _ABSORPTION)),
-        distributive=distributive,
-        cha=check_cha(lat),
-        boolean_complemented=boolean,
-        distributive_mixed_form=mixed,
     )

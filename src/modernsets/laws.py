@@ -14,6 +14,10 @@ levels side by side: a law holds for all sets over a family exactly when it
 holds in every per-point algebra, and a per-point counterexample lifts to a
 set-level one by placing the failing values at that point and O everywhere
 else. The report records whether the two levels agreed.
+
+Finite lattices are certified by the same registry and scanner: a lattice
+names its meet and join ``wedge`` and ``vee``, so it is its own ops object,
+and each certificate row is a registry law scanned over its elements.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from .algebra import AlgebraHandle, Element, check_wba_axioms
 from .errors import PreconditionError, StructuralError, require_count
-from .lattice import check_cha
+from .lattice import FiniteLattice
 from .reporting import LawReport, Verdict, Witness
 from .sets import (
     AlgebraFamily,
@@ -221,6 +225,187 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
 def check_all_laws(a: AlgebraHandle, samples: int = 1000, seed: int = 0) -> tuple[LawReport, ...]:
     """Every registered law, in registry order."""
     return tuple(check_law(a, law, samples=samples, seed=seed) for law in LAWS)
+
+
+# ---------------------------------------------------------------------------
+# Lattice certificates
+
+
+def _joined(name: str, *parts: str) -> Law:
+    """One law whose equations are those of the named registry laws, in order."""
+    laws = [get_law(part) for part in parts]
+    return Law(name, laws[0].arity, False, tuple(eq for law in laws for eq in law.equations))
+
+
+_COMMUTATIVE_LAW = _joined("commutative", "commutative-wedge", "commutative-vee")
+_ASSOCIATIVE_LAW = _joined("associative", "associative-wedge", "associative-vee")
+
+# Mismatched right-hand side, kept out of LAWS: it is NOT equivalent to
+# distributivity and fails even on some distributive lattices.
+_DISTRIBUTIVE_MIXED_LAW = Law(
+    "distributive-mixed-form", 3, False,
+    ((
+        "x vee (y wedge z) = (x vee y) wedge (y vee z)",
+        lambda o, x, y, z: (o.vee(x, o.wedge(y, z)), o.wedge(o.vee(x, y), o.vee(y, z))),
+    ),),
+    diagnostic=True,
+)
+
+
+def _lattice_verdict(lat: FiniteLattice, law: "Law | str") -> Verdict:
+    """Exhaustive scan of a lattice, which is its own ops (meet is wedge)."""
+    law = _resolve(law)
+    witness = _scan(lat, law, product(lat.elements, repeat=law.arity))
+    if witness is None:
+        return Verdict.holds_exhaustive()
+    return Verdict.fails(witness)
+
+
+def check_distributive(lat: FiniteLattice) -> Verdict:
+    """Both standard distributive laws, exhaustively.
+
+    At each triple the join-over-meet form is tried first, so the reported
+    witness for the diamond M3 is the classic (a, b, c) one.
+    """
+    return _lattice_verdict(lat, "distributive")
+
+
+def check_cha(lat: FiniteLattice) -> Verdict:
+    """Frame law: the join of a family meets y as the join of the meets.
+
+    Only families of two distinct elements are scanned, in declaration
+    order, and that decides the law for every finite family:
+
+    * the empty family joins to bottom on both sides, and a one-element
+      family {s} gives s wedge y on both sides, so neither can fail;
+    * a family with a repeated element is a smaller family, so a failing
+      pair {a, b} has a != b;
+    * the law for all pairs is binary distributivity, and it gives the law
+      for every finite family by induction: (a_1 vee ... vee a_k) wedge y is
+      ((a_1 vee ... vee a_(k-1)) wedge y) vee (a_k wedge y). So on a finite
+      lattice, distributive means frame (Johnstone, Stone Spaces, 1982).
+
+    The first failing family in size order therefore has two elements, and
+    the pair scan returns the same verdict and witness as enumerating every
+    family. The details carry the binary-distributivity verdict computed
+    independently; the two must agree, and tests hold us to that.
+    """
+    binary = check_distributive(lat)
+    details = (("binary-distributive", binary),)
+    for a, b in combinations(lat.elements, 2):
+        joined = lat.join(a, b)
+        for y in lat.elements:
+            lhs = lat.meet(joined, y)
+            rhs = lat.join(lat.meet(a, y), lat.meet(b, y))
+            if lhs != rhs:
+                witness = Witness(
+                    inputs=((a, b), y),
+                    lhs=lhs,
+                    rhs=rhs,
+                    note="(vee family) wedge y = vee of (s wedge y)",
+                )
+                return Verdict.fails(witness, details=details)
+    return Verdict.holds_exhaustive(details=details)
+
+
+def check_boolean(lat: FiniteLattice) -> Verdict:
+    """Exactly one complement per element; requires distributivity first."""
+    distributive = check_distributive(lat)
+    if distributive.failed:
+        raise PreconditionError(
+            f"lattice {lat.name!r} is not distributive; Boolean check needs "
+            f"distributivity (witness {distributive.witness.inputs})"
+        )
+    for x in lat.elements:
+        complements = [
+            y
+            for y in lat.elements
+            if lat.meet(x, y) == lat.bottom and lat.join(x, y) == lat.top
+        ]
+        if len(complements) != 1:
+            return Verdict.fails(
+                Witness(
+                    inputs=(x,),
+                    lhs=len(complements),
+                    rhs=1,
+                    note=f"element {x!r} has {len(complements)} complement(s), expected 1",
+                )
+            )
+    return Verdict.holds_exhaustive()
+
+
+@dataclass(eq=False)
+class LatticeCertificate:
+    """Bundle of exhaustive verdicts for one finite lattice."""
+
+    lattice: FiniteLattice
+    commutative: Verdict
+    associative: Verdict
+    absorption: Verdict
+    distributive: Verdict
+    cha: Verdict
+    boolean_complemented: Verdict
+    distributive_mixed_form: Verdict | None = None
+
+    @property
+    def entries(self) -> tuple[tuple[str, Verdict], ...]:
+        entries = [
+            ("commutative", self.commutative),
+            ("associative", self.associative),
+            ("absorption", self.absorption),
+            ("distributive", self.distributive),
+            ("complete-heyting", self.cha),
+            ("boolean-complemented", self.boolean_complemented),
+        ]
+        if self.distributive_mixed_form is not None:
+            entries.append(("distributive-mixed-form", self.distributive_mixed_form))
+        return tuple(entries)
+
+    @property
+    def witnesses(self) -> dict[str, Witness]:
+        return {
+            label: verdict.witness
+            for label, verdict in self.entries
+            if verdict.failed and verdict.witness is not None
+        }
+
+    def describe(self) -> str:
+        lines = [f"lattice {self.lattice.name}: {len(self.lattice.elements)} elements"]
+        for label, verdict in self.entries:
+            lines.append(f"  {label}: {verdict.describe()}")
+        return "\n".join(lines)
+
+
+def check_lattice_laws(
+    lat: FiniteLattice, check_mixed_form_distributivity: bool = False
+) -> LatticeCertificate:
+    """Certify the standard laws; every check is exhaustive.
+
+    Each row is a registry law scanned over the lattice itself; commutative
+    and associative join the wedge and vee forms, tried in that order at
+    each tuple. The lattice is scanned directly rather than through
+    ``lattice_algebra``, so a one-element lattice is certified too. The
+    Boolean check is reported not-applicable on non-distributive lattices
+    rather than raising, so a certificate always completes.
+    """
+    distributive = check_distributive(lat)
+    if distributive.holds:
+        boolean = check_boolean(lat)
+    else:
+        boolean = Verdict.not_applicable("lattice is not distributive")
+    mixed = None
+    if check_mixed_form_distributivity:
+        mixed = _lattice_verdict(lat, _DISTRIBUTIVE_MIXED_LAW)
+    return LatticeCertificate(
+        lattice=lat,
+        commutative=_lattice_verdict(lat, _COMMUTATIVE_LAW),
+        associative=_lattice_verdict(lat, _ASSOCIATIVE_LAW),
+        absorption=_lattice_verdict(lat, "absorption"),
+        distributive=distributive,
+        cha=check_cha(lat),
+        boolean_complemented=boolean,
+        distributive_mixed_form=mixed,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
@@ -319,3 +321,40 @@ class TestTopLevel:
     def test_output_is_reproducible(self, capsys):
         runs = [run(capsys, "laws", "mat2", "--samples", "60") for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+GOLDEN_CASES = [
+    ("validate-lattices", ("validate", str(GOLDEN / "lattices.def"))),
+    *(
+        (f"laws-{name}", ("laws", name))
+        for name in (
+            "classical2", "fuzzy", "chain3", "chain5", "mat2", "mat3",
+            "m3", "n5", "pow1", "pow2", "pow3",
+        )
+    ),
+    ("lift-m3-distributive", ("lift", "m3@2", "distributive")),
+    ("gfcheck-pow2", ("gfcheck", "pow2@2")),
+    ("classify-chain3", ("classify", "chain3@2")),
+    ("classify-m3", ("classify", "m3@2")),
+    ("classify-classical2", ("classify", "classical2@3")),
+    ("classify-fuzzy", ("classify", "fuzzy@2")),
+    ("classify-mat2", ("classify", "mat2@1")),
+    ("oracle-chain3", ("oracle", "chain3@3")),
+    ("witness-mat2-wedge", ("witness", "mat2", "wedge")),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_golden_transcript(capsys, name, argv):
+    """Stdout and exit code match the recorded transcript byte for byte."""
+    code, out, err = run(capsys, *argv)
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert code == GOLDEN_EXIT_CODES[name]
+    assert err == ""
+
+
+def test_golden_transcript_covers_every_recording():
+    recorded = {path.stem for path in GOLDEN.glob("*.out")}
+    assert recorded == {name for name, _ in GOLDEN_CASES} == set(GOLDEN_EXIT_CODES)

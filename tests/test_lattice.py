@@ -1,4 +1,5 @@
-from itertools import product
+from itertools import combinations, product
+from random import Random
 
 import pytest
 
@@ -20,6 +21,7 @@ from modernsets import (
     n5_lattice,
     powerset_lattice,
 )
+from modernsets.reporting import Witness
 
 
 def naive_meet(lat, x, y):
@@ -135,9 +137,130 @@ def test_cha_agrees_with_binary_distributivity():
         assert verdict.holds == detail.holds, lat.name
 
 
-def test_cha_subset_cap():
-    verdict = check_cha(powerset_lattice(2), subset_cap=4)
-    assert verdict.holds
+def full_frame_law(lat):
+    """Reference frame-law check: every subset of the carrier in size order,
+    the empty family first, and every y."""
+    for size in range(len(lat.elements) + 1):
+        for family in combinations(lat.elements, size):
+            joined = lat.join_of(family)
+            for y in lat.elements:
+                lhs = lat.meet(joined, y)
+                rhs = lat.join_of(lat.meet(s, y) for s in family)
+                if lhs != rhs:
+                    return Witness(
+                        inputs=(family, y),
+                        lhs=lhs,
+                        rhs=rhs,
+                        note="(vee family) wedge y = vee of (s wedge y)",
+                    )
+    return None
+
+
+def naive_distributive(lat):
+    """Both distributive laws over every triple, through naive meet and join."""
+    return all(
+        naive_join(lat, x, naive_meet(lat, y, z))
+        == naive_meet(lat, naive_join(lat, x, y), naive_join(lat, x, z))
+        and naive_meet(lat, x, naive_join(lat, y, z))
+        == naive_join(lat, naive_meet(lat, x, y), naive_meet(lat, x, z))
+        for x, y, z in product(lat.elements, repeat=3)
+    )
+
+
+def closure_system(rng, ground, size):
+    """Masks of an intersection-closed family of subsets of ``ground``
+    points, holding the full set, with at most ``size`` members."""
+    family = {(1 << ground) - 1}
+    for _ in range(200):
+        s = rng.randrange(1 << ground)
+        grown = family | {s & m for m in family}
+        if len(grown) <= size:
+            family = grown
+    return family
+
+
+def downsets(rng, points):
+    """Masks of the down-sets of a random poset on ``points`` points."""
+    below = [0] * points
+    for j in range(points):
+        for i in range(j):
+            if rng.random() < 0.4:
+                below[j] |= 1 << i | below[i]
+    return {
+        s for s in range(1 << points)
+        if all(not s >> j & 1 or below[j] & s == below[j] for j in range(points))
+    }
+
+
+def lattice_of_masks(name, rng, masks):
+    """The masks ordered by inclusion, declared in a seeded order."""
+    order = sorted(masks)
+    rng.shuffle(order)
+    covers = [
+        (str(a), str(b))
+        for a in order
+        for b in order
+        if a != b and a & b == a
+        and not any(c not in (a, b) and a & c == a and c & b == c for c in order)
+    ]
+    return lattice_from_hasse(name, [str(m) for m in order], covers)
+
+
+def random_lattices(seed, count, max_size):
+    """Seeded closure systems and down-set lattices, alternating, with at
+    most ``max_size`` elements each."""
+    rng = Random(seed)
+    lattices = []
+    for i in range(count):
+        if i % 2:
+            masks = closure_system(rng, rng.randint(3, 5), rng.randint(4, max_size))
+        else:
+            while True:
+                masks = downsets(rng, rng.randint(2, 5))
+                if len(masks) <= max_size:
+                    break
+        lattices.append(lattice_of_masks(f"random{seed}-{i}", rng, masks))
+    return lattices
+
+
+def assert_cha_matches_full_enumeration(lat):
+    verdict = check_cha(lat)
+    witness = full_frame_law(lat)
+    if witness is None:
+        assert verdict.holds and verdict.mode == "exhaustive", lat.name
+    else:
+        assert verdict.failed and verdict.witness == witness, lat.name
+        assert len(witness.inputs[0]) == 2
+    detail = dict(verdict.details)["binary-distributive"]
+    assert detail == check_distributive(lat)
+    assert detail.holds == (witness is None), lat.name
+
+
+def test_cha_pairs_match_full_enumeration_on_named_lattices():
+    named = [powerset_lattice(n) for n in (1, 2, 3, 4)]
+    named += [m3_lattice(), n5_lattice()]
+    for n in (2, 3, 4, 5):
+        tokens = [str(i) for i in range(n)]
+        named.append(lattice_from_hasse(f"chain{n}", tokens, list(zip(tokens, tokens[1:]))))
+    for lat in named:
+        assert_cha_matches_full_enumeration(lat)
+
+
+def test_cha_pairs_match_full_enumeration_on_random_lattices():
+    lattices = random_lattices(seed=3, count=60, max_size=10)
+    assert any(not check_distributive(lat).holds for lat in lattices)
+    assert any(check_distributive(lat).holds for lat in lattices)
+    for lat in lattices:
+        assert_cha_matches_full_enumeration(lat)
+
+
+def test_random_lattices_against_naive_reference():
+    for lat in random_lattices(seed=5, count=40, max_size=12):
+        for x, y in product(lat.elements, repeat=2):
+            assert meet(lat, x, y) == naive_meet(lat, x, y), lat.name
+            assert join(lat, x, y) == naive_join(lat, x, y), lat.name
+        assert all(lat.leq(lat.bottom, x) and lat.leq(x, lat.top) for x in lat.elements)
+        assert check_lattice_laws(lat).distributive.holds == naive_distributive(lat), lat.name
 
 
 def test_m3_heyting_witness():

@@ -216,6 +216,26 @@ class TestPredicates:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_equality_follows_family_compatibility(self):
+        # Twin families: built separately, the same algebra at every point.
+        # The set operations accept them together, so equality must too.
+        twin_a = constant_family(("p", "q"), fuzzy_algebra())
+        twin_b = constant_family(("p", "q"), fuzzy_algebra())
+        values = {"p": Fraction(1, 2), "q": Fraction(0)}
+        a = modern_set(twin_a, values)
+        b = modern_set(twin_b, values)
+        assert twin_a is not twin_b and twin_a.compatible(twin_b)
+        assert a == b and equals(a, b)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != modern_set(twin_b, {"p": Fraction(1, 2), "q": Fraction(1)})
+        # Another algebra object at the points: incompatible, so unequal
+        # even though every value agrees.
+        other = modern_set(constant_family(("p", "q"), chain_algebra(3)), {"p": "O", "q": "O"})
+        crisp = modern_set(constant_family(("p", "q"), classical_algebra()), {"p": "O", "q": "O"})
+        assert not crisp.family.compatible(other.family)
+        assert crisp != other
+
 
 class TestEmbedding:
     def test_embed_crisp_values(self):
