@@ -21,7 +21,8 @@ block kinds, each closed by ``end``:
 Operation tables must be total; missing rows are errors, not defaults.
 Set element literals follow the point's algebra: a bare token for finite
 carriers, a rational like ``3/10`` for the unit interval, or a row-major
-matrix like ``[[0,1],[0,0]]`` with rational entries. Malformed input
+matrix like ``[[0,1],[0,0]]`` with rational entries. A rational may use a
+decimal exponent (``25e-2``) of at most ``MAX_EXPONENT``. Malformed input
 raises FileFormatError carrying source and line; a file that parses but
 describes bad mathematics (a cyclic cover set, say) raises the matching
 domain error instead.
@@ -37,6 +38,10 @@ from .instances import lattice_algebra
 from .lattice import FiniteLattice, lattice_from_hasse
 from .matrix import RationalMatrix
 from .sets import AlgebraFamily, ModernSet, Universe, modern_set
+
+# Fraction expands 1e10000000 into a ten-million-digit integer, and its
+# parse time grows faster than the exponent, so larger exponents are refused.
+MAX_EXPONENT = 1000
 
 _RESERVED = frozenset({
     "algebra", "lattice", "family", "set", "over", "elements", "zero", "one",
@@ -334,6 +339,22 @@ def _read_family(cursor: _Cursor, header_line: int, fields: list[str], workspace
     workspace.add_family(name, AlgebraFamily(Universe(points), assignment, name=name))
 
 
+def _parse_rational(text: str) -> Fraction:
+    """A rational literal like 3/10, 0.25 or 25e-2, as an exact Fraction."""
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        try:
+            oversized = abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:
+            oversized = False  # not an exponent; Fraction rejects the literal
+        if oversized:
+            raise ValueError(f"exponent in {text!r} is beyond {MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+
+
 def parse_matrix_literal(text: str) -> RationalMatrix:
     """Row-major matrix literal like [[0,1],[1/2,0]] with rational entries."""
     compact = "".join(text.split())
@@ -344,7 +365,7 @@ def parse_matrix_literal(text: str) -> RationalMatrix:
         entries = row_text.split(",")
         if any(not e for e in entries):
             raise ValueError(f"empty entry in matrix literal {text!r}")
-        rows.append([Fraction(e) for e in entries])
+        rows.append([_parse_rational(e) for e in entries])
     return RationalMatrix(rows)
 
 
@@ -355,9 +376,9 @@ def _parse_element_literal(cursor, lineno, algebra: AlgebraHandle, text: str):
         return text
     if algebra.carrier_kind == "rational-unit-interval":
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise cursor.error(f"not a rational number: {text!r}", lineno) from exc
+            return _parse_rational(text)
+        except ValueError as exc:
+            raise cursor.error(str(exc), lineno) from exc
     if algebra.carrier_kind == "matrix":
         try:
             return parse_matrix_literal(text)

@@ -1,7 +1,7 @@
 """Concrete weak Boolean algebras: classical, fuzzy, chains, lattices, matrices.
 
 All carriers are exact. The unit-interval algebra uses Fraction values, the
-matrix algebras use RationalMatrix with Fraction entries, and finite
+matrix algebras use RationalMatrix with exact rational entries, and finite
 algebras use string tokens.
 
 The matrix algebra on n x n rational matrices takes
@@ -35,11 +35,17 @@ from .reporting import Witness
 # Matrix carrier
 
 
+_identity = lru_cache(maxsize=None)(RationalMatrix.identity)
+
+
 def normalize_matrix(m: RationalMatrix) -> RationalMatrix:
-    """Collapse positive integer multiples of the identity to the identity."""
+    """Collapse positive integer multiples of the identity to the identity.
+
+    Every collapse returns the one shared identity of that dimension.
+    """
     q = m.scalar_identity_multiple()
-    if q is not None and q.denominator == 1 and q >= 1:
-        return RationalMatrix.identity(m.dimension)
+    if q is not None and q.denominator == 1 and q.numerator >= 1:
+        return _identity(m.dimension)
     return m
 
 
@@ -72,8 +78,8 @@ def matrix_vee(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
 
 
 def _unit_matrix(n: int, i: int, j: int) -> RationalMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[i][j] = Fraction(1)
+    rows = [[0] * n for _ in range(n)]
+    rows[i][j] = 1
     return RationalMatrix(rows)
 
 
@@ -88,7 +94,7 @@ def matrix_algebra(n: int) -> AlgebraHandle:
     if n < 1:
         raise ValueError(f"matrix dimension must be at least 1, got {n}")
     zero = RationalMatrix.zeros(n)
-    one = RationalMatrix.identity(n)
+    one = _identity(n)
     boundary: tuple[Element, ...] = (zero, one)
     if n >= 2:
         boundary = (zero, one, _unit_matrix(n, 0, 1), _unit_matrix(n, 1, 0))
@@ -101,7 +107,7 @@ def matrix_algebra(n: int) -> AlgebraHandle:
         )
 
     def sample(rng: random.Random) -> RationalMatrix:
-        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         return normalize_matrix(RationalMatrix(rows))
 
     return AlgebraHandle(

@@ -1,12 +1,18 @@
 """Exact square matrices over the rationals.
 
-Law checking needs exact equality, so entries are `fractions.Fraction`
-throughout; no floating point.
+Law checking needs exact equality, so there is no floating point. A matrix
+is stored in one canonical form: a flat row-major tuple of integer
+numerators over one positive common denominator, with the gcd of all of
+them equal to 1. Equal matrices therefore have equal representations, and
+sums and products are integer arithmetic. `rows` presents the entries as
+`fractions.Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -15,84 +21,132 @@ Entry = int | str | Fraction
 
 
 class RationalMatrix:
-    """Immutable n-by-n matrix with Fraction entries."""
+    """Immutable n-by-n matrix with exact rational entries."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("_n", "_nums", "_den")
 
     def __init__(self, rows: Iterable[Sequence[Entry]]):
-        converted = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        # An int already has the numerator and denominator of a Fraction.
+        converted = tuple(
+            tuple(e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row)
+            for row in rows
+        )
         n = len(converted)
         if n == 0:
             raise ShapeError("matrix must have at least one row")
         if any(len(row) != n for row in converted):
             raise ShapeError(f"matrix must be square, got row lengths {[len(r) for r in converted]}")
-        self.rows: tuple[tuple[Fraction, ...], ...]
-        object.__setattr__(self, "rows", converted)
+        # Every entry is in lowest terms, so over the lcm of the denominators
+        # the numerators and the denominator are already coprime.
+        den = lcm(*(e.denominator for row in converted for e in row))
+        nums = tuple(e.numerator * (den // e.denominator) for row in converted for e in row)
+        _init(self, n, nums, den)
+
+    @classmethod
+    def _reduced(cls, n: int, nums: tuple[int, ...], den: int) -> "RationalMatrix":
+        """Trusted constructor: integer numerators over a positive denominator."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(v // g for v in nums)
+            den //= g
+        m = object.__new__(cls)
+        _init(m, n, nums, den)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RationalMatrix is immutable")
+
     @classmethod
     def zeros(cls, n: int) -> "RationalMatrix":
-        return cls([[0] * n for _ in range(n)])
+        return cls._reduced(n, (0,) * (n * n), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._reduced(n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return self._n
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        n, nums, den = self._n, self._nums, self._den
+        return tuple(
+            tuple(Fraction(v, den) for v in nums[i * n:(i + 1) * n]) for i in range(n)
+        )
 
     def __add__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        if other.dimension != self.dimension:
-            raise ShapeError(f"cannot add {self.dimension}x{self.dimension} and {other.dimension}x{other.dimension}")
-        return RationalMatrix(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
+        n = self._n
+        if other._n != n:
+            raise ShapeError(f"cannot add {n}x{n} and {other._n}x{other._n}")
+        da, db = self._den, other._den
+        if da == db:
+            return RationalMatrix._reduced(n, tuple(map(add, self._nums, other._nums)), da)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return RationalMatrix._reduced(
+            n, tuple(a * fa + b * fb for a, b in zip(self._nums, other._nums)), den
         )
 
     def __mul__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        if other.dimension != self.dimension:
-            raise ShapeError(
-                f"cannot multiply {self.dimension}x{self.dimension} and {other.dimension}x{other.dimension}"
-            )
-        n = self.dimension
-        return RationalMatrix(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
+        n = self._n
+        if other._n != n:
+            raise ShapeError(f"cannot multiply {n}x{n} and {other._n}x{other._n}")
+        a, b = self._nums, other._nums
+        rows = [a[i * n:(i + 1) * n] for i in range(n)]
+        cols = [b[j::n] for j in range(n)]
+        return RationalMatrix._reduced(
+            n, tuple([sum(map(mul, r, c)) for r in rows for c in cols]), self._den * other._den
         )
 
     def scale(self, factor: Entry) -> "RationalMatrix":
         q = Fraction(factor)
-        return RationalMatrix(tuple(q * e for e in row) for row in self.rows)
+        return RationalMatrix._reduced(
+            self._n, tuple(q.numerator * v for v in self._nums), q.denominator * self._den
+        )
 
     def scalar_identity_multiple(self) -> Fraction | None:
         """Return q when self == q*identity, else None."""
-        diag = self.rows[0][0]
-        for i, row in enumerate(self.rows):
-            for j, entry in enumerate(row):
-                if i == j:
-                    if entry != diag:
-                        return None
-                elif entry != 0:
-                    return None
-        return diag
+        n, nums = self._n, self._nums
+        diag = nums[0]
+        if nums[:: n + 1] != (diag,) * n or sum(map(bool, nums)) != (n if diag else 0):
+            return None
+        # Canonical form: gcd(diag, den) is 1, so diag/den is in lowest terms.
+        return Fraction(diag) if self._den == 1 else Fraction(diag, self._den)
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, RationalMatrix)
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._nums, self._den))
 
     def __str__(self):
-        def fmt(e: Fraction) -> str:
-            return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+        n, nums, den = self._n, self._nums, self._den
 
-        return "[" + ",".join("[" + ",".join(fmt(e) for e in row) + "]" for row in self.rows) + "]"
+        def fmt(v: int) -> str:
+            g = gcd(v, den)
+            return str(v // g) if den == g else f"{v // g}/{den // g}"
+
+        return "[" + ",".join(
+            "[" + ",".join(fmt(v) for v in nums[i * n:(i + 1) * n]) + "]" for i in range(n)
+        ) + "]"
 
     def __repr__(self):
         return f"RationalMatrix({self})"
+
+
+def _init(m: RationalMatrix, n: int, nums: tuple[int, ...], den: int) -> None:
+    object.__setattr__(m, "_n", n)
+    object.__setattr__(m, "_nums", nums)
+    object.__setattr__(m, "_den", den)

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from pathlib import Path
 from textwrap import dedent
 
@@ -138,6 +140,29 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/nonexistent/defs.txt")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "p_literal, m_literal, line, message",
+        [
+            ("1/0", "[[0,0],[0,0]]", 7, "not a rational number: '1/0'"),
+            ("1/2", "[[1/0, 1], [0, 0]]", 8, "not a rational number: '1/0'"),
+            ("1e10000000", "[[0,0],[0,0]]", 7, "exponent in '1e10000000' is beyond 1000"),
+            ("1/2", "[[0,1],[1e-10000000,0]]", 8, "exponent in '1e-10000000' is beyond 1000"),
+        ],
+    )
+    def test_bad_rational_literals_are_input_errors(
+        self, capsys, tmp_path, p_literal, m_literal, line, message
+    ):
+        path = tmp_path / "f.def"
+        path.write_text(
+            "family f\nuniverse p m\nassign p fuzzy\nassign m mat2\nend\n"
+            f"set S over f\np {p_literal}\nm {m_literal}\nend\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}:{line}: {message}\n"
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.def"
@@ -358,3 +383,91 @@ def test_golden_transcript(capsys, name, argv):
 def test_golden_transcript_covers_every_recording():
     recorded = {path.stem for path in GOLDEN.glob("*.out")}
     assert recorded == {name for name, _ in GOLDEN_CASES} == set(GOLDEN_EXIT_CODES)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing definition-file text
+
+FUZZ_SETS = dedent(
+    """
+    family mixed
+    universe p q m n
+    assign p fuzzy
+    assign q fuzzy
+    assign m mat2
+    assign n mat2
+    end
+
+    set A over mixed
+    p 5e-000001
+    q 3e-000001
+    m [[1/10,2e-000001],[-3/20,1e000000]]
+    n [[1e-000001,1e000000],[1/100,4e-000001]]
+    end
+
+    set B over mixed
+    p 1/20
+    q 25E-000002
+    m [[5e-000001,1/10],[7e-000001,-1/30]]
+    n [[7/10,-1/2],[-1e000000,4e-000001]]
+    end
+    """
+)
+FUZZ_BASE = (GOLDEN / "lattices.def").read_text(encoding="utf-8") + FUZZ_SETS
+FUZZ_ALPHABET = "0123456789/eE-+.,[]_ #x"
+FUZZ_CASES = 400
+# A case parses a file of about seventy lines and certifies six-element
+# lattices: milliseconds. A literal that expands into a million-digit
+# integer takes longer than this.
+FUZZ_CASE_SECONDS = 1.0
+
+
+def _mutate(line, rng):
+    """One character inserted, deleted, or swapped with its neighbour."""
+    kind = rng.choice(("insert", "delete", "swap"))
+    if kind == "insert" or len(line) < 2:
+        i = rng.randint(0, len(line))
+        return line[:i] + rng.choice(FUZZ_ALPHABET) + line[i:]
+    i = rng.randrange(len(line) - 1)
+    if kind == "delete":
+        return line[:i] + line[i + 1:]
+    return line[:i] + line[i + 1] + line[i] + line[i + 2:]
+
+
+def fuzz_mutants(seed=2024, cases=FUZZ_CASES):
+    """Mutated copies of FUZZ_BASE, each with one to three lines edited once.
+
+    Three in four edited lines are set rows, whose rational literals carry
+    six-digit exponents and denominators with a leading digit: one edit can
+    make an exponent in the millions or a zero denominator.
+    """
+    rng = random.Random(seed)
+    lines = FUZZ_BASE.split("\n")
+    literal_rows = [i for i, line in enumerate(lines) if line[:2] in ("p ", "q ", "m ", "n ")]
+    for _ in range(cases):
+        targets = set()
+        want = rng.randint(1, 3)
+        while len(targets) < want:
+            pool = literal_rows if rng.random() < 0.75 else range(len(lines))
+            targets.add(rng.choice(pool))
+        mutated = list(lines)
+        for i in sorted(targets):
+            mutated[i] = _mutate(mutated[i], rng)
+        yield "\n".join(mutated)
+
+
+def test_validate_survives_mutated_definition_files(capsys, tmp_path):
+    path = tmp_path / "mutant.def"
+    codes = set()
+    for text in fuzz_mutants():
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        code = run_command(["validate", str(path)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), text
+        assert "Traceback" not in err, text
+        assert elapsed < FUZZ_CASE_SECONDS, text
+        codes.add(code)
+    # the mutants reach both the accepting and the rejecting paths
+    assert {0, 2} <= codes

@@ -12,8 +12,10 @@ from modernsets import (
     check_wba_axioms,
     load_file,
     load_text,
+    matrix_algebra,
     parse_matrix_literal,
 )
+from modernsets.fileformat import MAX_EXPONENT
 
 BOOL_BLOCK = dedent(
     """
@@ -352,6 +354,69 @@ class TestSetBlocks:
                 workspace=fuzzy_workspace(),
             )
         assert "'q'" in str(err.value)
+
+
+MIXED_FAMILY = dedent(
+    """
+    family mixed
+    universe p m
+    assign p fuzzy
+    assign m mat2
+    end
+    """
+)
+
+
+def mixed_load(p_literal, m_literal):
+    """Load a one-set file over a fuzzy point p and a mat2 point m."""
+    from modernsets import fuzzy_algebra
+
+    ws = Workspace()
+    ws.add_algebra("fuzzy", fuzzy_algebra())
+    ws.add_algebra("mat2", matrix_algebra(2))
+    text = MIXED_FAMILY + f"set A over mixed\np {p_literal}\nm {m_literal}\nend\n"
+    return load_text(text, workspace=ws)
+
+
+class TestRationalLiterals:
+    # the set rows are lines 8 (p) and 9 (m) of the mixed file
+
+    def test_exponents_within_the_bound(self):
+        a = mixed_load("25e-2", f"[[1e{MAX_EXPONENT},0],[0,2E-{MAX_EXPONENT}]]").sets["A"]
+        assert a.value_at("p") == Fraction(1, 4)
+        assert a.value_at("m") == RationalMatrix(
+            [[10**MAX_EXPONENT, 0], [0, Fraction(2, 10**MAX_EXPONENT)]]
+        )
+        assert mixed_load(f"5e-{MAX_EXPONENT}", "[[0,0],[0,0]]").sets["A"].value_at("p") == (
+            Fraction(5, 10**MAX_EXPONENT)
+        )
+
+    @pytest.mark.parametrize(
+        "p_literal, m_literal, line, message",
+        [
+            ("1/0", "[[0,0],[0,0]]", 8, "not a rational number: '1/0'"),
+            ("1/2", "[[1/0, 1], [0, 0]]", 9, "not a rational number: '1/0'"),
+            ("1/2", "[[0,1],[-3/00,0]]", 9, "not a rational number: '-3/00'"),
+            ("1e-10000000", "[[0,0],[0,0]]", 8, "exponent in '1e-10000000' is beyond"),
+            (f"1e-{MAX_EXPONENT + 1}", "[[0,0],[0,0]]", 8, "is beyond"),
+            ("1/2", "[[1e10000000,0],[0,0]]", 9, "exponent in '1e10000000' is beyond"),
+            ("1/2", "[[0,0],[0,5E+0010000000]]", 9, "is beyond"),
+            ("1/2", "[[0,0],[0,1_0e1_000_000]]", 9, "is beyond"),
+            ("1e", "[[0,0],[0,0]]", 8, "not a rational number: '1e'"),
+            ("1/2", "[[0,1e99e99],[0,0]]", 9, "not a rational number: '1e99e99'"),
+        ],
+    )
+    def test_bad_rationals_are_format_errors(self, p_literal, m_literal, line, message):
+        with pytest.raises(FileFormatError) as err:
+            mixed_load(p_literal, m_literal)
+        assert err.value.line == line
+        assert message in str(err.value)
+
+    def test_parse_matrix_literal_rejects_bad_entries(self):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_matrix_literal("[[1/0,0],[0,0]]")
+        with pytest.raises(ValueError, match="beyond"):
+            parse_matrix_literal("[[1e10000000,0],[0,0]]")
 
 
 class TestWorkspaceAndFiles:

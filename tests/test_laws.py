@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from modernsets import (
     RationalMatrix,
     Universe,
     Verdict,
+    Witness,
     chain_algebra,
     check_all_laws,
     check_family_law,
@@ -25,6 +27,7 @@ from modernsets import (
     classify_family,
     constant_family,
     complement as set_complement,
+    empty_set,
     equals,
     full_set,
     fuzzy_algebra,
@@ -40,7 +43,7 @@ from modernsets import (
     powerset_lattice,
     union,
 )
-from modernsets.laws import _SetOps, _all_sets, _scan
+from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan
 
 E01 = RationalMatrix([[0, 1], [0, 0]])
 E10 = RationalMatrix([[0, 0], [1, 0]])
@@ -484,6 +487,57 @@ class TestGfRingConditions:
         full = full_set(fam)
         a = modern_set(fam, {"u": "m", "v": "I"})
         assert equals(union(a, full), full)
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            ("m3", "m3"),
+            ("n5", "n5"),
+            ("pow2", "pow2"),
+            ("chain3", "chain3"),
+            ("chain3", "m3"),
+            ("pow2", "n5"),
+            ("m3",),
+            ("pow2",),
+        ],
+        ids="-".join,
+    )
+    def test_direct_frame_law_pairs_match_collections_up_to_three(self, assignment):
+        algebras = {
+            "m3": lattice_algebra(m3_lattice()),
+            "n5": lattice_algebra(n5_lattice()),
+            "pow2": pow2_algebra(),
+            "chain3": chain_algebra(3),
+        }
+        points = tuple(f"x{i}" for i in range(len(assignment)))
+        fam = AlgebraFamily(
+            Universe(points), {x: algebras[name] for x, name in zip(points, assignment)}
+        )
+        expected = self._frame_law_by_collections(fam, max_size=3)
+        got = _direct_frame_law(fam)
+        assert got.status == expected.status
+        assert got.witness == expected.witness
+        assert got.holds == all(name in ("pow2", "chain3") for name in assignment)
+
+    @staticmethod
+    def _frame_law_by_collections(fam, max_size):
+        """The frame law over every collection of up to max_size sets."""
+        sets_list = list(_all_sets(fam))
+        empty = empty_set(fam)
+        for size in range(max_size + 1):
+            for collection in combinations(sets_list, size):
+                joined = reduce(union, collection, empty)
+                for b in sets_list:
+                    lhs = intersection(joined, b)
+                    rhs = reduce(union, (intersection(a, b) for a in collection), empty)
+                    if lhs != rhs:
+                        return Verdict.fails(Witness(
+                            inputs=(tuple(collection), b),
+                            lhs=lhs,
+                            rhs=rhs,
+                            note="(vee of collection) wedge B = vee of pairwise wedges",
+                        ))
+        return Verdict.holds_exhaustive()
 
     def test_no_direct_route_for_larger_carriers(self):
         fam = constant_family(("u",), chain_algebra(5))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modernsets import RationalMatrix, ShapeError
+from modernsets import RationalMatrix, ShapeError, matrix_algebra, normalize_matrix
 
 
 def test_construction_converts_entries_to_fractions():
@@ -122,3 +122,172 @@ def test_matrix_arithmetic_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against a naive reference on Fraction rows
+
+
+def ref_rows(written):
+    return tuple(tuple(Fraction(e) for e in row) for row in written)
+
+
+def ref_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def ref_scale(a, q):
+    return tuple(tuple(q * e for e in row) for row in a)
+
+
+def ref_scalar_multiple(a):
+    n = len(a)
+    diag = a[0][0]
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != (diag if i == j else 0):
+                return None
+    return diag
+
+
+def ref_normalize(a):
+    q = ref_scalar_multiple(a)
+    if q is not None and q.denominator == 1 and q >= 1:
+        n = len(a)
+        return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return a
+
+
+def ref_str(a):
+    def fmt(e):
+        return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+
+    return "[" + ",".join("[" + ",".join(fmt(e) for e in row) + "]" for row in a) + "]"
+
+
+_values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _written(draw, value):
+    """One way of writing value: an int, a Fraction, or an unreduced string."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    forms = [value, f"{value.numerator * k}/{value.denominator * k}"]
+    if value.denominator == 1:
+        forms.append(int(value))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _square(draw, n):
+    """(written rows, reference rows) for an n-by-n matrix."""
+    values = [[draw(_values) for _ in range(n)] for _ in range(n)]
+    written = [[draw(_written(v)) for v in row] for row in values]
+    return written, ref_rows(values)
+
+
+_dims = st.integers(min_value=1, max_value=3)
+
+
+@st.composite
+def _pair(draw):
+    n = draw(_dims)
+    return draw(_square(n)), draw(_square(n))
+
+
+@given(_pair())
+def test_kernel_matches_reference(pair):
+    (wa, ra), (wb, rb) = pair
+    a, b = RationalMatrix(wa), RationalMatrix(wb)
+    assert a.rows == ra
+    assert str(a) == ref_str(ra)
+    assert repr(a) == f"RationalMatrix({ref_str(ra)})"
+    assert (a + b).rows == ref_add(ra, rb)
+    assert (a * b).rows == ref_mul(ra, rb)
+    assert (b * a).rows == ref_mul(rb, ra)
+    assert str(a * b) == ref_str(ref_mul(ra, rb))
+    assert a.scalar_identity_multiple() == ref_scalar_multiple(ra)
+    assert (a == b) == (ra == rb)
+
+
+@given(_dims.flatmap(_square), _values, st.integers(min_value=1, max_value=4))
+def test_scale_matches_reference(square, q, k):
+    written, ref = square
+    a = RationalMatrix(written)
+    assert a.scale(q).rows == ref_scale(ref, q)
+    assert a.scale(f"{q.numerator * k}/{q.denominator * k}") == a.scale(q)
+    if q.denominator == 1:
+        assert a.scale(int(q)) == a.scale(q)
+
+
+@given(_dims.flatmap(lambda n: st.tuples(_square(n), _square(n))))
+def test_equal_values_written_differently_are_equal(squares):
+    (w1, r1), (w2, _) = squares
+    # the same values, written a second way
+    again = [[f"{2 * e.numerator}/{2 * e.denominator}" for e in row] for row in r1]
+    a, b = RationalMatrix(w1), RationalMatrix(again)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert str(a) == str(b)
+    # sums and products that land on the same values compare equal too
+    c = RationalMatrix(w2)
+    assert (a + c) + c == a + (c + c)
+    assert hash((a + c) + c) == hash(a + (c + c))
+
+
+@given(_pair())
+def test_normalize_and_membership_match_reference(pair):
+    (wa, ra), (wb, rb) = pair
+    alg = matrix_algebra(len(ra))
+    for m, ref in ((RationalMatrix(wa) * RationalMatrix(wb), ref_mul(ra, rb)),
+                   (RationalMatrix(wa) + RationalMatrix(wb), ref_add(ra, rb))):
+        assert normalize_matrix(m).rows == ref_normalize(ref)
+        assert alg.is_member(m) == (ref_normalize(ref) == ref)
+
+
+def test_equal_written_differently_against_identity():
+    a = RationalMatrix([["2/2", 0], [0, 1]])
+    assert a == RationalMatrix.identity(2)
+    assert hash(a) == hash(RationalMatrix.identity(2))
+    assert RationalMatrix([["-4/6", "3/9"], [0, "10/5"]]) == RationalMatrix(
+        [[Fraction(-2, 3), Fraction(1, 3)], [0, 2]]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_normalize_and_is_member_on_non_normalized_inputs(n):
+    alg = matrix_algebra(n)
+    identity = RationalMatrix.identity(n)
+    two = identity.scale(2)
+    half = identity.scale("1/2")
+    zero = RationalMatrix.zeros(n)
+    assert normalize_matrix(two) == identity
+    # every collapse returns the one shared identity of the dimension
+    assert normalize_matrix(two) is normalize_matrix(identity.scale(3)) is alg.one
+    assert not alg.is_member(two)
+    assert normalize_matrix(half) is half
+    assert alg.is_member(half)
+    assert normalize_matrix(zero) is zero
+    assert alg.is_member(zero)
+    assert normalize_matrix(identity.scale(-1)) == identity.scale(-1)
+    assert alg.is_member(identity)
+    assert alg.vee(identity, identity) is alg.one
+    assert alg.wedge(two.scale("1/2"), identity) is alg.one
+
+
+@pytest.mark.parametrize("attribute", ["_n", "_nums", "_den", "rows"])
+def test_internal_attributes_cannot_be_set(attribute):
+    m = RationalMatrix([[1, "1/2"], [0, 1]])
+    with pytest.raises(AttributeError):
+        setattr(m, attribute, None)
+    with pytest.raises(AttributeError):
+        delattr(m, attribute)
+    assert m == RationalMatrix([[1, "1/2"], [0, 1]])
