@@ -49,7 +49,6 @@ class AlgebraHandle:
     """
 
     name: str
-    carrier_kind: str  # "finite" | "rational-unit-interval" | "matrix"
     structure: str  # "classical" | "fuzzy-unit" | "chain" | "lattice" | "matrix" | "table"
     zero: Element
     one: Element
@@ -236,7 +235,6 @@ class FiniteAlgebraTable:
             complement = comp_table.__getitem__
         return AlgebraHandle(
             name=self.name,
-            carrier_kind="finite",
             structure=structure,
             zero=self.zero_token,
             one=self.one_token,

@@ -39,7 +39,6 @@ from .fileformat import Workspace, load_file
 from .instances import (
     chain_algebra,
     classical_algebra,
-    find_noncommuting_witness,
     fuzzy_algebra,
     matrix_algebra,
 )
@@ -50,11 +49,18 @@ from .laws import (
     check_gf_ring_conditions,
     check_lattice_laws,
     classify_family,
+    find_noncommuting_witness,
     get_law,
     lift_check,
 )
 from .reporting import render_element
 from .sets import AlgebraFamily, constant_family, verify_crisp_restriction
+
+
+# Crisp checks enumerate every pair of subsets of the universe, 4^|X| pairs:
+# 1,024 at five points, and at eight points 65,536, which takes seconds on
+# matrix points.
+UNIVERSE_CAPS = range(6)
 
 
 def builtin_workspace() -> Workspace:
@@ -197,8 +203,12 @@ def _cmd_eval(args, workspace: Workspace) -> int:
             file=sys.stderr,
         )
         return 2
-    for point in family.universe.points:
-        print(f"{point} {render_element(result.value_at(point))}")
+    try:
+        rows = [f"{x} {render_element(result.value_at(x))}" for x in family.universe.points]
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        print(f"error: the result is too large to print: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(rows))
     return 0
 
 
@@ -266,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family name, or <algebra>@<n>")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-universe", type=int, default=4)
+    p.add_argument("--max-universe", type=int, default=4, choices=UNIVERSE_CAPS)
 
     p = command("eval", _cmd_eval, "evaluate a set expression")
     p.add_argument("family", help="family the result must live over")
@@ -280,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("oracle", _cmd_oracle, "crisp sets vs ordinary set algebra")
     p.add_argument("family", help="family name, or <algebra>@<n>")
-    p.add_argument("--max-universe", type=int, default=4)
+    p.add_argument("--max-universe", type=int, default=4, choices=UNIVERSE_CAPS)
 
     return parser
 

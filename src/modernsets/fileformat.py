@@ -370,22 +370,22 @@ def parse_matrix_literal(text: str) -> RationalMatrix:
 
 
 def _parse_element_literal(cursor, lineno, algebra: AlgebraHandle, text: str):
-    if algebra.carrier_kind == "finite":
+    if algebra.finite:
         if len(text.split()) != 1:
             raise cursor.error(f"expected a single token, got {text!r}", lineno)
         return text
-    if algebra.carrier_kind == "rational-unit-interval":
+    if algebra.structure == "fuzzy-unit":
         try:
             return _parse_rational(text)
         except ValueError as exc:
             raise cursor.error(str(exc), lineno) from exc
-    if algebra.carrier_kind == "matrix":
+    if algebra.structure == "matrix":
         try:
             return parse_matrix_literal(text)
         except (ValueError, ShapeError) as exc:
             raise cursor.error(str(exc), lineno) from exc
     raise cursor.error(
-        f"cannot parse literals for carrier kind {algebra.carrier_kind!r}", lineno
+        f"cannot parse literals for algebra structure {algebra.structure!r}", lineno
     )
 
 

@@ -22,14 +22,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Mapping
 
 from .algebra import AlgebraHandle, Element
-from .errors import DomainError, ShapeError, StructuralError, require_count
+from .errors import DomainError, ShapeError, StructuralError
 from .lattice import FiniteLattice, lattice_from_hasse
 from .matrix import RationalMatrix
-from .reporting import Witness
 
 # ---------------------------------------------------------------------------
 # Matrix carrier
@@ -112,7 +110,6 @@ def matrix_algebra(n: int) -> AlgebraHandle:
 
     return AlgebraHandle(
         name=f"mat{n}",
-        carrier_kind="matrix",
         structure="matrix",
         zero=zero,
         one=one,
@@ -155,7 +152,6 @@ def chain_algebra(k: int) -> AlgebraHandle:
     flipped = {t: tokens[k - 1 - position[t]] for t in tokens}
     return AlgebraHandle(
         name=f"chain{k}",
-        carrier_kind="finite",
         structure="chain",
         zero=tokens[0],
         one=tokens[-1],
@@ -177,7 +173,6 @@ def classical_algebra() -> AlgebraHandle:
     flipped = {"O": "I", "I": "O"}
     return AlgebraHandle(
         name="classical2",
-        carrier_kind="finite",
         structure="classical",
         zero="O",
         one="I",
@@ -203,7 +198,7 @@ def fuzzy_algebra() -> AlgebraHandle:
     one = Fraction(1)
 
     def is_member(x: Element) -> bool:
-        return isinstance(x, Fraction) and zero <= x <= one
+        return isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator
 
     def sample(rng: random.Random) -> Fraction:
         denominator = rng.randint(1, 64)
@@ -211,7 +206,6 @@ def fuzzy_algebra() -> AlgebraHandle:
 
     return AlgebraHandle(
         name="fuzzy",
-        carrier_kind="rational-unit-interval",
         structure="fuzzy-unit",
         zero=zero,
         one=one,
@@ -259,7 +253,6 @@ def lattice_algebra(
     carrier = frozenset(lat.elements)
     return AlgebraHandle(
         name=name or lat.name,
-        carrier_kind="finite",
         structure="lattice",
         zero=lat.bottom,
         one=lat.top,
@@ -271,53 +264,3 @@ def lattice_algebra(
         elements=lat.elements,
         lattice=lat,
     )
-
-
-# ---------------------------------------------------------------------------
-# Witness search
-
-
-def find_noncommuting_witness(
-    a: AlgebraHandle, op: str = "wedge", budget: int = 1000, seed: int = 0
-) -> Witness | None:
-    """First ordered pair (x, y) with op(x, y) != op(y, x), or None.
-
-    Finite carriers are scanned exhaustively in declaration order. Infinite
-    carriers use a deterministic pool: boundary elements first, then seeded
-    samples, scanning pairs in pool order until ``budget`` pairs are tried.
-    """
-    if op not in ("wedge", "vee"):
-        raise ValueError(f"op must be 'wedge' or 'vee', got {op!r}")
-    require_count("budget", budget)
-    operation = a.wedge if op == "wedge" else a.vee
-    label = f"{op}(x, y) = {op}(y, x)"
-
-    if a.elements is not None:
-        for x, y in product(a.elements, repeat=2):
-            left, right = operation(x, y), operation(y, x)
-            if left != right:
-                return Witness(inputs=(x, y), lhs=left, rhs=right, note=label)
-        return None
-
-    pool: list[Element] = []
-    for e in a.boundary:
-        if e not in pool:
-            pool.append(e)
-    if a.sample is not None:
-        rng = random.Random(seed)
-        attempts = 0
-        while len(pool) * len(pool) < budget and attempts < 4 * budget:
-            attempts += 1
-            candidate = a.sample(rng)
-            if candidate not in pool:
-                pool.append(candidate)
-    tried = 0
-    for x in pool:
-        for y in pool:
-            if tried >= budget:
-                return None
-            tried += 1
-            left, right = operation(x, y), operation(y, x)
-            if left != right:
-                return Witness(inputs=(x, y), lhs=left, rhs=right, note=label)
-    return None

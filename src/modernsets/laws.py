@@ -17,14 +17,17 @@ else. The report records whether the two levels agreed.
 
 Finite lattices are certified by the same registry and scanner: a lattice
 names its meet and join ``wedge`` and ``vee``, so it is its own ops object,
-and each certificate row is a registry law scanned over its elements.
+and each certificate row is a registry law scanned over its elements. Every
+verdict, certificate row, ring condition and noncommuting-pair search comes
+from one scanner, :func:`_verdict`, over the tuples each check chooses.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain, combinations, islice, product
 from math import prod
 from typing import Callable, NamedTuple
 
@@ -177,12 +180,31 @@ def _first_failure(ops, law: Law, args: tuple) -> Witness | None:
     return None
 
 
-def _scan(ops, law: Law, tuples) -> Witness | None:
-    for args in tuples:
+def _verdict(ops, law: Law, tuples, seed: int | None = None) -> Verdict:
+    """The first failing tuple, or a pass over all of ``tuples``.
+
+    With no seed a pass is exhaustive; with a seed it is sampled, and the
+    verdict records how many tuples were tried.
+    """
+    checked = 0
+    for checked, args in enumerate(tuples, 1):
         witness = _first_failure(ops, law, args)
         if witness is not None:
-            return witness
-    return None
+            return Verdict.fails(witness)
+    if seed is None:
+        return Verdict.holds_exhaustive()
+    return Verdict.holds_sampled(samples=checked, seed=seed)
+
+
+def _scan(ops, law: Law, tuples) -> Witness | None:
+    return _verdict(ops, law, tuples).witness
+
+
+def _draws(draw: Callable, arity: int, samples: int, seed: int):
+    """``samples`` seeded random tuples of ``draw(rng)`` values."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield tuple(draw(rng) for _ in range(arity))
 
 
 def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int = 0) -> LawReport:
@@ -197,28 +219,12 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
         return LawReport(law.name, Verdict.not_applicable(
             f"algebra {a.name!r} declares no complement"
         ))
-
     if a.elements is not None:
-        witness = _scan(a, law, product(a.elements, repeat=law.arity))
-        if witness is None:
-            return LawReport(law.name, Verdict.holds_exhaustive())
-        return LawReport(law.name, Verdict.fails(witness))
-
-    checked = 0
-    for args in product(a.boundary, repeat=law.arity):
-        checked += 1
-        witness = _first_failure(a, law, args)
-        if witness is not None:
-            return LawReport(law.name, Verdict.fails(witness))
+        return LawReport(law.name, _verdict(a, law, product(a.elements, repeat=law.arity)))
+    tuples = product(a.boundary, repeat=law.arity)
     if a.sample is not None:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            args = tuple(a.sample(rng) for _ in range(law.arity))
-            checked += 1
-            witness = _first_failure(a, law, args)
-            if witness is not None:
-                return LawReport(law.name, Verdict.fails(witness))
-    return LawReport(law.name, Verdict.holds_sampled(samples=checked, seed=seed))
+        tuples = chain(tuples, _draws(a.sample, law.arity, samples, seed))
+    return LawReport(law.name, _verdict(a, law, tuples, seed))
 
 
 def check_all_laws(a: AlgebraHandle, samples: int = 1000, seed: int = 0) -> tuple[LawReport, ...]:
@@ -251,13 +257,23 @@ _DISTRIBUTIVE_MIXED_LAW = Law(
 )
 
 
-def _lattice_verdict(lat: FiniteLattice, law: "Law | str") -> Verdict:
-    """Exhaustive scan of a lattice, which is its own ops (meet is wedge)."""
-    law = _resolve(law)
-    witness = _scan(lat, law, product(lat.elements, repeat=law.arity))
-    if witness is None:
-        return Verdict.holds_exhaustive()
-    return Verdict.fails(witness)
+def _frame(o, pair, y):
+    """Frame law on a two-element family: (a vee b) wedge y, and the join of the meets."""
+    a, b = pair
+    return o.wedge(o.vee(a, b), y), o.vee(o.wedge(a, y), o.wedge(b, y))
+
+
+# One equation, two routes, each keeping its own witness label.
+_CHA_LAW = Law(
+    "complete-heyting", 2, False,
+    (("(vee family) wedge y = vee of (s wedge y)", _frame),),
+    diagnostic=True,
+)
+_SET_FRAME_LAW = Law(
+    "set-frame", 2, False,
+    (("(vee of collection) wedge B = vee of pairwise wedges", _frame),),
+    diagnostic=True,
+)
 
 
 def check_distributive(lat: FiniteLattice) -> Verdict:
@@ -266,7 +282,7 @@ def check_distributive(lat: FiniteLattice) -> Verdict:
     At each triple the join-over-meet form is tried first, so the reported
     witness for the diamond M3 is the classic (a, b, c) one.
     """
-    return _lattice_verdict(lat, "distributive")
+    return _verdict(lat, get_law("distributive"), product(lat.elements, repeat=3))
 
 
 def check_cha(lat: FiniteLattice) -> Verdict:
@@ -289,22 +305,12 @@ def check_cha(lat: FiniteLattice) -> Verdict:
     family. The details carry the binary-distributivity verdict computed
     independently; the two must agree, and tests hold us to that.
     """
-    binary = check_distributive(lat)
-    details = (("binary-distributive", binary),)
-    for a, b in combinations(lat.elements, 2):
-        joined = lat.join(a, b)
-        for y in lat.elements:
-            lhs = lat.meet(joined, y)
-            rhs = lat.join(lat.meet(a, y), lat.meet(b, y))
-            if lhs != rhs:
-                witness = Witness(
-                    inputs=((a, b), y),
-                    lhs=lhs,
-                    rhs=rhs,
-                    note="(vee family) wedge y = vee of (s wedge y)",
-                )
-                return Verdict.fails(witness, details=details)
-    return Verdict.holds_exhaustive(details=details)
+    return _cha_verdict(lat, check_distributive(lat))
+
+
+def _cha_verdict(lat: FiniteLattice, binary: Verdict) -> Verdict:
+    verdict = _verdict(lat, _CHA_LAW, product(combinations(lat.elements, 2), lat.elements))
+    return replace(verdict, details=(("binary-distributive", binary),))
 
 
 def check_boolean(lat: FiniteLattice) -> Verdict:
@@ -315,6 +321,10 @@ def check_boolean(lat: FiniteLattice) -> Verdict:
             f"lattice {lat.name!r} is not distributive; Boolean check needs "
             f"distributivity (witness {distributive.witness.inputs})"
         )
+    return _complement_count(lat)
+
+
+def _complement_count(lat: FiniteLattice) -> Verdict:
     for x in lat.elements:
         complements = [
             y
@@ -387,21 +397,22 @@ def check_lattice_laws(
     Boolean check is reported not-applicable on non-distributive lattices
     rather than raising, so a certificate always completes.
     """
+    def every(law: Law) -> Verdict:
+        return _verdict(lat, law, product(lat.elements, repeat=law.arity))
+
     distributive = check_distributive(lat)
     if distributive.holds:
-        boolean = check_boolean(lat)
+        boolean = _complement_count(lat)
     else:
         boolean = Verdict.not_applicable("lattice is not distributive")
-    mixed = None
-    if check_mixed_form_distributivity:
-        mixed = _lattice_verdict(lat, _DISTRIBUTIVE_MIXED_LAW)
+    mixed = every(_DISTRIBUTIVE_MIXED_LAW) if check_mixed_form_distributivity else None
     return LatticeCertificate(
         lattice=lat,
-        commutative=_lattice_verdict(lat, _COMMUTATIVE_LAW),
-        associative=_lattice_verdict(lat, _ASSOCIATIVE_LAW),
-        absorption=_lattice_verdict(lat, "absorption"),
+        commutative=every(_COMMUTATIVE_LAW),
+        associative=every(_ASSOCIATIVE_LAW),
+        absorption=every(get_law("absorption")),
         distributive=distributive,
-        cha=check_cha(lat),
+        cha=_cha_verdict(lat, distributive),
         boolean_complemented=boolean,
         distributive_mixed_form=mixed,
     )
@@ -552,8 +563,8 @@ class _IndexOps:
         return ModernSet(self.family, values)
 
 
-def _exhaustive_witness(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhaustive: int):
-    """First failing tuple of all sets of a finite family, in declaration order.
+def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhaustive: int):
+    """All tuples of sets of a finite family, in declaration order.
 
     Scans integer set indices when every point compiles to exact tables,
     and rebuilds the witness from the sets through ``ops``; otherwise scans
@@ -564,20 +575,20 @@ def _exhaustive_witness(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhau
         for x in family.universe.points
     ]
     if any(t is None for t in tables):
-        return _scan(ops, law, product(_all_sets(family), repeat=law.arity))
+        return _verdict(ops, law, product(_all_sets(family), repeat=law.arity))
     index_ops = _IndexOps(family, tables, max_exhaustive)
     found = _scan(index_ops, law, product(range(index_ops.size), repeat=law.arity))
     if found is None:
-        return None
+        return Verdict.holds_exhaustive()
     sets = tuple(index_ops.decode(a) for a in found.inputs)
-    witness = _first_failure(ops, law, sets)
+    witness = _scan(ops, law, (sets,))
     if witness is None:
         raise StructuralError(
             f"law {law.name!r} fails on the compiled tables of family {family!r} "
             f"but not on the sets {', '.join(s.describe() for s in sets)}; "
             f"its operations do not give the same result twice"
         )
-    return witness
+    return Verdict.fails(witness)
 
 
 def _random_set(family: AlgebraFamily, rng: random.Random) -> ModernSet:
@@ -682,25 +693,12 @@ def check_family_law(
         ))
 
     if _family_is_finite(family) and _set_count(family) ** law.arity <= max_exhaustive:
-        witness = _exhaustive_witness(family, ops, law, max_exhaustive)
-        if witness is None:
-            return LawReport(law.name, Verdict.holds_exhaustive())
-        return LawReport(law.name, Verdict.fails(witness))
-
-    checked = 0
-    for args in islice(_forced_tuples(family, law.arity), forced_cap):
-        checked += 1
-        witness = _first_failure(ops, law, args)
-        if witness is not None:
-            return LawReport(law.name, Verdict.fails(witness))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        args = tuple(_random_set(family, rng) for _ in range(law.arity))
-        checked += 1
-        witness = _first_failure(ops, law, args)
-        if witness is not None:
-            return LawReport(law.name, Verdict.fails(witness))
-    return LawReport(law.name, Verdict.holds_sampled(samples=checked, seed=seed))
+        return LawReport(law.name, _exhaustive_verdict(family, ops, law, max_exhaustive))
+    tuples = chain(
+        islice(_forced_tuples(family, law.arity), forced_cap),
+        _draws(partial(_random_set, family), law.arity, samples, seed),
+    )
+    return LawReport(law.name, _verdict(ops, law, tuples, seed))
 
 
 @dataclass(frozen=True)
@@ -902,40 +900,26 @@ def check_gf_ring_conditions(
     )
 
 
+_BOUNDS_LAW = Law(
+    "bounds-absorb", 1, False,
+    (
+        ("A vee X = X", lambda o, a: (o.vee(a, o.one), o.one)),
+        ("A wedge empty = empty", lambda o, a: (o.wedge(a, o.zero), o.zero)),
+    ),
+    diagnostic=True,
+)
+
+
 def _check_bounds_absorb(family: AlgebraFamily, samples: int, seed: int) -> Verdict:
     """A vee full = full and A wedge empty = empty, for many A."""
-    empty = empty_set(family)
-    full = full_set(family)
-
-    def violation(a: ModernSet) -> Witness | None:
-        if union(a, full) != full:
-            return Witness(inputs=(a,), lhs=union(a, full), rhs=full, note="A vee X = X")
-        if intersection(a, empty) != empty:
-            return Witness(
-                inputs=(a,), lhs=intersection(a, empty), rhs=empty, note="A wedge empty = empty"
-            )
-        return None
-
+    ops = _SetOps(family)
     if _family_is_finite(family) and _set_count(family) <= 4096:
-        for a in _all_sets(family):
-            w = violation(a)
-            if w is not None:
-                return Verdict.fails(w)
-        return Verdict.holds_exhaustive()
-
-    checked = 0
-    for a in _spike_sets(family):
-        checked += 1
-        w = violation(a)
-        if w is not None:
-            return Verdict.fails(w)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        checked += 1
-        w = violation(_random_set(family, rng))
-        if w is not None:
-            return Verdict.fails(w)
-    return Verdict.holds_sampled(samples=checked, seed=seed)
+        return _verdict(ops, _BOUNDS_LAW, product(_all_sets(family)))
+    tuples = chain(
+        product(_spike_sets(family)),
+        _draws(partial(_random_set, family), 1, samples, seed),
+    )
+    return _verdict(ops, _BOUNDS_LAW, tuples, seed)
 
 
 def _direct_frame_law(family: AlgebraFamily) -> Verdict:
@@ -948,20 +932,43 @@ def _direct_frame_law(family: AlgebraFamily) -> Verdict:
     larger collection, and the first failing collection in size order is
     a pair.
     """
-    sets_list = list(_all_sets(family))
-    for a1, a2 in combinations(sets_list, 2):
-        joined = union(a1, a2)
-        for b in sets_list:
-            lhs = intersection(joined, b)
-            rhs = union(intersection(a1, b), intersection(a2, b))
-            if lhs != rhs:
-                return Verdict.fails(Witness(
-                    inputs=((a1, a2), b),
-                    lhs=lhs,
-                    rhs=rhs,
-                    note="(vee of collection) wedge B = vee of pairwise wedges",
-                ))
-    return Verdict.holds_exhaustive()
+    sets = list(_all_sets(family))
+    return _verdict(_SetOps(family), _SET_FRAME_LAW, product(combinations(sets, 2), sets))
+
+
+# ---------------------------------------------------------------------------
+# Witness search
+
+
+def find_noncommuting_witness(
+    a: AlgebraHandle, op: str = "wedge", budget: int = 1000, seed: int = 0
+) -> Witness | None:
+    """First ordered pair (x, y) with op(x, y) != op(y, x), or None.
+
+    Finite carriers are scanned exhaustively in declaration order. Infinite
+    carriers use a deterministic pool: boundary elements first, then seeded
+    samples, scanning pairs in pool order until ``budget`` pairs are tried.
+    """
+    if op not in ("wedge", "vee"):
+        raise ValueError(f"op must be 'wedge' or 'vee', got {op!r}")
+    require_count("budget", budget)
+    law = get_law(f"commutative-{op}")
+    law = replace(law, equations=((f"{op}(x, y) = {op}(y, x)", law.equations[0][1]),))
+    if a.elements is not None:
+        return _scan(a, law, product(a.elements, repeat=2))
+
+    pool = list(dict.fromkeys(a.boundary))
+    if a.sample is not None:
+        seen = set(pool)
+        rng = random.Random(seed)
+        attempts = 0
+        while len(pool) * len(pool) < budget and attempts < 4 * budget:
+            attempts += 1
+            candidate = a.sample(rng)
+            if candidate not in seen:
+                seen.add(candidate)
+                pool.append(candidate)
+    return _scan(a, law, islice(product(pool, repeat=2), budget))
 
 
 # ---------------------------------------------------------------------------

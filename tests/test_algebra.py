@@ -82,7 +82,6 @@ def test_every_identity_checked():
 def test_zero_equal_one_is_reported():
     a = AlgebraHandle(
         name="degenerate",
-        carrier_kind="finite",
         structure="table",
         zero="e",
         one="e",
@@ -99,7 +98,6 @@ def test_zero_equal_one_is_reported():
 def test_result_outside_carrier_is_structural():
     a = AlgebraHandle(
         name="leaky",
-        carrier_kind="finite",
         structure="table",
         zero="O",
         one="I",

@@ -6,6 +6,7 @@ from textwrap import dedent
 
 import pytest
 
+from modernsets import LAW_NAMES
 from modernsets.cli import run_command
 
 
@@ -51,6 +52,19 @@ FUZZY_SETS = dedent(
     set B over fam
     p 1/4
     q 7/10
+    end
+    """
+)
+
+BIG_MATRIX_SET = dedent(
+    """
+    family fb
+    universe x
+    assign x mat2
+    end
+
+    set A over fb
+    x [[1e1000,0],[0,1]]
     end
     """
 )
@@ -286,6 +300,16 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--load", str(path), "other", "A")
         assert code == 2
 
+    def test_result_too_large_to_print(self, capsys, tmp_path):
+        # each /\ adds about a thousand digits to the top-left entry
+        path = tmp_path / "big.def"
+        path.write_text(BIG_MATRIX_SET, encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--load", str(path), "fb", "A /\\ A /\\ A /\\ A /\\ A")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the result is too large to print")
+        assert err.count("\n") == 1
+
 
 class TestWitness:
     def test_matrix_witness(self, capsys):
@@ -317,6 +341,14 @@ class TestOracle:
         assert code == 2
         code, out, _ = run(capsys, "oracle", "fuzzy@5", "--max-universe", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["oracle", "gfcheck"])
+    def test_universe_cap_has_a_ceiling(self, capsys, command):
+        # 4^8 pairs of crisp sets over eight matrix points take seconds
+        code, out, err = run(capsys, command, "mat3@8", "--max-universe", "8")
+        assert code == 2
+        assert out == ""
+        assert "argument --max-universe: invalid choice: 8" in err
 
     def test_negative_control(self, capsys, tmp_path):
         path = tmp_path / "broken.alg"
@@ -471,3 +503,68 @@ def test_validate_survives_mutated_definition_files(capsys, tmp_path):
         codes.add(code)
     # the mutants reach both the accepting and the rejecting paths
     assert {0, 2} <= codes
+
+
+ARGV_SHAPES = {
+    "validate": ("junk",),
+    "laws": ("algebra",),
+    "classify": ("family",),
+    "lift": ("family", "law"),
+    "gfcheck": ("family",),
+    "eval": ("family", "junk"),
+    "witness": ("algebra", "op"),
+    "oracle": ("family",),
+}
+ARGV_BUILTINS = ("classical2", "fuzzy", "chain3", "chain5", "mat2", "mat3", "m3", "n5", "pow1", "pow2", "pow3")
+ARGV_FLAGS = ("--samples", "--seed", "--budget", "--max-universe", "--load", "--help", "-h")
+ARGV_JUNK = ("", "-", "--", "@", "x@", "@3", "chain3@", "nosuch", "--nosuch", "x1", "A \\/ B", "~", "1e9")
+ARGV_CASES = 300
+
+
+def _argv_token(rng, kind):
+    if kind == "algebra":
+        return rng.choice(ARGV_BUILTINS)
+    if kind == "family":
+        return f"{rng.choice(ARGV_BUILTINS)}@{rng.randint(-3, 20)}"
+    if kind == "law":
+        return rng.choice(LAW_NAMES)
+    if kind == "op":
+        return rng.choice(("wedge", "vee"))
+    if kind == "int":
+        return str(rng.randint(-3, 20))
+    if kind == "flag":
+        return rng.choice(ARGV_FLAGS)
+    return rng.choice(ARGV_JUNK)
+
+
+def fuzz_argvs(seed=2025, cases=ARGV_CASES):
+    """Argument lists shaped like each subcommand, with up to two tokens replaced.
+
+    Each list has the subcommand's positionals, then up to three flags, each
+    with a small integer; then up to two positions get a token of any kind.
+    """
+    rng = random.Random(seed)
+    kinds = ("algebra", "family", "law", "op", "int", "flag", "junk")
+    for _ in range(cases):
+        command = rng.choice(tuple(ARGV_SHAPES))
+        argv = [command] + [_argv_token(rng, kind) for kind in ARGV_SHAPES[command]]
+        for _ in range(rng.randint(0, 3)):
+            argv += [_argv_token(rng, "flag"), _argv_token(rng, "int")]
+        for _ in range(rng.randint(0, 2)):
+            argv[rng.randrange(len(argv))] = _argv_token(rng, rng.choice(kinds))
+        yield argv
+
+
+def test_run_command_survives_random_argv(capsys):
+    codes = set()
+    for argv in fuzz_argvs():
+        start = time.perf_counter()
+        code = run_command(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in captured.out + captured.err, argv
+        assert elapsed < FUZZ_CASE_SECONDS, argv
+        codes.add(code)
+    # the lists reach passing, failing and refused runs
+    assert codes == {0, 1, 2}

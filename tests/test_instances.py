@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modernsets import (
+    AlgebraHandle,
     DomainError,
     RationalMatrix,
     ShapeError,
@@ -161,6 +162,38 @@ class TestNoncommutingWitness:
         with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
             find_noncommuting_witness(matrix_algebra(2), budget=-1)
 
+    def test_pool_deduplication_is_linear_in_attempts(self):
+        class Counted:
+            eq_calls = 0
+
+            def __init__(self, v):
+                self.v = v
+
+            def __eq__(self, other):
+                Counted.eq_calls += 1
+                return self.v == other.v
+
+            def __hash__(self):
+                return hash(self.v)
+
+        zero, one = Counted(-1), Counted(-2)
+        algebra = AlgebraHandle(
+            name="counted",
+            structure="table",
+            zero=zero,
+            one=one,
+            wedge=lambda x, y: zero,
+            vee=lambda x, y: one,
+            is_member=lambda x: isinstance(x, Counted),
+            boundary=(zero, one),
+            sample=lambda rng: Counted(rng.randrange(100)),
+        )
+        # 102 distinct values never make a pool of 20,000 pairs, so all
+        # 4 * budget samples are drawn; a list scan would cost ~100 each
+        budget = 20_000
+        assert find_noncommuting_witness(algebra, budget=budget) is None
+        assert Counted.eq_calls <= 2 * 4 * budget
+
 
 class TestChainAlgebras:
     def test_tokens(self):
@@ -208,6 +241,18 @@ class TestFuzzyAlgebra:
         assert not a.is_member(Fraction(3, 2))
         assert not a.is_member(Fraction(-1, 4))
         assert not a.is_member(0.5)
+
+    @given(st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=12),
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 10**30), Fraction(10**30 + 1, 10**30)]),
+        st.integers(-2, 2),
+        st.floats(-2, 2),
+        st.text(max_size=2),
+        st.none(),
+    ))
+    def test_membership_matches_fraction_comparison(self, x):
+        expected = isinstance(x, Fraction) and Fraction(0) <= x <= Fraction(1)
+        assert fuzzy_algebra().is_member(x) == expected
 
     def test_ops(self):
         a = fuzzy_algebra()

@@ -318,7 +318,6 @@ class TestFamilyKernel:
         chain3 = chain_algebra(3)
         leaky = AlgebraHandle(
             name="leaky",
-            carrier_kind="finite",
             structure="table",
             zero="O",
             one="I",
