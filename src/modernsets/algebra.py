@@ -22,13 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from functools import cached_property
+from math import inf
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import DomainError, StructuralError, UnsupportedOperationError
+from .lattice import FiniteLattice, lattice_of_tables
 from .matrix import RationalMatrix
-
-if TYPE_CHECKING:
-    from .lattice import FiniteLattice
 
 Element = str | Fraction | RationalMatrix
 BinaryOp = Callable[[Element, Element], Element]
@@ -44,8 +44,12 @@ class AlgebraHandle:
     ``elements`` is the declaration-order carrier for finite algebras and
     None otherwise. Infinite carriers instead provide ``boundary`` (elements
     always forced into sample pools) and ``sample`` (seeded random draw).
-    ``lattice`` is the backing FiniteLattice when the operations are a
-    lattice's meet/join.
+
+    Whether a finite algebra is a lattice is decided by evaluating its
+    operations (see :attr:`lattice`), never declared. ``structure`` names
+    how the handle was built; the only order it vouches for is
+    ``"fuzzy-unit"``, the rational unit interval under min and max, since no
+    finite evaluation decides an infinite carrier.
     """
 
     name: str
@@ -56,18 +60,84 @@ class AlgebraHandle:
     vee: BinaryOp
     is_member: Callable[[Element], bool]
     complement: UnaryOp | None = None
-    leq: Callable[[Element, Element], bool] | None = None
     elements: tuple[Element, ...] | None = None
     boundary: tuple[Element, ...] = ()
     sample: Callable[[random.Random], Element] | None = None
-    lattice: "FiniteLattice | None" = None
 
     @property
     def finite(self) -> bool:
         return self.elements is not None
 
+    @cached_property
+    def lattice(self) -> FiniteLattice | None:
+        """The lattice this finite algebra is, named after it, or None.
+
+        Worked out on first read from the operation tables: the order is
+        x <= y iff wedge(x, y) = x, and the algebra is a lattice when wedge
+        and vee are that order's meet and join and O and I its bounds (see
+        :func:`~modernsets.lattice.lattice_of_tables`). None for infinite
+        carriers and for tables that are not exact (see :func:`_compile_point`).
+        """
+        if self.elements is None:
+            return None
+        tables = _compile_point(self, False, inf)
+        if tables is None:
+            return None
+        return lattice_of_tables(
+            self.name, self.elements, tables.wedge, tables.vee, tables.zero, tables.one
+        )
+
     def __repr__(self):
         return f"AlgebraHandle({self.name!r})"
+
+
+class _PointTables(NamedTuple):
+    """One finite algebra's operations as tables over indices into its elements."""
+
+    wedge: list[int]  # wedge(elements[i], elements[j]) at i * k + j
+    vee: list[int]
+    complement: list[int]
+    zero: int
+    one: int
+
+
+def _compile_point(
+    alg: AlgebraHandle, with_complement: bool, max_exhaustive: float
+) -> _PointTables | None:
+    """Integer tables of one finite algebra, or None if they would not be exact.
+
+    Calls the handle's own wedge, vee and (when asked) complement once per
+    element pair and stores each result as its index in ``alg.elements``.
+    Returns None when the elements are not distinct, or O, I or some result
+    is not a listed element that ``is_member`` accepts. It also returns None
+    when the carrier has more than ``max_exhaustive`` pairs, so compiling
+    never costs more than an exhaustive scan may.
+    """
+    elements = alg.elements
+    if len(elements) ** 2 > max_exhaustive:
+        return None
+    try:
+        index = {e: i for i, e in enumerate(elements)}
+        wedge = [alg.wedge(x, y) for x in elements for y in elements]
+        vee = [alg.vee(x, y) for x in elements for y in elements]
+        comp = [alg.complement(x) for x in elements] if with_complement else []
+        results = (alg.zero, alg.one, *wedge, *vee, *comp)
+        if len(index) != len(elements) or not all(
+            r in index and alg.is_member(r) for r in results
+        ):
+            return None
+    except Exception:
+        # Whatever an operation raises, the set-by-set scan raises it too,
+        # at the same operation, if it gets that far.
+        return None
+    code = index.__getitem__
+    return _PointTables(
+        [code(r) for r in wedge],
+        [code(r) for r in vee],
+        [code(r) for r in comp],
+        code(alg.zero),
+        code(alg.one),
+    )
 
 
 class IdentityViolation(NamedTuple):
@@ -220,12 +290,7 @@ class FiniteAlgebraTable:
                         f"algebra {self.name!r}: complement({x}) is outside the carrier"
                     )
 
-    def as_handle(
-        self,
-        structure: str = "table",
-        leq: Callable[[str, str], bool] | None = None,
-        lattice: "FiniteLattice | None" = None,
-    ) -> AlgebraHandle:
+    def as_handle(self) -> AlgebraHandle:
         carrier = frozenset(self.elements)
         wedge_table = dict(self.wedge_table)
         vee_table = dict(self.vee_table)
@@ -235,14 +300,12 @@ class FiniteAlgebraTable:
             complement = comp_table.__getitem__
         return AlgebraHandle(
             name=self.name,
-            structure=structure,
+            structure="table",
             zero=self.zero_token,
             one=self.one_token,
             wedge=lambda x, y: wedge_table[(x, y)],
             vee=lambda x, y: vee_table[(x, y)],
             is_member=lambda x: x in carrier,
             complement=complement,
-            leq=leq,
             elements=tuple(self.elements),
-            lattice=lattice,
         )

@@ -20,6 +20,7 @@ breaking nearly every classical law.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -105,8 +106,9 @@ def matrix_algebra(n: int) -> AlgebraHandle:
         )
 
     def sample(rng: random.Random) -> RationalMatrix:
-        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        return normalize_matrix(RationalMatrix(rows))
+        # Integer entries in row-major order are already the canonical form.
+        nums = tuple(rng.randint(-2, 2) for _ in range(n * n))
+        return normalize_matrix(RationalMatrix._reduced(n, nums, 1))
 
     return AlgebraHandle(
         name=f"mat{n}",
@@ -134,56 +136,21 @@ def _chain_tokens(k: int) -> tuple[str, ...]:
     return ("O",) + middles + ("I",)
 
 
-def _chain_lattice(k: int) -> FiniteLattice:
-    tokens = _chain_tokens(k)
-    covers = tuple((tokens[i], tokens[i + 1]) for i in range(k - 1))
-    return lattice_from_hasse(f"chain{k}", tokens, covers)
-
-
 @lru_cache(maxsize=None)
 def chain_algebra(k: int) -> AlgebraHandle:
     """Total order on k tokens with min/max and order-reversing complement."""
     if k < 2:
         raise ValueError(f"chain length must be at least 2, got {k}")
-    lat = _chain_lattice(k)
-    tokens = lat.elements
-    position = {t: i for i, t in enumerate(tokens)}
-    carrier = frozenset(tokens)
-    flipped = {t: tokens[k - 1 - position[t]] for t in tokens}
-    return AlgebraHandle(
-        name=f"chain{k}",
-        structure="chain",
-        zero=tokens[0],
-        one=tokens[-1],
-        wedge=lat.meet,
-        vee=lat.join,
-        is_member=lambda x: x in carrier,
-        complement=flipped.__getitem__,
-        leq=lat.leq,
-        elements=tokens,
-        lattice=lat,
-    )
+    tokens = _chain_tokens(k)
+    lat = lattice_from_hasse(f"chain{k}", tokens, tuple(zip(tokens, tokens[1:])))
+    flipped = dict(zip(tokens, reversed(tokens)))
+    return replace(lattice_algebra(lat, complement=flipped), structure="chain")
 
 
 @lru_cache(maxsize=None)
 def classical_algebra() -> AlgebraHandle:
     """The two-element Boolean algebra on tokens O and I."""
-    lat = _chain_lattice(2)
-    carrier = frozenset(("O", "I"))
-    flipped = {"O": "I", "I": "O"}
-    return AlgebraHandle(
-        name="classical2",
-        structure="classical",
-        zero="O",
-        one="I",
-        wedge=lat.meet,
-        vee=lat.join,
-        is_member=lambda x: x in carrier,
-        complement=flipped.__getitem__,
-        leq=lat.leq,
-        elements=("O", "I"),
-        lattice=lat,
-    )
+    return replace(chain_algebra(2), name="classical2", structure="classical")
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +180,6 @@ def fuzzy_algebra() -> AlgebraHandle:
         vee=max,
         is_member=is_member,
         complement=lambda x: one - x,
-        leq=lambda x, y: x <= y,
         boundary=(zero, one, Fraction(1, 2)),
         sample=sample,
     )
@@ -260,7 +226,5 @@ def lattice_algebra(
         vee=lat.join,
         is_member=lambda x: x in carrier,
         complement=comp,
-        leq=lat.leq,
         elements=lat.elements,
-        lattice=lat,
     )

@@ -1,16 +1,20 @@
-"""Finite lattices built from Hasse diagrams.
+"""Finite lattices, built from Hasse diagrams or read off operation tables.
 
 A lattice is described by its element tokens and covering pairs
-``(lower, upper)``. Construction computes the reflexive-transitive closure,
-rejects cycles (NotAPosetError) and missing or non-unique meets/joins
-(NotALatticeError), and derives the bottom and top elements. This module
-only builds lattices; their laws are certified in :mod:`modernsets.laws`,
-by the same registry and scanner that check every other algebra.
+``(lower, upper)``. :func:`lattice_from_hasse` closes the covers into an
+order and rejects cycles (NotAPosetError); :func:`lattice_of_tables` reads
+the order x <= y iff wedge(x, y) = x off an algebra's tables. Both hand the
+order, as int bitsets (bit j of ``up[i]`` when element i is below element
+j), to the one constructor, which works out every meet and join or raises
+NotALatticeError. This module only builds lattices; their laws are
+certified in :mod:`modernsets.laws`, by the same registry and scanner that
+check every other algebra.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, product
 
 from .errors import DomainError, NotALatticeError, NotAPosetError, StructuralError
 
@@ -19,7 +23,10 @@ class FiniteLattice:
     """A finite lattice with precomputed order and operation tables.
 
     Instances compare by identity. ``elements`` keeps declaration order,
-    which fixes the scan order of every exhaustive check.
+    which fixes the scan order of every exhaustive check. The constructor
+    takes a partial order as up-set bitsets, reflexive and transitive, and
+    raises NotALatticeError naming the first pair, in row-major order, that
+    has no meet; when every meet exists, the first that has no join.
     """
 
     def __init__(
@@ -27,21 +34,20 @@ class FiniteLattice:
         name: str,
         elements: tuple[str, ...],
         covers: tuple[tuple[str, str], ...],
-        leq_table: list[list[bool]],
-        meet_table: list[list[int]],
-        join_table: list[list[int]],
-        bottom: str,
-        top: str,
+        up: list[int],
     ):
+        n = len(elements)
+        down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
         self.name = name
         self.elements = elements
         self.covers = covers
-        self.bottom = bottom
-        self.top = top
         self._index = {token: i for i, token in enumerate(elements)}
-        self._leq = leq_table
-        self._meet = meet_table
-        self._join = join_table
+        self._up = up
+        self._meet = _bound_table(name, elements, down, "meet")
+        self._join = _bound_table(name, elements, up, "join")
+        full = (1 << n) - 1
+        self.bottom = elements[up.index(full)]
+        self.top = elements[down.index(full)]
 
     def __repr__(self):
         return f"FiniteLattice({self.name!r}, {len(self.elements)} elements)"
@@ -56,7 +62,7 @@ class FiniteLattice:
             raise DomainError(f"{token!r} is not an element of lattice {self.name!r}") from None
 
     def leq(self, x: str, y: str) -> bool:
-        return self._leq[self.index(x)][self.index(y)]
+        return bool(self._up[self.index(x)] >> self.index(y) & 1)
 
     def meet(self, x: str, y: str) -> str:
         return self.elements[self._meet[self.index(x)][self.index(y)]]
@@ -81,6 +87,30 @@ class FiniteLattice:
         for t in tokens:
             result = self._meet[result][self.index(t)]
         return self.elements[result]
+
+
+def _bound_table(
+    name: str, elements: tuple[str, ...], bounds: list[int], kind: str
+) -> list[list[int]]:
+    """Meets from down-sets, or joins from up-sets, as index tables.
+
+    ``bounds[i] & bounds[j]`` holds every common lower (upper) bound of i
+    and j, so the element owning exactly that set is the greatest (least)
+    of them, and no element owns it when there is no such bound.
+    """
+    owner = {s: k for k, s in enumerate(bounds)}
+    try:
+        return [[owner[a & b] for b in bounds] for a in bounds]
+    except KeyError:
+        i, j = next(
+            (i, j)
+            for i, j in product(range(len(bounds)), repeat=2)
+            if bounds[i] & bounds[j] not in owner
+        )
+        raise NotALatticeError(
+            f"lattice {name!r}: elements {elements[i]!r} and {elements[j]!r} "
+            f"have no unique {kind}"
+        ) from None
 
 
 def meet(lat: FiniteLattice, x: str, y: str) -> str:
@@ -116,58 +146,55 @@ def lattice_from_hasse(
         if lo == up:
             raise NotAPosetError(f"lattice {name!r}: self-cover on {lo!r}")
 
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    above = [1 << i for i in range(n)]
     for lo, up in covers:
-        leq[index[lo]][index[up]] = True
-    # Warshall closure of the covering relation.
+        above[index[lo]] |= 1 << index[up]
+    # Transitive closure: whatever reaches k reaches everything above k.
     for k in range(n):
-        row_k = leq[k]
         for i in range(n):
-            if leq[i][k]:
-                row_i = leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAPosetError(
-                    f"lattice {name!r}: cycle through {elements[i]!r} and {elements[j]!r}"
-                )
-
-    def bound_index(i: int, j: int, kind: str) -> int:
-        if kind == "meet":
-            bounds = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            extreme = [g for g in bounds if all(leq[k][g] for k in bounds)]
-        else:
-            bounds = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            extreme = [g for g in bounds if all(leq[g][k] for k in bounds)]
-        if len(extreme) != 1:
-            kind_word = "meet" if kind == "meet" else "join"
-            raise NotALatticeError(
-                f"lattice {name!r}: elements {elements[i]!r} and {elements[j]!r} "
-                f"have no unique {kind_word}"
+            if above[i] >> k & 1:
+                above[i] |= above[k]
+    for i, j in combinations(range(n), 2):
+        if above[i] >> j & 1 and above[j] >> i & 1:
+            raise NotAPosetError(
+                f"lattice {name!r}: cycle through {elements[i]!r} and {elements[j]!r}"
             )
-        return extreme[0]
+    return FiniteLattice(name, elements, covers, above)
 
-    meet_table = [[bound_index(i, j, "meet") for j in range(n)] for i in range(n)]
-    join_table = [[bound_index(i, j, "join") for j in range(n)] for i in range(n)]
 
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise NotALatticeError(f"lattice {name!r}: no unique bottom or top element")
+def lattice_of_tables(
+    name: str, elements: tuple[str, ...], wedge: list[int], vee: list[int], zero: int, one: int
+) -> FiniteLattice | None:
+    """The lattice an algebra's tables describe, or None when they describe none.
 
-    return FiniteLattice(
-        name=name,
-        elements=elements,
-        covers=covers,
-        leq_table=leq,
-        meet_table=meet_table,
-        join_table=join_table,
-        bottom=elements[bottoms[0]],
-        top=elements[tops[0]],
+    ``wedge`` and ``vee`` hold indices into ``elements``, the result for
+    ``(i, j)`` at ``i * n + j``. The order is x <= y iff wedge(x, y) = x; the
+    tables describe a lattice when wedge and vee are its meet and join and
+    ``zero`` and ``one`` its bottom and top. By Birkhoff that is: both
+    operations commutative, associative and absorptive, with O and I the
+    bounds. The order needs checking only for reflexivity and distinct
+    up-sets: once wedge is its meet, x <= y gives down(x) = down(x) & down(y),
+    so it is transitive, and then distinct up-sets make it antisymmetric.
+    """
+    n = len(elements)
+    up = [sum(1 << j for j in range(n) if wedge[i * n + j] == i) for i in range(n)]
+    if len(set(up)) < n or not all(up[i] >> i & 1 for i in range(n)):
+        return None
+    strict = [u & ~(1 << i) for i, u in enumerate(up)]
+    covers = tuple(
+        (elements[i], elements[j])
+        for i, j in product(range(n), repeat=2)
+        if strict[i] >> j & 1
+        and not any(strict[i] >> k & 1 and strict[k] >> j & 1 for k in range(n))
     )
+    try:
+        lat = FiniteLattice(name, elements, covers, up)
+    except NotALatticeError:
+        return None
+    flat = [k for table in (lat._meet, lat._join) for row in table for k in row]
+    if flat != wedge + vee or (lat.bottom, lat.top) != (elements[zero], elements[one]):
+        return None
+    return lat
 
 
 @lru_cache(maxsize=None)

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, combinations, islice, product
 from math import prod
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .algebra import AlgebraHandle, Element, check_wba_axioms
+from .algebra import AlgebraHandle, Element, _compile_point, _PointTables
 from .errors import PreconditionError, StructuralError, require_count
 from .lattice import FiniteLattice
 from .reporting import LawReport, Verdict, Witness
@@ -407,7 +407,7 @@ def check_lattice_laws(
         boolean = Verdict.not_applicable("lattice is not distributive")
     mixed = every(_DISTRIBUTIVE_MIXED_LAW) if check_mixed_form_distributivity else None
     return LatticeCertificate(
-        lattice=lat,
+        lat,
         commutative=every(_COMMUTATIVE_LAW),
         associative=every(_ASSOCIATIVE_LAW),
         absorption=every(get_law("absorption")),
@@ -450,55 +450,6 @@ def _all_sets(family: AlgebraFamily):
     carriers = [family.algebra_at(x).elements for x in points]
     for combo in product(*carriers):
         yield ModernSet(family, dict(zip(points, combo)))
-
-
-class _PointTables(NamedTuple):
-    """One point's operations as tables over indices into its elements."""
-
-    wedge: list[int]  # wedge(elements[i], elements[j]) at i * k + j
-    vee: list[int]
-    complement: list[int]
-    zero: int
-    one: int
-
-
-def _compile_point(
-    alg: AlgebraHandle, with_complement: bool, max_exhaustive: int
-) -> _PointTables | None:
-    """Integer tables of one finite point, or None if they would not be exact.
-
-    Calls the handle's own wedge, vee and (when asked) complement once per
-    element pair and stores each result as its index in ``alg.elements``.
-    Returns None when the elements are not distinct, or O, I or some result
-    is not a listed element that ``is_member`` accepts. It also returns None
-    when the carrier has more than ``max_exhaustive`` pairs, so compiling
-    never costs more than an exhaustive scan may.
-    """
-    elements = alg.elements
-    if len(elements) ** 2 > max_exhaustive:
-        return None
-    try:
-        index = {e: i for i, e in enumerate(elements)}
-        wedge = [alg.wedge(x, y) for x in elements for y in elements]
-        vee = [alg.vee(x, y) for x in elements for y in elements]
-        comp = [alg.complement(x) for x in elements] if with_complement else []
-        results = (alg.zero, alg.one, *wedge, *vee, *comp)
-        if len(index) != len(elements) or not all(
-            r in index and alg.is_member(r) for r in results
-        ):
-            return None
-    except Exception:
-        # Whatever an operation raises, the set-by-set scan raises it too,
-        # at the same operation, if it gets that far.
-        return None
-    code = index.__getitem__
-    return _PointTables(
-        [code(r) for r in wedge],
-        [code(r) for r in vee],
-        [code(r) for r in comp],
-        code(alg.zero),
-        code(alg.one),
-    )
 
 
 class _IndexOps:
@@ -739,10 +690,14 @@ def lift_check(
     a disagreement that survives both transports is reported.
     """
     law = _resolve(law)
-    per_point = {
-        x: check_law(family.algebra_at(x), law, samples=samples, seed=seed).verdict
-        for x in family.universe.points
-    }
+    points = family.universe.points
+    # Points sharing a handle share its verdict: the scan is seeded, so
+    # repeating it would find the same answer.
+    by_handle: dict[AlgebraHandle, Verdict] = {}
+    for alg in map(family.algebra_at, points):
+        if alg not in by_handle:
+            by_handle[alg] = check_law(alg, law, samples=samples, seed=seed).verdict
+    per_point = {x: by_handle[family.algebra_at(x)] for x in points}
     family_verdict = check_family_law(family, law, samples=samples, seed=seed).verdict
     if family_verdict.applicable:
         failing_points = [x for x, v in per_point.items() if v.failed]
@@ -821,9 +776,12 @@ def check_gf_ring_conditions(
 ) -> GfRingReport:
     """Check the four ring-of-sets conditions for a family.
 
-    Every point must be lattice-backed or the rational unit interval;
-    anything else (matrix algebras in particular) has no candidate order,
-    so the check refuses with PreconditionError rather than guessing.
+    Every point must be order-backed: a finite algebra whose tables make it
+    a lattice (:attr:`AlgebraHandle.lattice`, decided by evaluation), or the
+    rational unit interval, the one order taken from ``structure`` because
+    no finite evaluation decides an infinite carrier. Anything else (matrix
+    algebras, tables that are no lattice) has no order to check, so the
+    check refuses with PreconditionError rather than guessing.
     """
     require_count("samples", samples)
     points = family.universe.points
@@ -834,12 +792,12 @@ def check_gf_ring_conditions(
     cha_per_point: dict[Point, Verdict] = {}
     for x in points:
         alg = family.algebra_at(x)
-        if alg.lattice is not None:
-            cha_per_point[x] = check_cha(alg.lattice)
-        elif alg.structure == "fuzzy-unit":
+        if alg.structure == "fuzzy-unit":
             cha_per_point[x] = Verdict.holds_exhaustive(
                 details=(("structure", "total order on the rational unit interval"),)
             )
+        elif alg.lattice is not None:
+            cha_per_point[x] = check_cha(alg.lattice)
         else:
             raise PreconditionError(
                 f"algebra {alg.name!r} at point {x!r} is not lattice-backed; "
@@ -1002,37 +960,24 @@ class FamilyClassification:
         return "\n".join(lines)
 
 
-def _is_classical_point(alg: AlgebraHandle) -> bool:
-    """Two-element carrier {O, I}, Boolean tables, complement swapping them.
+def _point_level(alg: AlgebraHandle) -> tuple[str, str]:
+    """The most specific level one point reaches on its own, and the evidence.
 
-    Decided by evaluation, not by the structure tag, so a two-element chain
-    counts as classical.
+    A two-element lattice has the Boolean tables on {O, I}, so the point is
+    classical when its complement also swaps O and I, whatever its tag.
     """
-    if alg.elements is None or len(alg.elements) != 2:
-        return False
-    if set(alg.elements) != {alg.zero, alg.one}:
-        return False
-    if not check_wba_axioms(alg).passed:
-        return False
-    if alg.complement is None:
-        return False
-    return (
-        alg.complement(alg.zero) == alg.one and alg.complement(alg.one) == alg.zero
-    )
-
-
-def _point_profile(alg: AlgebraHandle) -> tuple[bool, bool, bool, str]:
-    """(classical, fuzzy_unit, lattice_backed_cha_or_not, evidence)."""
-    if _is_classical_point(alg):
-        return True, False, True, "two-element Boolean algebra"
+    lat, comp = alg.lattice, alg.complement
+    if lat is not None and len(lat) == 2 and comp is not None and (
+        (comp(alg.zero), comp(alg.one)) == (alg.one, alg.zero)
+    ):
+        return "classical", "two-element Boolean algebra"
     if alg.structure == "fuzzy-unit":
-        return False, True, True, "rational unit interval with min/max and 1 - x"
-    if alg.lattice is not None:
-        cha = check_cha(alg.lattice)
-        if cha.holds:
-            return False, False, True, f"lattice {alg.lattice.name!r} (complete Heyting)"
-        return False, False, False, f"lattice {alg.lattice.name!r} (not complete Heyting)"
-    return False, False, False, f"algebra {alg.name!r} (no backing order)"
+        return "fuzzy-like", "rational unit interval with min/max and 1 - x"
+    if lat is None:
+        return "modern", f"algebra {alg.name!r} (no backing order)"
+    if check_cha(lat).holds:
+        return "generalized-fuzzy", f"lattice {lat.name!r} (complete Heyting)"
+    return "L-fuzzy", f"lattice {lat.name!r} (not complete Heyting)"
 
 
 def classify_family(family: AlgebraFamily) -> FamilyClassification:
@@ -1042,30 +987,17 @@ def classify_family(family: AlgebraFamily) -> FamilyClassification:
     be the rational unit interval; generalized-fuzzy needs an order-backed
     complete Heyting algebra at every point (classical and fuzzy points
     qualify); L-fuzzy needs order backing but not the frame law; anything
-    else is plain modern.
+    else is plain modern. A finite point is order-backed when its tables
+    make it a lattice (:attr:`AlgebraHandle.lattice`), decided by
+    evaluation, so an algebra written as tables lands where the same
+    lattice built from covers does. The unit interval is the one order
+    taken from ``structure``, since no finite evaluation decides it.
     """
     per_point: dict[Point, str] = {}
-    all_classical = True
-    all_fuzzy = True
-    all_lattice_backed = True
-    all_cha = True
+    ranks = set()
     for x in family.universe.points:
-        alg = family.algebra_at(x)
-        classical, fuzzy_unit, cha, evidence = _point_profile(alg)
-        per_point[x] = evidence
-        lattice_backed = classical or fuzzy_unit or alg.lattice is not None
-        all_classical &= classical
-        all_fuzzy &= fuzzy_unit
-        all_lattice_backed &= lattice_backed
-        all_cha &= lattice_backed and cha
-    if all_classical:
-        level = "classical"
-    elif all_fuzzy:
-        level = "fuzzy-like"
-    elif all_cha:
-        level = "generalized-fuzzy"
-    elif all_lattice_backed:
-        level = "L-fuzzy"
-    else:
-        level = "modern"
-    return FamilyClassification(level=level, per_point=per_point)
+        level, per_point[x] = _point_level(family.algebra_at(x))
+        ranks.add(LEVELS.index(level))
+    # Classical and fuzzy-like points together share only generalized-fuzzy.
+    rank = ranks.pop() if len(ranks) == 1 else min(*ranks, LEVELS.index("generalized-fuzzy"))
+    return FamilyClassification(level=LEVELS[rank], per_point=per_point)

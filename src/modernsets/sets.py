@@ -266,19 +266,23 @@ def is_empty(a: ModernSet) -> bool:
 
 
 def contains(a: ModernSet, b: ModernSet) -> bool:
-    """b sits inside a: at every point, b's value is below a's.
+    """b sits inside a: at every point, wedge(b's value, a's value) is b's value.
 
-    Needs a declared order at every point; the first unordered point is
-    named in the error.
+    That is the order x <= y iff wedge(x, y) = x, so every point must be
+    order-backed: a finite algebra whose tables make it a lattice
+    (:attr:`AlgebraHandle.lattice`), or the rational unit interval, whose
+    order comes from its ``structure`` since no finite evaluation decides
+    an infinite carrier. The first point that is neither is named in the
+    error.
     """
     _require_compatible(a, b)
     for x in a.family.universe.points:
         alg = a.family.algebra_at(x)
-        if alg.leq is None:
+        if alg.structure != "fuzzy-unit" and alg.lattice is None:
             raise UnsupportedOperationError(
                 f"algebra {alg.name!r} at point {x!r} declares no order"
             )
-        if not alg.leq(b._values[x], a._values[x]):
+        if alg.wedge(b._values[x], a._values[x]) != b._values[x]:
             return False
     return True
 

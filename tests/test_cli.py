@@ -568,3 +568,79 @@ def test_run_command_survives_random_argv(capsys):
         codes.add(code)
     # the lists reach passing, failing and refused runs
     assert codes == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# Order by evaluation: chain3 written as tables, and mutants of it
+
+C3T_TOKENS = ("O", "m", "I")
+C3T_TABLES = {
+    "wedge": {(x, y): min(x, y, key=C3T_TOKENS.index) for x in C3T_TOKENS for y in C3T_TOKENS},
+    "vee": {(x, y): max(x, y, key=C3T_TOKENS.index) for x in C3T_TOKENS for y in C3T_TOKENS},
+    "complement": {"O": "I", "m": "m", "I": "O"},
+}
+
+
+def c3t_block(tables):
+    """An ``algebra c3t`` block declaring ``tables``."""
+    lines = ["algebra c3t", "elements O m I", "zero O", "one I"]
+    for section, table in tables.items():
+        lines.append(section)
+        for key, result in table.items():
+            lines.append(" ".join((*key, result) if section != "complement" else (key, result)))
+    return "\n".join(lines + ["end", ""])
+
+
+def c3t_mutants(seed=2026, cases=200):
+    """Copies of the chain3 tables with one to three cells set to another token."""
+    rng = random.Random(seed)
+    cells = [(section, key) for section, table in C3T_TABLES.items() for key in table]
+    for _ in range(cases):
+        tables = {section: dict(table) for section, table in C3T_TABLES.items()}
+        for section, key in rng.sample(cells, rng.randint(1, 3)):
+            old = tables[section][key]
+            tables[section][key] = rng.choice([t for t in C3T_TOKENS if t != old])
+        yield tables
+
+
+def test_table_written_chain3_acts_like_chain3(capsys, tmp_path):
+    path = tmp_path / "c3t.def"
+    path.write_text(c3t_block(C3T_TABLES), encoding="utf-8")
+    outs = {}
+    for command in ("classify", "gfcheck"):
+        code, outs[command], err = run(capsys, command, "c3t@2", "--load", str(path))
+        builtin_code, builtin_out, _ = run(capsys, command, "chain3@2")
+        expected = builtin_out.replace("chain3", "c3t")
+        assert (code, outs[command], err) == (builtin_code, expected, "")
+    assert outs["classify"].startswith("classification: generalized-fuzzy\n")
+    assert "lattice 'c3t' (complete Heyting)" in outs["classify"]
+    assert outs["gfcheck"].endswith("overall: passed\n")
+
+
+def test_classify_follows_the_tables_of_mutated_c3t(capsys, tmp_path, lattice_oracle):
+    path = tmp_path / "c3t.def"
+    backed_seen = set()
+    for tables in c3t_mutants():
+        path.write_text(c3t_block(tables), encoding="utf-8")
+        backed = lattice_oracle(C3T_TOKENS, tables["wedge"], tables["vee"], "O", "I")
+        codes, outs = {}, {}
+        for argv in (
+            ["validate", str(path)],
+            ["classify", "c3t@2", "--load", str(path)],
+            ["gfcheck", "c3t@2", "--load", str(path)],
+        ):
+            start = time.perf_counter()
+            code = run_command(argv)
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2), (argv, tables)
+            assert "Traceback" not in captured.out + captured.err, (argv, tables)
+            assert elapsed < FUZZ_CASE_SECONDS, (argv, tables)
+            codes[argv[0]], outs[argv[0]] = code, captured.out
+        level = outs["classify"].split("\n", 1)[0]
+        ordered = level in ("classification: generalized-fuzzy", "classification: L-fuzzy")
+        assert ordered == backed, tables
+        # gfcheck refuses exactly the tables that are no lattice
+        assert (codes["gfcheck"] != 2) == backed, tables
+        backed_seen.add(backed)
+    assert backed_seen == {True, False}

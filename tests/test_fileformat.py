@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from textwrap import dedent
 
 import pytest
@@ -177,7 +178,12 @@ class TestFamilyBlocks:
         ws = load_text(text)
         fam = ws.families["mixed"]
         assert fam.algebra_at("x").name == "bool2"
-        assert fam.algebra_at("y").lattice is ws.lattices["diamond"]
+        derived, declared = fam.algebra_at("y").lattice, ws.lattices["diamond"]
+        assert derived.elements == declared.elements
+        for x, y in product(declared.elements, repeat=2):
+            assert derived.meet(x, y) == declared.meet(x, y)
+            assert derived.join(x, y) == declared.join(x, y)
+        assert (derived.bottom, derived.top) == (declared.bottom, declared.top)
 
     def test_lattice_wrappers_are_shared(self):
         text = M3_BLOCK + dedent(

@@ -5,6 +5,7 @@ import pytest
 
 from modernsets import (
     DomainError,
+    FiniteAlgebraTable,
     FiniteLattice,
     StructuralError,
     NotALatticeError,
@@ -15,6 +16,7 @@ from modernsets import (
     check_distributive,
     check_lattice_laws,
     join,
+    lattice_algebra,
     lattice_from_hasse,
     m3_lattice,
     meet,
@@ -335,3 +337,177 @@ def test_certificate_witnesses_mapping():
     cert = check_lattice_laws(n5_lattice())
     assert "distributive" in cert.witnesses
     assert cert.witnesses["distributive"].inputs
+
+
+# ---------------------------------------------------------------------------
+# The bitset constructor against the construction it replaced
+
+
+def reference_lattice(name, elements, covers):
+    """Meet and join tables, bottom and top, by the old O(n^4) construction.
+
+    Warshall closure on a boolean matrix, then for each pair the set of
+    common bounds searched for its one extreme element. Raises what
+    lattice_from_hasse raises, with the same messages.
+    """
+    elements = tuple(elements)
+    index = {token: i for i, token in enumerate(elements)}
+    n = len(elements)
+    for lo, up in covers:
+        if lo == up:
+            raise NotAPosetError(f"lattice {name!r}: self-cover on {lo!r}")
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for lo, up in covers:
+        leq[index[lo]][index[up]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise NotAPosetError(
+                    f"lattice {name!r}: cycle through {elements[i]!r} and {elements[j]!r}"
+                )
+
+    def bound(i, j, kind):
+        if kind == "meet":
+            bounds = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            extreme = [g for g in bounds if all(leq[k][g] for k in bounds)]
+        else:
+            bounds = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            extreme = [g for g in bounds if all(leq[g][k] for k in bounds)]
+        if len(extreme) != 1:
+            raise NotALatticeError(
+                f"lattice {name!r}: elements {elements[i]!r} and {elements[j]!r} "
+                f"have no unique {kind}"
+            )
+        return elements[extreme[0]]
+
+    meets = [[bound(i, j, "meet") for j in range(n)] for i in range(n)]
+    joins = [[bound(i, j, "join") for j in range(n)] for i in range(n)]
+    (bottom,) = [elements[i] for i in range(n) if all(leq[i])]
+    (top,) = [elements[i] for i in range(n) if all(leq[j][i] for j in range(n))]
+    return meets, joins, bottom, top
+
+
+def bitset_lattice(name, elements, covers):
+    lat = lattice_from_hasse(name, elements, covers)
+    meets = [[lat.meet(x, y) for y in lat.elements] for x in lat.elements]
+    joins = [[lat.join(x, y) for y in lat.elements] for x in lat.elements]
+    return meets, joins, lat.bottom, lat.top
+
+
+def outcome(build, name, elements, covers):
+    try:
+        return build(name, elements, covers)
+    except (NotAPosetError, NotALatticeError) as exc:
+        return type(exc), str(exc)
+
+
+def edited_covers(seed, count):
+    """Covers of seeded lattices, three in four of them edited once.
+
+    An edit drops a cover (a lattice or a missing bound), adds a random
+    pair (often a cycle or a bound that is no longer unique), or reverses a
+    cover (a cycle).
+    """
+    rng = Random(seed)
+    for i in range(count):
+        if i % 2:
+            masks = closure_system(rng, rng.randint(3, 5), rng.randint(4, 12))
+        else:
+            masks = downsets(rng, rng.randint(2, 4))
+        lat = lattice_of_masks(f"case{i}", rng, masks)
+        covers = list(lat.covers)
+        edit = i % 4
+        if edit == 1 and covers:
+            covers.pop(rng.randrange(len(covers)))
+        elif edit == 2:
+            a, b = rng.sample(lat.elements, 2) if len(lat) > 1 else (lat.elements[0],) * 2
+            covers.append((a, b))
+        elif edit == 3 and covers:
+            lo, up = covers.pop(rng.randrange(len(covers)))
+            covers.append((up, lo))
+        yield lat.name, lat.elements, covers
+
+
+def test_bitset_construction_matches_reference():
+    kinds = set()
+    for case in edited_covers(seed=11, count=400):
+        expected = outcome(reference_lattice, *case)
+        assert outcome(bitset_lattice, *case) == expected, case
+        kinds.add(expected[0] if isinstance(expected[0], type) else "lattice")
+    # the cases reach lattices, cycles and missing bounds
+    assert kinds == {"lattice", NotAPosetError, NotALatticeError}
+
+
+# ---------------------------------------------------------------------------
+# Lattices read off operation tables
+
+CENSUS_TOKENS = ("O", "m", "I")
+# The five wedge/vee cells the eight identities leave free, in census order.
+CENSUS_FREE = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
+
+
+def census_table(index):
+    """Census algebra ``index`` in [0, 3**10): base-3 digits fill the free
+    wedge cells, then the free vee cells."""
+    digits = [index // 3 ** k % 3 for k in range(10)]
+    wedge = {(0, 0): 0, (0, 2): 0, (2, 0): 0, (2, 2): 2, **dict(zip(CENSUS_FREE, digits[:5]))}
+    vee = {(0, 0): 0, (0, 2): 2, (2, 0): 2, (2, 2): 2, **dict(zip(CENSUS_FREE, digits[5:]))}
+    t = CENSUS_TOKENS
+    return FiniteAlgebraTable(
+        f"census{index}", t, "O", "I",
+        {(t[x], t[y]): t[r] for (x, y), r in wedge.items()},
+        {(t[x], t[y]): t[r] for (x, y), r in vee.items()},
+    )
+
+
+def test_census_lattices_match_brute_force(lattice_laws, lattice_oracle):
+    backed, lawful = [], []
+    for index in range(3 ** 10):
+        table = census_table(index)
+        lat = table.as_handle().lattice
+        tables = table.elements, table.wedge_table, table.vee_table
+        assert (lat is not None) == lattice_oracle(*tables, "O", "I"), index
+        if lat is not None:
+            backed.append(index)
+        if lattice_laws(*tables):
+            lawful.append(index)
+    # chain3 is the one census table that is a lattice with O at the bottom
+    # and I on top; two more satisfy the five laws with the bounds misplaced
+    assert backed == [55764]
+    assert lawful == [29628, 54796, 55764]
+    lat = census_table(55764).as_handle().lattice
+    assert (lat.name, lat.elements, lat.covers) == (
+        "census55764", CENSUS_TOKENS, (("O", "m"), ("m", "I"))
+    )
+    assert (lat.bottom, lat.top) == ("O", "I")
+    for x, y in product(CENSUS_TOKENS, repeat=2):
+        assert lat.meet(x, y) == census_table(55764).wedge_table[x, y]
+        assert lat.join(x, y) == census_table(55764).vee_table[x, y]
+
+
+def test_table_lattice_is_derived_on_first_read_and_kept():
+    handle = census_table(55764).as_handle()
+    assert "lattice" not in vars(handle)
+    assert handle.lattice is handle.lattice
+    with pytest.raises(AttributeError):
+        handle.lattice = None
+
+
+def test_lattices_read_off_tables_match_their_hasse_diagrams():
+    for lat in random_lattices(seed=7, count=60, max_size=12) + [m3_lattice(), n5_lattice()]:
+        if len(lat) < 2:
+            continue
+        derived = lattice_algebra(lat).lattice
+        assert derived.elements == lat.elements
+        assert set(derived.covers) == set(lat.covers), lat.name
+        for x, y in product(lat.elements, repeat=2):
+            assert derived.leq(x, y) == lat.leq(x, y)
+            assert derived.meet(x, y) == lat.meet(x, y)
+            assert derived.join(x, y) == lat.join(x, y)
+        assert (derived.bottom, derived.top) == (lat.bottom, lat.top)

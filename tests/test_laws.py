@@ -15,6 +15,7 @@ from modernsets import (
     PreconditionError,
     StructuralError,
     RationalMatrix,
+    UnsupportedOperationError,
     Universe,
     Verdict,
     Witness,
@@ -26,6 +27,7 @@ from modernsets import (
     classical_algebra,
     classify_family,
     constant_family,
+    contains,
     complement as set_complement,
     empty_set,
     equals,
@@ -600,3 +602,111 @@ class TestClassification:
         got = classify_family(fam)
         assert "x" in got.per_point
         assert "m3" in got.per_point["x"]
+
+
+# ---------------------------------------------------------------------------
+# One per-point verdict per handle
+
+
+LIFT_FAMILIES = {
+    "mat3@4": constant_family(("p", "q", "r", "s"), matrix_algebra(3)),
+    "fuzzy@3": constant_family(("p", "q", "r"), fuzzy_algebra()),
+    "mixed": AlgebraFamily(
+        Universe(("a", "b", "c", "d", "e")),
+        {
+            "a": chain_algebra(3),
+            "b": matrix_algebra(2),
+            "c": chain_algebra(3),
+            "d": fuzzy_algebra(),
+            "e": matrix_algebra(2),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_FAMILIES))
+def test_lift_check_scans_each_handle_once(name, monkeypatch):
+    from modernsets import laws
+
+    fam = LIFT_FAMILIES[name]
+    handles = {id(fam.algebra_at(x)) for x in fam.universe.points}
+    check = laws.check_law
+    scanned = []
+
+    def counted(a, *args, **kwargs):
+        scanned.append(a)
+        return check(a, *args, **kwargs)
+
+    monkeypatch.setattr(laws, "check_law", counted)
+    for law in LAW_NAMES:
+        scanned.clear()
+        report = lift_check(fam, law, samples=30, seed=3)
+        assert len(scanned) == len(handles), law
+        # the same verdicts as scanning point by point
+        per_point = {
+            x: check(fam.algebra_at(x), law, samples=30, seed=3).verdict
+            for x in fam.universe.points
+        }
+        assert report.per_point == per_point, law
+        assert report.family_verdict == check_family_law(fam, law, samples=30, seed=3).verdict
+        assert report.consistent, law
+
+
+# ---------------------------------------------------------------------------
+# Order by evaluation: a lattice written as tables is the lattice
+
+
+def written_as_table(alg):
+    """The same algebra as an operation table, under the same name."""
+    elements = alg.elements
+    pairs = list(product(elements, repeat=2))
+    complement = None if alg.complement is None else {x: alg.complement(x) for x in elements}
+    return FiniteAlgebraTable(
+        alg.name, elements, alg.zero, alg.one,
+        {p: alg.wedge(*p) for p in pairs}, {p: alg.vee(*p) for p in pairs}, complement,
+    ).as_handle()
+
+
+@pytest.mark.parametrize(
+    "builtin",
+    [chain_algebra(3), pow2_algebra(), lattice_algebra(n5_lattice())],
+    ids=["chain3", "pow2", "n5"],
+)
+def test_table_written_lattices_act_like_builtins(builtin):
+    table = written_as_table(builtin)
+    assert table.structure == "table"
+    points = ("x", "y")
+    families = [constant_family(points, a) for a in (builtin, table)]
+    classified = [classify_family(f).describe() for f in families]
+    assert classified[0] == classified[1]
+    assert "no backing order" not in classified[1]
+    ring = [check_gf_ring_conditions(f) for f in families]
+    assert ring[0].describe() == ring[1].describe()
+    values = list(product(builtin.elements, repeat=len(points)))
+    for a, b in product(values, repeat=2):
+        answers = {
+            contains(modern_set(f, dict(zip(points, a))), modern_set(f, dict(zip(points, b))))
+            for f in families
+        }
+        assert len(answers) == 1, (a, b)
+
+
+def test_lattice_laws_with_misplaced_bottom_give_no_order():
+    # m < O < I: wedge and vee are a chain's min and max, and the eight
+    # identities hold, but O is not the bottom, so there is no backing order
+    rank = {"m": 0, "O": 1, "I": 2}
+    elements = ("O", "m", "I")
+    pairs = list(product(elements, repeat=2))
+    alg = FiniteAlgebraTable(
+        "mOI", elements, "O", "I",
+        {(x, y): min(x, y, key=rank.get) for x, y in pairs},
+        {(x, y): max(x, y, key=rank.get) for x, y in pairs},
+    ).as_handle()
+    assert alg.lattice is None
+    fam = constant_family(("x",), alg)
+    assert classify_family(fam).level == "modern"
+    assert "no backing order" in classify_family(fam).describe()
+    with pytest.raises(PreconditionError, match="not lattice-backed"):
+        check_gf_ring_conditions(fam)
+    with pytest.raises(UnsupportedOperationError, match="declares no order"):
+        contains(empty_set(fam), empty_set(fam))
