@@ -292,8 +292,9 @@ class FiniteAlgebraTable:
 
     def as_handle(self) -> AlgebraHandle:
         carrier = frozenset(self.elements)
-        wedge_table = dict(self.wedge_table)
-        vee_table = dict(self.vee_table)
+        tokens = self.elements
+        wedge_table = {x: {y: self.wedge_table[x, y] for y in tokens} for x in tokens}
+        vee_table = {x: {y: self.vee_table[x, y] for y in tokens} for x in tokens}
         complement = None
         if self.complement_table is not None:
             comp_table = dict(self.complement_table)
@@ -303,8 +304,8 @@ class FiniteAlgebraTable:
             structure="table",
             zero=self.zero_token,
             one=self.one_token,
-            wedge=lambda x, y: wedge_table[(x, y)],
-            vee=lambda x, y: vee_table[(x, y)],
+            wedge=lambda x, y: wedge_table[x][y],
+            vee=lambda x, y: vee_table[x][y],
             is_member=lambda x: x in carrier,
             complement=complement,
             elements=tuple(self.elements),

@@ -20,10 +20,12 @@ from .errors import DomainError, NotALatticeError, NotAPosetError, StructuralErr
 
 
 class FiniteLattice:
-    """A finite lattice with precomputed order and operation tables.
+    """A finite lattice with a precomputed order and token tables.
 
-    Instances compare by identity. ``elements`` keeps declaration order,
-    which fixes the scan order of every exhaustive check. The constructor
+    ``meet_table[x][y]`` is the meet of tokens x and y and ``join_table[x][y]``
+    their join; every operation is a lookup there. Instances compare by
+    identity. ``elements`` keeps declaration order, which fixes the scan
+    order of every exhaustive check. The constructor
     takes a partial order as up-set bitsets, reflexive and transitive, and
     raises NotALatticeError naming the first pair, in row-major order, that
     has no meet; when every meet exists, the first that has no join.
@@ -43,8 +45,8 @@ class FiniteLattice:
         self.covers = covers
         self._index = {token: i for i, token in enumerate(elements)}
         self._up = up
-        self._meet = _bound_table(name, elements, down, "meet")
-        self._join = _bound_table(name, elements, up, "join")
+        self.meet_table = _bound_table(name, elements, down, "meet")
+        self.join_table = _bound_table(name, elements, up, "join")
         full = (1 << n) - 1
         self.bottom = elements[up.index(full)]
         self.top = elements[down.index(full)]
@@ -59,48 +61,67 @@ class FiniteLattice:
         try:
             return self._index[token]
         except KeyError:
-            raise DomainError(f"{token!r} is not an element of lattice {self.name!r}") from None
+            raise self._unknown(token) from None
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self.index(x)] >> self.index(y) & 1)
 
+    # The names the law registry's equations call, so a lattice is its own
+    # ops: one lookup each, with a KeyError for a token outside the lattice.
+    def wedge(self, x: str, y: str) -> str:
+        return self.meet_table[x][y]
+
+    def vee(self, x: str, y: str) -> str:
+        return self.join_table[x][y]
+
     def meet(self, x: str, y: str) -> str:
-        return self.elements[self._meet[self.index(x)][self.index(y)]]
+        try:
+            return self.meet_table[x][y]
+        except KeyError:
+            raise self._unknown(x, y) from None
 
     def join(self, x: str, y: str) -> str:
-        return self.elements[self._join[self.index(x)][self.index(y)]]
+        try:
+            return self.join_table[x][y]
+        except KeyError:
+            raise self._unknown(x, y) from None
 
-    # The names the law registry's equations call, so a lattice is its own ops.
-    wedge = meet
-    vee = join
+    def _unknown(self, *tokens: str) -> DomainError:
+        """The error naming the first of ``tokens`` outside the lattice."""
+        token = next(t for t in tokens if t not in self._index)
+        return DomainError(f"{token!r} is not an element of lattice {self.name!r}")
 
     def join_of(self, tokens) -> str:
         """Join of a finite family; the empty family joins to bottom."""
-        result = self.index(self.bottom)
+        result = self.bottom
         for t in tokens:
-            result = self._join[result][self.index(t)]
-        return self.elements[result]
+            result = self.join(result, t)
+        return result
 
     def meet_of(self, tokens) -> str:
         """Meet of a finite family; the empty family meets to top."""
-        result = self.index(self.top)
+        result = self.top
         for t in tokens:
-            result = self._meet[result][self.index(t)]
-        return self.elements[result]
+            result = self.meet(result, t)
+        return result
 
 
 def _bound_table(
     name: str, elements: tuple[str, ...], bounds: list[int], kind: str
-) -> list[list[int]]:
-    """Meets from down-sets, or joins from up-sets, as index tables.
+) -> dict[str, dict[str, str]]:
+    """Meets from down-sets, or joins from up-sets, as token tables.
 
     ``bounds[i] & bounds[j]`` holds every common lower (upper) bound of i
     and j, so the element owning exactly that set is the greatest (least)
-    of them, and no element owns it when there is no such bound.
+    of them, and no element owns it when there is no such bound. The
+    result for ``(x, y)`` is at ``table[x][y]``.
     """
-    owner = {s: k for k, s in enumerate(bounds)}
+    owner = {s: elements[k] for k, s in enumerate(bounds)}
     try:
-        return [[owner[a & b] for b in bounds] for a in bounds]
+        return {
+            x: {y: owner[a & b] for y, b in zip(elements, bounds)}
+            for x, a in zip(elements, bounds)
+        }
     except KeyError:
         i, j = next(
             (i, j)
@@ -191,7 +212,8 @@ def lattice_of_tables(
         lat = FiniteLattice(name, elements, covers, up)
     except NotALatticeError:
         return None
-    flat = [k for table in (lat._meet, lat._join) for row in table for k in row]
+    rows = [*lat.meet_table.values(), *lat.join_table.values()]
+    flat = [lat._index[t] for row in rows for t in row.values()]
     if flat != wedge + vee or (lat.bottom, lat.top) != (elements[zero], elements[one]):
         return None
     return lat

@@ -172,25 +172,21 @@ def _resolve(law: "Law | str") -> Law:
     return get_law(law) if isinstance(law, str) else law
 
 
-def _first_failure(ops, law: Law, args: tuple) -> Witness | None:
-    for label, fn in law.equations:
-        lhs, rhs = fn(ops, *args)
-        if lhs != rhs:
-            return Witness(inputs=args, lhs=lhs, rhs=rhs, note=label)
-    return None
-
-
 def _verdict(ops, law: Law, tuples, seed: int | None = None) -> Verdict:
     """The first failing tuple, or a pass over all of ``tuples``.
 
-    With no seed a pass is exhaustive; with a seed it is sampled, and the
-    verdict records how many tuples were tried.
+    At each tuple the law's equations are tried in order, and the first
+    one whose sides differ is the witness. This is the one place an
+    equation is evaluated. With no seed a pass is exhaustive; with a seed
+    it is sampled, and the verdict records how many tuples were tried.
     """
+    equations = law.equations
     checked = 0
     for checked, args in enumerate(tuples, 1):
-        witness = _first_failure(ops, law, args)
-        if witness is not None:
-            return Verdict.fails(witness)
+        for label, fn in equations:
+            lhs, rhs = fn(ops, *args)
+            if lhs != rhs:
+                return Verdict.fails(Witness(inputs=args, lhs=lhs, rhs=rhs, note=label))
     if seed is None:
         return Verdict.holds_exhaustive()
     return Verdict.holds_sampled(samples=checked, seed=seed)
@@ -329,7 +325,7 @@ def _complement_count(lat: FiniteLattice) -> Verdict:
         complements = [
             y
             for y in lat.elements
-            if lat.meet(x, y) == lat.bottom and lat.join(x, y) == lat.top
+            if lat.wedge(x, y) == lat.bottom and lat.vee(x, y) == lat.top
         ]
         if len(complements) != 1:
             return Verdict.fails(
@@ -705,7 +701,7 @@ def lift_check(
             ops = _SetOps(family)
             for x in failing_points:
                 lifted = lift_point_witness(family, x, per_point[x].witness)
-                witness = _first_failure(ops, law, lifted)
+                witness = _scan(ops, law, (lifted,))
                 if witness is not None:
                     family_verdict = Verdict.fails(witness)
                     break
@@ -713,7 +709,7 @@ def lift_check(
             for x in family.universe.points:
                 alg = family.algebra_at(x)
                 args = tuple(s.value_at(x) for s in family_verdict.witness.inputs)
-                witness = _first_failure(alg, law, args)
+                witness = _scan(alg, law, (args,))
                 if witness is not None:
                     per_point[x] = Verdict.fails(witness)
                     break
@@ -789,20 +785,24 @@ def check_gf_ring_conditions(
         raise PreconditionError(
             f"|X| = {len(points)} exceeds the cap {universe_size_cap}"
         )
-    cha_per_point: dict[Point, Verdict] = {}
+    # Points sharing a handle share its frame-law verdict, as in lift_check.
+    by_handle: dict[AlgebraHandle, Verdict] = {}
     for x in points:
         alg = family.algebra_at(x)
+        if alg in by_handle:
+            continue
         if alg.structure == "fuzzy-unit":
-            cha_per_point[x] = Verdict.holds_exhaustive(
+            by_handle[alg] = Verdict.holds_exhaustive(
                 details=(("structure", "total order on the rational unit interval"),)
             )
         elif alg.lattice is not None:
-            cha_per_point[x] = check_cha(alg.lattice)
+            by_handle[alg] = check_cha(alg.lattice)
         else:
             raise PreconditionError(
                 f"algebra {alg.name!r} at point {x!r} is not lattice-backed; "
                 f"the ring-of-sets conditions need a per-point order"
             )
+    cha_per_point = {x: by_handle[family.algebra_at(x)] for x in points}
 
     n = len(points)
     embeddings = []
@@ -993,10 +993,14 @@ def classify_family(family: AlgebraFamily) -> FamilyClassification:
     lattice built from covers does. The unit interval is the one order
     taken from ``structure``, since no finite evaluation decides it.
     """
+    by_handle: dict[AlgebraHandle, tuple[str, str]] = {}
     per_point: dict[Point, str] = {}
     ranks = set()
     for x in family.universe.points:
-        level, per_point[x] = _point_level(family.algebra_at(x))
+        alg = family.algebra_at(x)
+        if alg not in by_handle:
+            by_handle[alg] = _point_level(alg)
+        level, per_point[x] = by_handle[alg]
         ranks.add(LEVELS.index(level))
     # Classical and fuzzy-like points together share only generalized-fuzzy.
     rank = ranks.pop() if len(ranks) == 1 else min(*ranks, LEVELS.index("generalized-fuzzy"))

@@ -2,6 +2,28 @@ from itertools import product
 
 import pytest
 
+from modernsets import FiniteAlgebraTable
+
+CENSUS_TOKENS = ("O", "m", "I")
+# The five wedge/vee cells the eight identities leave free, in census order.
+CENSUS_FREE = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
+
+
+def census(index, complement=None):
+    """Census algebra ``index`` in [0, 3**10): base-3 digits fill the free
+    wedge cells, then the free vee cells. ``complement`` is an optional
+    token mapping, passed through to the table."""
+    digits = [index // 3 ** k % 3 for k in range(10)]
+    wedge = {(0, 0): 0, (0, 2): 0, (2, 0): 0, (2, 2): 2, **dict(zip(CENSUS_FREE, digits[:5]))}
+    vee = {(0, 0): 0, (0, 2): 2, (2, 0): 2, (2, 2): 2, **dict(zip(CENSUS_FREE, digits[5:]))}
+    t = CENSUS_TOKENS
+    return FiniteAlgebraTable(
+        f"census{index}", t, "O", "I",
+        {(t[x], t[y]): t[r] for (x, y), r in wedge.items()},
+        {(t[x], t[y]): t[r] for (x, y), r in vee.items()},
+        complement,
+    )
+
 
 def five_lattice_laws(elements, wedge, vee):
     """Wedge and vee commutative, associative and absorptive, on tables
@@ -34,3 +56,8 @@ def lattice_laws():
 @pytest.fixture
 def lattice_oracle():
     return brute_force_lattice
+
+
+@pytest.fixture
+def census_table():
+    return census

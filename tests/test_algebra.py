@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from random import Random
 
 import pytest
 
@@ -186,3 +188,18 @@ def test_handle_repr_and_finite_flag():
     assert "classical2" in repr(classical_algebra())
     assert classical_algebra().finite
     assert not fuzzy_algebra().finite
+
+
+def test_table_handle_ops_equal_the_given_tables(census_table):
+    complements = ({"O": "I", "m": "m", "I": "O"}, {"O": "I", "m": "O", "I": "O"}, None)
+    for k, index in enumerate(Random(23).sample(range(3 ** 10), 300)):
+        table = census_table(index, complements[k % 3])
+        h = table.as_handle()
+        assert h.elements == table.elements
+        for x, y in product(table.elements, repeat=2):
+            assert h.wedge(x, y) == table.wedge_table[x, y], (index, x, y)
+            assert h.vee(x, y) == table.vee_table[x, y], (index, x, y)
+        if table.complement_table is None:
+            assert h.complement is None
+        else:
+            assert {x: h.complement(x) for x in h.elements} == table.complement_table

@@ -5,7 +5,6 @@ import pytest
 
 from modernsets import (
     DomainError,
-    FiniteAlgebraTable,
     FiniteLattice,
     StructuralError,
     NotALatticeError,
@@ -317,6 +316,31 @@ def test_unknown_token_raises():
         meet(lat, "a", "zzz")
     with pytest.raises(DomainError):
         lat.leq("zzz", "a")
+    for op in (lat.meet, lat.join):
+        for args in (("zzz", "a"), ("a", "zzz")):
+            with pytest.raises(DomainError, match="'zzz' is not an element of lattice 'm3'"):
+                op(*args)
+    with pytest.raises(DomainError, match="'zzz'"):
+        lat.join_of(["a", "zzz"])
+    with pytest.raises(DomainError, match="'zzz'"):
+        lat.meet_of(["zzz"])
+
+
+def test_every_operation_matches_naive_reference():
+    shipped = [powerset_lattice(n) for n in (1, 2, 3, 4)] + [m3_lattice(), n5_lattice()]
+    for lat in shipped + random_lattices(seed=19, count=30, max_size=12):
+        alg = lattice_algebra(lat) if len(lat) > 1 else None
+        for x, y in product(lat.elements, repeat=2):
+            m, j = naive_meet(lat, x, y), naive_join(lat, x, y)
+            assert lat.wedge(x, y) == lat.meet(x, y) == lat.meet_of((x, y)) == m, lat.name
+            assert lat.vee(x, y) == lat.join(x, y) == lat.join_of((x, y)) == j, lat.name
+            assert lat.meet_table[x][y] == m and lat.join_table[x][y] == j, lat.name
+            if alg is not None:
+                assert (alg.wedge(x, y), alg.vee(x, y)) == (m, j), lat.name
+        for family in combinations(lat.elements, 3):
+            a, b, c = family
+            assert lat.meet_of(family) == naive_meet(lat, naive_meet(lat, a, b), c), lat.name
+            assert lat.join_of(family) == naive_join(lat, naive_join(lat, a, b), c), lat.name
 
 
 def test_powerset_bounds():
@@ -448,25 +472,9 @@ def test_bitset_construction_matches_reference():
 # Lattices read off operation tables
 
 CENSUS_TOKENS = ("O", "m", "I")
-# The five wedge/vee cells the eight identities leave free, in census order.
-CENSUS_FREE = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
 
 
-def census_table(index):
-    """Census algebra ``index`` in [0, 3**10): base-3 digits fill the free
-    wedge cells, then the free vee cells."""
-    digits = [index // 3 ** k % 3 for k in range(10)]
-    wedge = {(0, 0): 0, (0, 2): 0, (2, 0): 0, (2, 2): 2, **dict(zip(CENSUS_FREE, digits[:5]))}
-    vee = {(0, 0): 0, (0, 2): 2, (2, 0): 2, (2, 2): 2, **dict(zip(CENSUS_FREE, digits[5:]))}
-    t = CENSUS_TOKENS
-    return FiniteAlgebraTable(
-        f"census{index}", t, "O", "I",
-        {(t[x], t[y]): t[r] for (x, y), r in wedge.items()},
-        {(t[x], t[y]): t[r] for (x, y), r in vee.items()},
-    )
-
-
-def test_census_lattices_match_brute_force(lattice_laws, lattice_oracle):
+def test_census_lattices_match_brute_force(census_table, lattice_laws, lattice_oracle):
     backed, lawful = [], []
     for index in range(3 ** 10):
         table = census_table(index)
@@ -491,7 +499,7 @@ def test_census_lattices_match_brute_force(lattice_laws, lattice_oracle):
         assert lat.join(x, y) == census_table(55764).vee_table[x, y]
 
 
-def test_table_lattice_is_derived_on_first_read_and_kept():
+def test_table_lattice_is_derived_on_first_read_and_kept(census_table):
     handle = census_table(55764).as_handle()
     assert "lattice" not in vars(handle)
     assert handle.lattice is handle.lattice
