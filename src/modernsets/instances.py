@@ -222,8 +222,8 @@ def lattice_algebra(
         structure="lattice",
         zero=lat.bottom,
         one=lat.top,
-        wedge=lat.wedge,
-        vee=lat.vee,
+        wedge=lat.meet,
+        vee=lat.join,
         is_member=lambda x: x in carrier,
         complement=comp,
         elements=lat.elements,

@@ -66,14 +66,6 @@ class FiniteLattice:
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self.index(x)] >> self.index(y) & 1)
 
-    # The names the law registry's equations call, so a lattice is its own
-    # ops: one lookup each, with a KeyError for a token outside the lattice.
-    def wedge(self, x: str, y: str) -> str:
-        return self.meet_table[x][y]
-
-    def vee(self, x: str, y: str) -> str:
-        return self.join_table[x][y]
-
     def meet(self, x: str, y: str) -> str:
         try:
             return self.meet_table[x][y]
@@ -85,6 +77,10 @@ class FiniteLattice:
             return self.join_table[x][y]
         except KeyError:
             raise self._unknown(x, y) from None
+
+    # The names the law registry's equations call, so a lattice is its own ops.
+    wedge = meet
+    vee = join
 
     def _unknown(self, *tokens: str) -> DomainError:
         """The error naming the first of ``tokens`` outside the lattice."""

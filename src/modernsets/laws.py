@@ -325,7 +325,7 @@ def _complement_count(lat: FiniteLattice) -> Verdict:
         complements = [
             y
             for y in lat.elements
-            if lat.wedge(x, y) == lat.bottom and lat.vee(x, y) == lat.top
+            if lat.meet(x, y) == lat.bottom and lat.join(x, y) == lat.top
         ]
         if len(complements) != 1:
             return Verdict.fails(
@@ -690,10 +690,12 @@ def lift_check(
     # Points sharing a handle share its verdict: the scan is seeded, so
     # repeating it would find the same answer.
     by_handle: dict[AlgebraHandle, Verdict] = {}
-    for alg in map(family.algebra_at, points):
+    per_point: dict[Point, Verdict] = {}
+    for x in points:
+        alg = family.algebra_at(x)
         if alg not in by_handle:
             by_handle[alg] = check_law(alg, law, samples=samples, seed=seed).verdict
-    per_point = {x: by_handle[family.algebra_at(x)] for x in points}
+        per_point[x] = by_handle[alg]
     family_verdict = check_family_law(family, law, samples=samples, seed=seed).verdict
     if family_verdict.applicable:
         failing_points = [x for x, v in per_point.items() if v.failed]
@@ -787,22 +789,22 @@ def check_gf_ring_conditions(
         )
     # Points sharing a handle share its frame-law verdict, as in lift_check.
     by_handle: dict[AlgebraHandle, Verdict] = {}
+    cha_per_point: dict[Point, Verdict] = {}
     for x in points:
         alg = family.algebra_at(x)
-        if alg in by_handle:
-            continue
-        if alg.structure == "fuzzy-unit":
-            by_handle[alg] = Verdict.holds_exhaustive(
-                details=(("structure", "total order on the rational unit interval"),)
-            )
-        elif alg.lattice is not None:
-            by_handle[alg] = check_cha(alg.lattice)
-        else:
-            raise PreconditionError(
-                f"algebra {alg.name!r} at point {x!r} is not lattice-backed; "
-                f"the ring-of-sets conditions need a per-point order"
-            )
-    cha_per_point = {x: by_handle[family.algebra_at(x)] for x in points}
+        if alg not in by_handle:
+            if alg.structure == "fuzzy-unit":
+                by_handle[alg] = Verdict.holds_exhaustive(
+                    details=(("structure", "total order on the rational unit interval"),)
+                )
+            elif alg.lattice is not None:
+                by_handle[alg] = check_cha(alg.lattice)
+            else:
+                raise PreconditionError(
+                    f"algebra {alg.name!r} at point {x!r} is not lattice-backed; "
+                    f"the ring-of-sets conditions need a per-point order"
+                )
+        cha_per_point[x] = by_handle[alg]
 
     n = len(points)
     embeddings = []
