@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import chain, combinations, islice, product
+from functools import cached_property, partial
+from itertools import chain, combinations, islice, product, repeat
 from math import prod
+from operator import ne
 from typing import Callable
 
 from .algebra import AlgebraHandle, Element, _compile_point, _PointTables
@@ -176,9 +177,11 @@ def _verdict(ops, law: Law, tuples, seed: int | None = None) -> Verdict:
     """The first failing tuple, or a pass over all of ``tuples``.
 
     At each tuple the law's equations are tried in order, and the first
-    one whose sides differ is the witness. This is the one place an
-    equation is evaluated. With no seed a pass is exhaustive; with a seed
-    it is sampled, and the verdict records how many tuples were tried.
+    one whose sides differ is the witness. Every scan runs here; only the
+    column scan of a family evaluates the equations of its failing slab
+    once more, to find the first failing tuple in it. With no seed a pass
+    is exhaustive; with a seed it is sampled, and the verdict records how
+    many tuples were tried.
     """
     equations = law.equations
     checked = 0
@@ -427,107 +430,143 @@ class _SetOps:
         self.vee = union
         self.zero = empty_set(family)
         self.one = full_set(family)
-        if all(family.algebra_at(x).complement is not None for x in family.universe.points):
+        if all(alg.complement is not None for alg in family.handles):
             self.complement = set_complement
         else:
             self.complement = None
 
 
 def _family_is_finite(family: AlgebraFamily) -> bool:
-    return all(family.algebra_at(x).finite for x in family.universe.points)
+    return all(alg.finite for alg in family.handles)
 
 
 def _set_count(family: AlgebraFamily) -> int:
-    return prod(len(family.algebra_at(x).elements) for x in family.universe.points)
+    return prod(len(alg.elements) for alg in family.handles)
 
 
 def _all_sets(family: AlgebraFamily):
-    points = family.universe.points
-    carriers = [family.algebra_at(x).elements for x in points]
-    for combo in product(*carriers):
-        yield ModernSet(family, dict(zip(points, combo)))
+    for values in product(*(alg.elements for alg in family.handles)):
+        yield ModernSet(family, values)
 
 
-class _IndexOps:
-    """Set operations on integer set indices over a finite family.
+_SLAB_TUPLES = 1024  # tuples per slab of a column scan, at least
+
+
+class _ColumnOps:
+    """Set operations on whole columns of set indices over a finite family.
 
     A set is a mixed-radix number whose digits are element indices, point 0
     most significant, so ``range(size)`` runs through the sets in exactly
-    the order of :func:`_all_sets`. Wedge and vee results are kept in flat
-    lists of ``size * size`` entries, filled on first use, when that many
-    entries stay within ``max_exhaustive``; otherwise each result is worked
-    out from the digits again.
+    the order of :func:`_all_sets`. Wedge and vee are row tables over those
+    numbers, ``rows[a][b]``, composed from the point tables digit by digit
+    on first use, and each operation takes whole columns of indices in one
+    call. ``zero`` and ``one`` are constant columns as long as the slab
+    :meth:`slabs` yielded last.
     """
 
-    def __init__(self, family: AlgebraFamily, tables: list[_PointTables], max_exhaustive: int):
-        points = family.universe.points
+    def __init__(self, family: AlgebraFamily, tables: list[_PointTables]):
         self.family = family
-        self._carriers = [family.algebra_at(x).elements for x in points]
-        radices = [len(c) for c in self._carriers]
-        self._weights = [prod(radices[i + 1:]) for i in range(len(radices))]
-        self.size = n = prod(radices)
-        digits = list(zip(self._weights, radices))
-        self.zero = sum(t.zero * w for t, w in zip(tables, self._weights))
-        self.one = sum(t.one * w for t, w in zip(tables, self._weights))
+        self._tables = tables
+        self._radices = [len(alg.elements) for alg in family.handles]
+        self.size = prod(self._radices)
+        self._zero = self._one = 0
+        for t, k in zip(tables, self._radices):
+            self._zero = self._zero * k + t.zero
+            self._one = self._one * k + t.one
 
-        def binary(op: str) -> Callable[[int, int], int]:
-            layout = [(w, k, getattr(t, op)) for (w, k), t in zip(digits, tables)]
+    def _rows(self, op: str) -> list[list[int]]:
+        rows = [[0]]
+        for t, k in zip(self._tables, self._radices):
+            cells = getattr(t, op)
+            # blocks[i][r]: the k entries that a new row with last digit i
+            # holds where its old row held r
+            blocks = [
+                [[r * k + c for c in cells[i * k:(i + 1) * k]] for r in range(len(rows))]
+                for i in range(k)
+            ]
+            rows = [
+                list(chain.from_iterable(map(block.__getitem__, row)))
+                for row in rows
+                for block in blocks
+            ]
+        return rows
 
-            def direct(a: int, b: int) -> int:
-                r = 0
-                for w, k, table in layout:
-                    r += table[a // w % k * k + b // w % k] * w
-                return r
+    @cached_property
+    def _wedge_rows(self) -> list[list[int]]:
+        return self._rows("wedge")
 
-            if n * n > max_exhaustive:
-                return direct
-            memo = [-1] * (n * n)
+    @cached_property
+    def _vee_rows(self) -> list[list[int]]:
+        return self._rows("vee")
 
-            def cached(a: int, b: int) -> int:
-                i = a * n + b
-                r = memo[i]
-                if r < 0:
-                    r = memo[i] = direct(a, b)
-                return r
+    @cached_property
+    def _complement_column(self) -> list[int]:
+        column = [0]
+        for t, k in zip(self._tables, self._radices):
+            column = [c * k + d for c in column for d in t.complement]
+        return column
 
-            return cached
+    def wedge(self, a: list[int], b: list[int]) -> list[int]:
+        rows = self._wedge_rows
+        return [rows[i][j] for i, j in zip(a, b)]
 
-        def complement(a: int) -> int:
-            r = 0
-            for (w, k), t in zip(digits, tables):
-                r += t.complement[a // w % k] * w
-            return r
+    def vee(self, a: list[int], b: list[int]) -> list[int]:
+        rows = self._vee_rows
+        return [rows[i][j] for i, j in zip(a, b)]
 
-        self.wedge = binary("wedge")
-        self.vee = binary("vee")
-        self.complement = complement
+    def complement(self, a: list[int]) -> list[int]:
+        return list(map(self._complement_column.__getitem__, a))
+
+    def slabs(self, arity: int):
+        """Every ``arity``-tuple of indices in row-major order, as argument columns.
+
+        A slab holds the tuples of as many consecutive first arguments as
+        make ``_SLAB_TUPLES`` tuples or more (the last slab may hold fewer).
+        """
+        n = self.size
+        rest = [list(column) for column in zip(*product(range(n), repeat=arity - 1))]
+        block = n ** (arity - 1)
+        step = -(-_SLAB_TUPLES // block)
+        for start in range(0, n, step):
+            firsts = range(start, min(start + step, n))
+            first = list(chain.from_iterable(repeat(a, block) for a in firsts))
+            self.zero = [self._zero] * len(first)
+            self.one = [self._one] * len(first)
+            yield (first, *(column * len(firsts) for column in rest))
 
     def decode(self, a: int) -> ModernSet:
-        values = {
-            x: elements[a // w % len(elements)]
-            for x, elements, w in zip(self.family.universe.points, self._carriers, self._weights)
-        }
-        return ModernSet(self.family, values)
+        values = []
+        for alg, k in zip(reversed(self.family.handles), reversed(self._radices)):
+            a, digit = divmod(a, k)
+            values.append(alg.elements[digit])
+        return ModernSet(self.family, tuple(reversed(values)))
 
 
 def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhaustive: int):
     """All tuples of sets of a finite family, in declaration order.
 
-    Scans integer set indices when every point compiles to exact tables,
+    Scans columns of set indices when the row tables hold at most
+    ``max_exhaustive`` entries and every point compiles to exact tables,
     and rebuilds the witness from the sets through ``ops``; otherwise scans
     the sets themselves.
     """
-    tables = [
-        _compile_point(family.algebra_at(x), law.needs_complement, max_exhaustive)
-        for x in family.universe.points
-    ]
-    if any(t is None for t in tables):
+    tables = None
+    if _set_count(family) ** 2 <= max_exhaustive:
+        tables = [
+            _compile_point(alg, law.needs_complement, max_exhaustive) for alg in family.handles
+        ]
+    if tables is None or None in tables:
         return _verdict(ops, law, product(_all_sets(family), repeat=law.arity))
-    index_ops = _IndexOps(family, tables, max_exhaustive)
-    found = _scan(index_ops, law, product(range(index_ops.size), repeat=law.arity))
+    columns = _ColumnOps(family, tables)
+    found = _scan(columns, law, columns.slabs(law.arity))
     if found is None:
         return Verdict.holds_exhaustive()
-    sets = tuple(index_ops.decode(a) for a in found.inputs)
+    # An equation after the one reported may fail earlier in the slab. The
+    # slab generator is paused here, so zero and one still fit the slab.
+    slab = found.inputs
+    sides = (fn(columns, *slab) for _, fn in law.equations)
+    at = min(list(map(ne, lhs, rhs)).index(True) for lhs, rhs in sides if lhs != rhs)
+    sets = tuple(columns.decode(column[at]) for column in slab)
     witness = _scan(ops, law, (sets,))
     if witness is None:
         raise StructuralError(
@@ -539,16 +578,15 @@ def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhau
 
 
 def _random_set(family: AlgebraFamily, rng: random.Random) -> ModernSet:
-    values = {}
-    for x in family.universe.points:
-        alg = family.algebra_at(x)
+    values = []
+    for alg in family.handles:
         if alg.elements is not None:
-            values[x] = alg.elements[rng.randrange(len(alg.elements))]
+            values.append(rng.choice(alg.elements))
         elif alg.sample is not None:
-            values[x] = alg.sample(rng)
+            values.append(alg.sample(rng))
         else:
             raise PreconditionError(f"algebra {alg.name!r} cannot be sampled")
-    return ModernSet(family, values)
+    return ModernSet(family, tuple(values))
 
 
 def _spike_sets(family: AlgebraFamily) -> list[ModernSet]:
@@ -615,16 +653,16 @@ def check_family_law(
     within ``max_exhaustive``; otherwise forced spike tuples (capped at
     ``forced_cap``) followed by seeded random sets.
 
-    The exhaustive scan runs on an integer kernel (:class:`_IndexOps`):
-    each point's operations are compiled once to tables over element
-    indices, and each set is a mixed-radix index, so the scan visits the
-    tuples in declaration order and reports the same first witness as a
-    scan over the sets themselves; the witness is rebuilt from sets. Its
-    wedge and vee memos hold ``n * n`` entries for ``n`` sets, and exist
-    only when that is at most ``max_exhaustive``. A point is not compiled
-    when its carrier has more than ``max_exhaustive`` pairs or its
-    operations leave its listed elements; the family is then scanned set by
-    set, and raises the same StructuralError at the same operation.
+    The exhaustive scan runs on set indices (:class:`_ColumnOps`): each
+    point's operations are compiled once to tables over element indices and
+    composed into wedge and vee row tables over the ``n`` sets, and each
+    equation is evaluated on whole columns of index tuples, a slab at a
+    time, in declaration order. So the scan reports the same first witness
+    as a scan over the sets themselves; the witness is rebuilt from sets.
+    The row tables hold ``n * n`` entries and are built only when that is
+    at most ``max_exhaustive``. Past that bound, or when some point's
+    operations leave its listed elements, the family is scanned set by
+    set, which raises the same StructuralError at the same operation.
     """
     require_count("samples", samples)
     law = _resolve(law)

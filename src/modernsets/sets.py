@@ -77,6 +77,8 @@ class AlgebraFamily:
             raise StructuralError(f"algebra assigned at unknown point {extra[0]!r}")
         self.universe = universe
         self.assignment = dict(assignment)
+        self.handles = tuple(self.assignment[x] for x in universe.points)
+        self.position = {x: i for i, x in enumerate(universe.points)}
         self.name = name
 
     def algebra_at(self, point: Point) -> AlgebraHandle:
@@ -89,7 +91,7 @@ class AlgebraFamily:
         if self is other:
             return True
         return self.universe == other.universe and all(
-            self.assignment[x] is other.assignment[x] for x in self.universe.points
+            a is b for a, b in zip(self.handles, other.handles)
         )
 
     def __repr__(self):
@@ -104,7 +106,7 @@ def constant_family(points: Iterable[Point], algebra: AlgebraHandle, name: str =
 
 
 class ModernSet:
-    """Membership map from points to per-point carrier elements.
+    """Membership values, one per point, in the order of ``universe.points``.
 
     Construct through :func:`modern_set`, which validates every value
     against its point's carrier; operations construct results directly and
@@ -113,28 +115,29 @@ class ModernSet:
     values agree at every point; the hash depends on the values only.
     """
 
-    __slots__ = ("family", "_values")
+    __slots__ = ("family", "values")
 
-    def __init__(self, family: AlgebraFamily, values: dict[Point, Element]):
+    def __init__(self, family: AlgebraFamily, values: tuple[Element, ...]):
         self.family = family
-        self._values = values
+        self.values = values
 
     @property
     def membership(self) -> Mapping[Point, Element]:
-        return MappingProxyType(self._values)
+        return MappingProxyType(dict(zip(self.family.universe.points, self.values)))
 
     def value_at(self, point: Point) -> Element:
-        if point not in self._values:
+        i = self.family.position.get(point)
+        if i is None:
             raise DomainError(f"point {point!r} is not in the universe")
-        return self._values[point]
+        return self.values[i]
 
     def __eq__(self, other):
         if not isinstance(other, ModernSet):
             return NotImplemented
-        return self.family.compatible(other.family) and self._values == other._values
+        return self.family.compatible(other.family) and self.values == other.values
 
     def __hash__(self):
-        return hash(frozenset(self._values.items()))
+        return hash(self.values)
 
     def __or__(self, other):
         return union(self, other)
@@ -150,7 +153,7 @@ class ModernSet:
 
     def describe(self) -> str:
         parts = ", ".join(
-            f"{x!r}: {render_element(self._values[x])}" for x in self.family.universe.points
+            f"{x!r}: {render_element(v)}" for x, v in zip(self.family.universe.points, self.values)
         )
         return "{" + parts + "}"
 
@@ -160,32 +163,31 @@ class ModernSet:
 
 def modern_set(family: AlgebraFamily, membership: Mapping[Point, Element]) -> ModernSet:
     """Validating constructor: every point covered, every value in carrier."""
-    values: dict[Point, Element] = {}
-    for x in family.universe.points:
+    values = []
+    for x, alg in zip(family.universe.points, family.handles):
         if x not in membership:
             raise DomainError(f"no membership value given at point {x!r}")
         v = membership[x]
-        alg = family.algebra_at(x)
         if not alg.is_member(v):
             raise DomainError(
                 f"value {render_element(v)} at point {x!r} is not in the carrier "
                 f"of algebra {alg.name!r}"
             )
-        values[x] = v
+        values.append(v)
     for x in membership:
-        if x not in family.universe:
+        if x not in family.position:
             raise DomainError(f"membership given at unknown point {x!r}")
-    return ModernSet(family, values)
+    return ModernSet(family, tuple(values))
 
 
 def empty_set(family: AlgebraFamily) -> ModernSet:
     """Every point at its algebra's O."""
-    return ModernSet(family, {x: family.algebra_at(x).zero for x in family.universe.points})
+    return ModernSet(family, tuple(alg.zero for alg in family.handles))
 
 
 def full_set(family: AlgebraFamily) -> ModernSet:
     """Every point at its algebra's I."""
-    return ModernSet(family, {x: family.algebra_at(x).one for x in family.universe.points})
+    return ModernSet(family, tuple(alg.one for alg in family.handles))
 
 
 def embed_crisp(family: AlgebraFamily, members: Iterable[Point]) -> ModernSet:
@@ -194,13 +196,10 @@ def embed_crisp(family: AlgebraFamily, members: Iterable[Point]) -> ModernSet:
     for x in chosen:
         if x not in family.universe:
             raise DomainError(f"point {x!r} is not in the universe")
-    return ModernSet(
-        family,
-        {
-            x: (family.algebra_at(x).one if x in chosen else family.algebra_at(x).zero)
-            for x in family.universe.points
-        },
-    )
+    return ModernSet(family, tuple(
+        alg.one if x in chosen else alg.zero
+        for x, alg in zip(family.universe.points, family.handles)
+    ))
 
 
 def _require_compatible(a: ModernSet, b: ModernSet) -> None:
@@ -210,59 +209,60 @@ def _require_compatible(a: ModernSet, b: ModernSet) -> None:
         )
 
 
-def _checked(alg: AlgebraHandle, point: Point, value: Element) -> Element:
-    if not alg.is_member(value):
-        raise StructuralError(
-            f"operation of algebra {alg.name!r} left the carrier at point {point!r}: "
-            f"{render_element(value)}"
-        )
-    return value
+def _escaped(alg: AlgebraHandle, point: Point, value: Element) -> StructuralError:
+    return StructuralError(
+        f"operation of algebra {alg.name!r} left the carrier at point {point!r}: "
+        f"{render_element(value)}"
+    )
+
+
+def _pointwise(a: ModernSet, b: ModernSet, op: str) -> ModernSet:
+    _require_compatible(a, b)
+    family = a.family
+    values = []
+    for x, alg, u, v in zip(family.universe.points, family.handles, a.values, b.values):
+        r = getattr(alg, op)(u, v)
+        if not alg.is_member(r):
+            raise _escaped(alg, x, r)
+        values.append(r)
+    return ModernSet(family, tuple(values))
 
 
 def union(a: ModernSet, b: ModernSet) -> ModernSet:
     """Pointwise vee; the left set supplies the left operand."""
-    _require_compatible(a, b)
-    values = {}
-    for x in a.family.universe.points:
-        alg = a.family.algebra_at(x)
-        values[x] = _checked(alg, x, alg.vee(a._values[x], b._values[x]))
-    return ModernSet(a.family, values)
+    return _pointwise(a, b, "vee")
 
 
 def intersection(a: ModernSet, b: ModernSet) -> ModernSet:
     """Pointwise wedge; the left set supplies the left operand."""
-    _require_compatible(a, b)
-    values = {}
-    for x in a.family.universe.points:
-        alg = a.family.algebra_at(x)
-        values[x] = _checked(alg, x, alg.wedge(a._values[x], b._values[x]))
-    return ModernSet(a.family, values)
+    return _pointwise(a, b, "wedge")
 
 
 def complement(a: ModernSet) -> ModernSet:
     """Pointwise complement; every point's algebra must declare one."""
-    values = {}
-    for x in a.family.universe.points:
-        alg = a.family.algebra_at(x)
+    family = a.family
+    values = []
+    for x, alg, u in zip(family.universe.points, family.handles, a.values):
         if alg.complement is None:
             raise UnsupportedOperationError(
                 f"algebra {alg.name!r} at point {x!r} declares no complement"
             )
-        values[x] = _checked(alg, x, alg.complement(a._values[x]))
-    return ModernSet(a.family, values)
+        r = alg.complement(u)
+        if not alg.is_member(r):
+            raise _escaped(alg, x, r)
+        values.append(r)
+    return ModernSet(family, tuple(values))
 
 
 def equals(a: ModernSet, b: ModernSet) -> bool:
     """Pointwise equality of membership values."""
     _require_compatible(a, b)
-    return all(a._values[x] == b._values[x] for x in a.family.universe.points)
+    return a.values == b.values
 
 
 def is_empty(a: ModernSet) -> bool:
     """True when every point sits at its algebra's O."""
-    return all(
-        a._values[x] == a.family.algebra_at(x).zero for x in a.family.universe.points
-    )
+    return all(v == alg.zero for alg, v in zip(a.family.handles, a.values))
 
 
 def contains(a: ModernSet, b: ModernSet) -> bool:
@@ -276,13 +276,13 @@ def contains(a: ModernSet, b: ModernSet) -> bool:
     error.
     """
     _require_compatible(a, b)
-    for x in a.family.universe.points:
-        alg = a.family.algebra_at(x)
+    family = a.family
+    for x, alg, u, v in zip(family.universe.points, family.handles, a.values, b.values):
         if alg.structure != "fuzzy-unit" and alg.lattice is None:
             raise UnsupportedOperationError(
                 f"algebra {alg.name!r} at point {x!r} declares no order"
             )
-        if alg.wedge(b._values[x], a._values[x]) != b._values[x]:
+        if alg.wedge(v, u) != v:
             return False
     return True
 
@@ -320,9 +320,7 @@ def verify_crisp_restriction(family: AlgebraFamily, universe_size_cap: int = 4) 
 
     def mask_of(s: ModernSet) -> int | None:
         out = 0
-        for i, x in enumerate(points):
-            alg = family.algebra_at(x)
-            v = s._values[x]
+        for i, (alg, v) in enumerate(zip(family.handles, s.values)):
             if v == alg.one:
                 out |= 1 << i
             elif v != alg.zero:
@@ -361,7 +359,7 @@ def verify_crisp_restriction(family: AlgebraFamily, universe_size_cap: int = 4) 
                 )
 
     full = (1 << n) - 1
-    has_complement = all(family.algebra_at(x).complement is not None for x in points)
+    has_complement = all(alg.complement is not None for alg in family.handles)
     if has_complement:
         for a in masks:
             c = mask_of(complement(embedded[a]))

@@ -1,7 +1,8 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from random import Random
 
 import pytest
@@ -47,6 +48,8 @@ from modernsets import (
     union,
 )
 from modernsets import laws
+from modernsets.algebra import _compile_point
+from modernsets.cli import run_command
 from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan, _verdict
 
 E01 = RationalMatrix([[0, 1], [0, 0]])
@@ -356,6 +359,141 @@ class TestFamilyKernel:
         family = constant_family(("p",), drifting)
         with pytest.raises(StructuralError, match="do not give the same result twice"):
             check_family_law(family, "commutative-vee")
+
+    def test_slab_boundaries_match_object_path(self, monkeypatch):
+        """Every law, at slab sizes that do and do not divide the set count.
+
+        The first failures fall at tuple 0, inside a later slab and in the
+        last slab; the test checks that it saw each of those positions.
+        """
+        positions = set()
+        for slab in (1, 4, 7, 12, 24, 100, 1024):
+            monkeypatch.setattr(laws, "_SLAB_TUPLES", slab)
+            for family in SLAB_FAMILIES:
+                n = laws._set_count(family)
+                sets = list(_all_sets(family))
+                for law in LAWS:
+                    verdict = check_family_law(family, law).verdict
+                    if not verdict.applicable:
+                        continue
+                    expected = _verdict(_SetOps(family), law, product(sets, repeat=law.arity))
+                    assert verdict == expected, (slab, family, law.name)
+                    if verdict.failed:
+                        index = reduce(lambda i, s: i * n + sets.index(s), verdict.witness.inputs, 0)
+                        positions.add(slab_position(family, law, index))
+        assert {"tuple 0", "later slab", "last slab"} <= {where for where, _ in positions}
+        assert ("last slab", False) in positions  # the slabs do not divide n
+
+    def test_random_sets_draw_as_before(self):
+        def reference_draw(family, rng):
+            values = {}
+            for x in family.universe.points:
+                alg = family.algebra_at(x)
+                if alg.elements is not None:
+                    values[x] = alg.elements[rng.randrange(len(alg.elements))]
+                else:
+                    values[x] = alg.sample(rng)
+            return values
+
+        families = [
+            family_of([NAMED_ALGEBRAS["chain5"], fuzzy_algebra(), matrix_algebra(2)]),
+            family_of([matrix_algebra(2), NAMED_ALGEBRAS["m3"], NAMED_ALGEBRAS["classical2"]]),
+            family_of([fuzzy_algebra(), NAMED_ALGEBRAS["pow2"]]),
+            family_of([NAMED_ALGEBRAS["n5"]]),
+        ]
+        for family in families:
+            for seed in range(6):
+                rng, reference = Random(seed), Random(seed)
+                for _ in range(40):
+                    drawn = laws._random_set(family, rng)
+                    assert dict(drawn.membership) == reference_draw(family, reference)
+                assert rng.getstate() == reference.getstate()
+
+
+def _table_algebra(name, tokens, wedge_mm):
+    """chain3's tables on ``tokens`` order, except wedge(m, m) = ``wedge_mm``."""
+    rank = {"O": 0, "m": 1, "I": 2}
+    wedge = {(x, y): min(x, y, key=rank.get) for x in tokens for y in tokens}
+    vee = {(x, y): max(x, y, key=rank.get) for x in tokens for y in tokens}
+    wedge["m", "m"] = wedge_mm
+    complement = {"O": "I", "m": "m", "I": "O"}
+    return FiniteAlgebraTable(name, tokens, "O", "I", wedge, vee, complement).as_handle()
+
+
+# Listed first, m fails at the first set; listed last, at the last ones.
+# Squashed (wedge(m, m) = O) breaks the lattice laws at m as well.
+SLAB_FAMILIES = [
+    family_of([_table_algebra("m-first", ("m", "O", "I"), "m")] * 2),
+    family_of([_table_algebra("squashed-first", ("m", "O", "I"), "O"), NAMED_ALGEBRAS["pow2"]]),
+    family_of([_table_algebra("squashed-last", ("O", "I", "m"), "O"), NAMED_ALGEBRAS["classical2"]]),
+    family_of([NAMED_ALGEBRAS["m3"], NAMED_ALGEBRAS["chain3"]]),
+    family_of([NAMED_ALGEBRAS["chain5"], NAMED_ALGEBRAS["n5"]]),
+]
+
+
+def slab_position(family, law, index):
+    """Where tuple ``index`` falls in the column scan's slabs, and whether they divide n."""
+    tables = [_compile_point(alg, law.needs_complement, 10**9) for alg in family.handles]
+    lengths = [len(slab[0]) for slab in laws._ColumnOps(family, tables).slabs(law.arity)]
+    ends = list(accumulate(lengths))
+    at = next(i for i, end in enumerate(ends) if index < end)
+    divides = len(set(lengths)) == 1
+    if index == 0:
+        return "tuple 0", divides
+    if at == len(ends) - 1:
+        return "last slab", divides
+    return ("later slab" if at else "first slab"), divides
+
+
+class TestKernelMemoryBound:
+    """Row tables hold at most ``max_exhaustive`` entries; past that, sets are scanned."""
+
+    def test_arity_one_laws_past_the_table_bound(self):
+        family = constant_family(("a", "b", "c", "d"), chain_algebra(5))  # 625 sets
+        expected = {
+            "idempotent-wedge": "holds (exhaustive)",
+            "idempotent-vee": "holds (exhaustive)",
+            "excluded-middle": (
+                "fails: x vee complement(x) = I: inputs (ModernSet({'a': O, 'b': O, 'c': O, "
+                "'d': m1})) give ModernSet({'a': I, 'b': I, 'c': I, 'd': m3}) != "
+                "ModernSet({'a': I, 'b': I, 'c': I, 'd': I})"
+            ),
+            "non-contradiction": (
+                "fails: x wedge complement(x) = O: inputs (ModernSet({'a': O, 'b': O, 'c': O, "
+                "'d': m1})) give ModernSet({'a': O, 'b': O, 'c': O, 'd': m1}) != "
+                "ModernSet({'a': O, 'b': O, 'c': O, 'd': O})"
+            ),
+        }
+        tracemalloc.start()
+        try:
+            got = {
+                law: check_family_law(family, law, max_exhaustive=1000).verdict.describe()
+                for law in expected
+            }
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        # A 625 x 625 row table alone holds 390,625 entries, several MB.
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("law, code, lines", [
+        ("idempotent-wedge", 0, ["holds (exhaustive)"] * 7),
+        ("excluded-middle", 1, [
+            "fails: x vee complement(x) = I: inputs (ModernSet({'x1': O, 'x2': O, 'x3': O, "
+            "'x4': O, 'x5': O, 'x6': m1})) give ModernSet({'x1': I, 'x2': I, 'x3': I, "
+            "'x4': I, 'x5': I, 'x6': m3}) != ModernSet({'x1': I, 'x2': I, 'x3': I, "
+            "'x4': I, 'x5': I, 'x6': I})",
+        ] + ["fails: x vee complement(x) = I: inputs (m1) give m3 != I"] * 6),
+    ])
+    def test_lift_over_fifteen_thousand_sets(self, capsys, law, code, lines):
+        # 15,625 sets: the arity-1 scan is exhaustive, a row table would hold 244 M entries
+        assert run_command(["lift", "chain5@6", law]) == code
+        family_line, *point_lines = lines
+        expected = [f"law {law}:", f"  family of sets: {family_line}"]
+        expected += [f"  at point 'x{i}': {line}" for i, line in enumerate(point_lines, 1)]
+        expected.append("  levels agree: yes")
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 class TestSampleCounts:

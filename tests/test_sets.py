@@ -112,6 +112,32 @@ class TestConstruction:
         with pytest.raises(TypeError):
             a.membership["p"] = Fraction(1)
 
+    def test_membership_follows_the_universe(self):
+        fam = fuzzy_family(("q", "p"))
+        a = modern_set(fam, {"p": Fraction(1, 2), "q": Fraction(3, 10)})
+        assert a.membership == {"p": Fraction(1, 2), "q": Fraction(3, 10)}
+        assert list(a.membership) == ["q", "p"]
+        assert a.describe() == "{'q': 3/10, 'p': 1/2}"
+
+    def test_unknown_point_message(self):
+        a = empty_set(fuzzy_family())
+        with pytest.raises(DomainError, match=r"^point 'zzz' is not in the universe$"):
+            a.value_at("zzz")
+
+    @pytest.mark.parametrize("membership, message", [
+        ({"p": "O"}, "no membership value given at point 'q'"),
+        ({"p": "Z", "q": Fraction(0)}, "value Z at point 'p' is not in the carrier of algebra 'chain3'"),
+        ({"p": "O", "q": Fraction(3, 2)}, "value 3/2 at point 'q' is not in the carrier of algebra 'fuzzy'"),
+        ({"p": "O", "q": Fraction(0), "r": "I"}, "membership given at unknown point 'r'"),
+        # values are checked in universe order, before unknown points
+        ({"q": Fraction(1), "p": "Z", "r": 1}, "value Z at point 'p' is not in the carrier of algebra 'chain3'"),
+    ])
+    def test_modern_set_messages(self, membership, message):
+        fam = AlgebraFamily(Universe(("p", "q")), {"p": chain_algebra(3), "q": fuzzy_algebra()})
+        with pytest.raises(DomainError) as err:
+            modern_set(fam, membership)
+        assert str(err.value) == message
+
 
 class TestPointwiseOps:
     def test_fuzzy_union_intersection(self):
