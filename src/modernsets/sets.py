@@ -115,29 +115,29 @@ class ModernSet:
     values agree at every point; the hash depends on the values only.
     """
 
-    __slots__ = ("family", "values")
+    __slots__ = ("family", "_values")
 
     def __init__(self, family: AlgebraFamily, values: tuple[Element, ...]):
         self.family = family
-        self.values = values
+        self._values = values
 
     @property
     def membership(self) -> Mapping[Point, Element]:
-        return MappingProxyType(dict(zip(self.family.universe.points, self.values)))
+        return MappingProxyType(dict(zip(self.family.universe.points, self._values)))
 
     def value_at(self, point: Point) -> Element:
         i = self.family.position.get(point)
         if i is None:
             raise DomainError(f"point {point!r} is not in the universe")
-        return self.values[i]
+        return self._values[i]
 
     def __eq__(self, other):
         if not isinstance(other, ModernSet):
             return NotImplemented
-        return self.family.compatible(other.family) and self.values == other.values
+        return self.family.compatible(other.family) and self._values == other._values
 
     def __hash__(self):
-        return hash(self.values)
+        return hash(self._values)
 
     def __or__(self, other):
         return union(self, other)
@@ -153,7 +153,7 @@ class ModernSet:
 
     def describe(self) -> str:
         parts = ", ".join(
-            f"{x!r}: {render_element(v)}" for x, v in zip(self.family.universe.points, self.values)
+            f"{x!r}: {render_element(v)}" for x, v in zip(self.family.universe.points, self._values)
         )
         return "{" + parts + "}"
 
@@ -220,7 +220,7 @@ def _pointwise(a: ModernSet, b: ModernSet, op: str) -> ModernSet:
     _require_compatible(a, b)
     family = a.family
     values = []
-    for x, alg, u, v in zip(family.universe.points, family.handles, a.values, b.values):
+    for x, alg, u, v in zip(family.universe.points, family.handles, a._values, b._values):
         r = getattr(alg, op)(u, v)
         if not alg.is_member(r):
             raise _escaped(alg, x, r)
@@ -242,7 +242,7 @@ def complement(a: ModernSet) -> ModernSet:
     """Pointwise complement; every point's algebra must declare one."""
     family = a.family
     values = []
-    for x, alg, u in zip(family.universe.points, family.handles, a.values):
+    for x, alg, u in zip(family.universe.points, family.handles, a._values):
         if alg.complement is None:
             raise UnsupportedOperationError(
                 f"algebra {alg.name!r} at point {x!r} declares no complement"
@@ -257,12 +257,12 @@ def complement(a: ModernSet) -> ModernSet:
 def equals(a: ModernSet, b: ModernSet) -> bool:
     """Pointwise equality of membership values."""
     _require_compatible(a, b)
-    return a.values == b.values
+    return a._values == b._values
 
 
 def is_empty(a: ModernSet) -> bool:
     """True when every point sits at its algebra's O."""
-    return all(v == alg.zero for alg, v in zip(a.family.handles, a.values))
+    return all(v == alg.zero for alg, v in zip(a.family.handles, a._values))
 
 
 def contains(a: ModernSet, b: ModernSet) -> bool:
@@ -277,7 +277,7 @@ def contains(a: ModernSet, b: ModernSet) -> bool:
     """
     _require_compatible(a, b)
     family = a.family
-    for x, alg, u, v in zip(family.universe.points, family.handles, a.values, b.values):
+    for x, alg, u, v in zip(family.universe.points, family.handles, a._values, b._values):
         if alg.structure != "fuzzy-unit" and alg.lattice is None:
             raise UnsupportedOperationError(
                 f"algebra {alg.name!r} at point {x!r} declares no order"
@@ -320,7 +320,7 @@ def verify_crisp_restriction(family: AlgebraFamily, universe_size_cap: int = 4) 
 
     def mask_of(s: ModernSet) -> int | None:
         out = 0
-        for i, (alg, v) in enumerate(zip(family.handles, s.values)):
+        for i, (alg, v) in enumerate(zip(family.handles, s._values)):
             if v == alg.one:
                 out |= 1 << i
             elif v != alg.zero:
