@@ -449,7 +449,10 @@ def _all_sets(family: AlgebraFamily):
         yield ModernSet(family, values)
 
 
-_SLAB_TUPLES = 1024  # tuples per slab of a column scan, at least
+# Tuples per slab of a column scan, at least. Smaller slabs slow passing
+# scans (10-15% at 128); larger ones evaluate whole slabs past an early
+# failure (distributive on chain5 x M3: 1.7x at 2048, 3x at 4096).
+_SLAB_TUPLES = 1024
 
 
 class _ColumnOps:
@@ -461,7 +464,7 @@ class _ColumnOps:
     numbers, ``rows[a][b]``, composed from the point tables digit by digit
     on first use, and each operation takes whole columns of indices in one
     call. ``zero`` and ``one`` are constant columns as long as the slab
-    :meth:`slabs` yielded last.
+    :meth:`slabs` yielded last, and are valid for that slab only.
     """
 
     def __init__(self, family: AlgebraFamily, tables: list[_PointTables]):
@@ -545,17 +548,15 @@ class _ColumnOps:
 def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhaustive: int):
     """All tuples of sets of a finite family, in declaration order.
 
-    Scans columns of set indices when the row tables hold at most
-    ``max_exhaustive`` entries and every point compiles to exact tables,
-    and rebuilds the witness from the sets through ``ops``; otherwise scans
-    the sets themselves.
+    A law of arity 2 or more scans columns of set indices when every point
+    compiles to exact tables, and rebuilds the witness from the sets
+    through ``ops``; an arity-1 law, or a point that does not compile,
+    scans the sets themselves.
     """
-    tables = None
-    if _set_count(family) ** 2 <= max_exhaustive:
-        tables = [
-            _compile_point(alg, law.needs_complement, max_exhaustive) for alg in family.handles
-        ]
-    if tables is None or None in tables:
+    if law.arity == 1:
+        return _verdict(ops, law, zip(_all_sets(family)))
+    tables = [_compile_point(alg, law.needs_complement, max_exhaustive) for alg in family.handles]
+    if None in tables:
         return _verdict(ops, law, product(_all_sets(family), repeat=law.arity))
     columns = _ColumnOps(family, tables)
     found = _scan(columns, law, columns.slabs(law.arity))
@@ -659,10 +660,11 @@ def check_family_law(
     equation is evaluated on whole columns of index tuples, a slab at a
     time, in declaration order. So the scan reports the same first witness
     as a scan over the sets themselves; the witness is rebuilt from sets.
-    The row tables hold ``n * n`` entries and are built only when that is
-    at most ``max_exhaustive``. Past that bound, or when some point's
-    operations leave its listed elements, the family is scanned set by
-    set, which raises the same StructuralError at the same operation.
+    The row tables hold ``n * n`` entries, no more than the ``n ** arity``
+    tuples of a law of arity 2 or more, so only such laws use them.
+    Arity-1 laws, and families where some point's operations leave its
+    listed elements, are scanned set by set, which raises the same
+    StructuralError at the same operation.
     """
     require_count("samples", samples)
     law = _resolve(law)

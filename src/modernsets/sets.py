@@ -76,14 +76,13 @@ class AlgebraFamily:
         if extra:
             raise StructuralError(f"algebra assigned at unknown point {extra[0]!r}")
         self.universe = universe
-        self.assignment = dict(assignment)
-        self.handles = tuple(self.assignment[x] for x in universe.points)
+        self.handles = tuple(assignment[x] for x in universe.points)
         self.position = {x: i for i, x in enumerate(universe.points)}
         self.name = name
 
     def algebra_at(self, point: Point) -> AlgebraHandle:
         try:
-            return self.assignment[point]
+            return self.handles[self.position[point]]
         except KeyError:
             raise DomainError(f"point {point!r} is not in the universe") from None
 

@@ -2,7 +2,7 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, combinations, product
+from itertools import chain, combinations, product
 from random import Random
 
 import pytest
@@ -48,7 +48,6 @@ from modernsets import (
     union,
 )
 from modernsets import laws
-from modernsets.algebra import _compile_point
 from modernsets.cli import run_command
 from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan, _verdict
 
@@ -285,21 +284,43 @@ def family_of(algebras):
     return AlgebraFamily(Universe(points), dict(zip(points, algebras)))
 
 
-def assert_kernel_matches_object_path(family, law):
-    """The exhaustive verdict equals the object-level scan and the lift oracle."""
-    verdict = check_family_law(family, law).verdict
+def _table_algebra(name, tokens, wedge_mm):
+    """chain3's tables on ``tokens`` order, except wedge(m, m) = ``wedge_mm``."""
+    rank = {"O": 0, "m": 1, "I": 2}
+    wedge = {(x, y): min(x, y, key=rank.get) for x in tokens for y in tokens}
+    vee = {(x, y): max(x, y, key=rank.get) for x in tokens for y in tokens}
+    wedge["m", "m"] = wedge_mm
+    complement = {"O": "I", "m": "m", "I": "O"}
+    return FiniteAlgebraTable(name, tokens, "O", "I", wedge, vee, complement).as_handle()
+
+
+# Listed first, m fails at the first set; listed last, at the last ones.
+# Squashed (wedge(m, m) = O) breaks the lattice laws at m as well.
+KERNEL_ALGEBRAS = {
+    **NAMED_ALGEBRAS,
+    "m-first": _table_algebra("m-first", ("m", "O", "I"), "m"),
+    "squashed-first": _table_algebra("squashed-first", ("m", "O", "I"), "O"),
+    "squashed-last": _table_algebra("squashed-last", ("O", "I", "m"), "O"),
+}
+SLAB_SIZES = (1, 7, 24, 100, 1024)
+
+
+def assert_kernel_matches_object_path(family, law, slabs=(laws._SLAB_TUPLES,)):
+    """The exhaustive verdict at each slab size equals the set-by-set scan and the lift oracle."""
     per_point = [check_law(family.algebra_at(x), law).verdict for x in family.universe.points]
-    if not verdict.applicable:
-        assert any(not v.applicable for v in per_point), law.name
-        return
-    expected = _scan(_SetOps(family), law, product(_all_sets(family), repeat=law.arity))
-    if expected is None:
-        assert verdict == Verdict.holds_exhaustive(), law.name
-    else:
-        assert verdict.failed, law.name
-        assert verdict.witness == expected, law.name
+    expected = None
+    for slab in slabs:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laws, "_SLAB_TUPLES", slab)
+            verdict = check_family_law(family, law).verdict
+        if not verdict.applicable:
+            assert any(not v.applicable for v in per_point), law.name
+            return
+        if expected is None:
+            expected = _verdict(_SetOps(family), law, product(_all_sets(family), repeat=law.arity))
+        assert verdict == expected, (slab, law.name)
     # Birkhoff: an identity holds on the product exactly when it holds at every point
-    assert verdict.holds == all(v.holds for v in per_point), law.name
+    assert expected.holds == all(v.holds for v in per_point), law.name
 
 
 class TestFamilyKernel:
@@ -307,12 +328,13 @@ class TestFamilyKernel:
         ("classical2",), ("chain3",), ("pow2",), ("chain5",), ("m3",), ("n5",),
         ("classical2", "chain3"), ("pow2", "m3"), ("chain5", "n5"), ("n5", "classical2"),
         ("m3", "chain3"), ("chain3", "pow2", "classical2"), ("classical2", "n5", "classical2"),
+        ("m-first", "m-first"), ("squashed-first", "pow2"), ("squashed-last", "classical2"),
     ])
     def test_named_families_match_object_path(self, names):
-        family = family_of([NAMED_ALGEBRAS[name] for name in names])
+        family = family_of([KERNEL_ALGEBRAS[name] for name in names])
         for law in LAWS:
-            if len(list(_all_sets(family))) ** law.arity <= 50_000:
-                assert_kernel_matches_object_path(family, law)
+            if laws._set_count(family) ** law.arity <= 50_000:
+                assert_kernel_matches_object_path(family, law, SLAB_SIZES)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(census_algebras(), min_size=1, max_size=3))
@@ -360,27 +382,34 @@ class TestFamilyKernel:
         with pytest.raises(StructuralError, match="do not give the same result twice"):
             check_family_law(family, "commutative-vee")
 
-    def test_slab_boundaries_match_object_path(self, monkeypatch):
-        """Every law, at slab sizes that do and do not divide the set count.
+    def test_slab_cases_reach_every_boundary(self):
+        """The first failures of the named families fall at tuple 0, inside a
+        later slab and in a last slab that does not divide the set count.
 
-        The first failures fall at tuple 0, inside a later slab and in the
-        last slab; the test checks that it saw each of those positions.
+        A slab holds ``ceil(slab / n ** (arity - 1))`` whole first arguments;
+        positions are worked out from that rule and the set-by-set witness.
         """
         positions = set()
-        for slab in (1, 4, 7, 12, 24, 100, 1024):
-            monkeypatch.setattr(laws, "_SLAB_TUPLES", slab)
-            for family in SLAB_FAMILIES:
-                n = laws._set_count(family)
-                sets = list(_all_sets(family))
-                for law in LAWS:
-                    verdict = check_family_law(family, law).verdict
-                    if not verdict.applicable:
-                        continue
-                    expected = _verdict(_SetOps(family), law, product(sets, repeat=law.arity))
-                    assert verdict == expected, (slab, family, law.name)
-                    if verdict.failed:
-                        index = reduce(lambda i, s: i * n + sets.index(s), verdict.witness.inputs, 0)
-                        positions.add(slab_position(family, law, index))
+        for names in (("m-first", "m-first"), ("squashed-first", "pow2"),
+                      ("squashed-last", "classical2"), ("m3", "chain3"), ("chain5", "n5")):
+            family = family_of([KERNEL_ALGEBRAS[name] for name in names])
+            sets = list(_all_sets(family))
+            n = len(sets)
+            ops = _SetOps(family)
+            for law in LAWS:
+                if law.arity == 1 or law.needs_complement and ops.complement is None:
+                    continue  # scanned set by set, or not applicable
+                found = _scan(ops, law, product(sets, repeat=law.arity))
+                if found is None:
+                    continue
+                index = reduce(lambda i, s: i * n + sets.index(s), found.inputs, 0)
+                block = n ** (law.arity - 1)
+                for slab in SLAB_SIZES:
+                    step = -(-slab // block)  # first arguments per slab
+                    at, last = index // (block * step), (n - 1) // step
+                    where = "tuple 0" if index == 0 else "last slab" if at == last else (
+                        "later slab" if at else "first slab")
+                    positions.add((where, n % step == 0))
         assert {"tuple 0", "later slab", "last slab"} <= {where for where, _ in positions}
         assert ("last slab", False) in positions  # the slabs do not divide n
 
@@ -410,45 +439,11 @@ class TestFamilyKernel:
                 assert rng.getstate() == reference.getstate()
 
 
-def _table_algebra(name, tokens, wedge_mm):
-    """chain3's tables on ``tokens`` order, except wedge(m, m) = ``wedge_mm``."""
-    rank = {"O": 0, "m": 1, "I": 2}
-    wedge = {(x, y): min(x, y, key=rank.get) for x in tokens for y in tokens}
-    vee = {(x, y): max(x, y, key=rank.get) for x in tokens for y in tokens}
-    wedge["m", "m"] = wedge_mm
-    complement = {"O": "I", "m": "m", "I": "O"}
-    return FiniteAlgebraTable(name, tokens, "O", "I", wedge, vee, complement).as_handle()
-
-
-# Listed first, m fails at the first set; listed last, at the last ones.
-# Squashed (wedge(m, m) = O) breaks the lattice laws at m as well.
-SLAB_FAMILIES = [
-    family_of([_table_algebra("m-first", ("m", "O", "I"), "m")] * 2),
-    family_of([_table_algebra("squashed-first", ("m", "O", "I"), "O"), NAMED_ALGEBRAS["pow2"]]),
-    family_of([_table_algebra("squashed-last", ("O", "I", "m"), "O"), NAMED_ALGEBRAS["classical2"]]),
-    family_of([NAMED_ALGEBRAS["m3"], NAMED_ALGEBRAS["chain3"]]),
-    family_of([NAMED_ALGEBRAS["chain5"], NAMED_ALGEBRAS["n5"]]),
-]
-
-
-def slab_position(family, law, index):
-    """Where tuple ``index`` falls in the column scan's slabs, and whether they divide n."""
-    tables = [_compile_point(alg, law.needs_complement, 10**9) for alg in family.handles]
-    lengths = [len(slab[0]) for slab in laws._ColumnOps(family, tables).slabs(law.arity)]
-    ends = list(accumulate(lengths))
-    at = next(i for i, end in enumerate(ends) if index < end)
-    divides = len(set(lengths)) == 1
-    if index == 0:
-        return "tuple 0", divides
-    if at == len(ends) - 1:
-        return "last slab", divides
-    return ("later slab" if at else "first slab"), divides
-
-
 class TestKernelMemoryBound:
-    """Row tables hold at most ``max_exhaustive`` entries; past that, sets are scanned."""
+    """Row tables hold n * n entries, so arity-1 laws scan the n sets instead."""
 
-    def test_arity_one_laws_past_the_table_bound(self):
+    @pytest.mark.parametrize("max_exhaustive", [1000, 400_000])
+    def test_arity_one_laws_build_no_row_table(self, max_exhaustive):
         family = constant_family(("a", "b", "c", "d"), chain_algebra(5))  # 625 sets
         expected = {
             "idempotent-wedge": "holds (exhaustive)",
@@ -467,14 +462,15 @@ class TestKernelMemoryBound:
         tracemalloc.start()
         try:
             got = {
-                law: check_family_law(family, law, max_exhaustive=1000).verdict.describe()
+                law: check_family_law(family, law, max_exhaustive=max_exhaustive).verdict.describe()
                 for law in expected
             }
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert got == expected
-        # A 625 x 625 row table alone holds 390,625 entries, several MB.
+        # A 625 x 625 row table alone holds 390,625 entries, several MB; at
+        # 400,000 it would be within the bound.
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("law, code, lines", [
