@@ -34,6 +34,7 @@ from typing import Callable
 
 from .algebra import AlgebraHandle, Element, _compile_point, _PointTables
 from .errors import PreconditionError, StructuralError, require_count
+from .expressions import Complement, Expression, Ident, Intersection, Union, parse_expression
 from .lattice import FiniteLattice
 from .reporting import LawReport, Verdict, Witness
 from .sets import (
@@ -41,7 +42,6 @@ from .sets import (
     ModernSet,
     Point,
     complement as set_complement,
-    embed_crisp,
     empty_set,
     full_set,
     intersection,
@@ -60,7 +60,9 @@ class Law:
     ``equations`` entries are (label, fn) where fn(ops, *args) returns the
     two sides to compare; ``ops`` exposes wedge/vee/complement/zero/one.
     ``diagnostic`` marks laws reported for interest rather than as part of
-    the standard battery.
+    the standard battery. Registry laws are written once, as equation text
+    in the expression language (:func:`_law`), and the labels, arity,
+    ``needs_complement`` and closures are all derived from that text.
     """
 
     name: str
@@ -70,89 +72,81 @@ class Law:
     diagnostic: bool = False
 
 
+_CONSTANTS = {"O": "o.zero", "I": "o.one"}
+
+
+def _variables(node: Expression) -> set[str]:
+    if isinstance(node, Ident):
+        return {node.name} - _CONSTANTS.keys()
+    if isinstance(node, Complement):
+        return _variables(node.operand)
+    return _variables(node.left) | _variables(node.right)
+
+
+_WORDS = {Intersection: "wedge", Union: "vee"}
+
+
+def _label(node: Expression, nested: bool = False) -> str:
+    """``node`` in words, with parentheses around every nested binary operation."""
+    if isinstance(node, Ident):
+        return node.name
+    if isinstance(node, Complement):
+        return f"complement({_label(node.operand)})"
+    text = f"{_label(node.left, True)} {_WORDS[type(node)]} {_label(node.right, True)}"
+    return f"({text})" if nested else text
+
+
+def _source(node: Expression, names: dict[str, str]) -> str:
+    """``node`` as calls on the ops object ``o``, each leaf renamed by ``names``."""
+    if isinstance(node, Ident):
+        return names[node.name]
+    if isinstance(node, Complement):
+        return f"o.complement({_source(node.operand, names)})"
+    return f"o.{_WORDS[type(node)]}({_source(node.left, names)}, {_source(node.right, names)})"
+
+
+def _law(name: str, *equations: str, diagnostic: bool = False) -> Law:
+    """A law written as equation text in the expression language.
+
+    Each side is parsed by :func:`parse_expression`, with ``O`` and ``I``
+    the constants. The law's variables, in name order, are the arguments
+    of every equation. Each closure is one lambda generated from the trees
+    and compiled once, so a scan costs what a hand-written lambda does;
+    only fixed strings and the parameter names ``a0, a1, ...`` reach its
+    source.
+    """
+    trees = [tuple(map(parse_expression, text.split("="))) for text in equations]
+    variables = sorted(set().union(*(_variables(side) for pair in trees for side in pair)))
+    names = {**_CONSTANTS, **{v: f"a{i}" for i, v in enumerate(variables)}}
+    params = "".join(f", a{i}" for i in range(len(variables)))
+    labels = [f"{_label(lhs)} = {_label(rhs)}" for lhs, rhs in trees]
+    sources = [
+        f"lambda o{params}: ({_source(lhs, names)}, {_source(rhs, names)})" for lhs, rhs in trees
+    ]
+    needs_complement = any("o.complement(" in source for source in sources)
+    equations = tuple((label, eval(source, {})) for label, source in zip(labels, sources))
+    return Law(name, len(variables), needs_complement, equations, diagnostic)
+
+
 LAWS: tuple[Law, ...] = (
-    Law(
-        "commutative-wedge", 2, False,
-        (("x wedge y = y wedge x", lambda o, x, y: (o.wedge(x, y), o.wedge(y, x))),),
+    _law("commutative-wedge", r"x /\ y = y /\ x"),
+    _law("commutative-vee", r"x \/ y = y \/ x"),
+    _law("associative-wedge", r"x /\ (y /\ z) = (x /\ y) /\ z"),
+    _law("associative-vee", r"x \/ (y \/ z) = (x \/ y) \/ z"),
+    _law("absorption", r"x /\ (x \/ y) = x", r"x \/ (x /\ y) = x"),
+    _law(
+        "distributive",
+        r"x \/ (y /\ z) = (x \/ y) /\ (x \/ z)",
+        r"x /\ (y \/ z) = (x /\ y) \/ (x /\ z)",
     ),
-    Law(
-        "commutative-vee", 2, False,
-        (("x vee y = y vee x", lambda o, x, y: (o.vee(x, y), o.vee(y, x))),),
-    ),
-    Law(
-        "associative-wedge", 3, False,
-        ((
-            "x wedge (y wedge z) = (x wedge y) wedge z",
-            lambda o, x, y, z: (o.wedge(x, o.wedge(y, z)), o.wedge(o.wedge(x, y), z)),
-        ),),
-    ),
-    Law(
-        "associative-vee", 3, False,
-        ((
-            "x vee (y vee z) = (x vee y) vee z",
-            lambda o, x, y, z: (o.vee(x, o.vee(y, z)), o.vee(o.vee(x, y), z)),
-        ),),
-    ),
-    Law(
-        "absorption", 2, False,
-        (
-            ("x wedge (x vee y) = x", lambda o, x, y: (o.wedge(x, o.vee(x, y)), x)),
-            ("x vee (x wedge y) = x", lambda o, x, y: (o.vee(x, o.wedge(x, y)), x)),
-        ),
-    ),
-    Law(
-        "distributive", 3, False,
-        (
-            (
-                "x vee (y wedge z) = (x vee y) wedge (x vee z)",
-                lambda o, x, y, z: (
-                    o.vee(x, o.wedge(y, z)),
-                    o.wedge(o.vee(x, y), o.vee(x, z)),
-                ),
-            ),
-            (
-                "x wedge (y vee z) = (x wedge y) vee (x wedge z)",
-                lambda o, x, y, z: (
-                    o.wedge(x, o.vee(y, z)),
-                    o.vee(o.wedge(x, y), o.wedge(x, z)),
-                ),
-            ),
-        ),
-    ),
-    Law(
-        "idempotent-wedge", 1, False,
-        (("x wedge x = x", lambda o, x: (o.wedge(x, x), x)),),
-    ),
-    Law(
-        "idempotent-vee", 1, False,
-        (("x vee x = x", lambda o, x: (o.vee(x, x), x)),),
-    ),
-    Law(
-        "excluded-middle", 1, True,
-        (("x vee complement(x) = I", lambda o, x: (o.vee(x, o.complement(x)), o.one)),),
-    ),
-    Law(
-        "non-contradiction", 1, True,
-        (("x wedge complement(x) = O", lambda o, x: (o.wedge(x, o.complement(x)), o.zero)),),
-    ),
-    Law(
-        "de-morgan", 2, True,
-        (
-            (
-                "complement(x vee y) = complement(x) wedge complement(y)",
-                lambda o, x, y: (
-                    o.complement(o.vee(x, y)),
-                    o.wedge(o.complement(x), o.complement(y)),
-                ),
-            ),
-            (
-                "complement(x wedge y) = complement(x) vee complement(y)",
-                lambda o, x, y: (
-                    o.complement(o.wedge(x, y)),
-                    o.vee(o.complement(x), o.complement(y)),
-                ),
-            ),
-        ),
+    _law("idempotent-wedge", r"x /\ x = x"),
+    _law("idempotent-vee", r"x \/ x = x"),
+    _law("excluded-middle", r"x \/ ~x = I"),
+    _law("non-contradiction", r"x /\ ~x = O"),
+    _law(
+        "de-morgan",
+        r"~(x \/ y) = ~x /\ ~y",
+        r"~(x /\ y) = ~x \/ ~y",
         diagnostic=True,
     ),
 )
@@ -246,13 +240,8 @@ _ASSOCIATIVE_LAW = _joined("associative", "associative-wedge", "associative-vee"
 
 # Mismatched right-hand side, kept out of LAWS: it is NOT equivalent to
 # distributivity and fails even on some distributive lattices.
-_DISTRIBUTIVE_MIXED_LAW = Law(
-    "distributive-mixed-form", 3, False,
-    ((
-        "x vee (y wedge z) = (x vee y) wedge (y vee z)",
-        lambda o, x, y, z: (o.vee(x, o.wedge(y, z)), o.wedge(o.vee(x, y), o.vee(y, z))),
-    ),),
-    diagnostic=True,
+_DISTRIBUTIVE_MIXED_LAW = _law(
+    "distributive-mixed-form", r"x \/ (y /\ z) = (x \/ y) /\ (y \/ z)", diagnostic=True
 )
 
 
@@ -425,7 +414,6 @@ class _SetOps:
     """Adapter giving modern-set operations the algebra-ops attribute shape."""
 
     def __init__(self, family: AlgebraFamily):
-        self.family = family
         self.wedge = intersection
         self.vee = union
         self.zero = empty_set(family)
@@ -846,24 +834,19 @@ def check_gf_ring_conditions(
                 )
         cha_per_point[x] = by_handle[alg]
 
-    n = len(points)
-    embeddings = []
-    for mask in range(1 << n):
-        embeddings.append(
-            embed_crisp(family, [points[i] for i in range(n) if mask & (1 << i)])
-        )
-    powerset_embeds = Verdict.holds_exhaustive(details=(("subsets", 1 << n),))
-    seen: dict[ModernSet, int] = {}
-    for mask, embedded in enumerate(embeddings):
-        if embedded in seen:
-            powerset_embeds = Verdict.fails(Witness(
-                inputs=(seen[embedded], mask),
-                lhs="equal embeddings",
-                rhs="distinct embeddings",
-                note="two different subsets embed to the same set",
-            ))
-            break
-        seen[embedded] = mask
+    # Two embeddings are equal exactly when they differ only at points
+    # where O = I, so the first collision in mask order is (0, 1 << i) for
+    # the first such point i.
+    degenerate = next((i for i, alg in enumerate(family.handles) if alg.zero == alg.one), None)
+    if degenerate is None:
+        powerset_embeds = Verdict.holds_exhaustive(details=(("subsets", 1 << len(points)),))
+    else:
+        powerset_embeds = Verdict.fails(Witness(
+            inputs=(0, 1 << degenerate),
+            lhs="equal embeddings",
+            rhs="distinct embeddings",
+            note="two different subsets embed to the same set",
+        ))
 
     crisp_ops_coincide = verify_crisp_restriction(family, universe_size_cap).verdict
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 from textwrap import dedent
@@ -415,6 +418,28 @@ def test_golden_transcript(capsys, name, argv):
 def test_golden_transcript_covers_every_recording():
     recorded = {path.stem for path in GOLDEN.glob("*.out")}
     assert recorded == {name for name, _ in GOLDEN_CASES} == set(GOLDEN_EXIT_CODES)
+
+
+REPO = Path(__file__).resolve().parents[1]
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+
+def test_every_demo_has_a_recording():
+    recorded = {path.stem for path in (GOLDEN / "demos").glob("*.out")}
+    assert recorded == {demo.stem for demo in DEMOS}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_transcript(demo):
+    """Each demo, run as a script, prints its recorded output byte for byte."""
+    src = str(REPO / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+    result = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, env=env, timeout=60, check=False
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (GOLDEN / "demos" / f"{demo.stem}.out").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from modernsets import (
     constant_family,
     contains,
     complement as set_complement,
+    embed_crisp,
     empty_set,
     equals,
     full_set,
@@ -76,6 +77,118 @@ def recheck_point_witness(algebra, law, witness):
     pytest.fail(f"witness for {law.name} does not re-evaluate: {witness}")
 
 
+# The registry as it was written by hand, label beside lambda, before it was
+# written as equation text. Kept as the reference the compiled registry must
+# reproduce: same names, arities, labels and sides.
+Law = laws.Law
+REFERENCE_LAWS = (
+    Law(
+        "commutative-wedge", 2, False,
+        (("x wedge y = y wedge x", lambda o, x, y: (o.wedge(x, y), o.wedge(y, x))),),
+    ),
+    Law(
+        "commutative-vee", 2, False,
+        (("x vee y = y vee x", lambda o, x, y: (o.vee(x, y), o.vee(y, x))),),
+    ),
+    Law(
+        "associative-wedge", 3, False,
+        ((
+            "x wedge (y wedge z) = (x wedge y) wedge z",
+            lambda o, x, y, z: (o.wedge(x, o.wedge(y, z)), o.wedge(o.wedge(x, y), z)),
+        ),),
+    ),
+    Law(
+        "associative-vee", 3, False,
+        ((
+            "x vee (y vee z) = (x vee y) vee z",
+            lambda o, x, y, z: (o.vee(x, o.vee(y, z)), o.vee(o.vee(x, y), z)),
+        ),),
+    ),
+    Law(
+        "absorption", 2, False,
+        (
+            ("x wedge (x vee y) = x", lambda o, x, y: (o.wedge(x, o.vee(x, y)), x)),
+            ("x vee (x wedge y) = x", lambda o, x, y: (o.vee(x, o.wedge(x, y)), x)),
+        ),
+    ),
+    Law(
+        "distributive", 3, False,
+        (
+            (
+                "x vee (y wedge z) = (x vee y) wedge (x vee z)",
+                lambda o, x, y, z: (
+                    o.vee(x, o.wedge(y, z)),
+                    o.wedge(o.vee(x, y), o.vee(x, z)),
+                ),
+            ),
+            (
+                "x wedge (y vee z) = (x wedge y) vee (x wedge z)",
+                lambda o, x, y, z: (
+                    o.wedge(x, o.vee(y, z)),
+                    o.vee(o.wedge(x, y), o.wedge(x, z)),
+                ),
+            ),
+        ),
+    ),
+    Law(
+        "idempotent-wedge", 1, False,
+        (("x wedge x = x", lambda o, x: (o.wedge(x, x), x)),),
+    ),
+    Law(
+        "idempotent-vee", 1, False,
+        (("x vee x = x", lambda o, x: (o.vee(x, x), x)),),
+    ),
+    Law(
+        "excluded-middle", 1, True,
+        (("x vee complement(x) = I", lambda o, x: (o.vee(x, o.complement(x)), o.one)),),
+    ),
+    Law(
+        "non-contradiction", 1, True,
+        (("x wedge complement(x) = O", lambda o, x: (o.wedge(x, o.complement(x)), o.zero)),),
+    ),
+    Law(
+        "de-morgan", 2, True,
+        (
+            (
+                "complement(x vee y) = complement(x) wedge complement(y)",
+                lambda o, x, y: (
+                    o.complement(o.vee(x, y)),
+                    o.wedge(o.complement(x), o.complement(y)),
+                ),
+            ),
+            (
+                "complement(x wedge y) = complement(x) vee complement(y)",
+                lambda o, x, y: (
+                    o.complement(o.wedge(x, y)),
+                    o.vee(o.complement(x), o.complement(y)),
+                ),
+            ),
+        ),
+        diagnostic=True,
+    ),
+    Law(
+        "distributive-mixed-form", 3, False,
+        ((
+            "x vee (y wedge z) = (x vee y) wedge (y vee z)",
+            lambda o, x, y, z: (o.vee(x, o.wedge(y, z)), o.wedge(o.vee(x, y), o.vee(y, z))),
+        ),),
+        diagnostic=True,
+    ),
+)
+COMPILED_LAWS = (*LAWS, laws._DISTRIBUTIVE_MIXED_LAW)
+
+
+def assert_equations_match_reference(ops, values):
+    """Every compiled equation gives the reference lambda's two sides on
+    every tuple of ``values`` (complement laws only where ``ops`` has one)."""
+    for law, ref in zip(COMPILED_LAWS, REFERENCE_LAWS):
+        if law.needs_complement and ops.complement is None:
+            continue
+        for args in product(values, repeat=law.arity):
+            for (label, fn), (_, ref_fn) in zip(law.equations, ref.equations):
+                assert fn(ops, *args) == ref_fn(ops, *args), (label, args)
+
+
 class TestRegistry:
     def test_names_and_order_are_frozen(self):
         assert LAW_NAMES == (
@@ -105,6 +218,34 @@ class TestRegistry:
 
     def test_only_de_morgan_is_diagnostic(self):
         assert [law.name for law in LAWS if law.diagnostic] == ["de-morgan"]
+
+    def test_text_registry_matches_hand_written_reference(self):
+        assert len(COMPILED_LAWS) == len(REFERENCE_LAWS)
+        for law, ref in zip(COMPILED_LAWS, REFERENCE_LAWS):
+            assert (law.name, law.arity, law.needs_complement, law.diagnostic) == (
+                ref.name, ref.arity, ref.needs_complement, ref.diagnostic
+            )
+            assert [label for label, _ in law.equations] == [label for label, _ in ref.equations]
+
+    def test_compiled_equations_match_reference_on_census_tables(self, census_table):
+        complements = ({"O": "I", "m": "m", "I": "O"}, {"O": "I", "m": "O", "I": "m"}, None)
+        for k, index in enumerate([55764, *Random(31).sample(range(3 ** 10), 60)]):
+            h = census_table(index, complements[k % 3]).as_handle()
+            assert_equations_match_reference(h, h.elements)
+
+    def test_compiled_equations_match_reference_on_infinite_carriers(self):
+        fz = fuzzy_algebra()
+        rng = Random(5)
+        assert_equations_match_reference(fz, [*fz.boundary, *(fz.sample(rng) for _ in range(8))])
+        mat2 = matrix_algebra(2)
+        assert_equations_match_reference(mat2, mat2.boundary)
+
+    @pytest.mark.parametrize(
+        "lat", [m3_lattice(), n5_lattice(), powerset_lattice(3)], ids=["m3", "n5", "pow3"]
+    )
+    def test_compiled_equations_match_reference_on_lattices(self, lat):
+        flipped = dict(zip(lat.elements, reversed(lat.elements)))
+        assert_equations_match_reference(lattice_algebra(lat, complement=flipped), lat.elements)
 
     def test_get_law(self):
         assert get_law("absorption").name == "absorption"
@@ -592,6 +733,35 @@ class TestGfRingConditions:
         assert "1. complete Heyting" in text
         assert "4. bounds absorb" in text
         assert "overall: passed" in text
+
+    @pytest.mark.parametrize("degenerate", [(), (0,), (1,), (3,), (1, 2), (0, 3), (2, 3), (0, 1, 2, 3)])
+    def test_powerset_embeds_matches_subset_enumeration(self, degenerate):
+        # A one-element handle has O = I, so subsets that differ only there
+        # embed to the same set.
+        one = AlgebraHandle(
+            "one", "table", "O", "O", lambda x, y: "O", lambda x, y: "O",
+            lambda x: x == "O", complement=lambda x: "O", elements=("O",),
+        )
+        points = ("p", "q", "r", "s")
+        handles = [one if i in degenerate else chain_algebra(3) for i in range(len(points))]
+        fam = AlgebraFamily(Universe(points), dict(zip(points, handles)))
+        # the old route: embed all 2^n subsets, first collision in mask order
+        expected = Verdict.holds_exhaustive(details=(("subsets", 16),))
+        seen = {}
+        for mask in range(16):
+            embedded = embed_crisp(fam, [points[i] for i in range(4) if mask & (1 << i)])
+            if embedded in seen:
+                expected = Verdict.fails(Witness(
+                    inputs=(seen[embedded], mask),
+                    lhs="equal embeddings",
+                    rhs="distinct embeddings",
+                    note="two different subsets embed to the same set",
+                ))
+                break
+            seen[embedded] = mask
+        report = check_gf_ring_conditions(fam, samples=10, seed=0)
+        assert report.powerset_embeds == expected
+        assert report.powerset_embeds.holds == (not degenerate)
 
     def test_m3_point_fails_heyting_condition(self):
         fam = constant_family(("u",), lattice_algebra(m3_lattice()))
