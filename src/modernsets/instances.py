@@ -40,11 +40,16 @@ _identity = lru_cache(maxsize=None)(RationalMatrix.identity)
 def normalize_matrix(m: RationalMatrix) -> RationalMatrix:
     """Collapse positive integer multiples of the identity to the identity.
 
-    Every collapse returns the one shared identity of that dimension.
+    The test runs on the canonical integers: a common denominator of 1,
+    equal diagonal entries of at least 1, and no nonzero entry off the
+    diagonal. A collapse returns the one shared identity of that
+    dimension and anything else returns ``m`` itself, exactly where
+    ``scalar_identity_multiple()`` is an integer ``k >= 1``.
     """
-    q = m.scalar_identity_multiple()
-    if q is not None and q.denominator == 1 and q.numerator >= 1:
-        return _identity(m.dimension)
+    n, nums = m._n, m._nums
+    diag = nums[0]
+    if m._den == 1 and diag >= 1 and nums[:: n + 1] == (diag,) * n and sum(map(bool, nums)) == n:
+        return _identity(n)
     return m
 
 
@@ -107,7 +112,8 @@ def matrix_algebra(n: int) -> AlgebraHandle:
 
     def sample(rng: random.Random) -> RationalMatrix:
         # Integer entries in row-major order are already the canonical form.
-        nums = tuple(rng.randint(-2, 2) for _ in range(n * n))
+        # choice over five entries draws what randint(-2, 2) would.
+        nums = tuple([rng.choice((-2, -1, 0, 1, 2)) for _ in range(n * n)])
         return normalize_matrix(RationalMatrix._reduced(n, nums, 1))
 
     return AlgebraHandle(
@@ -160,26 +166,41 @@ def fuzzy_algebra() -> AlgebraHandle:
     Carrier membership requires an exact Fraction in [0, 1]. The boundary
     pool (0, 1, 1/2) guarantees sampled law checks always probe the ends
     and the midpoint, where excluded middle and non-contradiction break.
+
+    Wedge and vee compare by integer cross-products and return the very
+    operand ``min``/``max`` would; the complement ``Fraction(d - n, d)``
+    equals ``1 - n/d``. ``sample`` draws what ``Fraction(randint(0, d), d)``
+    after ``d = randint(1, 64)`` draws, as two ``choice`` calls on a table
+    of those fractions built on first use.
     """
     zero = Fraction(0)
     one = Fraction(1)
+    pool: tuple[tuple[Fraction, ...], ...] = ()
 
     def is_member(x: Element) -> bool:
         return isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator
 
+    def wedge(x: Fraction, y: Fraction) -> Fraction:
+        return y if y.numerator * x.denominator < x.numerator * y.denominator else x
+
+    def vee(x: Fraction, y: Fraction) -> Fraction:
+        return y if y.numerator * x.denominator > x.numerator * y.denominator else x
+
     def sample(rng: random.Random) -> Fraction:
-        denominator = rng.randint(1, 64)
-        return Fraction(rng.randint(0, denominator), denominator)
+        nonlocal pool
+        if not pool:
+            pool = tuple(tuple(Fraction(k, d) for k in range(d + 1)) for d in range(1, 65))
+        return rng.choice(rng.choice(pool))
 
     return AlgebraHandle(
         name="fuzzy",
         structure="fuzzy-unit",
         zero=zero,
         one=one,
-        wedge=min,
-        vee=max,
+        wedge=wedge,
+        vee=vee,
         is_member=is_member,
-        complement=lambda x: one - x,
+        complement=lambda x: Fraction(x.denominator - x.numerator, x.denominator),
         boundary=(zero, one, Fraction(1, 2)),
         sample=sample,
     )

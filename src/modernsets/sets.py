@@ -216,7 +216,8 @@ def _escaped(alg: AlgebraHandle, point: Point, value: Element) -> StructuralErro
 
 
 def _pointwise(a: ModernSet, b: ModernSet, op: str) -> ModernSet:
-    _require_compatible(a, b)
+    if b.family is not a.family:
+        _require_compatible(a, b)
     family = a.family
     values = []
     for x, alg, u, v in zip(family.universe.points, family.handles, a._values, b._values):

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,31 @@ class TestNormalize:
     def test_fractional_multiple_passes_through(self):
         m = I2.scale(Fraction(3, 2))
         assert normalize_matrix(m) == m
+
+    @staticmethod
+    def scalar_multiple_criterion(m):
+        q = m.scalar_identity_multiple()
+        if q is not None and q.denominator == 1 and q.numerator >= 1:
+            return matrix_algebra(m.dimension).one
+        return m
+
+    @pytest.mark.parametrize("den", [1, 2])
+    def test_returns_the_object_of_the_scalar_multiple_criterion_2x2(self, den):
+        entries = [Fraction(k, den) for k in range(-2, 3)]
+        for a, b, c, d in itertools.product(entries, repeat=4):
+            m = RationalMatrix([[a, b], [c, d]])
+            assert normalize_matrix(m) is self.scalar_multiple_criterion(m)
+
+    def test_returns_the_object_of_the_scalar_multiple_criterion_1x1(self):
+        for k in range(-3, 4):
+            m = RationalMatrix([[k]])
+            assert normalize_matrix(m) is self.scalar_multiple_criterion(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_returns_the_object_of_the_scalar_multiple_criterion_on_scaled_identities(self, n):
+        for k in (-1, 0, Fraction(1, 2), 1, 2, 3):
+            m = RationalMatrix.identity(n).scale(k)
+            assert normalize_matrix(m) is self.scalar_multiple_criterion(m)
 
     @given(
         st.lists(
@@ -107,8 +134,6 @@ class TestMatrixAlgebra:
         assert E01 in m.boundary and E10 in m.boundary
 
     def test_sampler_yields_members(self):
-        import random
-
         m = matrix_algebra(3)
         rng = random.Random(7)
         for _ in range(50):
@@ -116,8 +141,6 @@ class TestMatrixAlgebra:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sampler_draws_what_the_public_constructor_builds(self, n):
-        import random
-
         sample = matrix_algebra(n).sample
         for seed in range(5):
             rng, reference = random.Random(seed), random.Random(seed)
@@ -128,6 +151,8 @@ class TestMatrixAlgebra:
                 assert got == expected
                 assert hash(got) == hash(expected)
                 assert str(got) == str(expected)
+                # the sampler consumes the stream exactly as randint does
+                assert rng.getstate() == reference.getstate()
 
     def test_no_order_no_complement(self):
         m = matrix_algebra(2)
@@ -293,12 +318,43 @@ class TestFuzzyAlgebra:
         assert not contains(quarter, half)
 
     def test_sampler_in_range(self):
-        import random
-
         a = fuzzy_algebra()
         rng = random.Random(3)
         for _ in range(100):
             assert a.is_member(a.sample(rng))
+
+    def test_sampler_draws_what_randint_draws(self):
+        sample = fuzzy_algebra().sample
+        for seed in range(24):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(100):
+                got = sample(rng)
+                d = reference.randint(1, 64)
+                assert got == Fraction(reference.randint(0, d), d)
+                assert type(got) is Fraction
+                assert rng.getstate() == reference.getstate()
+
+    @staticmethod
+    def operand_pool():
+        a = fuzzy_algebra()
+        rng = random.Random(11)
+        draws = [a.sample(rng) for _ in range(40)]
+        # equal values in distinct objects, and the ints min/max also accept
+        return [*a.boundary, *draws, Fraction(1, 2), Fraction(2, 4), 0, 1]
+
+    def test_wedge_and_vee_return_the_operand_min_and_max_return(self):
+        a = fuzzy_algebra()
+        pool = self.operand_pool()
+        for x, y in itertools.product(pool, repeat=2):
+            assert a.wedge(x, y) is min(x, y)
+            assert a.vee(x, y) is max(x, y)
+
+    def test_complement_equals_one_minus(self):
+        a = fuzzy_algebra()
+        for x in self.operand_pool():
+            got = a.complement(x)
+            assert got == 1 - x
+            assert type(got) is Fraction
 
 
 class TestLatticeAlgebra:
