@@ -10,7 +10,8 @@ satisfying only the eight O/I truth-table identities:
 Nothing else is assumed: the operations need not commute, associate, or
 distribute, which is exactly what lets non-classical carriers (matrix
 algebras under multiply/add) participate. A complement is optional; when
-declared it must be an involution swapping O and I.
+declared it must be an involution swapping O and I. The identities are
+checked by :func:`~modernsets.laws.check_wba_axioms`, never assumed.
 
 Carrier elements are plain values: tokens (str) for finite algebras, exact
 rationals (Fraction) for the unit-interval algebra, and RationalMatrix for
@@ -140,67 +141,6 @@ def _compile_point(
     )
 
 
-class IdentityViolation(NamedTuple):
-    identity: str
-    inputs: tuple
-    expected: Element | str
-    actual: Element | str
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    passed: bool
-    violations: tuple[IdentityViolation, ...]
-
-    def describe(self) -> str:
-        if self.passed:
-            return "all weak-Boolean-algebra identities hold"
-        lines = [f"{len(self.violations)} identity violation(s):"]
-        for v in self.violations:
-            lines.append(f"  {v.identity}: expected {v.expected}, got {v.actual}")
-        return "\n".join(lines)
-
-
-# The eight defining identities, evaluated on (zero, one).
-WBA_IDENTITIES: tuple[tuple[str, str, tuple[str, str], str], ...] = (
-    ("O wedge I = O", "wedge", ("zero", "one"), "zero"),
-    ("I wedge O = O", "wedge", ("one", "zero"), "zero"),
-    ("O wedge O = O", "wedge", ("zero", "zero"), "zero"),
-    ("I wedge I = I", "wedge", ("one", "one"), "one"),
-    ("O vee I = I", "vee", ("zero", "one"), "one"),
-    ("I vee O = I", "vee", ("one", "zero"), "one"),
-    ("O vee O = O", "vee", ("zero", "zero"), "zero"),
-    ("I vee I = I", "vee", ("one", "one"), "one"),
-)
-
-
-def check_wba_axioms(a: AlgebraHandle) -> AxiomReport:
-    """Evaluate the eight defining identities plus O != I.
-
-    Results falling outside the carrier raise StructuralError: that is a
-    malformed algebra, not an identity violation.
-    """
-    violations: list[IdentityViolation] = []
-    if a.zero == a.one:
-        violations.append(
-            IdentityViolation("O != I", (a.zero, a.one), "distinct O and I", "O = I")
-        )
-    named = {"zero": a.zero, "one": a.one}
-    for identity, opname, arg_names, expected_name in WBA_IDENTITIES:
-        args = tuple(named[n] for n in arg_names)
-        op = a.wedge if opname == "wedge" else a.vee
-        actual = op(*args)
-        if not a.is_member(actual):
-            raise StructuralError(
-                f"algebra {a.name!r}: result of {identity.split('=')[0].strip()} "
-                f"is outside the carrier: {actual!r}"
-            )
-        expected = named[expected_name]
-        if actual != expected:
-            violations.append(IdentityViolation(identity, args, expected, actual))
-    return AxiomReport(passed=not violations, violations=tuple(violations))
-
-
 def apply_wedge(a: AlgebraHandle, x: Element, y: Element) -> Element:
     """Checked wedge: both operands must belong to the carrier.
 
@@ -245,7 +185,7 @@ class FiniteAlgebraTable:
 
     Construction validates structure only (distinct tokens, total tables,
     results inside the carrier); the eight algebra identities are checked by
-    :func:`check_wba_axioms`, never assumed.
+    :func:`~modernsets.laws.check_wba_axioms`, never assumed.
     """
 
     name: str

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import check_wba_axioms
 from .errors import (
     ExpressionSyntaxError,
     FileFormatError,
@@ -48,13 +47,15 @@ from .laws import (
     check_all_laws,
     check_gf_ring_conditions,
     check_lattice_laws,
+    check_wba_axioms,
     classify_family,
     find_noncommuting_witness,
     get_law,
     lift_check,
+    verify_crisp_restriction,
 )
 from .reporting import render_element
-from .sets import AlgebraFamily, constant_family, verify_crisp_restriction
+from .sets import AlgebraFamily, constant_family
 
 
 # Crisp checks enumerate every pair of subsets of the universe, 4^|X| pairs:

@@ -42,9 +42,9 @@ def normalize_matrix(m: RationalMatrix) -> RationalMatrix:
 
     The test runs on the canonical integers: a common denominator of 1,
     equal diagonal entries of at least 1, and no nonzero entry off the
-    diagonal. A collapse returns the one shared identity of that
-    dimension and anything else returns ``m`` itself, exactly where
-    ``scalar_identity_multiple()`` is an integer ``k >= 1``.
+    diagonal, which is exactly when ``m`` is ``k`` times the identity for
+    an integer ``k >= 1``. A collapse returns the one shared identity of
+    that dimension, and anything else returns ``m`` itself.
     """
     n, nums = m._n, m._nums
     diag = nums[0]

@@ -17,9 +17,12 @@ else. The report records whether the two levels agreed.
 
 Finite lattices are certified by the same registry and scanner: a lattice
 names its meet and join ``wedge`` and ``vee``, so it is its own ops object,
-and each certificate row is a registry law scanned over its elements. Every
-verdict, certificate row, ring condition and noncommuting-pair search comes
-from one scanner, :func:`_verdict`, over the tuples each check chooses.
+and each certificate row is a registry law scanned over its elements. The
+eight defining identities are registry equations too, each evaluated once
+by :func:`check_wba_axioms` so that every violation is reported. Every
+verdict, certificate row, ring condition (crisp restriction among them)
+and noncommuting-pair search comes from one scanner, :func:`_verdict`,
+over the tuples each check chooses.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import cached_property, partial
 from itertools import chain, combinations, islice, product, repeat
 from math import prod
 from operator import ne
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import AlgebraHandle, Element, _compile_point, _PointTables
 from .errors import PreconditionError, StructuralError, require_count
@@ -42,12 +45,12 @@ from .sets import (
     ModernSet,
     Point,
     complement as set_complement,
+    embed_crisp,
     empty_set,
     full_set,
     intersection,
     modern_set,
     union,
-    verify_crisp_restriction,
 )
 
 Equation = tuple[str, Callable]
@@ -223,6 +226,65 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
 def check_all_laws(a: AlgebraHandle, samples: int = 1000, seed: int = 0) -> tuple[LawReport, ...]:
     """Every registered law, in registry order."""
     return tuple(check_law(a, law, samples=samples, seed=seed) for law in LAWS)
+
+
+# ---------------------------------------------------------------------------
+# The defining identities
+
+
+class IdentityViolation(NamedTuple):
+    identity: str
+    inputs: tuple
+    expected: Element | str
+    actual: Element | str
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    passed: bool
+    violations: tuple[IdentityViolation, ...]
+
+    def describe(self) -> str:
+        if self.passed:
+            return "all weak-Boolean-algebra identities hold"
+        lines = [f"{len(self.violations)} identity violation(s):"]
+        for v in self.violations:
+            lines.append(f"  {v.identity}: expected {v.expected}, got {v.actual}")
+        return "\n".join(lines)
+
+
+_WBA_LAW = _law(
+    "weak-boolean-algebra",
+    r"O /\ I = O", r"I /\ O = O", r"O /\ O = O", r"I /\ I = I",
+    r"O \/ I = I", r"I \/ O = I", r"O \/ O = O", r"I \/ I = I",
+)
+
+
+def check_wba_axioms(a: AlgebraHandle) -> AxiomReport:
+    """Evaluate the eight defining identities plus O != I.
+
+    Each identity is one equation of the registry, evaluated once, so every
+    violation is reported, not only the first. Its inputs are the O and I
+    its left side names. Results falling outside the carrier raise
+    StructuralError: that is a malformed algebra, not an identity violation.
+    """
+    violations: list[IdentityViolation] = []
+    if a.zero == a.one:
+        violations.append(
+            IdentityViolation("O != I", (a.zero, a.one), "distinct O and I", "O = I")
+        )
+    named = {"O": a.zero, "I": a.one}
+    for identity, fn in _WBA_LAW.equations:
+        actual, expected = fn(a)
+        operation = identity.split(" = ")[0]
+        if not a.is_member(actual):
+            raise StructuralError(
+                f"algebra {a.name!r}: result of {operation} is outside the carrier: {actual!r}"
+            )
+        if actual != expected:
+            inputs = tuple(named[t] for t in operation.split()[::2])
+            violations.append(IdentityViolation(identity, inputs, expected, actual))
+    return AxiomReport(passed=not violations, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -578,27 +640,6 @@ def _random_set(family: AlgebraFamily, rng: random.Random) -> ModernSet:
     return ModernSet(family, tuple(values))
 
 
-def _spike_sets(family: AlgebraFamily) -> list[ModernSet]:
-    """Empty, full, and every one-point spike over carrier/boundary values.
-
-    A spike holds one interesting value at one point and O elsewhere; these
-    are exactly the sets that lift per-point counterexamples, so forcing
-    them into every sampled family check makes pointwise failures at
-    boundary values impossible to miss.
-    """
-    pool = [empty_set(family), full_set(family)]
-    seen = set(pool)
-    for x in family.universe.points:
-        alg = family.algebra_at(x)
-        values = alg.elements if alg.elements is not None else alg.boundary
-        for v in values:
-            spike = lift_point_value(family, x, v)
-            if spike not in seen:
-                seen.add(spike)
-                pool.append(spike)
-    return pool
-
-
 def _forced_tuples(family: AlgebraFamily, arity: int, per_point_cap: int = 1000):
     """Deterministic tuples every sampled family check must try.
 
@@ -758,6 +799,74 @@ def lift_check(
 
 
 # ---------------------------------------------------------------------------
+# Crisp restriction
+
+
+def verify_crisp_restriction(family: AlgebraFamily, universe_size_cap: int = 4) -> LawReport:
+    """Check that crisp sets over the family behave as ordinary subsets.
+
+    Every subset of the universe is embedded (I on members, O off) and
+    numbered by its bitmask. Two scans over the masks, through the set
+    operations, read each result back as the mask it embeds: a pair's
+    union and intersection must give ``a | b`` and ``a & b``, and then,
+    where every point declares a complement, a complement gives ``full ^ a``.
+    So a point with O = I, where two subsets share an embedding, fails too.
+
+    No law over triples needs checking after that. Once every pair agrees
+    with ``|`` and ``&``, the crisp sets under union and intersection are
+    the subsets under ``|`` and ``&``, so associativity, absorption and both
+    distributive laws hold because they hold for Python integers; a triple
+    scan could not fail.
+    """
+    points = family.universe.points
+    n = len(points)
+    if n > universe_size_cap:
+        raise PreconditionError(
+            f"crisp restriction check enumerates all 2^|X| subsets; "
+            f"|X| = {n} exceeds the cap {universe_size_cap}"
+        )
+    masks = range(1 << n)
+    full = masks[-1]
+    crisp = [embed_crisp(family, [p for i, p in enumerate(points) if a >> i & 1]) for a in masks]
+    # A shared embedding reads back as its largest mask.
+    mask_of = {s: a for a, s in enumerate(crisp)}.get
+    pairs = Law("crisp-pairs", 2, False, (
+        ("union", lambda o, a, b: (mask_of(o.vee(crisp[a], crisp[b])), a | b)),
+        ("intersection", lambda o, a, b: (mask_of(o.wedge(crisp[a], crisp[b])), a & b)),
+    ))
+    complements = Law("crisp-complement", 1, False, (
+        ("complement", lambda o, a: (mask_of(o.complement(crisp[a])), full ^ a)),
+    ))
+
+    ops = _SetOps(family)
+    has_complement = ops.complement is not None
+    found = _scan(ops, pairs, product(masks, repeat=2))
+    if found is None and has_complement:
+        found = _scan(ops, complements, zip(masks))
+    if found is None:
+        details = (
+            ("universe-size", n),
+            ("crisp-sets", 1 << n),
+            ("complement-checked", has_complement),
+        )
+        return LawReport("crisp-restriction", Verdict.holds_exhaustive(details=details))
+
+    def subset(mask: int | None) -> str:
+        if mask is None:
+            return "non-crisp"
+        return "{" + ", ".join(repr(p) for i, p in enumerate(points) if mask >> i & 1) + "}"
+
+    op, inputs = found.note, tuple(map(subset, found.inputs))
+    if found.lhs is None and op != "complement":
+        witness = Witness(inputs, "non-crisp", "crisp", f"{op} left the crisp sets")
+    else:
+        witness = Witness(
+            inputs, subset(found.lhs), subset(found.rhs), f"{op} disagrees with subset {op}"
+        )
+    return LawReport("crisp-restriction", Verdict.fails(witness))
+
+
+# ---------------------------------------------------------------------------
 # Generalized-fuzzy ring of sets
 
 
@@ -899,7 +1008,7 @@ def _check_bounds_absorb(family: AlgebraFamily, samples: int, seed: int) -> Verd
     if _family_is_finite(family) and _set_count(family) <= 4096:
         return _verdict(ops, _BOUNDS_LAW, product(_all_sets(family)))
     tuples = chain(
-        product(_spike_sets(family)),
+        dict.fromkeys(_forced_tuples(family, 1)),
         _draws(partial(_random_set, family), 1, samples, seed),
     )
     return _verdict(ops, _BOUNDS_LAW, tuples, seed)

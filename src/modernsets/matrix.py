@@ -112,15 +112,6 @@ class RationalMatrix:
             self._n, tuple(q.numerator * v for v in self._nums), q.denominator * self._den
         )
 
-    def scalar_identity_multiple(self) -> Fraction | None:
-        """Return q when self == q*identity, else None."""
-        n, nums = self._n, self._nums
-        diag = nums[0]
-        if nums[:: n + 1] != (diag,) * n or sum(map(bool, nums)) != (n if diag else 0):
-            return None
-        # Canonical form: gcd(diag, den) is 1, so diag/den is in lowest terms.
-        return Fraction(diag) if self._den == 1 else Fraction(diag, self._den)
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)

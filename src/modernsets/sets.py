@@ -7,11 +7,11 @@ left set supplying the left operand (the operations need not commute, so
 the order is part of the definition); intersection applies wedge the same
 way; complement applies the per-point complement where declared.
 
-The crisp sets are those taking only the values O and I. Embedding a plain
-subset that way and checking every pairwise union and intersection against
-subset arithmetic verifies that the crisp fragment recovers ordinary set
-algebra exactly: the pair stage pins both operations to those of subsets,
-so every law of ordinary set algebra follows without a scan over triples.
+The crisp sets are those taking only the values O and I; :func:`embed_crisp`
+writes a plain subset that way. Whether they recover ordinary set algebra
+is a law check like any other, so it lives with the law engine
+(:func:`~modernsets.laws.verify_crisp_restriction`); this module holds no
+verdicts.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .algebra import AlgebraHandle, Element
 from .errors import (
     DomainError,
     IncompatibleFamilyError,
-    PreconditionError,
     StructuralError,
     UnsupportedOperationError,
 )
-from .reporting import LawReport, Verdict, Witness, render_element
+from .reporting import render_element
 
 Point = Hashable
 
@@ -285,94 +284,3 @@ def contains(a: ModernSet, b: ModernSet) -> bool:
         if alg.wedge(v, u) != v:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Crisp restriction
-
-
-def verify_crisp_restriction(family: AlgebraFamily, universe_size_cap: int = 4) -> LawReport:
-    """Check that crisp sets over the family behave as ordinary subsets.
-
-    Every subset of the universe is embedded (I on members, O off). Each
-    union and intersection of a pair must land back on a crisp set and
-    match the bitmask oracle (``a | b`` and ``a & b``), and complements
-    (where declared at every point) must match set difference.
-
-    No law over triples needs checking after that. Once every pair agrees
-    with ``|`` and ``&``, the crisp sets under union and intersection are
-    the subsets under ``|`` and ``&``, so associativity, absorption and both
-    distributive laws hold because they hold for Python integers; a triple
-    scan could not fail.
-    """
-    points = family.universe.points
-    n = len(points)
-    if n > universe_size_cap:
-        raise PreconditionError(
-            f"crisp restriction check enumerates all 2^|X| subsets; "
-            f"|X| = {n} exceeds the cap {universe_size_cap}"
-        )
-    masks = range(1 << n)
-    embedded = [
-        embed_crisp(family, [points[i] for i in range(n) if mask & (1 << i)])
-        for mask in masks
-    ]
-
-    def mask_of(s: ModernSet) -> int | None:
-        out = 0
-        for i, (alg, v) in enumerate(zip(family.handles, s._values)):
-            if v == alg.one:
-                out |= 1 << i
-            elif v != alg.zero:
-                return None
-        return out
-
-    def subset_label(mask: int) -> str:
-        chosen = [repr(points[i]) for i in range(n) if mask & (1 << i)]
-        return "{" + ", ".join(chosen) + "}"
-
-    def fail(note: str, a_mask: int, b_mask, lhs, rhs) -> LawReport:
-        inputs = (subset_label(a_mask),) if b_mask is None else (
-            subset_label(a_mask),
-            subset_label(b_mask),
-        )
-        witness = Witness(inputs=inputs, lhs=lhs, rhs=rhs, note=note)
-        return LawReport("crisp-restriction", Verdict.fails(witness))
-
-    for a in masks:
-        for b in masks:
-            u = mask_of(union(embedded[a], embedded[b]))
-            if u is None:
-                return fail("union left the crisp sets", a, b, "non-crisp", "crisp")
-            if u != a | b:
-                return fail(
-                    "union disagrees with subset union",
-                    a, b, subset_label(u), subset_label(a | b),
-                )
-            w = mask_of(intersection(embedded[a], embedded[b]))
-            if w is None:
-                return fail("intersection left the crisp sets", a, b, "non-crisp", "crisp")
-            if w != a & b:
-                return fail(
-                    "intersection disagrees with subset intersection",
-                    a, b, subset_label(w), subset_label(a & b),
-                )
-
-    full = (1 << n) - 1
-    has_complement = all(alg.complement is not None for alg in family.handles)
-    if has_complement:
-        for a in masks:
-            c = mask_of(complement(embedded[a]))
-            if c is None or c != full ^ a:
-                got = "non-crisp" if c is None else subset_label(c)
-                return fail(
-                    "complement disagrees with subset complement",
-                    a, None, got, subset_label(full ^ a),
-                )
-
-    details = (
-        ("universe-size", n),
-        ("crisp-sets", 1 << n),
-        ("complement-checked", has_complement),
-    )
-    return LawReport("crisp-restriction", Verdict.holds_exhaustive(details=details))

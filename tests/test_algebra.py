@@ -8,6 +8,7 @@ from modernsets import (
     AlgebraHandle,
     DomainError,
     FiniteAlgebraTable,
+    IdentityViolation,
     RationalMatrix,
     StructuralError,
     UnsupportedOperationError,
@@ -77,8 +78,10 @@ def test_every_identity_checked():
         wedge, vee = dict(BOOL_WEDGE), dict(BOOL_VEE)
         table = wedge if which == "wedge" else vee
         table[cell] = "I" if table[cell] == "O" else "O"
+        expected = "I" if table[cell] == "O" else "O"
         report = check_wba_axioms(bool_table(wedge=wedge, vee=vee).as_handle())
-        assert identity in [v.identity for v in report.violations]
+        # each identity reads its own cell, so exactly one is violated
+        assert report.violations == (IdentityViolation(identity, cell, expected, table[cell]),)
 
 
 def test_zero_equal_one_is_reported():

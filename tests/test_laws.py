@@ -40,6 +40,7 @@ from modernsets import (
     intersection,
     lattice_algebra,
     lift_check,
+    lift_point_value,
     lift_point_witness,
     m3_lattice,
     matrix_algebra,
@@ -794,6 +795,25 @@ class TestGfRingConditions:
         full = full_set(fam)
         a = modern_set(fam, {"u": "m", "v": "I"})
         assert equals(union(a, full), full)
+
+    def test_bounds_absorb_tries_every_spike_before_sampling(self):
+        # A sampled family's pool is empty, full and every one-point spike,
+        # once each, then the draws. A vee broken only at the boundary value
+        # 1/2 is caught by its spike, though the sampler never draws 1/2.
+        fz, half = fuzzy_algebra(), Fraction(1, 2)
+        broken = dataclasses.replace(
+            fz,
+            vee=lambda x, y: half if (x, y) == (half, fz.one) else fz.vee(x, y),
+            sample=lambda rng: fz.zero,
+        )
+        u = Universe(("p", "q"))
+        fam = AlgebraFamily(u, {"p": chain_algebra(3), "q": broken})
+        verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
+        assert verdict.witness.inputs == (lift_point_value(fam, "q", half),)
+        assert verdict.witness.note == "A vee X = X"
+        # empty, full, m and I at p, 1 and 1/2 at q; 0 and O repeat empty
+        fam = AlgebraFamily(u, {"p": chain_algebra(3), "q": fz})
+        assert check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb.samples == 6 + 10
 
     @pytest.mark.parametrize(
         "assignment",

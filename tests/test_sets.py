@@ -1,10 +1,12 @@
+import ast
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from modernsets import (
     AlgebraFamily,
+    AlgebraHandle,
     DomainError,
     FiniteAlgebraTable,
     IncompatibleFamilyError,
@@ -345,6 +347,107 @@ class TestCrispRestriction:
         report = verify_crisp_restriction(fam)
         assert report.verdict.failed
         assert report.verdict.witness is not None
+
+    @staticmethod
+    def broken_at_y(wedge=(), vee=(), comp=None):
+        """x classical, y a table on O, m, I: Boolean on O/I except where overridden.
+
+        Every result with an ``m`` operand is ``m``; the crisp check never
+        feeds ``m`` in, so only the overridden cells can break it.
+        """
+        tokens = ("O", "m", "I")
+
+        def table(boolean, overrides):
+            cells = {(x, y): "m" for x in tokens for y in tokens}
+            cells.update({(x, y): boolean(x, y) for x in "OI" for y in "OI"})
+            cells.update(overrides)
+            return cells
+
+        broken = FiniteAlgebraTable(
+            name="brk",
+            elements=tokens,
+            zero_token="O",
+            one_token="I",
+            wedge_table=table(lambda x, y: "I" if x == y == "I" else "O", dict(wedge)),
+            vee_table=table(lambda x, y: "O" if x == y == "O" else "I", dict(vee)),
+            complement_table={"O": "I", "m": "m", "I": "O", **comp} if comp else None,
+        ).as_handle()
+        return AlgebraFamily(Universe(("x", "y")), {"x": classical_algebra(), "y": broken})
+
+    @pytest.mark.parametrize(
+        "wedge, vee, comp, text",
+        [
+            ((), [(("I", "I"), "m")], None,
+             "union left the crisp sets: inputs ({'y'}, {'y'}) give non-crisp != crisp"),
+            ((), [(("O", "I"), "O")], None,
+             "union disagrees with subset union: inputs ({}, {'y'}) give {} != {'y'}"),
+            ([(("I", "O"), "m")], (), None,
+             "intersection left the crisp sets: inputs ({'y'}, {}) give non-crisp != crisp"),
+            ([(("I", "I"), "O")], (), None,
+             "intersection disagrees with subset intersection: "
+             "inputs ({'y'}, {'y'}) give {} != {'y'}"),
+            ((), (), {"O": "O", "I": "I"},
+             "complement disagrees with subset complement: inputs ({}) give {'x'} != {'x', 'y'}"),
+            ((), (), {"O": "m"},
+             "complement disagrees with subset complement: "
+             "inputs ({}) give non-crisp != {'x', 'y'}"),
+        ],
+        ids=["union-escapes", "union-differs", "intersection-escapes",
+             "intersection-differs", "complement-differs", "complement-escapes"],
+    )
+    def test_witness_text_and_recheck(self, wedge, vee, comp, text):
+        fam = self.broken_at_y(wedge, vee, comp)
+        report = verify_crisp_restriction(fam)
+        assert report.verdict.failed
+        witness = report.verdict.witness
+        assert witness.describe() == text
+
+        # Re-evaluate from scratch: embed the named subsets, apply the op.
+        def subset(label):
+            return set() if label == "{}" else ast.literal_eval(label)
+
+        points = {"x", "y"}
+        crisp = {
+            embed_crisp(fam, members): set(members)
+            for k in range(3)
+            for members in combinations(sorted(points), k)
+        }
+        op = witness.note.split()[0]
+        args = [subset(label) for label in witness.inputs]
+        sets = [embed_crisp(fam, members) for members in args]
+        if op == "union":
+            got, expected = union(*sets), args[0] | args[1]
+        elif op == "intersection":
+            got, expected = intersection(*sets), args[0] & args[1]
+        else:
+            got, expected = set_complement(*sets), points - args[0]
+        if witness.lhs == "non-crisp":
+            assert got not in crisp
+            if op != "complement":
+                assert witness.rhs == "crisp"
+                return
+        else:
+            assert crisp[got] == subset(witness.lhs)
+        assert subset(witness.rhs) == expected
+        assert witness.lhs != witness.rhs
+
+    def test_point_with_o_equal_to_i_fails(self):
+        # The embedding is not one-to-one there, so subsets cannot be recovered.
+        degenerate = AlgebraHandle(
+            name="one-point",
+            structure="table",
+            zero="e",
+            one="e",
+            wedge=lambda x, y: "e",
+            vee=lambda x, y: "e",
+            is_member=lambda x: x == "e",
+            elements=("e",),
+        )
+        fam = AlgebraFamily(Universe(("x", "y")), {"x": classical_algebra(), "y": degenerate})
+        witness = verify_crisp_restriction(fam).verdict.witness
+        assert witness.describe() == (
+            "union disagrees with subset union: inputs ({}, {}) give {'y'} != {}"
+        )
 
     def test_report_shape(self):
         report = verify_crisp_restriction(constant_family(("x",), classical_algebra()))
