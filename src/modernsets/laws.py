@@ -9,9 +9,14 @@ every tuple of boundary elements first (the places laws break, like 1/2 in
 the unit interval or the unit matrices) and then on seeded random samples,
 with the count and seed recorded in the verdict.
 
-Families of sets are checked the same way, and :func:`lift_check` runs both
-levels side by side: a law holds for all sets over a family exactly when it
-holds in every per-point algebra, and a per-point counterexample lifts to a
+Families of sets are checked the same way, with K3 = {0, 1/2, 1} in place
+of the unit interval, so they are scanned exhaustively: the interval is a
+Kleene algebra, every Kleene algebra is a subdirect product of the 2- and
+3-element Kleene chains (J. A. Kalman, "Lattices with involution", Trans.
+AMS 87, 1958), and so an equation holds on a family exactly when it holds
+with K3 at its unit-interval points. :func:`lift_check` runs both levels
+side by side: a law holds for all sets over a family exactly when it holds
+in every per-point algebra, and a per-point counterexample lifts to a
 set-level one by placing the failing values at that point and O everywhere
 else. The report records whether the two levels agreed.
 
@@ -31,7 +36,7 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain, combinations, islice, product, repeat
-from math import prod
+from math import inf, prod
 from operator import ne
 from typing import Callable, NamedTuple
 
@@ -490,12 +495,20 @@ def _family_is_finite(family: AlgebraFamily) -> bool:
     return all(alg.finite for alg in family.handles)
 
 
-def _set_count(family: AlgebraFamily) -> int:
-    return prod(len(alg.elements) for alg in family.handles)
+def _carriers(family: AlgebraFamily) -> list[tuple[Element, ...]] | None:
+    """Each point's elements, or its boundary pool K3 if it is the unit interval."""
+    carriers = [a.boundary if a.structure == "fuzzy-unit" else a.elements for a in family.handles]
+    return None if None in carriers else carriers
+
+
+def _set_count(family: AlgebraFamily) -> float:
+    """How many sets the deciding carriers make; infinite when a point has none."""
+    carriers = _carriers(family)
+    return inf if carriers is None else prod(map(len, carriers))
 
 
 def _all_sets(family: AlgebraFamily):
-    for values in product(*(alg.elements for alg in family.handles)):
+    for values in product(*_carriers(family)):
         yield ModernSet(family, values)
 
 
@@ -506,7 +519,7 @@ _SLAB_TUPLES = 1024
 
 
 class _ColumnOps:
-    """Set operations on whole columns of set indices over a finite family.
+    """Set operations on whole columns of set indices over the deciding carriers.
 
     A set is a mixed-radix number whose digits are element indices, point 0
     most significant, so ``range(size)`` runs through the sets in exactly
@@ -520,7 +533,8 @@ class _ColumnOps:
     def __init__(self, family: AlgebraFamily, tables: list[_PointTables]):
         self.family = family
         self._tables = tables
-        self._radices = [len(alg.elements) for alg in family.handles]
+        self._carriers = _carriers(family)
+        self._radices = list(map(len, self._carriers))
         self.size = prod(self._radices)
         self._zero = self._one = 0
         for t, k in zip(tables, self._radices):
@@ -589,14 +603,14 @@ class _ColumnOps:
 
     def decode(self, a: int) -> ModernSet:
         values = []
-        for alg, k in zip(reversed(self.family.handles), reversed(self._radices)):
+        for carrier, k in zip(reversed(self._carriers), reversed(self._radices)):
             a, digit = divmod(a, k)
-            values.append(alg.elements[digit])
+            values.append(carrier[digit])
         return ModernSet(self.family, tuple(reversed(values)))
 
 
 def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhaustive: int):
-    """All tuples of sets of a finite family, in declaration order.
+    """All tuples of sets over the deciding carriers, in declaration order.
 
     A law of arity 2 or more scans columns of set indices when every point
     compiles to exact tables, and rebuilds the witness from the sets
@@ -605,7 +619,8 @@ def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhau
     """
     if law.arity == 1:
         return _verdict(ops, law, zip(_all_sets(family)))
-    tables = [_compile_point(alg, law.needs_complement, max_exhaustive) for alg in family.handles]
+    views = (a if a.finite else replace(a, elements=c) for a, c in zip(family.handles, _carriers(family)))
+    tables = [_compile_point(alg, law.needs_complement, max_exhaustive) for alg in views]
     if None in tables:
         return _verdict(ops, law, product(_all_sets(family), repeat=law.arity))
     columns = _ColumnOps(family, tables)
@@ -679,9 +694,12 @@ def check_family_law(
 ) -> LawReport:
     """One law over all modern sets of a family.
 
-    Exhaustive when every carrier is finite and the tuple count stays
+    Exhaustive when every point is finite or the unit interval, decided on
+    K3 (Kalman 1958, see the module docstring), and the tuple count stays
     within ``max_exhaustive``; otherwise forced spike tuples (capped at
-    ``forced_cap``) followed by seeded random sets.
+    ``forced_cap``) followed by seeded random sets. A failure over K3
+    reports the forced stage's first failing tuple, as the sampled route
+    does; the scan's own witness stands only when a cap cut that stage short.
 
     The exhaustive scan runs on set indices (:class:`_ColumnOps`): each
     point's operations are compiled once to tables over element indices and
@@ -708,8 +726,15 @@ def check_family_law(
             f"algebra at point {missing!r} declares no complement"
         ))
 
-    if _family_is_finite(family) and _set_count(family) ** law.arity <= max_exhaustive:
-        return LawReport(law.name, _exhaustive_verdict(family, ops, law, max_exhaustive))
+    if _set_count(family) ** law.arity <= max_exhaustive:
+        verdict = _exhaustive_verdict(family, ops, law, max_exhaustive)
+        if _family_is_finite(family):
+            return LawReport(law.name, verdict)
+        if verdict.holds:
+            reduction = "K3 = {0, 1/2, 1} at each unit-interval point (Kalman 1958)"
+            return LawReport(law.name, replace(verdict, details=(("deciding-carrier", reduction),)))
+        forced = _verdict(ops, law, islice(_forced_tuples(family, law.arity), forced_cap))
+        return LawReport(law.name, forced if forced.failed else verdict)
     tuples = chain(
         islice(_forced_tuples(family, law.arity), forced_cap),
         _draws(partial(_random_set, family), law.arity, samples, seed),
@@ -748,7 +773,8 @@ def lift_check(
 ) -> LiftReport:
     """Check a law pointwise and on the family of sets, and compare.
 
-    Sampled verdicts at the two levels can disagree by chance alone, so
+    The family level decides unit-interval points on K3 (Kalman 1958), but
+    sampled per-point verdicts can still disagree with it by chance, so
     before declaring an inconsistency the counterexample is transported
     across levels: a per-point witness is spiked into sets and re-checked
     on the family, and a family witness is restricted to each point. Only
@@ -1005,7 +1031,7 @@ _BOUNDS_LAW = Law(
 def _check_bounds_absorb(family: AlgebraFamily, samples: int, seed: int) -> Verdict:
     """A vee full = full and A wedge empty = empty, for many A."""
     ops = _SetOps(family)
-    if _family_is_finite(family) and _set_count(family) <= 4096:
+    if _set_count(family) <= 4096:
         return _verdict(ops, _BOUNDS_LAW, product(_all_sets(family)))
     tuples = chain(
         dict.fromkeys(_forced_tuples(family, 1)),

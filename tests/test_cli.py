@@ -395,7 +395,9 @@ GOLDEN_CASES = [
         )
     ),
     ("lift-m3-distributive", ("lift", "m3@2", "distributive")),
+    ("lift-fuzzy-distributive", ("lift", "fuzzy@2", "distributive")),
     ("gfcheck-pow2", ("gfcheck", "pow2@2")),
+    ("gfcheck-fuzzy", ("gfcheck", "fuzzy@2")),
     ("classify-chain3", ("classify", "chain3@2")),
     ("classify-m3", ("classify", "m3@2")),
     ("classify-classical2", ("classify", "classical2@3")),

@@ -800,20 +800,39 @@ class TestGfRingConditions:
         # A sampled family's pool is empty, full and every one-point spike,
         # once each, then the draws. A vee broken only at the boundary value
         # 1/2 is caught by its spike, though the sampler never draws 1/2.
-        fz, half = fuzzy_algebra(), Fraction(1, 2)
+        # Three 17-element chains and the unit interval make 17**3 * 3 sets
+        # over the deciding carriers, past the 4096 scanned exhaustively.
+        fz, half, c17 = fuzzy_algebra(), Fraction(1, 2), chain_algebra(17)
         broken = dataclasses.replace(
             fz,
             vee=lambda x, y: half if (x, y) == (half, fz.one) else fz.vee(x, y),
             sample=lambda rng: fz.zero,
         )
+        u = Universe(("p", "q", "r", "s"))
+        fam = AlgebraFamily(u, {"p": c17, "q": c17, "r": c17, "s": broken})
+        verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
+        assert verdict.witness.inputs == (lift_point_value(fam, "s", half),)
+        assert verdict.witness.note == "A vee X = X"
+        # empty, full, I and m1..m15 at each chain point, 1 and 1/2 at s;
+        # 0 and O repeat empty
+        fam = AlgebraFamily(u, {"p": c17, "q": c17, "r": c17, "s": fz})
+        verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
+        assert verdict.samples == 2 + 3 * 16 + 2 + 10
+
+    def test_bounds_absorb_is_decided_on_k3(self):
+        # With few enough sets over K3 the pool is every set, so the broken
+        # vee fails at the first set that holds 1/2 at q.
+        fz, half = fuzzy_algebra(), Fraction(1, 2)
+        broken = dataclasses.replace(
+            fz, vee=lambda x, y: half if (x, y) == (half, fz.one) else fz.vee(x, y)
+        )
         u = Universe(("p", "q"))
         fam = AlgebraFamily(u, {"p": chain_algebra(3), "q": broken})
         verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
         assert verdict.witness.inputs == (lift_point_value(fam, "q", half),)
-        assert verdict.witness.note == "A vee X = X"
-        # empty, full, m and I at p, 1 and 1/2 at q; 0 and O repeat empty
         fam = AlgebraFamily(u, {"p": chain_algebra(3), "q": fz})
-        assert check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb.samples == 6 + 10
+        verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
+        assert verdict.describe() == "holds (exhaustive)"
 
     @pytest.mark.parametrize(
         "assignment",
@@ -1137,3 +1156,210 @@ def test_lattice_laws_with_misplaced_bottom_give_no_order():
         check_gf_ring_conditions(fam)
     with pytest.raises(UnsupportedOperationError, match="declares no order"):
         contains(empty_set(fam), empty_set(fam))
+
+
+# ---------------------------------------------------------------------------
+# Unit-interval families, decided on K3 = {0, 1/2, 1}
+
+REFERENCE_BY_NAME = {law.name: law for law in REFERENCE_LAWS}
+
+
+class Tables:
+    """One point's operations as plain dicts, read off an order by brute
+    force: meet is the greatest lower bound and join the least upper bound.
+    The elements run from the bottom (O) to the top (I)."""
+
+    def __init__(self, elements, leq, complement=None):
+        def bound(x, y, below):
+            def under(u, v):
+                return leq(u, v) if below else leq(v, u)
+
+            common = [z for z in elements if under(z, x) and under(z, y)]
+            return next(z for z in common if all(under(w, z) for w in common))
+
+        self.elements, self.zero, self.one = elements, elements[0], elements[-1]
+        self._wedge = {(x, y): bound(x, y, True) for x in elements for y in elements}
+        self._vee = {(x, y): bound(x, y, False) for x in elements for y in elements}
+        self.complement = None if complement is None else complement.__getitem__
+
+    def wedge(self, x, y):
+        return self._wedge[x, y]
+
+    def vee(self, x, y):
+        return self._vee[x, y]
+
+    def truth(self, law):
+        """Does ``law`` hold on every tuple of elements? None without a complement."""
+        if law.needs_complement and self.complement is None:
+            return None
+        return all(
+            lhs == rhs
+            for args in product(self.elements, repeat=law.arity)
+            for _, fn in law.equations
+            for lhs, rhs in (fn(self, *args),)
+        )
+
+
+def _chain(*elements):
+    return lambda x, y: elements.index(x) <= elements.index(y)
+
+
+_K3 = (Fraction(0), Fraction(1, 2), Fraction(1))
+# Each point: its handle, and its tables written here from the order. The
+# unit interval's tables are K3 under min, max and 1 - x.
+ORACLE_POINTS = {
+    "classical2": (classical_algebra(), Tables(("O", "I"), _chain("O", "I"), {"O": "I", "I": "O"})),
+    "chain3": (
+        chain_algebra(3),
+        Tables(("O", "m", "I"), _chain("O", "m", "I"), {"O": "I", "m": "m", "I": "O"}),
+    ),
+    "pow2": (
+        pow2_algebra(),
+        Tables(
+            ("0", "a", "b", "ab"),
+            lambda x, y: set(x) - {"0"} <= set(y),
+            {"0": "ab", "a": "b", "b": "a", "ab": "0"},
+        ),
+    ),
+    "m3": (
+        lattice_algebra(m3_lattice()),
+        Tables(("0", "a", "b", "c", "1"), lambda x, y: x in (y, "0") or y == "1"),
+    ),
+    "n5": (
+        lattice_algebra(n5_lattice()),
+        Tables(
+            ("0", "a", "b", "c", "1"),
+            lambda x, y: x in (y, "0") or y == "1" or (x, y) == ("b", "c"),
+        ),
+    ),
+    "fuzzy": (fuzzy_algebra(), Tables(_K3, lambda x, y: x <= y, {v: 1 - v for v in _K3})),
+}
+ORACLE_FAMILIES = [(name,) for name in ORACLE_POINTS] + list(product(ORACLE_POINTS, repeat=2))
+
+
+def test_oracle_tables_match_the_handles_on_their_carriers():
+    for handle, tables in ORACLE_POINTS.values():
+        assert (handle.zero, handle.one) == (tables.zero, tables.one)
+        for x, y in product(tables.elements, repeat=2):
+            assert (handle.wedge(x, y), handle.vee(x, y)) == (tables.wedge(x, y), tables.vee(x, y))
+
+
+@pytest.mark.parametrize("names", ORACLE_FAMILIES, ids=["+".join(n) for n in ORACLE_FAMILIES])
+def test_lift_biconditional_against_table_oracle(names):
+    """The family level of every law is the conjunction of the points'
+    truths (Birkhoff), a pass is exhaustive, and a failing witness
+    re-evaluates point by point on the test's own tables."""
+    family = family_of([ORACLE_POINTS[name][0] for name in names])
+    tables = [ORACLE_POINTS[name][1] for name in names]
+    points = family.universe.points
+    for name in LAW_NAMES:
+        reference = REFERENCE_BY_NAME[name]
+        truths = [t.truth(reference) for t in tables]
+        report = lift_check(family, name)
+        verdict = report.family_verdict
+        if None in truths:
+            assert not verdict.applicable, name
+            continue
+        assert [v.holds for v in report.per_point.values()] == truths, name
+        assert verdict.holds == all(truths), name
+        assert report.consistent, name
+        if verdict.holds:
+            assert verdict.mode == "exhaustive", name
+            continue
+        equation = dict(reference.equations)[verdict.witness.note]
+        sides = [
+            equation(t, *(s.membership[x] for s in verdict.witness.inputs))
+            for x, t in zip(points, tables)
+        ]
+        assert [lhs for lhs, _ in sides] == [verdict.witness.lhs.membership[x] for x in points]
+        assert [rhs for _, rhs in sides] == [verdict.witness.rhs.membership[x] for x in points]
+        assert any(lhs != rhs for lhs, rhs in sides), name
+
+
+K3_FAMILIES = [
+    ("fuzzy",), ("fuzzy", "fuzzy"), ("fuzzy", "fuzzy", "fuzzy"), ("fuzzy", "classical2"),
+    ("chain3", "fuzzy"), ("fuzzy", "pow2"), ("m3", "fuzzy"), ("fuzzy", "n5"), ("fuzzy", "chain5"),
+    ("classical2", "fuzzy", "chain3"), ("n5", "fuzzy", "fuzzy"),
+]
+
+
+@pytest.mark.parametrize("names", K3_FAMILIES, ids=["+".join(n) for n in K3_FAMILIES])
+def test_k3_verdicts_match_the_sampled_route(names):
+    """Deciding on K3 changes no status and no witness: a failure is the
+    sampled route's own (forced stage) witness, and a pass differs from the
+    sampled pass only in its mode and the reduction in its details."""
+    algebras = {**NAMED_ALGEBRAS, "fuzzy": fuzzy_algebra()}
+    family = family_of([algebras[name] for name in names])
+    for law in LAWS:
+        decided = check_family_law(family, law).verdict
+        # max_exhaustive=0 sends every family down the sampled route
+        sampled = check_family_law(family, law, max_exhaustive=0).verdict
+        if decided.mode == "sampled":
+            # 45 sets over K3 make more than 50,000 triples: sampled as before
+            assert names == ("n5", "fuzzy", "fuzzy") and law.arity == 3, law.name
+            assert decided == sampled, law.name
+        elif decided.holds:
+            assert decided.describe() == "holds (exhaustive)", law.name
+            assert "Kalman 1958" in dict(decided.details)["deciding-carrier"]
+            assert sampled.mode == "sampled", law.name
+            unmoded = dataclasses.replace(decided, mode="sampled", samples=sampled.samples,
+                                          seed=sampled.seed, details=())
+            assert unmoded == sampled, law.name
+        else:
+            assert decided == sampled, law.name
+            assert decided.describe() == sampled.describe(), law.name
+
+
+def test_scan_witness_stands_when_a_cap_cuts_the_forced_stage_short():
+    # With one forced tuple (the empty set) nothing fails before the draws,
+    # so the witness is the scan's first failing set in K3 order (0, 1, 1/2),
+    # rebuilt over the family and re-checked on it.
+    fz = fuzzy_algebra()
+    family = constant_family(("p", "q"), fz)
+    verdict = check_family_law(family, "excluded-middle", forced_cap=1).verdict
+    (s,) = verdict.witness.inputs
+    assert s == modern_set(family, {"p": Fraction(0), "q": Fraction(1, 2)})
+    assert s.family is family
+    assert _scan(_SetOps(family), get_law("excluded-middle"), ((s,),)) == verdict.witness
+    # the uncapped forced stage reports the spike at the first point instead
+    (s,) = check_family_law(family, "excluded-middle").verdict.witness.inputs
+    assert s == lift_point_value(family, "p", Fraction(1, 2))
+
+
+def test_matrix_families_stay_sampled():
+    u = Universe(("p", "q"))
+    family = AlgebraFamily(u, {"p": fuzzy_algebra(), "q": matrix_algebra(2)})
+    verdict = check_family_law(family, "commutative-vee").verdict
+    assert verdict.mode == "sampled"
+    assert verdict == check_family_law(family, "commutative-vee", max_exhaustive=0).verdict
+
+
+def _random_side(rng, depth):
+    """A random expression in x, y, z, O and I, nested at most ``depth`` deep."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice("xyzxyzOI")
+    op = rng.choice(("/\\", "\\/", "~"))
+    if op == "~":
+        return f"~({_random_side(rng, depth - 1)})"
+    return f"({_random_side(rng, depth - 1)} {op} {_random_side(rng, depth - 1)})"
+
+
+def test_random_equations_decided_on_k3_match_unit_interval_sampling():
+    """Kalman 1958 in practice: for 300 seeded equations of depth at most 4,
+    the verdict decided on K3 is the verdict of 400 draws from the unit
+    interval (after its boundary pool)."""
+    fz = fuzzy_algebra()
+    family = constant_family(("p",), fz)
+    rng = Random(12)
+    checked = held = 0
+    while checked < 300:
+        law = laws._law("random", f"{_random_side(rng, 4)} = {_random_side(rng, 4)}")
+        if law.arity == 0:
+            continue
+        decided = check_family_law(family, law).verdict
+        sampled = check_law(fz, law, samples=400, seed=checked).verdict
+        assert decided.status == sampled.status, law.equations[0][0]
+        assert decided.failed or decided.mode == "exhaustive"
+        checked += 1
+        held += decided.holds
+    assert held >= 20

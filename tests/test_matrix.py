@@ -1,4 +1,6 @@
 from fractions import Fraction
+from operator import mul
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -216,6 +218,32 @@ def test_kernel_matches_reference(pair):
     assert (b * a).rows == ref_mul(rb, ra)
     assert str(a * b) == ref_str(ref_mul(ra, rb))
     assert (a == b) == (ra == rb)
+
+
+def slicing_product(a, b):
+    """The product as it was computed before the index loop: row slices of
+    the flat numerators against column slices, over the product of the
+    denominators."""
+    n, x, y = a.dimension, a._nums, b._nums
+    rows = [x[i * n:(i + 1) * n] for i in range(n)]
+    cols = [y[j::n] for j in range(n)]
+    nums = tuple(sum(map(mul, r, c)) for r in rows for c in cols)
+    return RationalMatrix._reduced(n, nums, a._den * b._den)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_keeps_the_slicing_products_canonical_form(n):
+    rng = Random(n)
+
+    def draw():
+        return RationalMatrix(
+            [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        )
+
+    for _ in range(500):
+        a, b = draw(), draw()
+        expected, got = slicing_product(a, b), a * b
+        assert (got._nums, got._den) == (expected._nums, expected._den)
 
 
 @given(_dims.flatmap(_square), _values, st.integers(min_value=1, max_value=4))
