@@ -26,13 +26,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    ExpressionSyntaxError,
-    FileFormatError,
-    ModernSetError,
-    NotALatticeError,
-    NotAPosetError,
-)
+from .algebra import AlgebraHandle
+from .errors import ModernSetError, NotALatticeError, NotAPosetError
 from .expressions import eval_expression, parse_expression
 from .fileformat import Workspace, load_file
 from .instances import (
@@ -83,7 +78,14 @@ def builtin_workspace() -> Workspace:
     return w
 
 
-def _resolve_family(workspace: Workspace, text: str) -> AlgebraFamily | None:
+def _resolve_algebra(workspace: Workspace, name: str) -> AlgebraHandle:
+    algebra = workspace.resolve_algebra(name)
+    if algebra is None:
+        raise ModernSetError(f"unknown algebra {name!r}")
+    return algebra
+
+
+def _resolve_family(workspace: Workspace, text: str) -> AlgebraFamily:
     if text in workspace.families:
         return workspace.families[text]
     base, sep, count = text.rpartition("@")
@@ -92,12 +94,7 @@ def _resolve_family(workspace: Workspace, text: str) -> AlgebraFamily | None:
         if algebra is not None and count.isdigit() and 1 <= int(count) <= 8:
             points = tuple(f"x{i}" for i in range(1, int(count) + 1))
             return constant_family(points, algebra, name=text)
-    return None
-
-
-def _unknown(kind: str, name: str) -> int:
-    print(f"error: unknown {kind} {name!r}", file=sys.stderr)
-    return 2
+    raise ModernSetError(f"unknown family {text!r}")
 
 
 def _cmd_validate(args, workspace: Workspace) -> int:
@@ -143,9 +140,7 @@ def _cmd_validate(args, workspace: Workspace) -> int:
 
 
 def _cmd_laws(args, workspace: Workspace) -> int:
-    algebra = workspace.resolve_algebra(args.algebra)
-    if algebra is None:
-        return _unknown("algebra", args.algebra)
+    algebra = _resolve_algebra(workspace, args.algebra)
     reports = check_all_laws(algebra, samples=args.samples, seed=args.seed)
     print(f"algebra {algebra.name}:")
     for report in reports:
@@ -155,16 +150,12 @@ def _cmd_laws(args, workspace: Workspace) -> int:
 
 def _cmd_classify(args, workspace: Workspace) -> int:
     family = _resolve_family(workspace, args.family)
-    if family is None:
-        return _unknown("family", args.family)
     print(classify_family(family).describe())
     return 0
 
 
 def _cmd_lift(args, workspace: Workspace) -> int:
     family = _resolve_family(workspace, args.family)
-    if family is None:
-        return _unknown("family", args.family)
     try:
         law = get_law(args.law)
     except ValueError as exc:
@@ -179,8 +170,6 @@ def _cmd_lift(args, workspace: Workspace) -> int:
 
 def _cmd_gfcheck(args, workspace: Workspace) -> int:
     family = _resolve_family(workspace, args.family)
-    if family is None:
-        return _unknown("family", args.family)
     report = check_gf_ring_conditions(
         family, samples=args.samples, seed=args.seed, universe_size_cap=args.max_universe
     )
@@ -190,20 +179,9 @@ def _cmd_gfcheck(args, workspace: Workspace) -> int:
 
 def _cmd_eval(args, workspace: Workspace) -> int:
     family = _resolve_family(workspace, args.family)
-    if family is None:
-        return _unknown("family", args.family)
-    try:
-        tree = parse_expression(args.expr)
-    except ExpressionSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = eval_expression(workspace.sets, tree)
+    result = eval_expression(workspace.sets, parse_expression(args.expr))
     if not result.family.compatible(family):
-        print(
-            f"error: expression evaluates over a different family than {args.family!r}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ModernSetError(f"expression evaluates over a different family than {args.family!r}")
     try:
         rows = [f"{x} {render_element(result.value_at(x))}" for x in family.universe.points]
     except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
@@ -214,9 +192,7 @@ def _cmd_eval(args, workspace: Workspace) -> int:
 
 
 def _cmd_witness(args, workspace: Workspace) -> int:
-    algebra = workspace.resolve_algebra(args.algebra)
-    if algebra is None:
-        return _unknown("algebra", args.algebra)
+    algebra = _resolve_algebra(workspace, args.algebra)
     witness = find_noncommuting_witness(algebra, args.op, budget=args.budget, seed=args.seed)
     if witness is None:
         print(
@@ -230,8 +206,6 @@ def _cmd_witness(args, workspace: Workspace) -> int:
 
 def _cmd_oracle(args, workspace: Workspace) -> int:
     family = _resolve_family(workspace, args.family)
-    if family is None:
-        return _unknown("family", args.family)
     report = verify_crisp_restriction(family, universe_size_cap=args.max_universe)
     print(report.describe())
     return 0 if report.verdict.holds else 1
@@ -309,13 +283,7 @@ def run_command(argv=None) -> int:
         for path in args.load:
             load_file(path, workspace)
         return args.handler(args, workspace)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModernSetError as exc:
+    except (OSError, ModernSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,15 +11,21 @@ spellings of the three operators are accepted as aliases on input; output
 always uses the ASCII forms. Identifiers are C-style names bound to sets at
 evaluation time. Syntax errors carry a 1-based column.
 
-Parsing, printing and evaluation recurse once per level of nesting, so an
-expression nested more than ``MAX_DEPTH`` levels deep (counting each
-operator above an identifier, and each open parenthesis) is a syntax error.
+Evaluation runs compiled code: a tree becomes the source of one lambda of
+calls on an ops object (``o.wedge``, ``o.vee``, ``o.complement``), compiled
+once. The registry laws and :func:`eval_expression` both use it, over
+algebra elements and over sets. Parsing, printing and compiling recurse
+once per level of nesting, so an expression nested more than ``MAX_DEPTH``
+levels deep (counting each operator above an identifier, and each open
+parenthesis) is a syntax error; that also keeps the generated source within
+CPython's limit of 200 nested parentheses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Union as TypeUnion
+from types import SimpleNamespace
+from typing import Callable, Mapping, NamedTuple, Sequence, Union as TypeUnion
 
 from .errors import EvalError, ExpressionSyntaxError
 from .sets import ModernSet, complement as set_complement, intersection, union
@@ -220,29 +226,73 @@ def format_expression(expr: Expression) -> str:
     return f"{left} {symbol} {right}"
 
 
+_WORDS = {Intersection: "wedge", Union: "vee"}
+
+
+def _identifiers(node: Expression) -> set[str]:
+    if isinstance(node, Ident):
+        return {node.name}
+    if isinstance(node, Complement):
+        return _identifiers(node.operand)
+    return _identifiers(node.left) | _identifiers(node.right)
+
+
+def _label(node: Expression, nested: bool = False) -> str:
+    """``node`` in words, with parentheses around every nested binary operation."""
+    if isinstance(node, Ident):
+        return node.name
+    if isinstance(node, Complement):
+        return f"complement({_label(node.operand)})"
+    text = f"{_label(node.left, True)} {_WORDS[type(node)]} {_label(node.right, True)}"
+    return f"({text})" if nested else text
+
+
+def _source(node: Expression, names: Mapping[str, str]) -> str:
+    """``node`` as calls on the ops object ``o``, each leaf renamed by ``names``."""
+    if isinstance(node, Ident):
+        return names[node.name]
+    if isinstance(node, Complement):
+        return f"o.complement({_source(node.operand, names)})"
+    return f"o.{_WORDS[type(node)]}({_source(node.left, names)}, {_source(node.right, names)})"
+
+
+def _compile(
+    trees: Sequence[Expression], names: Mapping[str, str], params: Sequence[str]
+) -> Callable:
+    """``lambda o, *params: (tree, ...)``, compiled once.
+
+    One tree gives its value, several give a tuple. Only fixed strings and
+    the values of ``names`` and ``params`` reach the source, so callers
+    rename every leaf to a parameter, a constant or a call such as ``v(0)``,
+    never to identifier text.
+    """
+    body = ", ".join(_source(tree, names) for tree in trees)
+    return eval(f"lambda o{''.join(', ' + p for p in params)}: ({body})", {})
+
+
+_SET_OPS = SimpleNamespace(wedge=intersection, vee=union, complement=set_complement)
+
+
 def eval_expression(bindings, expr: Expression) -> ModernSet:
     """Evaluate against identifier bindings.
 
     ``bindings`` is a mapping from names to sets, or any object with a
     ``sets`` mapping attribute (a loaded workspace). Unbound identifiers
     raise EvalError; family mismatches and missing complements surface as
-    their usual errors.
+    their usual errors. Each identifier is looked up when the compiled code
+    reaches it, so the first error in evaluation order is the one raised.
     """
     table: Mapping[str, ModernSet]
     if isinstance(bindings, Mapping):
         table = bindings
     else:
         table = bindings.sets
+    names = sorted(_identifiers(expr))
 
-    def walk(node: Expression) -> ModernSet:
-        if isinstance(node, Ident):
-            if node.name not in table:
-                raise EvalError(f"identifier {node.name!r} is not bound to a set")
-            return table[node.name]
-        if isinstance(node, Complement):
-            return set_complement(walk(node.operand))
-        if isinstance(node, Intersection):
-            return intersection(walk(node.left), walk(node.right))
-        return union(walk(node.left), walk(node.right))
+    def value(i: int) -> ModernSet:
+        if names[i] not in table:
+            raise EvalError(f"identifier {names[i]!r} is not bound to a set")
+        return table[names[i]]
 
-    return walk(expr)
+    compiled = _compile((expr,), {name: f"v({i})" for i, name in enumerate(names)}, ("v",))
+    return compiled(_SET_OPS, value)

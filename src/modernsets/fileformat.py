@@ -147,6 +147,15 @@ def load_text(
     return workspace
 
 
+def _body(cursor: _Cursor, kind: str, name: str):
+    """Each line of a block as (lineno, fields), up to and consuming its ``end``."""
+    while (entry := cursor.next_content()) is not None:
+        if entry[1][0] == "end":
+            return
+        yield entry
+    raise cursor.error(f"{kind} {name!r}: missing 'end'", len(cursor.lines))
+
+
 def _block_name(cursor: _Cursor, lineno: int, fields: list[str], kind: str) -> str:
     if len(fields) != 2:
         raise cursor.error(f"'{kind}' header takes exactly one name", lineno)
@@ -178,14 +187,8 @@ def _read_algebra(cursor: _Cursor, header_line: int, fields: list[str], workspac
     tables: dict[str, dict] = {"wedge": {}, "vee": {}, "complement": {}}
     seen_sections: set[str] = set()
     mode: str | None = None
-    while True:
-        entry = cursor.next_content()
-        if entry is None:
-            raise cursor.error(f"algebra {name!r}: missing 'end'", len(cursor.lines))
-        lineno, fields = entry
+    for lineno, fields in _body(cursor, "algebra", name):
         keyword = fields[0]
-        if keyword == "end":
-            break
         if keyword == "elements":
             if elements is not None:
                 raise cursor.error("'elements' given twice", lineno)
@@ -257,14 +260,8 @@ def _read_lattice(cursor: _Cursor, header_line: int, fields: list[str], workspac
     _check_fresh(cursor, header_line, workspace.lattices, name, "lattice")
     elements: tuple[str, ...] | None = None
     covers: list[tuple[str, str]] = []
-    while True:
-        entry = cursor.next_content()
-        if entry is None:
-            raise cursor.error(f"lattice {name!r}: missing 'end'", len(cursor.lines))
-        lineno, fields = entry
+    for lineno, fields in _body(cursor, "lattice", name):
         keyword = fields[0]
-        if keyword == "end":
-            break
         if keyword == "elements":
             if elements is not None:
                 raise cursor.error("'elements' given twice", lineno)
@@ -293,14 +290,8 @@ def _read_family(cursor: _Cursor, header_line: int, fields: list[str], workspace
     _check_fresh(cursor, header_line, workspace.families, name, "family")
     points: tuple[str, ...] | None = None
     assignment: dict[str, AlgebraHandle] = {}
-    while True:
-        entry = cursor.next_content()
-        if entry is None:
-            raise cursor.error(f"family {name!r}: missing 'end'", len(cursor.lines))
-        lineno, fields = entry
+    for lineno, fields in _body(cursor, "family", name):
         keyword = fields[0]
-        if keyword == "end":
-            break
         if keyword == "universe":
             if points is not None:
                 raise cursor.error("'universe' given twice", lineno)
@@ -398,13 +389,7 @@ def _read_set(cursor: _Cursor, header_line: int, fields: list[str], workspace: W
         raise cursor.error(f"unknown family {family_name!r}", header_line)
     family = workspace.families[family_name]
     membership = {}
-    while True:
-        entry = cursor.next_content()
-        if entry is None:
-            raise cursor.error(f"set {name!r}: missing 'end'", len(cursor.lines))
-        lineno, fields = entry
-        if fields[0] == "end":
-            break
+    for lineno, fields in _body(cursor, "set", name):
         point = fields[0]
         if point not in family.universe:
             raise cursor.error(f"unknown point {point!r} in set row", lineno)

@@ -38,11 +38,11 @@ from functools import cached_property, partial
 from itertools import chain, combinations, islice, product, repeat
 from math import inf, prod
 from operator import ne
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .algebra import AlgebraHandle, Element, _compile_point, _PointTables
 from .errors import PreconditionError, StructuralError, require_count
-from .expressions import Complement, Expression, Ident, Intersection, Union, parse_expression
+from .expressions import _compile, _identifiers, _label, parse_expression
 from .lattice import FiniteLattice
 from .reporting import LawReport, Verdict, Witness
 from .sets import (
@@ -83,36 +83,6 @@ class Law:
 _CONSTANTS = {"O": "o.zero", "I": "o.one"}
 
 
-def _variables(node: Expression) -> set[str]:
-    if isinstance(node, Ident):
-        return {node.name} - _CONSTANTS.keys()
-    if isinstance(node, Complement):
-        return _variables(node.operand)
-    return _variables(node.left) | _variables(node.right)
-
-
-_WORDS = {Intersection: "wedge", Union: "vee"}
-
-
-def _label(node: Expression, nested: bool = False) -> str:
-    """``node`` in words, with parentheses around every nested binary operation."""
-    if isinstance(node, Ident):
-        return node.name
-    if isinstance(node, Complement):
-        return f"complement({_label(node.operand)})"
-    text = f"{_label(node.left, True)} {_WORDS[type(node)]} {_label(node.right, True)}"
-    return f"({text})" if nested else text
-
-
-def _source(node: Expression, names: dict[str, str]) -> str:
-    """``node`` as calls on the ops object ``o``, each leaf renamed by ``names``."""
-    if isinstance(node, Ident):
-        return names[node.name]
-    if isinstance(node, Complement):
-        return f"o.complement({_source(node.operand, names)})"
-    return f"o.{_WORDS[type(node)]}({_source(node.left, names)}, {_source(node.right, names)})"
-
-
 def _law(name: str, *equations: str, diagnostic: bool = False) -> Law:
     """A law written as equation text in the expression language.
 
@@ -124,15 +94,14 @@ def _law(name: str, *equations: str, diagnostic: bool = False) -> Law:
     source.
     """
     trees = [tuple(map(parse_expression, text.split("="))) for text in equations]
-    variables = sorted(set().union(*(_variables(side) for pair in trees for side in pair)))
-    names = {**_CONSTANTS, **{v: f"a{i}" for i, v in enumerate(variables)}}
-    params = "".join(f", a{i}" for i in range(len(variables)))
+    identifiers = set().union(*(_identifiers(side) for pair in trees for side in pair))
+    variables = sorted(identifiers - _CONSTANTS.keys())
+    params = [f"a{i}" for i in range(len(variables))]
+    names = {**_CONSTANTS, **dict(zip(variables, params))}
     labels = [f"{_label(lhs)} = {_label(rhs)}" for lhs, rhs in trees]
-    sources = [
-        f"lambda o{params}: ({_source(lhs, names)}, {_source(rhs, names)})" for lhs, rhs in trees
-    ]
-    needs_complement = any("o.complement(" in source for source in sources)
-    equations = tuple((label, eval(source, {})) for label, source in zip(labels, sources))
+    # An identifier is never followed by "(", so only a complement writes one.
+    needs_complement = any("complement(" in label for label in labels)
+    equations = tuple((label, _compile(pair, names, params)) for label, pair in zip(labels, trees))
     return Law(name, len(variables), needs_complement, equations, diagnostic)
 
 
@@ -672,6 +641,20 @@ def _forced_tuples(family: AlgebraFamily, arity: int, per_point_cap: int = 1000)
         yield from islice(product(spikes, repeat=arity), per_point_cap)
 
 
+def _per_handle(family: AlgebraFamily, answer: Callable) -> dict[Point, Any]:
+    """``answer(alg)`` at each point, computed once per handle, in point order.
+
+    Points sharing a handle share its answer: every answer here is
+    deterministic (a seeded or exhaustive scan), so repeating it would find
+    the same.
+    """
+    memo: dict[AlgebraHandle, Any] = {}
+    for alg in family.handles:
+        if alg not in memo:
+            memo[alg] = answer(alg)
+    return {x: memo[alg] for x, alg in zip(family.universe.points, family.handles)}
+
+
 def lift_point_value(family: AlgebraFamily, point: Point, value: Element) -> ModernSet:
     """The set holding ``value`` at ``point`` and O at every other point."""
     membership = {x: family.algebra_at(x).zero for x in family.universe.points}
@@ -725,7 +708,8 @@ def check_family_law(
         return LawReport(law.name, Verdict.not_applicable(
             f"algebra at point {missing!r} declares no complement"
         ))
-
+    if law.arity == 0:  # a closed law reads no set, so one evaluation decides it
+        return LawReport(law.name, _verdict(ops, law, [()]))
     if _set_count(family) ** law.arity <= max_exhaustive:
         verdict = _exhaustive_verdict(family, ops, law, max_exhaustive)
         if _family_is_finite(family):
@@ -781,16 +765,7 @@ def lift_check(
     a disagreement that survives both transports is reported.
     """
     law = _resolve(law)
-    points = family.universe.points
-    # Points sharing a handle share its verdict: the scan is seeded, so
-    # repeating it would find the same answer.
-    by_handle: dict[AlgebraHandle, Verdict] = {}
-    per_point: dict[Point, Verdict] = {}
-    for x in points:
-        alg = family.algebra_at(x)
-        if alg not in by_handle:
-            by_handle[alg] = check_law(alg, law, samples=samples, seed=seed).verdict
-        per_point[x] = by_handle[alg]
+    per_point = _per_handle(family, lambda alg: check_law(alg, law, samples=samples, seed=seed).verdict)
     family_verdict = check_family_law(family, law, samples=samples, seed=seed).verdict
     if family_verdict.applicable:
         failing_points = [x for x, v in per_point.items() if v.failed]
@@ -950,24 +925,21 @@ def check_gf_ring_conditions(
         raise PreconditionError(
             f"|X| = {len(points)} exceeds the cap {universe_size_cap}"
         )
-    # Points sharing a handle share its frame-law verdict, as in lift_check.
-    by_handle: dict[AlgebraHandle, Verdict] = {}
-    cha_per_point: dict[Point, Verdict] = {}
-    for x in points:
-        alg = family.algebra_at(x)
-        if alg not in by_handle:
-            if alg.structure == "fuzzy-unit":
-                by_handle[alg] = Verdict.holds_exhaustive(
-                    details=(("structure", "total order on the rational unit interval"),)
-                )
-            elif alg.lattice is not None:
-                by_handle[alg] = check_cha(alg.lattice)
-            else:
-                raise PreconditionError(
-                    f"algebra {alg.name!r} at point {x!r} is not lattice-backed; "
-                    f"the ring-of-sets conditions need a per-point order"
-                )
-        cha_per_point[x] = by_handle[alg]
+
+    def frame_law(alg: AlgebraHandle) -> Verdict:
+        if alg.structure == "fuzzy-unit":
+            return Verdict.holds_exhaustive(
+                details=(("structure", "total order on the rational unit interval"),)
+            )
+        if alg.lattice is not None:
+            return check_cha(alg.lattice)
+        x = points[family.handles.index(alg)]
+        raise PreconditionError(
+            f"algebra {alg.name!r} at point {x!r} is not lattice-backed; "
+            f"the ring-of-sets conditions need a per-point order"
+        )
+
+    cha_per_point = _per_handle(family, frame_law)
 
     # Two embeddings are equal exactly when they differ only at points
     # where O = I, so the first collision in mask order is (0, 1 << i) for
@@ -1153,15 +1125,9 @@ def classify_family(family: AlgebraFamily) -> FamilyClassification:
     lattice built from covers does. The unit interval is the one order
     taken from ``structure``, since no finite evaluation decides it.
     """
-    by_handle: dict[AlgebraHandle, tuple[str, str]] = {}
-    per_point: dict[Point, str] = {}
-    ranks = set()
-    for x in family.universe.points:
-        alg = family.algebra_at(x)
-        if alg not in by_handle:
-            by_handle[alg] = _point_level(alg)
-        level, per_point[x] = by_handle[alg]
-        ranks.add(LEVELS.index(level))
+    levels = _per_handle(family, _point_level)
+    per_point = {x: evidence for x, (_, evidence) in levels.items()}
+    ranks = {LEVELS.index(level) for level, _ in levels.values()}
     # Classical and fuzzy-like points together share only generalized-fuzzy.
     rank = ranks.pop() if len(ranks) == 1 else min(*ranks, LEVELS.index("generalized-fuzzy"))
     return FamilyClassification(level=LEVELS[rank], per_point=per_point)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -231,3 +232,68 @@ class TestEval:
         )
         with pytest.raises(UnsupportedOperationError):
             eval_expression({"M": m}, parse_expression("~M"))
+
+
+def reference_eval(table, node):
+    """The recursive walker ``eval_expression`` ran before it used compiled
+    code, kept as the reference the compiled evaluation must reproduce."""
+    if isinstance(node, Ident):
+        if node.name not in table:
+            raise EvalError(f"identifier {node.name!r} is not bound to a set")
+        return table[node.name]
+    if isinstance(node, ComplementExpr):
+        return set_complement(reference_eval(table, node.operand))
+    if isinstance(node, IntersectionExpr):
+        return intersection(reference_eval(table, node.left), reference_eval(table, node.right))
+    return union(reference_eval(table, node.left), reference_eval(table, node.right))
+
+
+def random_tree(rng, height, kinds):
+    """A tree exactly ``height`` operators tall: a spine of random operators,
+    each binary one with a shallow random branch on a random side."""
+    if height == 0:
+        return rng.choice((A, B, C))
+    spine = random_tree(rng, height - 1, kinds)
+    kind = rng.choice(kinds)
+    if kind is ComplementExpr:
+        return kind(spine)
+    branch = random_tree(rng, rng.randrange(min(height, 3)), kinds)
+    return kind(spine, branch) if rng.random() < 0.5 else kind(branch, spine)
+
+
+@pytest.mark.parametrize(
+    "algebra,points,kinds",
+    [
+        (fuzzy_algebra(), ("p", "q"), (ComplementExpr, IntersectionExpr, UnionExpr)),
+        (matrix_algebra(2), ("x",), (IntersectionExpr, UnionExpr)),
+    ],
+    ids=["fuzzy", "mat2"],
+)
+def test_compiled_evaluation_matches_reference_walker(algebra, points, kinds):
+    rng = Random(29)
+    fam = constant_family(points, algebra)
+    table = {
+        name: modern_set(fam, {x: algebra.sample(rng) for x in points}) for name in "ABC"
+    }
+    for height in (0, 1, 2, 3, 5, 8, 13, MAX_DEPTH - 1, MAX_DEPTH):
+        for _ in range(6):
+            tree = random_tree(rng, height, kinds)
+            assert parse_expression(format_expression(tree)) == tree
+            assert eval_expression(table, tree) == reference_eval(table, tree), format_expression(tree)
+
+
+def test_evaluation_errors_arrive_in_walk_order():
+    fuzzy = modern_set(constant_family(("p",), fuzzy_algebra()), {"p": Fraction(1, 2)})
+    crisp = modern_set(constant_family(("z",), classical_algebra()), {"z": "O"})
+    table = {"A": fuzzy, "B": crisp}
+    for source, error in (
+        ("(A /\\ B) \\/ Missing", IncompatibleFamilyError),
+        ("Missing \\/ (A /\\ B)", EvalError),
+    ):
+        tree = parse_expression(source)
+        with pytest.raises(error) as got:
+            eval_expression(table, tree)
+        with pytest.raises(error) as want:
+            reference_eval(table, tree)
+        assert str(got.value) == str(want.value)
+    assert "'Missing'" in str(got.value)

@@ -1354,8 +1354,6 @@ def test_random_equations_decided_on_k3_match_unit_interval_sampling():
     checked = held = 0
     while checked < 300:
         law = laws._law("random", f"{_random_side(rng, 4)} = {_random_side(rng, 4)}")
-        if law.arity == 0:
-            continue
         decided = check_family_law(family, law).verdict
         sampled = check_law(fz, law, samples=400, seed=checked).verdict
         assert decided.status == sampled.status, law.equations[0][0]
@@ -1363,3 +1361,27 @@ def test_random_equations_decided_on_k3_match_unit_interval_sampling():
         checked += 1
         held += decided.holds
     assert held >= 20
+
+
+@pytest.mark.parametrize(
+    "algebra", [chain_algebra(3), fuzzy_algebra(), matrix_algebra(2)], ids=["chain3", "fuzzy", "mat2"]
+)
+def test_closed_laws_are_decided_by_one_evaluation(algebra):
+    """A law with no variables reads no set: the empty tuple decides it on
+    every carrier, finite, unit interval or matrix, at both levels."""
+    family = constant_family(("p", "q"), algebra)
+    holds = laws._law("closed", r"O /\ I = O", r"I \/ O = I")
+    verdict = check_family_law(family, holds).verdict
+    assert verdict.describe() == "holds (exhaustive)"
+    report = lift_check(family, holds)
+    assert report.family_verdict == verdict
+    assert all(v.holds for v in report.per_point.values()) and report.consistent
+
+    fails = laws._law("closed", "O = I")
+    verdict = check_family_law(family, fails).verdict
+    assert verdict.failed and verdict.witness.inputs == ()
+    assert (verdict.witness.lhs, verdict.witness.rhs) == (empty_set(family), full_set(family))
+    report = lift_check(family, fails)
+    assert report.family_verdict == verdict
+    assert all(v.failed and v.witness.inputs == () for v in report.per_point.values())
+    assert report.consistent
