@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import DomainError, StructuralError, UnsupportedOperationError
@@ -81,7 +80,7 @@ class AlgebraHandle:
         """
         if self.elements is None:
             return None
-        tables = _compile_point(self, False, inf)
+        tables = _compile_point(self, False)
         if tables is None:
             return None
         return lattice_of_tables(
@@ -102,21 +101,15 @@ class _PointTables(NamedTuple):
     one: int
 
 
-def _compile_point(
-    alg: AlgebraHandle, with_complement: bool, max_exhaustive: float
-) -> _PointTables | None:
+def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | None:
     """Integer tables of one finite algebra, or None if they would not be exact.
 
     Calls the handle's own wedge, vee and (when asked) complement once per
     element pair and stores each result as its index in ``alg.elements``.
     Returns None when the elements are not distinct, or O, I or some result
-    is not a listed element that ``is_member`` accepts. It also returns None
-    when the carrier has more than ``max_exhaustive`` pairs, so compiling
-    never costs more than an exhaustive scan may.
+    is not a listed element that ``is_member`` accepts.
     """
     elements = alg.elements
-    if len(elements) ** 2 > max_exhaustive:
-        return None
     try:
         index = {e: i for i, e in enumerate(elements)}
         wedge = [alg.wedge(x, y) for x in elements for y in elements]

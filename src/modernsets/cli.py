@@ -156,16 +156,9 @@ def _cmd_classify(args, workspace: Workspace) -> int:
 
 def _cmd_lift(args, workspace: Workspace) -> int:
     family = _resolve_family(workspace, args.family)
-    try:
-        law = get_law(args.law)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = lift_check(family, law, samples=args.samples, seed=args.seed)
+    report = lift_check(family, get_law(args.law), samples=args.samples, seed=args.seed)
     print(report.describe())
-    if not report.consistent:
-        return 1
-    return 1 if report.family_verdict.failed else 0
+    return 1 if report.family_verdict.failed or not report.consistent else 0
 
 
 def _cmd_gfcheck(args, workspace: Workspace) -> int:

@@ -46,6 +46,10 @@ class CountError(ModernSetError, ValueError):
     """A sample count or search budget is negative."""
 
 
+class UnknownLawError(ModernSetError, ValueError):
+    """A law name is not in the registry."""
+
+
 def require_count(name: str, value: int) -> None:
     """Raise CountError unless ``value`` is a non-negative count."""
     if value < 0:

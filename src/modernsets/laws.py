@@ -41,7 +41,7 @@ from operator import ne
 from typing import Any, Callable, NamedTuple
 
 from .algebra import AlgebraHandle, Element, _compile_point, _PointTables
-from .errors import PreconditionError, StructuralError, require_count
+from .errors import PreconditionError, StructuralError, UnknownLawError, require_count
 from .expressions import _compile, _identifiers, _label, parse_expression
 from .lattice import FiniteLattice
 from .reporting import LawReport, Verdict, Witness
@@ -137,7 +137,7 @@ def get_law(name: str) -> Law:
         return _BY_NAME[name]
     except KeyError:
         known = ", ".join(LAW_NAMES)
-        raise ValueError(f"unknown law {name!r}; known laws: {known}") from None
+        raise UnknownLawError(f"unknown law {name!r}; known laws: {known}") from None
 
 
 def _resolve(law: "Law | str") -> Law:
@@ -181,7 +181,8 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
     """One law on one algebra.
 
     Finite carriers: exhaustive, declaration order. Infinite carriers: all
-    tuples of boundary elements, then ``samples`` seeded random tuples.
+    tuples of boundary elements, then ``samples`` seeded random tuples. A
+    law with no variables is decided by one evaluation on any carrier.
     """
     require_count("samples", samples)
     law = _resolve(law)
@@ -189,6 +190,8 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
         return LawReport(law.name, Verdict.not_applicable(
             f"algebra {a.name!r} declares no complement"
         ))
+    if law.arity == 0:  # a closed law reads no element, so one evaluation decides it
+        return LawReport(law.name, _verdict(a, law, [()]))
     if a.elements is not None:
         return LawReport(law.name, _verdict(a, law, product(a.elements, repeat=law.arity)))
     tuples = product(a.boundary, repeat=law.arity)
@@ -337,6 +340,15 @@ def _cha_verdict(lat: FiniteLattice, binary: Verdict) -> Verdict:
     return replace(verdict, details=(("binary-distributive", binary),))
 
 
+def _complements(lat: FiniteLattice, x: str) -> tuple[int, int]:
+    """How many y have x wedge y = bottom and x vee y = top (read off x's rows), and 1."""
+    pairs = zip(lat.meet_table[x].values(), lat.join_table[x].values())
+    return [*pairs].count((lat.bottom, lat.top)), 1
+
+
+_BOOLEAN_LAW = Law("boolean-complemented", 1, False, (("number of complements of x = 1", _complements),))
+
+
 def check_boolean(lat: FiniteLattice) -> Verdict:
     """Exactly one complement per element; requires distributivity first."""
     distributive = check_distributive(lat)
@@ -345,26 +357,17 @@ def check_boolean(lat: FiniteLattice) -> Verdict:
             f"lattice {lat.name!r} is not distributive; Boolean check needs "
             f"distributivity (witness {distributive.witness.inputs})"
         )
-    return _complement_count(lat)
+    return _boolean_verdict(lat)
 
 
-def _complement_count(lat: FiniteLattice) -> Verdict:
-    for x in lat.elements:
-        complements = [
-            y
-            for y in lat.elements
-            if lat.meet(x, y) == lat.bottom and lat.join(x, y) == lat.top
-        ]
-        if len(complements) != 1:
-            return Verdict.fails(
-                Witness(
-                    inputs=(x,),
-                    lhs=len(complements),
-                    rhs=1,
-                    note=f"element {x!r} has {len(complements)} complement(s), expected 1",
-                )
-            )
-    return Verdict.holds_exhaustive()
+def _boolean_verdict(lat: FiniteLattice) -> Verdict:
+    """The Boolean row, a failing element's note giving its complement count."""
+    verdict = _verdict(lat, _BOOLEAN_LAW, zip(lat.elements))
+    if verdict.failed:
+        (x,), count = verdict.witness.inputs, verdict.witness.lhs
+        note = f"element {x!r} has {count} complement(s), expected 1"
+        verdict = Verdict.fails(replace(verdict.witness, note=note))
+    return verdict
 
 
 @dataclass(eq=False)
@@ -425,10 +428,9 @@ def check_lattice_laws(
         return _verdict(lat, law, product(lat.elements, repeat=law.arity))
 
     distributive = check_distributive(lat)
+    boolean = Verdict.not_applicable("lattice is not distributive")
     if distributive.holds:
-        boolean = _complement_count(lat)
-    else:
-        boolean = Verdict.not_applicable("lattice is not distributive")
+        boolean = _boolean_verdict(lat)
     mixed = every(_DISTRIBUTIVE_MIXED_LAW) if check_mixed_form_distributivity else None
     return LatticeCertificate(
         lat,
@@ -578,7 +580,7 @@ class _ColumnOps:
         return ModernSet(self.family, tuple(reversed(values)))
 
 
-def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhaustive: int):
+def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law):
     """All tuples of sets over the deciding carriers, in declaration order.
 
     A law of arity 2 or more scans columns of set indices when every point
@@ -586,11 +588,10 @@ def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, max_exhau
     through ``ops``; an arity-1 law, or a point that does not compile,
     scans the sets themselves.
     """
-    if law.arity == 1:
-        return _verdict(ops, law, zip(_all_sets(family)))
-    views = (a if a.finite else replace(a, elements=c) for a, c in zip(family.handles, _carriers(family)))
-    tables = [_compile_point(alg, law.needs_complement, max_exhaustive) for alg in views]
-    if None in tables:
+    if law.arity > 1:
+        views = (a if a.finite else replace(a, elements=c) for a, c in zip(family.handles, _carriers(family)))
+        tables = [_compile_point(alg, law.needs_complement) for alg in views]
+    if law.arity == 1 or None in tables:
         return _verdict(ops, law, product(_all_sets(family), repeat=law.arity))
     columns = _ColumnOps(family, tables)
     found = _scan(columns, law, columns.slabs(law.arity))
@@ -624,7 +625,14 @@ def _random_set(family: AlgebraFamily, rng: random.Random) -> ModernSet:
     return ModernSet(family, tuple(values))
 
 
-def _forced_tuples(family: AlgebraFamily, arity: int, per_point_cap: int = 1000):
+# A family is scanned exhaustively up to _MAX_EXHAUSTIVE tuples, else on at most
+# _FORCED_CAP forced tuples (_PER_POINT_CAP per point) and then seeded draws.
+_MAX_EXHAUSTIVE = 50_000
+_FORCED_CAP = 20_000
+_PER_POINT_CAP = 1000
+
+
+def _forced_tuples(family: AlgebraFamily, arity: int):
     """Deterministic tuples every sampled family check must try.
 
     All empty/full combinations, then for each point all tuples of spikes
@@ -638,7 +646,7 @@ def _forced_tuples(family: AlgebraFamily, arity: int, per_point_cap: int = 1000)
         alg = family.algebra_at(x)
         values = alg.elements if alg.elements is not None else alg.boundary
         spikes = [lift_point_value(family, x, v) for v in values]
-        yield from islice(product(spikes, repeat=arity), per_point_cap)
+        yield from islice(product(spikes, repeat=arity), _PER_POINT_CAP)
 
 
 def _per_handle(family: AlgebraFamily, answer: Callable) -> dict[Point, Any]:
@@ -672,15 +680,13 @@ def check_family_law(
     law: "Law | str",
     samples: int = 200,
     seed: int = 0,
-    max_exhaustive: int = 50_000,
-    forced_cap: int = 20_000,
 ) -> LawReport:
     """One law over all modern sets of a family.
 
     Exhaustive when every point is finite or the unit interval, decided on
     K3 (Kalman 1958, see the module docstring), and the tuple count stays
-    within ``max_exhaustive``; otherwise forced spike tuples (capped at
-    ``forced_cap``) followed by seeded random sets. A failure over K3
+    within ``_MAX_EXHAUSTIVE``; otherwise forced spike tuples (capped at
+    ``_FORCED_CAP``) followed by seeded random sets. A failure over K3
     reports the forced stage's first failing tuple, as the sampled route
     does; the scan's own witness stands only when a cap cut that stage short.
 
@@ -710,17 +716,17 @@ def check_family_law(
         ))
     if law.arity == 0:  # a closed law reads no set, so one evaluation decides it
         return LawReport(law.name, _verdict(ops, law, [()]))
-    if _set_count(family) ** law.arity <= max_exhaustive:
-        verdict = _exhaustive_verdict(family, ops, law, max_exhaustive)
+    if _set_count(family) ** law.arity <= _MAX_EXHAUSTIVE:
+        verdict = _exhaustive_verdict(family, ops, law)
         if _family_is_finite(family):
             return LawReport(law.name, verdict)
         if verdict.holds:
             reduction = "K3 = {0, 1/2, 1} at each unit-interval point (Kalman 1958)"
             return LawReport(law.name, replace(verdict, details=(("deciding-carrier", reduction),)))
-        forced = _verdict(ops, law, islice(_forced_tuples(family, law.arity), forced_cap))
+        forced = _verdict(ops, law, islice(_forced_tuples(family, law.arity), _FORCED_CAP))
         return LawReport(law.name, forced if forced.failed else verdict)
     tuples = chain(
-        islice(_forced_tuples(family, law.arity), forced_cap),
+        islice(_forced_tuples(family, law.arity), _FORCED_CAP),
         _draws(partial(_random_set, family), law.arity, samples, seed),
     )
     return LawReport(law.name, _verdict(ops, law, tuples, seed))

@@ -230,7 +230,7 @@ class TestLift:
     def test_unknown_law(self, capsys):
         code, _, err = run(capsys, "lift", "fuzzy@2", "nosuchlaw")
         assert code == 2
-        assert "nosuchlaw" in err
+        assert err == f"error: unknown law 'nosuchlaw'; known laws: {', '.join(LAW_NAMES)}\n"
 
 
 class TestGfCheck:

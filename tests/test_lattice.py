@@ -298,6 +298,44 @@ def test_pow2_boolean():
     assert check_boolean(powerset_lattice(2)).holds
 
 
+def reference_complement_count(lat):
+    """The Boolean row as a plain loop: the first element without exactly one complement."""
+    for x in lat.elements:
+        complements = [
+            y
+            for y in lat.elements
+            if lat.meet(x, y) == lat.bottom and lat.join(x, y) == lat.top
+        ]
+        if len(complements) != 1:
+            return Witness(
+                inputs=(x,),
+                lhs=len(complements),
+                rhs=1,
+                note=f"element {x!r} has {len(complements)} complement(s), expected 1",
+            )
+    return None
+
+
+def test_boolean_row_matches_the_reference_loop():
+    lattices = [powerset_lattice(n) for n in (1, 2, 3, 4)]
+    for n in range(2, 8):
+        tokens = [str(i) for i in range(n)]
+        lattices.append(lattice_from_hasse(f"chain{n}", tokens, list(zip(tokens, tokens[1:]))))
+    lattices += [
+        lat for lat in random_lattices(seed=7, count=60, max_size=12) if check_distributive(lat).holds
+    ]
+    outcomes = set()
+    for lat in lattices:
+        witness = reference_complement_count(lat)
+        for verdict in (check_boolean(lat), check_lattice_laws(lat).boolean_complemented):
+            if witness is None:
+                assert verdict.holds and verdict.mode == "exhaustive", lat.name
+            else:
+                assert verdict.failed and verdict.witness == witness, lat.name
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+
 def test_boolean_requires_distributivity():
     with pytest.raises(PreconditionError):
         check_boolean(m3_lattice())

@@ -585,7 +585,8 @@ class TestKernelMemoryBound:
     """Row tables hold n * n entries, so arity-1 laws scan the n sets instead."""
 
     @pytest.mark.parametrize("max_exhaustive", [1000, 400_000])
-    def test_arity_one_laws_build_no_row_table(self, max_exhaustive):
+    def test_arity_one_laws_build_no_row_table(self, max_exhaustive, monkeypatch):
+        monkeypatch.setattr(laws, "_MAX_EXHAUSTIVE", max_exhaustive)
         family = constant_family(("a", "b", "c", "d"), chain_algebra(5))  # 625 sets
         expected = {
             "idempotent-wedge": "holds (exhaustive)",
@@ -604,7 +605,7 @@ class TestKernelMemoryBound:
         tracemalloc.start()
         try:
             got = {
-                law: check_family_law(family, law, max_exhaustive=max_exhaustive).verdict.describe()
+                law: check_family_law(family, law).verdict.describe()
                 for law in expected
             }
             _, peak = tracemalloc.get_traced_memory()
@@ -1292,8 +1293,10 @@ def test_k3_verdicts_match_the_sampled_route(names):
     family = family_of([algebras[name] for name in names])
     for law in LAWS:
         decided = check_family_law(family, law).verdict
-        # max_exhaustive=0 sends every family down the sampled route
-        sampled = check_family_law(family, law, max_exhaustive=0).verdict
+        # _MAX_EXHAUSTIVE = 0 sends every family down the sampled route
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laws, "_MAX_EXHAUSTIVE", 0)
+            sampled = check_family_law(family, law).verdict
         if decided.mode == "sampled":
             # 45 sets over K3 make more than 50,000 triples: sampled as before
             assert names == ("n5", "fuzzy", "fuzzy") and law.arity == 3, law.name
@@ -1310,13 +1313,15 @@ def test_k3_verdicts_match_the_sampled_route(names):
             assert decided.describe() == sampled.describe(), law.name
 
 
-def test_scan_witness_stands_when_a_cap_cuts_the_forced_stage_short():
+def test_scan_witness_stands_when_a_cap_cuts_the_forced_stage_short(monkeypatch):
     # With one forced tuple (the empty set) nothing fails before the draws,
     # so the witness is the scan's first failing set in K3 order (0, 1, 1/2),
     # rebuilt over the family and re-checked on it.
     fz = fuzzy_algebra()
     family = constant_family(("p", "q"), fz)
-    verdict = check_family_law(family, "excluded-middle", forced_cap=1).verdict
+    with monkeypatch.context() as mp:
+        mp.setattr(laws, "_FORCED_CAP", 1)
+        verdict = check_family_law(family, "excluded-middle").verdict
     (s,) = verdict.witness.inputs
     assert s == modern_set(family, {"p": Fraction(0), "q": Fraction(1, 2)})
     assert s.family is family
@@ -1326,12 +1331,13 @@ def test_scan_witness_stands_when_a_cap_cuts_the_forced_stage_short():
     assert s == lift_point_value(family, "p", Fraction(1, 2))
 
 
-def test_matrix_families_stay_sampled():
+def test_matrix_families_stay_sampled(monkeypatch):
     u = Universe(("p", "q"))
     family = AlgebraFamily(u, {"p": fuzzy_algebra(), "q": matrix_algebra(2)})
     verdict = check_family_law(family, "commutative-vee").verdict
     assert verdict.mode == "sampled"
-    assert verdict == check_family_law(family, "commutative-vee", max_exhaustive=0).verdict
+    monkeypatch.setattr(laws, "_MAX_EXHAUSTIVE", 0)
+    assert verdict == check_family_law(family, "commutative-vee").verdict
 
 
 def _random_side(rng, depth):
@@ -1373,9 +1379,11 @@ def test_closed_laws_are_decided_by_one_evaluation(algebra):
     holds = laws._law("closed", r"O /\ I = O", r"I \/ O = I")
     verdict = check_family_law(family, holds).verdict
     assert verdict.describe() == "holds (exhaustive)"
+    assert check_law(algebra, holds).verdict.describe() == "holds (exhaustive)"
     report = lift_check(family, holds)
     assert report.family_verdict == verdict
-    assert all(v.holds for v in report.per_point.values()) and report.consistent
+    assert [v.describe() for v in report.per_point.values()] == ["holds (exhaustive)"] * 2
+    assert report.consistent
 
     fails = laws._law("closed", "O = I")
     verdict = check_family_law(family, fails).verdict
