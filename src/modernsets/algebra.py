@@ -15,7 +15,9 @@ checked by :func:`~modernsets.laws.check_wba_axioms`, never assumed.
 
 Carrier elements are plain values: tokens (str) for finite algebras, exact
 rationals (Fraction) for the unit-interval algebra, and RationalMatrix for
-matrix algebras. Equality between elements is structural and exact.
+matrix algebras. Equality between elements is structural and exact. An
+infinite carrier may declare a finite sub-carrier that decides its
+equations, and is then ordered and scanned on that, by evaluation.
 """
 
 from __future__ import annotations
@@ -43,17 +45,20 @@ class AlgebraHandle:
     use :func:`apply_wedge` / :func:`apply_vee` for the checked surface).
     ``elements`` is the declaration-order carrier for finite algebras and
     None otherwise. Infinite carriers instead provide ``boundary`` (elements
-    always forced into sample pools) and ``sample`` (seeded random draw).
+    always forced into sample pools) and ``sample`` (seeded random draw),
+    and may declare ``deciding``: a finite sub-carrier on which every
+    equation of the algebra is decided. The rational unit interval declares
+    K3 = {0, 1/2, 1}, since every Kleene algebra is a subdirect product of
+    the 2- and 3-element Kleene chains (J. A. Kalman, "Lattices with
+    involution", Trans. AMS 87, 1958). That is a claim about the
+    operations, so ``dataclasses.replace`` keeps it.
 
-    Whether a finite algebra is a lattice is decided by evaluating its
-    operations (see :attr:`lattice`), never declared. ``structure`` names
-    how the handle was built; the only order it vouches for is
-    ``"fuzzy-unit"``, the rational unit interval under min and max, since no
-    finite evaluation decides an infinite carrier.
+    Whether an algebra is a lattice is decided by evaluating its operations
+    on its elements, or on its deciding sub-carrier (see :attr:`lattice`),
+    never declared.
     """
 
     name: str
-    structure: str  # "classical" | "fuzzy-unit" | "chain" | "lattice" | "matrix" | "table"
     zero: Element
     one: Element
     wedge: BinaryOp
@@ -62,6 +67,7 @@ class AlgebraHandle:
     complement: UnaryOp | None = None
     elements: tuple[Element, ...] | None = None
     boundary: tuple[Element, ...] = ()
+    deciding: tuple[Element, ...] | None = None
     sample: Callable[[random.Random], Element] | None = None
 
     @property
@@ -70,21 +76,21 @@ class AlgebraHandle:
 
     @cached_property
     def lattice(self) -> FiniteLattice | None:
-        """The lattice this finite algebra is, named after it, or None.
+        """The lattice this algebra is, or its deciding sub-carrier is, or None.
 
-        Worked out on first read from the operation tables: the order is
-        x <= y iff wedge(x, y) = x, and the algebra is a lattice when wedge
-        and vee are that order's meet and join and O and I its bounds (see
-        :func:`~modernsets.lattice.lattice_of_tables`). None for infinite
-        carriers and for tables that are not exact (see :func:`_compile_point`).
+        Worked out on first read from the operation tables over
+        :func:`_carrier`: the order is x <= y iff wedge(x, y) = x, and the
+        algebra is a lattice when wedge and vee are that order's meet and
+        join and O and I its bounds (see
+        :func:`~modernsets.lattice.lattice_of_tables`). So the unit interval's
+        lattice is the chain K3. None for carriers with nothing finite to
+        evaluate and for tables that are not exact (see :func:`_compile_point`).
         """
-        if self.elements is None:
-            return None
         tables = _compile_point(self, False)
         if tables is None:
             return None
         return lattice_of_tables(
-            self.name, self.elements, tables.wedge, tables.vee, tables.zero, tables.one
+            self.name, _carrier(self), tables.wedge, tables.vee, tables.zero, tables.one
         )
 
     def __repr__(self):
@@ -101,15 +107,23 @@ class _PointTables(NamedTuple):
     one: int
 
 
+def _carrier(alg: AlgebraHandle) -> tuple[Element, ...] | None:
+    """The finite carrier equations are evaluated on: the elements, else the deciding ones."""
+    return alg.deciding if alg.elements is None else alg.elements
+
+
 def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | None:
-    """Integer tables of one finite algebra, or None if they would not be exact.
+    """Integer tables of one algebra over :func:`_carrier`, or None if they would not be exact.
 
     Calls the handle's own wedge, vee and (when asked) complement once per
-    element pair and stores each result as its index in ``alg.elements``.
-    Returns None when the elements are not distinct, or O, I or some result
-    is not a listed element that ``is_member`` accepts.
+    element pair and stores each result as its index in the carrier.
+    Returns None when there is no finite carrier, its elements are not
+    distinct, or O, I or some result is not a listed element that
+    ``is_member`` accepts.
     """
-    elements = alg.elements
+    elements = _carrier(alg)
+    if elements is None:
+        return None
     try:
         index = {e: i for i, e in enumerate(elements)}
         wedge = [alg.wedge(x, y) for x in elements for y in elements]
@@ -234,7 +248,6 @@ class FiniteAlgebraTable:
             complement = comp_table.__getitem__
         return AlgebraHandle(
             name=self.name,
-            structure="table",
             zero=self.zero_token,
             one=self.one_token,
             wedge=lambda x, y: wedge_table[x][y],

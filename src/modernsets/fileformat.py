@@ -365,19 +365,17 @@ def _parse_element_literal(cursor, lineno, algebra: AlgebraHandle, text: str):
         if len(text.split()) != 1:
             raise cursor.error(f"expected a single token, got {text!r}", lineno)
         return text
-    if algebra.structure == "fuzzy-unit":
+    if isinstance(algebra.zero, Fraction):
         try:
             return _parse_rational(text)
         except ValueError as exc:
             raise cursor.error(str(exc), lineno) from exc
-    if algebra.structure == "matrix":
+    if isinstance(algebra.zero, RationalMatrix):
         try:
             return parse_matrix_literal(text)
         except (ValueError, ShapeError) as exc:
             raise cursor.error(str(exc), lineno) from exc
-    raise cursor.error(
-        f"cannot parse literals for algebra structure {algebra.structure!r}", lineno
-    )
+    raise cursor.error(f"cannot parse literals for algebra {algebra.name!r}", lineno)
 
 
 def _read_set(cursor: _Cursor, header_line: int, fields: list[str], workspace: Workspace):

@@ -118,7 +118,6 @@ def matrix_algebra(n: int) -> AlgebraHandle:
 
     return AlgebraHandle(
         name=f"mat{n}",
-        structure="matrix",
         zero=zero,
         one=one,
         wedge=lambda x, y: normalize_matrix(x * y),
@@ -150,13 +149,13 @@ def chain_algebra(k: int) -> AlgebraHandle:
     tokens = _chain_tokens(k)
     lat = lattice_from_hasse(f"chain{k}", tokens, tuple(zip(tokens, tokens[1:])))
     flipped = dict(zip(tokens, reversed(tokens)))
-    return replace(lattice_algebra(lat, complement=flipped), structure="chain")
+    return lattice_algebra(lat, complement=flipped)
 
 
 @lru_cache(maxsize=None)
 def classical_algebra() -> AlgebraHandle:
     """The two-element Boolean algebra on tokens O and I."""
-    return replace(chain_algebra(2), name="classical2", structure="classical")
+    return replace(chain_algebra(2), name="classical2")
 
 
 @lru_cache(maxsize=None)
@@ -166,6 +165,8 @@ def fuzzy_algebra() -> AlgebraHandle:
     Carrier membership requires an exact Fraction in [0, 1]. The boundary
     pool (0, 1, 1/2) guarantees sampled law checks always probe the ends
     and the midpoint, where excluded middle and non-contradiction break.
+    The same three elements, K3, are the deciding sub-carrier: every
+    equation holds on the interval iff it holds on K3 (Kalman 1958).
 
     Wedge and vee compare by integer cross-products and return the very
     operand ``min``/``max`` would; the complement ``Fraction(d - n, d)``
@@ -175,6 +176,7 @@ def fuzzy_algebra() -> AlgebraHandle:
     """
     zero = Fraction(0)
     one = Fraction(1)
+    k3 = (zero, one, Fraction(1, 2))
     pool: tuple[tuple[Fraction, ...], ...] = ()
 
     def is_member(x: Element) -> bool:
@@ -194,14 +196,14 @@ def fuzzy_algebra() -> AlgebraHandle:
 
     return AlgebraHandle(
         name="fuzzy",
-        structure="fuzzy-unit",
         zero=zero,
         one=one,
         wedge=wedge,
         vee=vee,
         is_member=is_member,
         complement=lambda x: Fraction(x.denominator - x.numerator, x.denominator),
-        boundary=(zero, one, Fraction(1, 2)),
+        boundary=k3,
+        deciding=k3,
         sample=sample,
     )
 
@@ -240,7 +242,6 @@ def lattice_algebra(
     carrier = frozenset(lat.elements)
     return AlgebraHandle(
         name=name or lat.name,
-        structure="lattice",
         zero=lat.bottom,
         one=lat.top,
         wedge=lat.meet,

@@ -40,7 +40,7 @@ from math import inf, prod
 from operator import ne
 from typing import Any, Callable, NamedTuple
 
-from .algebra import AlgebraHandle, Element, _compile_point, _PointTables
+from .algebra import AlgebraHandle, Element, _carrier, _compile_point, _PointTables
 from .errors import PreconditionError, StructuralError, UnknownLawError, require_count
 from .expressions import _compile, _identifiers, _label, parse_expression
 from .lattice import FiniteLattice
@@ -467,8 +467,8 @@ def _family_is_finite(family: AlgebraFamily) -> bool:
 
 
 def _carriers(family: AlgebraFamily) -> list[tuple[Element, ...]] | None:
-    """Each point's elements, or its boundary pool K3 if it is the unit interval."""
-    carriers = [a.boundary if a.structure == "fuzzy-unit" else a.elements for a in family.handles]
+    """Each point's elements, or the sub-carrier that decides it (K3 for the unit interval)."""
+    carriers = [_carrier(a) for a in family.handles]
     return None if None in carriers else carriers
 
 
@@ -586,12 +586,12 @@ def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law):
     A law of arity 2 or more scans columns of set indices when every point
     compiles to exact tables, and rebuilds the witness from the sets
     through ``ops``; an arity-1 law, or a point that does not compile,
-    scans the sets themselves.
+    scans the sets themselves, an arity-1 law one set at a time as drawn.
     """
-    if law.arity > 1:
-        views = (a if a.finite else replace(a, elements=c) for a, c in zip(family.handles, _carriers(family)))
-        tables = [_compile_point(alg, law.needs_complement) for alg in views]
-    if law.arity == 1 or None in tables:
+    if law.arity == 1:
+        return _verdict(ops, law, zip(_all_sets(family)))
+    tables = [_compile_point(alg, law.needs_complement) for alg in family.handles]
+    if None in tables:
         return _verdict(ops, law, product(_all_sets(family), repeat=law.arity))
     columns = _ColumnOps(family, tables)
     found = _scan(columns, law, columns.slabs(law.arity))
@@ -683,8 +683,9 @@ def check_family_law(
 ) -> LawReport:
     """One law over all modern sets of a family.
 
-    Exhaustive when every point is finite or the unit interval, decided on
-    K3 (Kalman 1958, see the module docstring), and the tuple count stays
+    Exhaustive when every point is finite or declares a deciding
+    sub-carrier, as the unit interval declares K3 (Kalman 1958, see the
+    module docstring), and the tuple count stays
     within ``_MAX_EXHAUSTIVE``; otherwise forced spike tuples (capped at
     ``_FORCED_CAP``) followed by seeded random sets. A failure over K3
     reports the forced stage's first failing tuple, as the sampled route
@@ -918,12 +919,13 @@ def check_gf_ring_conditions(
 ) -> GfRingReport:
     """Check the four ring-of-sets conditions for a family.
 
-    Every point must be order-backed: a finite algebra whose tables make it
-    a lattice (:attr:`AlgebraHandle.lattice`, decided by evaluation), or the
-    rational unit interval, the one order taken from ``structure`` because
-    no finite evaluation decides an infinite carrier. Anything else (matrix
-    algebras, tables that are no lattice) has no order to check, so the
-    check refuses with PreconditionError rather than guessing.
+    Every point must be order-backed: its tables, over its elements or over
+    the sub-carrier that decides it, make it a lattice
+    (:attr:`AlgebraHandle.lattice`, decided by evaluation), and the frame
+    law is checked on that lattice, K3 for the unit interval. Anything else
+    (matrix algebras, tables that are no lattice) has no order to check, so
+    the check refuses with PreconditionError rather than guessing. Bounds
+    absorption is a family law, checked by :func:`check_family_law`.
     """
     require_count("samples", samples)
     points = family.universe.points
@@ -933,10 +935,6 @@ def check_gf_ring_conditions(
         )
 
     def frame_law(alg: AlgebraHandle) -> Verdict:
-        if alg.structure == "fuzzy-unit":
-            return Verdict.holds_exhaustive(
-                details=(("structure", "total order on the rational unit interval"),)
-            )
         if alg.lattice is not None:
             return check_cha(alg.lattice)
         x = points[family.handles.index(alg)]
@@ -963,7 +961,7 @@ def check_gf_ring_conditions(
 
     crisp_ops_coincide = verify_crisp_restriction(family, universe_size_cap).verdict
 
-    bounds_absorb = _check_bounds_absorb(family, samples=samples, seed=seed)
+    bounds_absorb = check_family_law(family, _BOUNDS_LAW, samples, seed).verdict
 
     small = len(points) <= 2 and _family_is_finite(family) and all(
         len(family.algebra_at(x).elements) <= 4 for x in points
@@ -1006,18 +1004,6 @@ _BOUNDS_LAW = Law(
 )
 
 
-def _check_bounds_absorb(family: AlgebraFamily, samples: int, seed: int) -> Verdict:
-    """A vee full = full and A wedge empty = empty, for many A."""
-    ops = _SetOps(family)
-    if _set_count(family) <= 4096:
-        return _verdict(ops, _BOUNDS_LAW, product(_all_sets(family)))
-    tuples = chain(
-        dict.fromkeys(_forced_tuples(family, 1)),
-        _draws(partial(_random_set, family), 1, samples, seed),
-    )
-    return _verdict(ops, _BOUNDS_LAW, tuples, seed)
-
-
 def _direct_frame_law(family: AlgebraFamily) -> Verdict:
     """Frame law stated on sets: (vee of A_i) wedge B = vee of (A_i wedge B).
 
@@ -1041,30 +1027,16 @@ def find_noncommuting_witness(
 ) -> Witness | None:
     """First ordered pair (x, y) with op(x, y) != op(y, x), or None.
 
-    Finite carriers are scanned exhaustively in declaration order. Infinite
-    carriers use a deterministic pool: boundary elements first, then seeded
-    samples, scanning pairs in pool order until ``budget`` pairs are tried.
+    The commutative law of ``op``, relabelled, checked by :func:`check_law`:
+    finite carriers exhaustively in declaration order, infinite ones on
+    every pair of boundary elements and then ``budget`` seeded random pairs.
     """
     if op not in ("wedge", "vee"):
         raise ValueError(f"op must be 'wedge' or 'vee', got {op!r}")
     require_count("budget", budget)
     law = get_law(f"commutative-{op}")
     law = replace(law, equations=((f"{op}(x, y) = {op}(y, x)", law.equations[0][1]),))
-    if a.elements is not None:
-        return _scan(a, law, product(a.elements, repeat=2))
-
-    pool = list(dict.fromkeys(a.boundary))
-    if a.sample is not None:
-        seen = set(pool)
-        rng = random.Random(seed)
-        attempts = 0
-        while len(pool) * len(pool) < budget and attempts < 4 * budget:
-            attempts += 1
-            candidate = a.sample(rng)
-            if candidate not in seen:
-                seen.add(candidate)
-                pool.append(candidate)
-    return _scan(a, law, islice(product(pool, repeat=2), budget))
+    return check_law(a, law, samples=budget, seed=seed).verdict.witness
 
 
 # ---------------------------------------------------------------------------
@@ -1109,10 +1081,10 @@ def _point_level(alg: AlgebraHandle) -> tuple[str, str]:
         (comp(alg.zero), comp(alg.one)) == (alg.one, alg.zero)
     ):
         return "classical", "two-element Boolean algebra"
-    if alg.structure == "fuzzy-unit":
-        return "fuzzy-like", "rational unit interval with min/max and 1 - x"
     if lat is None:
         return "modern", f"algebra {alg.name!r} (no backing order)"
+    if not alg.finite:  # only the unit interval is infinite and ordered, on K3
+        return "fuzzy-like", "rational unit interval with min/max and 1 - x"
     if check_cha(lat).holds:
         return "generalized-fuzzy", f"lattice {lat.name!r} (complete Heyting)"
     return "L-fuzzy", f"lattice {lat.name!r} (not complete Heyting)"
@@ -1122,14 +1094,15 @@ def classify_family(family: AlgebraFamily) -> FamilyClassification:
     """Most specific fit: classical, fuzzy-like, generalized-fuzzy, L-fuzzy, modern.
 
     classical needs every point classical; fuzzy-like needs every point to
-    be the rational unit interval; generalized-fuzzy needs an order-backed
-    complete Heyting algebra at every point (classical and fuzzy points
-    qualify); L-fuzzy needs order backing but not the frame law; anything
-    else is plain modern. A finite point is order-backed when its tables
-    make it a lattice (:attr:`AlgebraHandle.lattice`), decided by
-    evaluation, so an algebra written as tables lands where the same
-    lattice built from covers does. The unit interval is the one order
-    taken from ``structure``, since no finite evaluation decides it.
+    be an infinite algebra with a lattice, which only the rational unit
+    interval is; generalized-fuzzy needs an order-backed complete Heyting
+    algebra at every point (classical and fuzzy points qualify); L-fuzzy
+    needs order backing but not the frame law; anything else is plain
+    modern. A point is order-backed when its tables make it a lattice
+    (:attr:`AlgebraHandle.lattice`), decided by evaluation over its
+    elements or its deciding sub-carrier, so an algebra written as tables
+    lands where the same lattice built from covers does, and an interval
+    whose operations break on K3 is plain modern.
     """
     levels = _per_handle(family, _point_level)
     per_point = {x: evidence for x, (_, evidence) in levels.items()}

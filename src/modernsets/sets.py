@@ -268,16 +268,15 @@ def contains(a: ModernSet, b: ModernSet) -> bool:
     """b sits inside a: at every point, wedge(b's value, a's value) is b's value.
 
     That is the order x <= y iff wedge(x, y) = x, so every point must be
-    order-backed: a finite algebra whose tables make it a lattice
-    (:attr:`AlgebraHandle.lattice`), or the rational unit interval, whose
-    order comes from its ``structure`` since no finite evaluation decides
-    an infinite carrier. The first point that is neither is named in the
-    error.
+    order-backed: its tables, over its elements or over the finite
+    sub-carrier that decides it (K3 for the unit interval), make it a
+    lattice (:attr:`AlgebraHandle.lattice`). The first point that is not
+    is named in the error.
     """
     _require_compatible(a, b)
     family = a.family
     for x, alg, u, v in zip(family.universe.points, family.handles, a._values, b._values):
-        if alg.structure != "fuzzy-unit" and alg.lattice is None:
+        if alg.lattice is None:
             raise UnsupportedOperationError(
                 f"algebra {alg.name!r} at point {x!r} declares no order"
             )

@@ -1,8 +1,10 @@
+import dataclasses
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from modernsets import FiniteAlgebraTable
+from modernsets import FiniteAlgebraTable, fuzzy_algebra
 
 CENSUS_TOKENS = ("O", "m", "I")
 # The five wedge/vee cells the eight identities leave free, in census order.
@@ -61,3 +63,13 @@ def lattice_oracle():
 @pytest.fixture
 def census_table():
     return census
+
+
+@pytest.fixture
+def broken_interval():
+    """The unit interval with vee(1/2, 1) = 1/2, so vee does not commute on
+    K3. ``replace`` keeps the deciding sub-carrier, so the break shows on it."""
+    fz, half = fuzzy_algebra(), Fraction(1, 2)
+    return dataclasses.replace(
+        fz, vee=lambda x, y: half if (x, y) == (half, fz.one) else fz.vee(x, y)
+    )

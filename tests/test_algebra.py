@@ -87,7 +87,6 @@ def test_every_identity_checked():
 def test_zero_equal_one_is_reported():
     a = AlgebraHandle(
         name="degenerate",
-        structure="table",
         zero="e",
         one="e",
         wedge=lambda x, y: "e",
@@ -103,7 +102,6 @@ def test_zero_equal_one_is_reported():
 def test_result_outside_carrier_is_structural():
     a = AlgebraHandle(
         name="leaky",
-        structure="table",
         zero="O",
         one="I",
         wedge=lambda x, y: "junk",

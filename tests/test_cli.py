@@ -321,6 +321,12 @@ class TestWitness:
         assert "[[0,1],[0,0]]" in out
         assert "[[0,0],[1,0]]" in out
 
+    def test_zero_budget_still_scans_the_boundary(self, capsys):
+        # the boundary pairs come before the budget of random pairs
+        code, out, _ = run(capsys, "witness", "mat2", "wedge", "--budget", "0")
+        assert code == 0
+        assert out == (GOLDEN / "witness-mat2-wedge.out").read_text()
+
     def test_commutative_case(self, capsys):
         code, out, _ = run(capsys, "witness", "classical2", "wedge")
         assert code == 0

@@ -226,7 +226,6 @@ class TestNoncommutingWitness:
         zero, one = Counted(-1), Counted(-2)
         algebra = AlgebraHandle(
             name="counted",
-            structure="table",
             zero=zero,
             one=one,
             wedge=lambda x, y: zero,
@@ -235,8 +234,8 @@ class TestNoncommutingWitness:
             boundary=(zero, one),
             sample=lambda rng: Counted(rng.randrange(100)),
         )
-        # 102 distinct values never make a pool of 20,000 pairs, so all
-        # 4 * budget samples are drawn; a list scan would cost ~100 each
+        # the 4 boundary pairs and then budget random pairs are compared
+        # once each; a deduplicating list scan would cost ~100 each
         budget = 20_000
         assert find_noncommuting_witness(algebra, budget=budget) is None
         assert Counted.eq_calls <= 2 * 4 * budget
@@ -275,7 +274,7 @@ def test_classical_algebra_truth_tables():
     assert a.vee("O", "I") == "I"
     assert a.complement("O") == "I"
     assert a.complement("I") == "O"
-    assert a.structure == "classical"
+    assert a.name == "classical2"
     assert a.lattice is not None
 
 
@@ -320,6 +319,18 @@ class TestFuzzyAlgebra:
         half = modern_set(fam, {"p": Fraction(1, 2)})
         assert contains(half, quarter)
         assert not contains(quarter, half)
+
+    def test_lattice_is_the_k3_chain(self):
+        # read off the tables over the deciding sub-carrier, in boundary order
+        a = fuzzy_algebra()
+        k3 = (Fraction(0), Fraction(1), Fraction(1, 2))
+        assert a.deciding == k3
+        lat = a.lattice
+        assert lat.elements == k3
+        assert (lat.bottom, lat.top) == (Fraction(0), Fraction(1))
+        for x, y in itertools.product(k3, repeat=2):
+            assert lat.meet_table[x][y] == min(x, y)
+            assert lat.join_table[x][y] == max(x, y)
 
     def test_sampler_in_range(self):
         a = fuzzy_algebra()

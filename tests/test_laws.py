@@ -362,6 +362,23 @@ class TestFamilyLaws:
             assert verdict.holds, law.name
             assert verdict.mode == "exhaustive"
 
+    def test_arity_one_scan_draws_sets_as_it_checks_them(self, monkeypatch):
+        # excluded middle fails at the second of chain5@6's 15,625 sets,
+        # (O, ..., O, m1), so the scan has drawn two sets when it stops
+        drawn = []
+        all_sets = laws._all_sets
+
+        def counted(family):
+            for s in all_sets(family):
+                drawn.append(s)
+                yield s
+
+        monkeypatch.setattr(laws, "_all_sets", counted)
+        fam = constant_family(tuple(f"x{i}" for i in range(6)), chain_algebra(5))
+        verdict = check_family_law(fam, "excluded-middle").verdict
+        assert verdict.failed and verdict.witness.inputs == (drawn[1],)
+        assert len(drawn) == 2
+
     def test_mixed_matrix_family_fails_commutativity(self):
         u = Universe(("x1", "x2"))
         fam = AlgebraFamily(u, {"x1": classical_algebra(), "x2": matrix_algebra(2)})
@@ -489,7 +506,6 @@ class TestFamilyKernel:
         chain3 = chain_algebra(3)
         leaky = AlgebraHandle(
             name="leaky",
-            structure="table",
             zero="O",
             one="I",
             wedge=chain3.wedge,
@@ -721,6 +737,11 @@ class TestLifting:
 
 
 class TestGfRingConditions:
+    def test_interval_broken_on_k3_is_not_lattice_backed(self, broken_interval):
+        fam = constant_family(("x", "y"), broken_interval)
+        with pytest.raises(PreconditionError, match="'fuzzy' at point 'x' is not lattice-backed"):
+            check_gf_ring_conditions(fam)
+
     def test_crisp_powerset_family_passes(self):
         fam = constant_family(("u", "v"), pow2_algebra())
         report = check_gf_ring_conditions(fam, samples=50, seed=0)
@@ -741,7 +762,7 @@ class TestGfRingConditions:
         # A one-element handle has O = I, so subsets that differ only there
         # embed to the same set.
         one = AlgebraHandle(
-            "one", "table", "O", "O", lambda x, y: "O", lambda x, y: "O",
+            "one", "O", "O", lambda x, y: "O", lambda x, y: "O",
             lambda x: x == "O", complement=lambda x: "O", elements=("O",),
         )
         points = ("p", "q", "r", "s")
@@ -798,11 +819,12 @@ class TestGfRingConditions:
         assert equals(union(a, full), full)
 
     def test_bounds_absorb_tries_every_spike_before_sampling(self):
-        # A sampled family's pool is empty, full and every one-point spike,
-        # once each, then the draws. A vee broken only at the boundary value
-        # 1/2 is caught by its spike, though the sampler never draws 1/2.
-        # Three 17-element chains and the unit interval make 17**3 * 3 sets
-        # over the deciding carriers, past the 4096 scanned exhaustively.
+        # The bounds row is a family law. A vee broken only at the boundary
+        # value 1/2 is caught by its spike, the forced stage's first failing
+        # tuple, though the sampler never draws 1/2. gfcheck refuses the
+        # broken interval (it is no lattice on K3), so the law is checked
+        # directly. Three 17-element chains and the unit interval make
+        # 17**3 * 3 = 14,739 sets over the deciding carriers, all scanned.
         fz, half, c17 = fuzzy_algebra(), Fraction(1, 2), chain_algebra(17)
         broken = dataclasses.replace(
             fz,
@@ -811,27 +833,21 @@ class TestGfRingConditions:
         )
         u = Universe(("p", "q", "r", "s"))
         fam = AlgebraFamily(u, {"p": c17, "q": c17, "r": c17, "s": broken})
-        verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
+        verdict = check_family_law(fam, laws._BOUNDS_LAW, samples=10, seed=0).verdict
         assert verdict.witness.inputs == (lift_point_value(fam, "s", half),)
         assert verdict.witness.note == "A vee X = X"
-        # empty, full, I and m1..m15 at each chain point, 1 and 1/2 at s;
-        # 0 and O repeat empty
         fam = AlgebraFamily(u, {"p": c17, "q": c17, "r": c17, "s": fz})
         verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
-        assert verdict.samples == 2 + 3 * 16 + 2 + 10
+        assert verdict.describe() == "holds (exhaustive)"
 
-    def test_bounds_absorb_is_decided_on_k3(self):
+    def test_bounds_absorb_is_decided_on_k3(self, broken_interval):
         # With few enough sets over K3 the pool is every set, so the broken
         # vee fails at the first set that holds 1/2 at q.
-        fz, half = fuzzy_algebra(), Fraction(1, 2)
-        broken = dataclasses.replace(
-            fz, vee=lambda x, y: half if (x, y) == (half, fz.one) else fz.vee(x, y)
-        )
         u = Universe(("p", "q"))
-        fam = AlgebraFamily(u, {"p": chain_algebra(3), "q": broken})
-        verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
-        assert verdict.witness.inputs == (lift_point_value(fam, "q", half),)
-        fam = AlgebraFamily(u, {"p": chain_algebra(3), "q": fz})
+        fam = AlgebraFamily(u, {"p": chain_algebra(3), "q": broken_interval})
+        verdict = check_family_law(fam, laws._BOUNDS_LAW, samples=10, seed=0).verdict
+        assert verdict.witness.inputs == (lift_point_value(fam, "q", Fraction(1, 2)),)
+        fam = AlgebraFamily(u, {"p": chain_algebra(3), "q": fuzzy_algebra()})
         verdict = check_gf_ring_conditions(fam, samples=10, seed=0).bounds_absorb
         assert verdict.describe() == "holds (exhaustive)"
 
@@ -895,6 +911,12 @@ class TestGfRingConditions:
 
 
 class TestClassification:
+    def test_interval_broken_on_k3_is_modern(self, broken_interval):
+        # its vee does not commute on K3, so its tables there are no lattice
+        got = classify_family(constant_family(("x", "y"), broken_interval))
+        assert got.level == "modern"
+        assert got.per_point["x"] == "algebra 'fuzzy' (no backing order)"
+
     def test_ladder(self):
         cases = [
             (classical_algebra(), "classical"),
@@ -1019,14 +1041,8 @@ def test_ring_and_classification_scan_each_handle_once(name, monkeypatch):
     monkeypatch.setattr(laws, "_point_level", lambda a: levelled.append(a) or point_level(a))
 
     report = check_gf_ring_conditions(fam)
-    assert len(scanned) == sum(a.lattice is not None for a in handles)
-    expected = {
-        x: cha(a.lattice) if a.lattice is not None else Verdict.holds_exhaustive(
-            details=(("structure", "total order on the rational unit interval"),)
-        )
-        for x, a in zip(points, map(fam.algebra_at, points))
-    }
-    assert report.cha_per_point == expected
+    assert len(scanned) == len(handles)
+    assert report.cha_per_point == {x: cha(fam.algebra_at(x).lattice) for x in points}
 
     classified = classify_family(fam)
     assert len(levelled) == len(handles)
@@ -1121,7 +1137,7 @@ def written_as_table(alg):
 )
 def test_table_written_lattices_act_like_builtins(builtin):
     table = written_as_table(builtin)
-    assert table.structure == "table"
+    assert table is not builtin
     points = ("x", "y")
     families = [constant_family(points, a) for a in (builtin, table)]
     classified = [classify_family(f).describe() for f in families]

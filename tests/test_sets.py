@@ -236,6 +236,12 @@ class TestPredicates:
             contains(a, a)
         assert "'x'" in str(err.value)
 
+    def test_contains_refuses_an_interval_broken_on_k3(self, broken_interval):
+        # the interval's order is read off its tables on K3, which are no lattice
+        a = empty_set(constant_family(("x",), broken_interval))
+        with pytest.raises(UnsupportedOperationError, match="'x' declares no order"):
+            contains(a, a)
+
     def test_hash_consistent_with_eq(self):
         fam = fuzzy_family()
         a = modern_set(fam, {"p": Fraction(1, 2), "q": Fraction(0)})
@@ -435,7 +441,6 @@ class TestCrispRestriction:
         # The embedding is not one-to-one there, so subsets cannot be recovered.
         degenerate = AlgebraHandle(
             name="one-point",
-            structure="table",
             zero="e",
             one="e",
             wedge=lambda x, y: "e",
