@@ -17,7 +17,7 @@ Carrier elements are plain values: tokens (str) for finite algebras, exact
 rationals (Fraction) for the unit-interval algebra, and RationalMatrix for
 matrix algebras. Equality between elements is structural and exact. An
 infinite carrier may declare a finite sub-carrier that decides its
-equations, and is then ordered and scanned on that, by evaluation.
+equations (:class:`Deciding`), and is then ordered and scanned on that.
 """
 
 from __future__ import annotations
@@ -37,6 +37,23 @@ BinaryOp = Callable[[Element, Element], Element]
 UnaryOp = Callable[[Element], Element]
 
 
+class Deciding(NamedTuple):
+    """A finite sub-carrier that decides every equation of the operations ``ops``.
+
+    An equation holds on the carrier, or on a family with it at some points,
+    iff it holds with ``carrier`` there. The claim is bound to the ``(wedge,
+    vee, complement)`` objects it names: :func:`_carrier` honours it only
+    while a handle still has those very objects, so replacing one voids it.
+    ``reason`` is named in the details of a family verdict decided on
+    ``carrier``, and ``evidence`` is what ``classify`` prints for the point.
+    """
+
+    carrier: tuple[Element, ...]
+    reason: str
+    evidence: str
+    ops: tuple[BinaryOp, BinaryOp, UnaryOp | None]
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraHandle:
     """Uniform interface over every algebra kind in the package.
@@ -46,16 +63,8 @@ class AlgebraHandle:
     ``elements`` is the declaration-order carrier for finite algebras and
     None otherwise. Infinite carriers instead provide ``boundary`` (elements
     always forced into sample pools) and ``sample`` (seeded random draw),
-    and may declare ``deciding``: a finite sub-carrier on which every
-    equation of the algebra is decided. The rational unit interval declares
-    K3 = {0, 1/2, 1}, since every Kleene algebra is a subdirect product of
-    the 2- and 3-element Kleene chains (J. A. Kalman, "Lattices with
-    involution", Trans. AMS 87, 1958). That is a claim about the
-    operations, so ``dataclasses.replace`` keeps it.
-
-    Whether an algebra is a lattice is decided by evaluating its operations
-    on its elements, or on its deciding sub-carrier (see :attr:`lattice`),
-    never declared.
+    and may declare ``deciding`` (:class:`Deciding`). Whether an algebra is
+    a lattice is decided by evaluation (see :attr:`lattice`), never declared.
     """
 
     name: str
@@ -67,7 +76,7 @@ class AlgebraHandle:
     complement: UnaryOp | None = None
     elements: tuple[Element, ...] | None = None
     boundary: tuple[Element, ...] = ()
-    deciding: tuple[Element, ...] | None = None
+    deciding: Deciding | None = None
     sample: Callable[[random.Random], Element] | None = None
 
     @property
@@ -81,10 +90,9 @@ class AlgebraHandle:
         Worked out on first read from the operation tables over
         :func:`_carrier`: the order is x <= y iff wedge(x, y) = x, and the
         algebra is a lattice when wedge and vee are that order's meet and
-        join and O and I its bounds (see
-        :func:`~modernsets.lattice.lattice_of_tables`). So the unit interval's
-        lattice is the chain K3. None for carriers with nothing finite to
-        evaluate and for tables that are not exact (see :func:`_compile_point`).
+        join and O and I its bounds (:func:`~modernsets.lattice.lattice_of_tables`).
+        None for carriers with nothing finite to evaluate and for tables
+        that are not exact (see :func:`_compile_point`).
         """
         tables = _compile_point(self, False)
         if tables is None:
@@ -108,8 +116,11 @@ class _PointTables(NamedTuple):
 
 
 def _carrier(alg: AlgebraHandle) -> tuple[Element, ...] | None:
-    """The finite carrier equations are evaluated on: the elements, else the deciding ones."""
-    return alg.deciding if alg.elements is None else alg.elements
+    """The finite carrier equations are evaluated on: the elements, else a bound claim's."""
+    claim = alg.deciding
+    if alg.elements is None and claim and claim.ops == (alg.wedge, alg.vee, alg.complement):
+        return claim.carrier
+    return alg.elements
 
 
 def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | None:

@@ -91,7 +91,7 @@ def _resolve_family(workspace: Workspace, text: str) -> AlgebraFamily:
     base, sep, count = text.rpartition("@")
     if sep:
         algebra = workspace.resolve_algebra(base)
-        if algebra is not None and count.isdigit() and 1 <= int(count) <= 8:
+        if algebra is not None and count.isascii() and count.isdigit() and 1 <= int(count) <= 8:
             points = tuple(f"x{i}" for i in range(1, int(count) + 1))
             return constant_family(points, algebra, name=text)
     raise ModernSetError(f"unknown family {text!r}")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .algebra import AlgebraHandle, Element
+from .algebra import AlgebraHandle, Deciding, Element
 from .errors import DomainError, ShapeError, StructuralError
 from .lattice import FiniteLattice, lattice_from_hasse
 from .matrix import RationalMatrix
@@ -165,8 +165,10 @@ def fuzzy_algebra() -> AlgebraHandle:
     Carrier membership requires an exact Fraction in [0, 1]. The boundary
     pool (0, 1, 1/2) guarantees sampled law checks always probe the ends
     and the midpoint, where excluded middle and non-contradiction break.
-    The same three elements, K3, are the deciding sub-carrier: every
-    equation holds on the interval iff it holds on K3 (Kalman 1958).
+    The same three elements, K3, decide every equation of min, max and
+    1 - x (:class:`~modernsets.algebra.Deciding`): with them the interval is
+    a Kleene algebra, so a subdirect product of the 2- and 3-element Kleene
+    chains (J. A. Kalman, "Lattices with involution", Trans. AMS 87, 1958).
 
     Wedge and vee compare by integer cross-products and return the very
     operand ``min``/``max`` would; the complement ``Fraction(d - n, d)``
@@ -188,6 +190,9 @@ def fuzzy_algebra() -> AlgebraHandle:
     def vee(x: Fraction, y: Fraction) -> Fraction:
         return y if y.numerator * x.denominator > x.numerator * y.denominator else x
 
+    def complement(x: Fraction) -> Fraction:
+        return Fraction(x.denominator - x.numerator, x.denominator)
+
     def sample(rng: random.Random) -> Fraction:
         nonlocal pool
         if not pool:
@@ -201,9 +206,12 @@ def fuzzy_algebra() -> AlgebraHandle:
         wedge=wedge,
         vee=vee,
         is_member=is_member,
-        complement=lambda x: Fraction(x.denominator - x.numerator, x.denominator),
+        complement=complement,
         boundary=k3,
-        deciding=k3,
+        deciding=Deciding(
+            k3, "K3 = {0, 1/2, 1} at each unit-interval point (Kalman 1958)",
+            "rational unit interval with min/max and 1 - x", (wedge, vee, complement),
+        ),
         sample=sample,
     )
 

@@ -5,20 +5,16 @@ A law is a named conjunction of equations in the operations wedge, vee and
 is the point: each law is checked by evaluation and answered with a
 tri-state verdict. Finite carriers are scanned exhaustively in declaration
 order, so the first witness is stable; infinite carriers are probed on
-every tuple of boundary elements first (the places laws break, like 1/2 in
-the unit interval or the unit matrices) and then on seeded random samples,
-with the count and seed recorded in the verdict.
+every tuple of boundary elements first (the places laws break) and then on
+seeded random samples, with the count and seed recorded in the verdict.
 
-Families of sets are checked the same way, with K3 = {0, 1/2, 1} in place
-of the unit interval, so they are scanned exhaustively: the interval is a
-Kleene algebra, every Kleene algebra is a subdirect product of the 2- and
-3-element Kleene chains (J. A. Kalman, "Lattices with involution", Trans.
-AMS 87, 1958), and so an equation holds on a family exactly when it holds
-with K3 at its unit-interval points. :func:`lift_check` runs both levels
-side by side: a law holds for all sets over a family exactly when it holds
-in every per-point algebra, and a per-point counterexample lifts to a
-set-level one by placing the failing values at that point and O everywhere
-else. The report records whether the two levels agreed.
+Families of sets are checked the same way, exhaustively when each infinite
+point declares a deciding sub-carrier (:class:`~modernsets.algebra.Deciding`).
+:func:`lift_check` runs both levels side by side: a law holds for all sets
+over a family exactly when it holds in every per-point algebra, and a
+per-point counterexample lifts to a set-level one by placing the failing
+values at that point and O everywhere else. The report records whether the
+two levels agreed.
 
 Finite lattices are certified by the same registry and scanner: a lattice
 names its meet and join ``wedge`` and ``vee``, so it is its own ops object,
@@ -462,12 +458,8 @@ class _SetOps:
             self.complement = None
 
 
-def _family_is_finite(family: AlgebraFamily) -> bool:
-    return all(alg.finite for alg in family.handles)
-
-
 def _carriers(family: AlgebraFamily) -> list[tuple[Element, ...]] | None:
-    """Each point's elements, or the sub-carrier that decides it (K3 for the unit interval)."""
+    """Each point's elements, or the sub-carrier that decides it."""
     carriers = [_carrier(a) for a in family.handles]
     return None if None in carriers else carriers
 
@@ -684,24 +676,19 @@ def check_family_law(
     """One law over all modern sets of a family.
 
     Exhaustive when every point is finite or declares a deciding
-    sub-carrier, as the unit interval declares K3 (Kalman 1958, see the
-    module docstring), and the tuple count stays
-    within ``_MAX_EXHAUSTIVE``; otherwise forced spike tuples (capped at
-    ``_FORCED_CAP``) followed by seeded random sets. A failure over K3
+    sub-carrier (:class:`~modernsets.algebra.Deciding`), and the tuple
+    count stays within ``_MAX_EXHAUSTIVE``; otherwise forced spike tuples
+    (capped at ``_FORCED_CAP``) followed by seeded random sets. A pass on
+    deciding sub-carriers names their reasons in its details; a failure
     reports the forced stage's first failing tuple, as the sampled route
-    does; the scan's own witness stands only when a cap cut that stage short.
+    does, unless a cap cut that stage short.
 
-    The exhaustive scan runs on set indices (:class:`_ColumnOps`): each
-    point's operations are compiled once to tables over element indices and
-    composed into wedge and vee row tables over the ``n`` sets, and each
-    equation is evaluated on whole columns of index tuples, a slab at a
-    time, in declaration order. So the scan reports the same first witness
-    as a scan over the sets themselves; the witness is rebuilt from sets.
-    The row tables hold ``n * n`` entries, no more than the ``n ** arity``
-    tuples of a law of arity 2 or more, so only such laws use them.
-    Arity-1 laws, and families where some point's operations leave its
-    listed elements, are scanned set by set, which raises the same
-    StructuralError at the same operation.
+    The exhaustive scan (:func:`_exhaustive_verdict`) runs on whole columns
+    of set indices (:class:`_ColumnOps`), a slab at a time in declaration
+    order, so it reports the same first witness as a scan over the sets.
+    Its row tables hold ``n * n`` entries for ``n`` sets, no more than the
+    tuples of a law of arity 2 or more, so only such laws use them; the
+    rest, and points that do not compile, are scanned set by set.
     """
     require_count("samples", samples)
     law = _resolve(law)
@@ -719,11 +706,12 @@ def check_family_law(
         return LawReport(law.name, _verdict(ops, law, [()]))
     if _set_count(family) ** law.arity <= _MAX_EXHAUSTIVE:
         verdict = _exhaustive_verdict(family, ops, law)
-        if _family_is_finite(family):
+        reasons = dict.fromkeys(a.deciding.reason for a in family.handles if not a.finite)
+        if not reasons:
             return LawReport(law.name, verdict)
         if verdict.holds:
-            reduction = "K3 = {0, 1/2, 1} at each unit-interval point (Kalman 1958)"
-            return LawReport(law.name, replace(verdict, details=(("deciding-carrier", reduction),)))
+            details = (("deciding-carrier", "; ".join(reasons)),)
+            return LawReport(law.name, replace(verdict, details=details))
         forced = _verdict(ops, law, islice(_forced_tuples(family, law.arity), _FORCED_CAP))
         return LawReport(law.name, forced if forced.failed else verdict)
     tuples = chain(
@@ -764,12 +752,11 @@ def lift_check(
 ) -> LiftReport:
     """Check a law pointwise and on the family of sets, and compare.
 
-    The family level decides unit-interval points on K3 (Kalman 1958), but
-    sampled per-point verdicts can still disagree with it by chance, so
-    before declaring an inconsistency the counterexample is transported
-    across levels: a per-point witness is spiked into sets and re-checked
-    on the family, and a family witness is restricted to each point. Only
-    a disagreement that survives both transports is reported.
+    Sampled verdicts at either level can disagree by chance, so before
+    declaring an inconsistency the counterexample is transported across
+    levels: a per-point witness is spiked into sets and re-checked on the
+    family, and a family witness is restricted to each point. Only a
+    disagreement that survives both transports is reported.
     """
     law = _resolve(law)
     per_point = _per_handle(family, lambda alg: check_law(alg, law, samples=samples, seed=seed).verdict)
@@ -919,13 +906,11 @@ def check_gf_ring_conditions(
 ) -> GfRingReport:
     """Check the four ring-of-sets conditions for a family.
 
-    Every point must be order-backed: its tables, over its elements or over
-    the sub-carrier that decides it, make it a lattice
-    (:attr:`AlgebraHandle.lattice`, decided by evaluation), and the frame
-    law is checked on that lattice, K3 for the unit interval. Anything else
-    (matrix algebras, tables that are no lattice) has no order to check, so
-    the check refuses with PreconditionError rather than guessing. Bounds
-    absorption is a family law, checked by :func:`check_family_law`.
+    Every point must have a lattice (:attr:`AlgebraHandle.lattice`), on
+    which the frame law is checked. Anything else (matrix algebras, tables
+    that are no lattice) has no order to check, so the check refuses with
+    PreconditionError rather than guessing. Bounds absorption is a family
+    law, checked by :func:`check_family_law`.
     """
     require_count("samples", samples)
     points = family.universe.points
@@ -963,8 +948,8 @@ def check_gf_ring_conditions(
 
     bounds_absorb = check_family_law(family, _BOUNDS_LAW, samples, seed).verdict
 
-    small = len(points) <= 2 and _family_is_finite(family) and all(
-        len(family.algebra_at(x).elements) <= 4 for x in points
+    small = len(points) <= 2 and all(
+        alg.finite and len(alg.elements) <= 4 for alg in family.handles
     )
     if small:
         cross_validated = _direct_frame_law(family)
@@ -1074,7 +1059,7 @@ def _point_level(alg: AlgebraHandle) -> tuple[str, str]:
     """The most specific level one point reaches on its own, and the evidence.
 
     A two-element lattice has the Boolean tables on {O, I}, so the point is
-    classical when its complement also swaps O and I, whatever its tag.
+    classical when its complement also swaps O and I.
     """
     lat, comp = alg.lattice, alg.complement
     if lat is not None and len(lat) == 2 and comp is not None and (
@@ -1083,8 +1068,8 @@ def _point_level(alg: AlgebraHandle) -> tuple[str, str]:
         return "classical", "two-element Boolean algebra"
     if lat is None:
         return "modern", f"algebra {alg.name!r} (no backing order)"
-    if not alg.finite:  # only the unit interval is infinite and ordered, on K3
-        return "fuzzy-like", "rational unit interval with min/max and 1 - x"
+    if not alg.finite:
+        return "fuzzy-like", alg.deciding.evidence
     if check_cha(lat).holds:
         return "generalized-fuzzy", f"lattice {lat.name!r} (complete Heyting)"
     return "L-fuzzy", f"lattice {lat.name!r} (not complete Heyting)"
@@ -1094,15 +1079,13 @@ def classify_family(family: AlgebraFamily) -> FamilyClassification:
     """Most specific fit: classical, fuzzy-like, generalized-fuzzy, L-fuzzy, modern.
 
     classical needs every point classical; fuzzy-like needs every point to
-    be an infinite algebra with a lattice, which only the rational unit
-    interval is; generalized-fuzzy needs an order-backed complete Heyting
+    be an infinite algebra with a lattice, which it has on its deciding
+    sub-carrier; generalized-fuzzy needs an order-backed complete Heyting
     algebra at every point (classical and fuzzy points qualify); L-fuzzy
     needs order backing but not the frame law; anything else is plain
-    modern. A point is order-backed when its tables make it a lattice
-    (:attr:`AlgebraHandle.lattice`), decided by evaluation over its
-    elements or its deciding sub-carrier, so an algebra written as tables
-    lands where the same lattice built from covers does, and an interval
-    whose operations break on K3 is plain modern.
+    modern. A point is order-backed when it has a lattice
+    (:attr:`AlgebraHandle.lattice`), so an algebra written as tables lands
+    where the same lattice built from covers does.
     """
     levels = _per_handle(family, _point_level)
     per_point = {x: evidence for x, (_, evidence) in levels.items()}

@@ -267,11 +267,9 @@ def is_empty(a: ModernSet) -> bool:
 def contains(a: ModernSet, b: ModernSet) -> bool:
     """b sits inside a: at every point, wedge(b's value, a's value) is b's value.
 
-    That is the order x <= y iff wedge(x, y) = x, so every point must be
-    order-backed: its tables, over its elements or over the finite
-    sub-carrier that decides it (K3 for the unit interval), make it a
-    lattice (:attr:`AlgebraHandle.lattice`). The first point that is not
-    is named in the error.
+    That is the order x <= y iff wedge(x, y) = x, so every point must have
+    a lattice (:attr:`AlgebraHandle.lattice`); the first point that has
+    none is named in the error.
     """
     _require_compatible(a, b)
     family = a.family

@@ -68,8 +68,26 @@ def census_table():
 @pytest.fixture
 def broken_interval():
     """The unit interval with vee(1/2, 1) = 1/2, so vee does not commute on
-    K3. ``replace`` keeps the deciding sub-carrier, so the break shows on it."""
+    K3. ``replace`` alone would void the deciding claim, which is bound to
+    the operations, so it is declared again for the new vee: the handle
+    claims K3 and breaks on it."""
     fz, half = fuzzy_algebra(), Fraction(1, 2)
+
+    def vee(x, y):
+        return half if (x, y) == (half, fz.one) else fz.vee(x, y)
+
+    claim = fz.deciding._replace(ops=(fz.wedge, vee, fz.complement))
+    return dataclasses.replace(fz, vee=vee, deciding=claim)
+
+
+@pytest.fixture
+def replaced_interval():
+    """The unit interval with vee(1/3, 2/3) = 1/3, built by ``replace`` alone.
+
+    Its vee does not commute, but only off K3, so its tables on K3 are still
+    the chain. The deciding claim names the interval's own vee, so the new
+    vee voids it."""
+    fz, third, two_thirds = fuzzy_algebra(), Fraction(1, 3), Fraction(2, 3)
     return dataclasses.replace(
-        fz, vee=lambda x, y: half if (x, y) == (half, fz.one) else fz.vee(x, y)
+        fz, vee=lambda x, y: third if (x, y) == (third, two_thirds) else fz.vee(x, y)
     )

@@ -211,9 +211,18 @@ class TestClassify:
         assert code == 2
         assert "nosuchfam" in err
 
-    def test_bad_shorthand_count(self, capsys):
-        code, _, err = run(capsys, "classify", "fuzzy@99")
+    @pytest.mark.parametrize(
+        "family",
+        ["fuzzy@99", "fuzzy@\u00b2", "chain3@\u0663"],
+        ids=["fuzzy@99", "superscript-two", "arabic-indic-three"],
+    )
+    def test_bad_shorthand_count(self, capsys, family):
+        # counts are ASCII digits 1-8: a superscript two or an Arabic-Indic
+        # three is refused, not parsed or crashed on
+        code, out, err = run(capsys, "classify", family)
         assert code == 2
+        assert out == ""
+        assert err == f"error: unknown family {family!r}\n"
 
 
 class TestLift:

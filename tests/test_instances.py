@@ -324,7 +324,7 @@ class TestFuzzyAlgebra:
         # read off the tables over the deciding sub-carrier, in boundary order
         a = fuzzy_algebra()
         k3 = (Fraction(0), Fraction(1), Fraction(1, 2))
-        assert a.deciding == k3
+        assert a.deciding.carrier == k3
         lat = a.lattice
         assert lat.elements == k3
         assert (lat.bottom, lat.top) == (Fraction(0), Fraction(1))

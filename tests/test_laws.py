@@ -50,6 +50,7 @@ from modernsets import (
     union,
 )
 from modernsets import laws
+from modernsets.algebra import Deciding
 from modernsets.cli import run_command
 from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan, _verdict
 
@@ -821,9 +822,10 @@ class TestGfRingConditions:
     def test_bounds_absorb_tries_every_spike_before_sampling(self):
         # The bounds row is a family law. A vee broken only at the boundary
         # value 1/2 is caught by its spike, the forced stage's first failing
-        # tuple, though the sampler never draws 1/2. gfcheck refuses the
-        # broken interval (it is no lattice on K3), so the law is checked
-        # directly. Three 17-element chains and the unit interval make
+        # tuple, though the sampler never draws 1/2. ``replace`` voids the
+        # interval's deciding claim, so the broken family is sampled, and
+        # gfcheck refuses it (it has no order), so the law is checked
+        # directly. Three 17-element chains and the intact unit interval make
         # 17**3 * 3 = 14,739 sets over the deciding carriers, all scanned.
         fz, half, c17 = fuzzy_algebra(), Fraction(1, 2), chain_algebra(17)
         broken = dataclasses.replace(
@@ -1409,3 +1411,59 @@ def test_closed_laws_are_decided_by_one_evaluation(algebra):
     assert report.family_verdict == verdict
     assert all(v.failed and v.witness.inputs == () for v in report.per_point.values())
     assert report.consistent
+
+
+class TestDecidingClaim:
+    """The deciding sub-carrier is a claim about the operations it names."""
+
+    def test_a_replaced_operation_voids_the_claim(self, replaced_interval):
+        third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+        assert check_law(replaced_interval, "commutative-vee").verdict.witness.inputs == (
+            two_thirds, third,
+        )
+        fam = constant_family(("x", "y"), replaced_interval)
+        verdict = check_family_law(fam, "commutative-vee").verdict
+        assert verdict.mode == "sampled"
+        assert "deciding-carrier" not in dict(verdict.details)
+        got = classify_family(fam)
+        assert got.level == "modern"
+        assert got.per_point["x"] == "algebra 'fuzzy' (no backing order)"
+        with pytest.raises(PreconditionError, match="'fuzzy' at point 'x' is not lattice-backed"):
+            check_gf_ring_conditions(fam)
+
+    def test_the_claim_binds_to_operations_not_to_the_handle(self):
+        renamed = dataclasses.replace(fuzzy_algebra(), name="f")
+        fam = constant_family(("x", "y"), renamed)
+        verdict = check_family_law(fam, "commutative-vee").verdict
+        assert verdict.describe() == "holds (exhaustive)"
+        assert dict(verdict.details)["deciding-carrier"] == (
+            "K3 = {0, 1/2, 1} at each unit-interval point (Kalman 1958)"
+        )
+        assert classify_family(fam).level == "fuzzy-like"
+
+    def test_a_second_claim_speaks_for_itself(self):
+        # Without complement the interval is a bounded distributive lattice,
+        # and the 2-element chain decides those (Birkhoff), so a claim on
+        # {0, 1} is sound; its reason and evidence are its own.
+        fz = fuzzy_algebra()
+        claim = Deciding(
+            (fz.zero, fz.one),
+            "the 2-element chain decides bounded distributive lattices",
+            "unit interval lattice, decided on {0, 1}",
+            (fz.wedge, fz.vee, None),
+        )
+        lat = dataclasses.replace(fz, name="lat", complement=None, deciding=claim)
+        fam = constant_family(("x", "y"), lat)
+        verdict = check_family_law(fam, "distributive").verdict
+        assert verdict.describe() == "holds (exhaustive)"
+        assert verdict.details == (("deciding-carrier", claim.reason),)
+        assert lat.lattice.elements == (fz.zero, fz.one)
+        got = classify_family(fam)
+        assert got.level == "fuzzy-like"
+        assert got.per_point == {"x": claim.evidence, "y": claim.evidence}
+        # a family with both claims names both reasons, each once
+        mixed = AlgebraFamily(Universe(("p", "q", "r")), {"p": lat, "q": fz, "r": lat})
+        reasons = dict(check_family_law(mixed, "distributive").verdict.details)
+        assert reasons["deciding-carrier"] == "; ".join(
+            (claim.reason, fz.deciding.reason)
+        )

@@ -242,6 +242,13 @@ class TestPredicates:
         with pytest.raises(UnsupportedOperationError, match="'x' declares no order"):
             contains(a, a)
 
+    def test_contains_refuses_an_interval_with_a_replaced_vee(self, replaced_interval):
+        # its tables on K3 are still the chain, but the replaced vee voids
+        # the deciding claim, so it has no order to read
+        a = empty_set(constant_family(("x",), replaced_interval))
+        with pytest.raises(UnsupportedOperationError, match="'x' declares no order"):
+            contains(a, a)
+
     def test_hash_consistent_with_eq(self):
         fam = fuzzy_family()
         a = modern_set(fam, {"p": Fraction(1, 2), "q": Fraction(0)})
