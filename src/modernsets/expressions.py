@@ -273,26 +273,20 @@ def _compile(
 _SET_OPS = SimpleNamespace(wedge=intersection, vee=union, complement=set_complement)
 
 
-def eval_expression(bindings, expr: Expression) -> ModernSet:
+def eval_expression(bindings: Mapping[str, ModernSet], expr: Expression) -> ModernSet:
     """Evaluate against identifier bindings.
 
-    ``bindings`` is a mapping from names to sets, or any object with a
-    ``sets`` mapping attribute (a loaded workspace). Unbound identifiers
+    ``bindings`` is a mapping from names to sets. Unbound identifiers
     raise EvalError; family mismatches and missing complements surface as
     their usual errors. Each identifier is looked up when the compiled code
     reaches it, so the first error in evaluation order is the one raised.
     """
-    table: Mapping[str, ModernSet]
-    if isinstance(bindings, Mapping):
-        table = bindings
-    else:
-        table = bindings.sets
     names = sorted(_identifiers(expr))
 
     def value(i: int) -> ModernSet:
-        if names[i] not in table:
+        if names[i] not in bindings:
             raise EvalError(f"identifier {names[i]!r} is not bound to a set")
-        return table[names[i]]
+        return bindings[names[i]]
 
     compiled = _compile((expr,), {name: f"v({i})" for i, name in enumerate(names)}, ("v",))
     return compiled(_SET_OPS, value)

@@ -117,8 +117,14 @@ class _Cursor:
 
 def load_file(path: str, workspace: Workspace | None = None) -> Workspace:
     """Parse one definition file into a workspace (a fresh one by default)."""
-    with open(path, encoding="utf-8") as fh:
-        return load_text(fh.read(), workspace, source=path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"not UTF-8 text (byte {data[exc.start]:#04x})", path, line) from None
+    return load_text(text, workspace, source=path)
 
 
 def load_text(

@@ -218,14 +218,14 @@ def fuzzy_algebra() -> AlgebraHandle:
 
 def lattice_algebra(
     lat: FiniteLattice,
-    complement: Mapping[str, str] | Callable[[str], str] | None = None,
+    complement: Mapping[str, str] | None = None,
     name: str | None = None,
 ) -> AlgebraHandle:
     """Wrap a finite lattice as an algebra: wedge = meet, vee = join.
 
-    ``complement`` may be a total token mapping or a callable; it is the
-    caller's claim and is validated only for totality, not for being an
-    involution (the law checker reports on that).
+    ``complement`` is a total token mapping. It is the caller's claim and
+    is validated only for totality, not for being an involution (the law
+    checker reports on that).
     """
     if len(lat.elements) < 2:
         raise StructuralError(
@@ -233,20 +233,17 @@ def lattice_algebra(
         )
     comp: Callable[[str], str] | None = None
     if complement is not None:
-        if callable(complement):
-            comp = complement
-        else:
-            table = dict(complement)
-            for t in lat.elements:
-                if t not in table:
-                    raise StructuralError(
-                        f"complement table for {lat.name!r} is missing {t!r}"
-                    )
-                if table[t] not in lat._index:
-                    raise StructuralError(
-                        f"complement of {t!r} is outside lattice {lat.name!r}"
-                    )
-            comp = table.__getitem__
+        table = dict(complement)
+        for t in lat.elements:
+            if t not in table:
+                raise StructuralError(
+                    f"complement table for {lat.name!r} is missing {t!r}"
+                )
+            if table[t] not in lat._index:
+                raise StructuralError(
+                    f"complement of {t!r} is outside lattice {lat.name!r}"
+                )
+        comp = table.__getitem__
     carrier = frozenset(lat.elements)
     return AlgebraHandle(
         name=name or lat.name,

@@ -13,7 +13,7 @@ check every other algebra.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .errors import DomainError, NotALatticeError, NotAPosetError, StructuralError
@@ -35,14 +35,12 @@ class FiniteLattice:
         self,
         name: str,
         elements: tuple[str, ...],
-        covers: tuple[tuple[str, str], ...],
         up: list[int],
     ):
         n = len(elements)
         down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
         self.name = name
         self.elements = elements
-        self.covers = covers
         self._index = {token: i for i, token in enumerate(elements)}
         self._up = up
         self.meet_table = _bound_table(name, elements, down, "meet")
@@ -56,6 +54,18 @@ class FiniteLattice:
 
     def __len__(self):
         return len(self.elements)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[str, str], ...]:
+        """The covering pairs ``(lower, upper)`` of the order, in row-major order."""
+        n = len(self.elements)
+        strict = [u & ~(1 << i) for i, u in enumerate(self._up)]
+        return tuple(
+            (self.elements[i], self.elements[j])
+            for i, j in product(range(n), repeat=2)
+            if strict[i] >> j & 1
+            and not any(strict[i] >> k & 1 and strict[k] >> j & 1 for k in range(n))
+        )
 
     def index(self, token: str) -> int:
         try:
@@ -176,7 +186,7 @@ def lattice_from_hasse(
             raise NotAPosetError(
                 f"lattice {name!r}: cycle through {elements[i]!r} and {elements[j]!r}"
             )
-    return FiniteLattice(name, elements, covers, above)
+    return FiniteLattice(name, elements, above)
 
 
 def lattice_of_tables(
@@ -197,15 +207,8 @@ def lattice_of_tables(
     up = [sum(1 << j for j in range(n) if wedge[i * n + j] == i) for i in range(n)]
     if len(set(up)) < n or not all(up[i] >> i & 1 for i in range(n)):
         return None
-    strict = [u & ~(1 << i) for i, u in enumerate(up)]
-    covers = tuple(
-        (elements[i], elements[j])
-        for i, j in product(range(n), repeat=2)
-        if strict[i] >> j & 1
-        and not any(strict[i] >> k & 1 and strict[k] >> j & 1 for k in range(n))
-    )
     try:
-        lat = FiniteLattice(name, elements, covers, up)
+        lat = FiniteLattice(name, elements, up)
     except NotALatticeError:
         return None
     rows = [*lat.meet_table.values(), *lat.join_table.values()]

@@ -63,23 +63,21 @@ class Law:
 
     ``equations`` entries are (label, fn) where fn(ops, *args) returns the
     two sides to compare; ``ops`` exposes wedge/vee/complement/zero/one.
-    ``diagnostic`` marks laws reported for interest rather than as part of
-    the standard battery. Registry laws are written once, as equation text
-    in the expression language (:func:`_law`), and the labels, arity,
-    ``needs_complement`` and closures are all derived from that text.
+    Registry laws are written once, as equation text in the expression
+    language (:func:`_law`), and the labels, arity, ``needs_complement``
+    and closures are all derived from that text.
     """
 
     name: str
     arity: int
     needs_complement: bool
     equations: tuple[Equation, ...]
-    diagnostic: bool = False
 
 
 _CONSTANTS = {"O": "o.zero", "I": "o.one"}
 
 
-def _law(name: str, *equations: str, diagnostic: bool = False) -> Law:
+def _law(name: str, *equations: str) -> Law:
     """A law written as equation text in the expression language.
 
     Each side is parsed by :func:`parse_expression`, with ``O`` and ``I``
@@ -98,7 +96,7 @@ def _law(name: str, *equations: str, diagnostic: bool = False) -> Law:
     # An identifier is never followed by "(", so only a complement writes one.
     needs_complement = any("complement(" in label for label in labels)
     equations = tuple((label, _compile(pair, names, params)) for label, pair in zip(labels, trees))
-    return Law(name, len(variables), needs_complement, equations, diagnostic)
+    return Law(name, len(variables), needs_complement, equations)
 
 
 LAWS: tuple[Law, ...] = (
@@ -120,7 +118,6 @@ LAWS: tuple[Law, ...] = (
         "de-morgan",
         r"~(x \/ y) = ~x /\ ~y",
         r"~(x /\ y) = ~x \/ ~y",
-        diagnostic=True,
     ),
 )
 
@@ -273,12 +270,6 @@ def _joined(name: str, *parts: str) -> Law:
 _COMMUTATIVE_LAW = _joined("commutative", "commutative-wedge", "commutative-vee")
 _ASSOCIATIVE_LAW = _joined("associative", "associative-wedge", "associative-vee")
 
-# Mismatched right-hand side, kept out of LAWS: it is NOT equivalent to
-# distributivity and fails even on some distributive lattices.
-_DISTRIBUTIVE_MIXED_LAW = _law(
-    "distributive-mixed-form", r"x \/ (y /\ z) = (x \/ y) /\ (y \/ z)", diagnostic=True
-)
-
 
 def _frame(o, pair, y):
     """Frame law on a two-element family: (a vee b) wedge y, and the join of the meets."""
@@ -290,12 +281,10 @@ def _frame(o, pair, y):
 _CHA_LAW = Law(
     "complete-heyting", 2, False,
     (("(vee family) wedge y = vee of (s wedge y)", _frame),),
-    diagnostic=True,
 )
 _SET_FRAME_LAW = Law(
     "set-frame", 2, False,
     (("(vee of collection) wedge B = vee of pairwise wedges", _frame),),
-    diagnostic=True,
 )
 
 
@@ -377,21 +366,17 @@ class LatticeCertificate:
     distributive: Verdict
     cha: Verdict
     boolean_complemented: Verdict
-    distributive_mixed_form: Verdict | None = None
 
     @property
     def entries(self) -> tuple[tuple[str, Verdict], ...]:
-        entries = [
+        return (
             ("commutative", self.commutative),
             ("associative", self.associative),
             ("absorption", self.absorption),
             ("distributive", self.distributive),
             ("complete-heyting", self.cha),
             ("boolean-complemented", self.boolean_complemented),
-        ]
-        if self.distributive_mixed_form is not None:
-            entries.append(("distributive-mixed-form", self.distributive_mixed_form))
-        return tuple(entries)
+        )
 
     @property
     def witnesses(self) -> dict[str, Witness]:
@@ -408,9 +393,7 @@ class LatticeCertificate:
         return "\n".join(lines)
 
 
-def check_lattice_laws(
-    lat: FiniteLattice, check_mixed_form_distributivity: bool = False
-) -> LatticeCertificate:
+def check_lattice_laws(lat: FiniteLattice) -> LatticeCertificate:
     """Certify the standard laws; every check is exhaustive.
 
     Each row is a registry law scanned over the lattice itself; commutative
@@ -427,7 +410,6 @@ def check_lattice_laws(
     boolean = Verdict.not_applicable("lattice is not distributive")
     if distributive.holds:
         boolean = _boolean_verdict(lat)
-    mixed = every(_DISTRIBUTIVE_MIXED_LAW) if check_mixed_form_distributivity else None
     return LatticeCertificate(
         lat,
         commutative=every(_COMMUTATIVE_LAW),
@@ -436,7 +418,6 @@ def check_lattice_laws(
         distributive=distributive,
         cha=_cha_verdict(lat, distributive),
         boolean_complemented=boolean,
-        distributive_mixed_form=mixed,
     )
 
 
@@ -985,7 +966,6 @@ _BOUNDS_LAW = Law(
         ("A vee X = X", lambda o, a: (o.vee(a, o.one), o.one)),
         ("A wedge empty = empty", lambda o, a: (o.wedge(a, o.zero), o.zero)),
     ),
-    diagnostic=True,
 )
 
 

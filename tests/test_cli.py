@@ -181,6 +181,17 @@ class TestValidate:
         assert out == ""
         assert err == f"error: {path}:{line}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv", [("validate", "{path}"), ("laws", "chain3", "--load", "{path}")]
+    )
+    def test_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "f.def"
+        path.write_bytes("lattice x\nelements 0 1  # café\nend\n".encode("latin-1"))
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}:2: not UTF-8 text (byte 0xe9)\n"
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.def"
         path.write_text("algebra a\nelements F T\nelements F T\n", encoding="utf-8")

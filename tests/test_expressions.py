@@ -193,16 +193,6 @@ class TestEval:
             intersection(a, b),
         )
 
-    def test_object_with_sets_attribute(self):
-        fam, a, b = self.fuzzy_sets()
-
-        class Env:
-            sets = {"A": a, "B": b}
-
-        assert equals(
-            eval_expression(Env(), parse_expression("A \\/ B")), union(a, b)
-        )
-
     def test_unbound_identifier(self):
         fam, a, _ = self.fuzzy_sets()
         with pytest.raises(EvalError) as err:

@@ -386,11 +386,6 @@ class TestLatticeAlgebra:
         a = lattice_algebra(powerset_lattice(2), complement=comp)
         assert a.complement("a") == "b"
 
-    def test_complement_callable(self):
-        comp = {"0": "ab", "a": "b", "b": "a", "ab": "0"}
-        a = lattice_algebra(powerset_lattice(2), complement=comp.__getitem__)
-        assert a.complement("ab") == "0"
-
     def test_incomplete_mapping_rejected(self):
         with pytest.raises(StructuralError):
             lattice_algebra(powerset_lattice(2), complement={"0": "ab"})

@@ -14,6 +14,7 @@ from modernsets import (
     check_cha,
     check_distributive,
     check_lattice_laws,
+    check_law,
     join,
     lattice_algebra,
     lattice_from_hasse,
@@ -22,6 +23,7 @@ from modernsets import (
     n5_lattice,
     powerset_lattice,
 )
+from modernsets import laws
 from modernsets.reporting import Witness
 
 
@@ -341,16 +343,16 @@ def test_boolean_requires_distributivity():
         check_boolean(m3_lattice())
 
 
-def test_mixed_form_diagnostic_is_opt_in():
-    cert = check_lattice_laws(powerset_lattice(2))
-    assert "distributive-mixed-form" not in dict(cert.entries)
-    cert = check_lattice_laws(powerset_lattice(2), check_mixed_form_distributivity=True)
-    results = dict(cert.entries)
-    assert results["distributive"].holds
-    # (x vee y) wedge (y vee z) is not a law of Boolean lattices
-    assert results["distributive-mixed-form"].failed
-    w = results["distributive-mixed-form"].witness
+def test_mixed_form_fails_where_distributivity_holds():
+    # The right-hand side pairs y with z, not x with z: the equation is not
+    # distributivity, and (x vee y) wedge (y vee z) is not a law of Boolean
+    # lattices.
+    mixed = laws._law("distributive-mixed-form", r"x \/ (y /\ z) = (x \/ y) /\ (y \/ z)")
     lat = powerset_lattice(2)
+    assert check_distributive(lat).holds
+    verdict = check_law(lattice_algebra(lat), mixed).verdict
+    assert verdict.failed
+    w = verdict.witness
     x, y, z = w.inputs
     lhs = join(lat, x, meet(lat, y, z))
     rhs = meet(lat, join(lat, x, y), join(lat, y, z))
@@ -538,13 +540,20 @@ def test_table_lattice_is_derived_on_first_read_and_kept(census_table):
         handle.lattice = None
 
 
+def test_covers_are_read_off_the_order_not_the_input():
+    # ("0", "1") is implied by the other two pairs, so it is not a cover
+    lat = lattice_from_hasse("x", ("0", "a", "1"), (("0", "a"), ("a", "1"), ("0", "1")))
+    assert lat.covers == (("0", "a"), ("a", "1"))
+    assert lat.covers == lattice_algebra(lat).lattice.covers
+
+
 def test_lattices_read_off_tables_match_their_hasse_diagrams():
     for lat in random_lattices(seed=7, count=60, max_size=12) + [m3_lattice(), n5_lattice()]:
         if len(lat) < 2:
             continue
         derived = lattice_algebra(lat).lattice
         assert derived.elements == lat.elements
-        assert set(derived.covers) == set(lat.covers), lat.name
+        assert derived.covers == lat.covers, lat.name
         for x, y in product(lat.elements, repeat=2):
             assert derived.leq(x, y) == lat.leq(x, y)
             assert derived.meet(x, y) == lat.meet(x, y)

@@ -23,6 +23,7 @@ from modernsets import (
     Witness,
     chain_algebra,
     check_all_laws,
+    check_cha,
     check_family_law,
     check_gf_ring_conditions,
     check_law,
@@ -166,7 +167,6 @@ REFERENCE_LAWS = (
                 ),
             ),
         ),
-        diagnostic=True,
     ),
     Law(
         "distributive-mixed-form", 3, False,
@@ -174,10 +174,12 @@ REFERENCE_LAWS = (
             "x vee (y wedge z) = (x vee y) wedge (y vee z)",
             lambda o, x, y, z: (o.vee(x, o.wedge(y, z)), o.wedge(o.vee(x, y), o.vee(y, z))),
         ),),
-        diagnostic=True,
     ),
 )
-COMPILED_LAWS = (*LAWS, laws._DISTRIBUTIVE_MIXED_LAW)
+# Not a registry law: its right-hand side pairs y with z, so it is not
+# distributivity and fails even on pow2.
+MIXED_LAW = laws._law("distributive-mixed-form", r"x \/ (y /\ z) = (x \/ y) /\ (y \/ z)")
+COMPILED_LAWS = (*LAWS, MIXED_LAW)
 
 
 def assert_equations_match_reference(ops, values):
@@ -218,14 +220,11 @@ class TestRegistry:
         assert by_name["de-morgan"].needs_complement
         assert not by_name["absorption"].needs_complement
 
-    def test_only_de_morgan_is_diagnostic(self):
-        assert [law.name for law in LAWS if law.diagnostic] == ["de-morgan"]
-
     def test_text_registry_matches_hand_written_reference(self):
         assert len(COMPILED_LAWS) == len(REFERENCE_LAWS)
         for law, ref in zip(COMPILED_LAWS, REFERENCE_LAWS):
-            assert (law.name, law.arity, law.needs_complement, law.diagnostic) == (
-                ref.name, ref.arity, ref.needs_complement, ref.diagnostic
+            assert (law.name, law.arity, law.needs_complement) == (
+                ref.name, ref.arity, ref.needs_complement
             )
             assert [label for label, _ in law.equations] == [label for label, _ in ref.equations]
 
@@ -904,6 +903,45 @@ class TestGfRingConditions:
                         ))
         return Verdict.holds_exhaustive()
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_frame_law_on_sets_holds_iff_every_point_is_a_frame(self, size):
+        algebras = [
+            classical_algebra(),
+            chain_algebra(3),
+            chain_algebra(4),
+            pow2_algebra(),
+            lattice_algebra(m3_lattice()),
+            lattice_algebra(n5_lattice()),
+        ]
+        points = tuple(f"x{i}" for i in range(size))
+        outcomes = set()
+        for assignment in product(algebras, repeat=size):
+            fam = AlgebraFamily(Universe(points), dict(zip(points, assignment)))
+            expected = all(check_cha(alg.lattice).holds for alg in assignment)
+            assert self._frame_law_on_sets(fam) == expected, [alg.name for alg in assignment]
+            outcomes.add(expected)
+        # m3 and n5 give failing families, which small distributive carriers never do
+        assert outcomes == {False, True}
+
+    @staticmethod
+    def _frame_law_on_sets(fam):
+        """Whether (A1 | A2) & B = (A1 & B) | (A2 & B) for all sets A1, A2, B.
+
+        A reference that uses only the set operations. Collections of two
+        sets decide every finite collection: the empty and one-set ones
+        cannot fail, and larger ones follow from pairs by induction.
+        """
+        points = fam.universe.points
+        carriers = [fam.algebra_at(x).elements for x in points]
+        sets = [modern_set(fam, dict(zip(points, values))) for values in product(*carriers)]
+        for a1 in sets:
+            for a2 in sets:
+                for b in sets:
+                    lhs = intersection(union(a1, a2), b)
+                    if lhs != union(intersection(a1, b), intersection(a2, b)):
+                        return False
+        return True
+
     def test_no_direct_route_for_larger_carriers(self):
         fam = constant_family(("u",), chain_algebra(5))
         report = check_gf_ring_conditions(fam, samples=50, seed=0)
@@ -1109,7 +1147,7 @@ def test_verdict_matches_reference_scan_on_certificate_rows(lat):
         laws._ASSOCIATIVE_LAW,
         get_law("absorption"),
         get_law("distributive"),
-        laws._DISTRIBUTIVE_MIXED_LAW,
+        MIXED_LAW,
     ]
     for law in rows:
         assert_same_verdict(lat, law, product(lat.elements, repeat=law.arity))
