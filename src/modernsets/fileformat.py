@@ -122,8 +122,7 @@ def load_file(path: str, workspace: Workspace | None = None) -> Workspace:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise FileFormatError(f"not UTF-8 text (byte {data[exc.start]:#04x})", path, line) from None
+        raise FileFormatError(f"not UTF-8 text (byte {data[exc.start]:#04x})", path) from None
     return load_text(text, workspace, source=path)
 
 

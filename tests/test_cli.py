@@ -190,7 +190,7 @@ class TestValidate:
         code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
         assert code == 2
         assert out == ""
-        assert err == f"error: {path}:2: not UTF-8 text (byte 0xe9)\n"
+        assert err == f"error: {path}: not UTF-8 text (byte 0xe9)\n"
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.def"
