@@ -94,12 +94,24 @@ class AlgebraHandle:
         None for carriers with nothing finite to evaluate and for tables
         that are not exact (see :func:`_compile_point`).
         """
-        tables = _compile_point(self, False)
+        tables = self._tables
         if tables is None:
             return None
         return lattice_of_tables(
             self.name, _carrier(self), tables.wedge, tables.vee, tables.zero, tables.one
         )
+
+    # Each is computed on first read, so the laws of a family battery share
+    # one compile per handle.
+    @cached_property
+    def _tables(self) -> _PointTables | None:
+        """:func:`_compile_point` without the complement."""
+        return _compile_point(self, False)
+
+    @cached_property
+    def _tables_with_complement(self) -> _PointTables | None:
+        """:func:`_compile_point` with the complement."""
+        return _compile_point(self, True)
 
     def __repr__(self):
         return f"AlgebraHandle({self.name!r})"

@@ -120,9 +120,11 @@ def load_file(path: str, workspace: Workspace | None = None) -> Workspace:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        # utf-8-sig drops a leading byte-order mark, as some editors write one
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise FileFormatError(f"not UTF-8 text (byte {data[exc.start]:#04x})", path) from None
+        # exc.object is the data after any byte-order mark
+        raise FileFormatError(f"not UTF-8 text (byte {exc.object[exc.start]:#04x})", path) from None
     return load_text(text, workspace, source=path)
 
 

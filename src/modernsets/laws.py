@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from itertools import chain, combinations, islice, product, repeat
+from functools import partial
+from itertools import chain, combinations, islice, product
 from math import inf, prod
-from operator import ne
 from typing import Any, Callable, NamedTuple
 
-from .algebra import AlgebraHandle, Element, _carrier, _compile_point, _PointTables
+from .algebra import AlgebraHandle, Element, _carrier, _PointTables
 from .errors import PreconditionError, StructuralError, UnknownLawError, require_count
 from .expressions import _compile, _identifiers, _label, parse_expression
 from .lattice import FiniteLattice
@@ -456,21 +455,70 @@ def _all_sets(family: AlgebraFamily):
         yield ModernSet(family, values)
 
 
-# Tuples per slab of a column scan, at least. Smaller slabs slow passing
-# scans (10-15% at 128); larger ones evaluate whole slabs past an early
-# failure (distributive on chain5 x M3: 1.7x at 2048, 3x at 4096).
+# Tuples per slab of a lane scan, at least. Smaller slabs slow passing
+# scans (chain5@6 idempotent-wedge: 1.7 ms, 3.6 ms at 256); larger ones
+# evaluate whole slabs past an early failure (m3@2 distributive: 0.5 ms,
+# 1.2 ms at 4096, 4.0 ms at 16384) and gain passing scans at most 30%
+# (chain5@2 distributive: 3.3 ms, 2.3 ms at 16384). Best of 7, 2-vCPU VM.
 _SLAB_TUPLES = 1024
 
 
-class _ColumnOps:
-    """Set operations on whole columns of set indices over the deciding carriers.
+def _point_ops(k: int, tables: _PointTables) -> tuple[type, Callable, Callable, Callable]:
+    """One point's column type, wedge, vee and complement on columns of element indices.
 
-    A set is a mixed-radix number whose digits are element indices, point 0
-    most significant, so ``range(size)`` runs through the sets in exactly
-    the order of :func:`_all_sets`. Wedge and vee are row tables over those
-    numbers, ``rows[a][b]``, composed from the point tables digit by digit
-    on first use, and each operation takes whole columns of indices in one
-    call. ``zero`` and ``one`` are constant columns as long as the slab
+    A point of at most 16 elements holds its columns as ``bytes``, one lane
+    per tuple. A table op makes every tuple's cell index ``x * k + y`` with
+    one big-integer product and sum (no lane carries into the next, as each
+    index is below k * k <= 256), and one ``translate`` looks them all up;
+    a complement is one ``translate``. A larger point holds lists and looks
+    each tuple up in its ``k`` rows.
+    """
+    if k * k <= 256:
+        def lanes(cells: list[int]) -> Callable[[bytes, bytes], bytes]:
+            table = bytes(cells).ljust(256, b"\0")
+            return lambda x, y: (
+                (int.from_bytes(x, "little") * k + int.from_bytes(y, "little"))
+                .to_bytes(len(x), "little")
+                .translate(table)
+            )
+
+        complement = bytes(tables.complement).ljust(256, b"\0")
+        return bytes, lanes(tables.wedge), lanes(tables.vee), lambda x: x.translate(complement)
+
+    def rows(cells: list[int]) -> Callable[[list[int], list[int]], list[int]]:
+        table = [cells[i * k:(i + 1) * k] for i in range(k)]
+        return lambda x, y: [table[i][j] for i, j in zip(x, y)]
+
+    complement = tables.complement
+    return list, rows(tables.wedge), rows(tables.vee), lambda x: [complement[i] for i in x]
+
+
+def _digits(k: int, run: int, lo: int, hi: int) -> bytes:
+    """The bytes ``(t // run) % k`` for ``t`` in ``range(lo, hi)``.
+
+    Built from the runs of equal digits the window touches, or, when it
+    touches more than ``k``, from one period of them repeated.
+    """
+    first, last = lo // run, (hi - 1) // run
+    if last - first < k:
+        return b"".join(
+            bytes([d % k]) * (min(d * run + run, hi) - max(d * run, lo))
+            for d in range(first, last + 1)
+        )
+    period = b"".join(bytes([d]) * run for d in range(k))
+    start = lo % len(period)
+    return (period * -(-(start + hi - lo) // len(period)))[start:start + hi - lo]
+
+
+class _ColumnOps:
+    """Set operations on a slab of tuples at once, over the deciding carriers.
+
+    Sets are numbered as mixed-radix numbers whose digits are element
+    indices, point 0 most significant, so ``range(size)`` runs through the
+    sets in exactly the order of :func:`_all_sets`. A slab value holds, for
+    each point, the column of the indices its tuples have there, and each
+    operation runs point by point on whole columns (:func:`_point_ops`).
+    ``zero`` and ``one`` are constant columns as long as the slab
     :meth:`slabs` yielded last, and are valid for that slab only.
     """
 
@@ -480,102 +528,89 @@ class _ColumnOps:
         self._carriers = _carriers(family)
         self._radices = list(map(len, self._carriers))
         self.size = prod(self._radices)
-        self._zero = self._one = 0
-        for t, k in zip(tables, self._radices):
-            self._zero = self._zero * k + t.zero
-            self._one = self._one * k + t.one
+        self._column, self._wedge, self._vee, self._complement = zip(
+            *map(_point_ops, self._radices, tables)
+        )
 
-    def _rows(self, op: str) -> list[list[int]]:
-        rows = [[0]]
-        for t, k in zip(self._tables, self._radices):
-            cells = getattr(t, op)
-            # blocks[i][r]: the k entries that a new row with last digit i
-            # holds where its old row held r
-            blocks = [
-                [[r * k + c for c in cells[i * k:(i + 1) * k]] for r in range(len(rows))]
-                for i in range(k)
-            ]
-            rows = [
-                list(chain.from_iterable(map(block.__getitem__, row)))
-                for row in rows
-                for block in blocks
-            ]
-        return rows
+    def wedge(self, a: tuple, b: tuple) -> tuple:
+        return tuple(op(x, y) for op, x, y in zip(self._wedge, a, b))
 
-    @cached_property
-    def _wedge_rows(self) -> list[list[int]]:
-        return self._rows("wedge")
+    def vee(self, a: tuple, b: tuple) -> tuple:
+        return tuple(op(x, y) for op, x, y in zip(self._vee, a, b))
 
-    @cached_property
-    def _vee_rows(self) -> list[list[int]]:
-        return self._rows("vee")
-
-    @cached_property
-    def _complement_column(self) -> list[int]:
-        column = [0]
-        for t, k in zip(self._tables, self._radices):
-            column = [c * k + d for c in column for d in t.complement]
-        return column
-
-    def wedge(self, a: list[int], b: list[int]) -> list[int]:
-        rows = self._wedge_rows
-        return [rows[i][j] for i, j in zip(a, b)]
-
-    def vee(self, a: list[int], b: list[int]) -> list[int]:
-        rows = self._vee_rows
-        return [rows[i][j] for i, j in zip(a, b)]
-
-    def complement(self, a: list[int]) -> list[int]:
-        return list(map(self._complement_column.__getitem__, a))
+    def complement(self, a: tuple) -> tuple:
+        return tuple(op(x) for op, x in zip(self._complement, a))
 
     def slabs(self, arity: int):
-        """Every ``arity``-tuple of indices in row-major order, as argument columns.
+        """Every ``arity``-tuple of sets in row-major order, a slab of argument values at a time.
 
         A slab holds the tuples of as many consecutive first arguments as
         make ``_SLAB_TUPLES`` tuples or more (the last slab may hold fewer).
         """
         n = self.size
-        rest = [list(column) for column in zip(*product(range(n), repeat=arity - 1))]
         block = n ** (arity - 1)
         step = -(-_SLAB_TUPLES // block)
-        for start in range(0, n, step):
-            firsts = range(start, min(start + step, n))
-            first = list(chain.from_iterable(repeat(a, block) for a in firsts))
-            self.zero = [self._zero] * len(first)
-            self.one = [self._one] * len(first)
-            yield (first, *(column * len(firsts) for column in rest))
+        points = list(zip(self._column, self._radices, self._tables))
+        # how many consecutive sets share their index at each point
+        places = [prod(self._radices[p + 1:]) for p in range(len(points))]
 
-    def decode(self, a: int) -> ModernSet:
-        values = []
-        for carrier, k in zip(reversed(self._carriers), reversed(self._radices)):
-            a, digit = divmod(a, k)
-            values.append(carrier[digit])
-        return ModernSet(self.family, tuple(reversed(values)))
+        def value(run: int, lo: int, hi: int) -> tuple:
+            """The columns of the sets numbered ``t // run`` for ``t`` in ``range(lo, hi)``."""
+            return tuple(
+                column(_digits(k, place * run, lo, hi))
+                for (column, k, _), place in zip(points, places)
+            )
+
+        # the arguments after the first run through the same block for each first
+        rest = [value(n ** j, 0, block) for j in reversed(range(arity - 1))]
+        for start in range(0, n, step):
+            count = min(step, n - start)
+            self.zero = tuple(column(bytes([t.zero])) * count * block for column, _, t in points)
+            self.one = tuple(column(bytes([t.one])) * count * block for column, _, t in points)
+            first = value(block, start * block, (start + count) * block)
+            yield (first, *(tuple(x * count for x in v) for v in rest))
+
+    def decode(self, value: tuple, at: int) -> ModernSet:
+        """The set that tuple ``at`` of a slab value stands for."""
+        return ModernSet(self.family, tuple(c[column[at]] for c, column in zip(self._carriers, value)))
 
 
 def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law):
     """All tuples of sets over the deciding carriers, in declaration order.
 
-    A law of arity 2 or more scans columns of set indices when every point
-    compiles to exact tables, and rebuilds the witness from the sets
-    through ``ops``; an arity-1 law, or a point that does not compile,
-    scans the sets themselves, an arity-1 law one set at a time as drawn.
+    Laws of every arity scan columns of element indices a slab at a time
+    (:class:`_ColumnOps`), in byte lanes at points of at most 16 elements
+    and by row lookup at larger ones (:func:`_point_ops`), and only
+    the first failing tuple is decoded into sets and re-checked through
+    ``ops``. A family with a point that does not compile to exact tables,
+    or has more than 256 elements, scans the sets themselves. Columns are
+    built as bytes, hence the 256; a point that large makes more pairs than
+    ``_MAX_EXHAUSTIVE``, so only its laws of one variable come here, and
+    they were always scanned set by set.
     """
-    if law.arity == 1:
-        return _verdict(ops, law, zip(_all_sets(family)))
-    tables = [_compile_point(alg, law.needs_complement) for alg in family.handles]
+    tables = [
+        (alg._tables_with_complement if law.needs_complement else alg._tables)
+        if len(_carrier(alg)) <= 256 else None
+        for alg in family.handles
+    ]
     if None in tables:
         return _verdict(ops, law, product(_all_sets(family), repeat=law.arity))
     columns = _ColumnOps(family, tables)
     found = _scan(columns, law, columns.slabs(law.arity))
     if found is None:
         return Verdict.holds_exhaustive()
-    # An equation after the one reported may fail earlier in the slab. The
-    # slab generator is paused here, so zero and one still fit the slab.
+    # An equation after the one reported may fail earlier in the slab, so the
+    # first failing tuple is the lowest byte where any equation's sides differ
+    # at any point (a list column reads as bytes too, its indices being below
+    # 256). The slab generator is paused here, so zero and one still fit the
+    # slab.
     slab = found.inputs
-    sides = (fn(columns, *slab) for _, fn in law.equations)
-    at = min(list(map(ne, lhs, rhs)).index(True) for lhs, rhs in sides if lhs != rhs)
-    sets = tuple(columns.decode(column[at]) for column in slab)
+    differ = 0
+    for _, fn in law.equations:
+        for x, y in zip(*fn(columns, *slab)):
+            differ |= int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
+    at = ((differ & -differ).bit_length() - 1) // 8
+    sets = tuple(columns.decode(value, at) for value in slab)
     witness = _scan(ops, law, (sets,))
     if witness is None:
         raise StructuralError(
@@ -664,12 +699,13 @@ def check_family_law(
     reports the forced stage's first failing tuple, as the sampled route
     does, unless a cap cut that stage short.
 
-    The exhaustive scan (:func:`_exhaustive_verdict`) runs on whole columns
-    of set indices (:class:`_ColumnOps`), a slab at a time in declaration
-    order, so it reports the same first witness as a scan over the sets.
-    Its row tables hold ``n * n`` entries for ``n`` sets, no more than the
-    tuples of a law of arity 2 or more, so only such laws use them; the
-    rest, and points that do not compile, are scanned set by set.
+    The exhaustive scan (:func:`_exhaustive_verdict`) runs on columns of
+    element indices (:class:`_ColumnOps`), a slab of tuples at a time in
+    declaration order, so it reports the same first witness as a scan over
+    the sets. Points of at most 16 elements run each table op in byte
+    lanes and larger ones look tuples up in their rows; a family with a
+    point of more than 256 elements, or one that does not compile, is
+    scanned set by set.
     """
     require_count("samples", samples)
     law = _resolve(law)

@@ -192,6 +192,18 @@ class TestValidate:
         assert out == ""
         assert err == f"error: {path}: not UTF-8 text (byte 0xe9)\n"
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        path = tmp_path / "lattices.def"
+        path.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / "lattices.def").read_bytes())
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "validate-lattices.out").read_text(encoding="utf-8")
+        # a bad byte after the mark is still named
+        path.write_bytes(b"\xef\xbb\xbflattice x  # caf\xe9\nelements 0 1\nend\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text (byte 0xe9)\n"
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.def"
         path.write_text("algebra a\nelements F T\nelements F T\n", encoding="utf-8")

@@ -14,6 +14,7 @@ from modernsets import (
     AlgebraFamily,
     AlgebraHandle,
     FiniteAlgebraTable,
+    ModernSet,
     PreconditionError,
     StructuralError,
     RationalMatrix,
@@ -362,22 +363,22 @@ class TestFamilyLaws:
             assert verdict.holds, law.name
             assert verdict.mode == "exhaustive"
 
-    def test_arity_one_scan_draws_sets_as_it_checks_them(self, monkeypatch):
+    def test_arity_one_scan_builds_only_its_witness(self, monkeypatch):
         # excluded middle fails at the second of chain5@6's 15,625 sets,
-        # (O, ..., O, m1), so the scan has drawn two sets when it stops
-        drawn = []
-        all_sets = laws._all_sets
+        # (O, ..., O, m1); the scan runs on index columns, so the only set
+        # it builds is that witness
+        built = []
 
-        def counted(family):
-            for s in all_sets(family):
-                drawn.append(s)
-                yield s
+        def counted(family, values):
+            built.append(ModernSet(family, values))
+            return built[-1]
 
-        monkeypatch.setattr(laws, "_all_sets", counted)
+        monkeypatch.setattr(laws, "ModernSet", counted)
         fam = constant_family(tuple(f"x{i}" for i in range(6)), chain_algebra(5))
         verdict = check_family_law(fam, "excluded-middle").verdict
-        assert verdict.failed and verdict.witness.inputs == (drawn[1],)
-        assert len(drawn) == 2
+        second = ModernSet(fam, ("O",) * 5 + ("m1",))
+        assert verdict.failed and verdict.witness.inputs == (second,)
+        assert built == [second]
 
     def test_mixed_matrix_family_fails_commutativity(self):
         u = Universe(("x1", "x2"))
@@ -453,10 +454,30 @@ def _table_algebra(name, tokens, wedge_mm):
     return FiniteAlgebraTable(name, tokens, "O", "I", wedge, vee, complement).as_handle()
 
 
+def _projection_algebra(size):
+    """``size`` elements on which wedge keeps its left argument and vee its
+    right one, apart from the eight O/I identities, so neither commutes."""
+    tokens = ("O", "I", *(f"a{i}" for i in range(size - 2)))
+    wedge = {(x, y): x for x in tokens for y in tokens}
+    vee = {(x, y): y for x in tokens for y in tokens}
+    for x, y in product("OI", repeat=2):
+        wedge[x, y] = "I" if x == y == "I" else "O"
+        vee[x, y] = "O" if x == y == "O" else "I"
+    complement = {**{x: x for x in tokens}, "O": "I", "I": "O"}
+    return FiniteAlgebraTable(f"proj{size}", tokens, "O", "I", wedge, vee, complement).as_handle()
+
+
 # Listed first, m fails at the first set; listed last, at the last ones.
-# Squashed (wedge(m, m) = O) breaks the lattice laws at m as well.
+# Squashed (wedge(m, m) = O) breaks the lattice laws at m as well. pow4 and
+# proj16 are the largest points whose table ops run in byte lanes, pow5 and
+# proj17 points that look tuples up in rows; the proj tables do not commute,
+# so they tell a cell (x, y) from (y, x).
 KERNEL_ALGEBRAS = {
     **NAMED_ALGEBRAS,
+    "pow4": lattice_algebra(powerset_lattice(4)),
+    "pow5": lattice_algebra(powerset_lattice(5)),
+    "proj16": _projection_algebra(16),
+    "proj17": _projection_algebra(17),
     "m-first": _table_algebra("m-first", ("m", "O", "I"), "m"),
     "squashed-first": _table_algebra("squashed-first", ("m", "O", "I"), "O"),
     "squashed-last": _table_algebra("squashed-last", ("O", "I", "m"), "O"),
@@ -488,6 +509,8 @@ class TestFamilyKernel:
         ("classical2", "chain3"), ("pow2", "m3"), ("chain5", "n5"), ("n5", "classical2"),
         ("m3", "chain3"), ("chain3", "pow2", "classical2"), ("classical2", "n5", "classical2"),
         ("m-first", "m-first"), ("squashed-first", "pow2"), ("squashed-last", "classical2"),
+        ("pow4",), ("pow5",), ("pow5", "squashed-last"), ("proj16",), ("proj17",),
+        ("m-first", "proj17"),
     ])
     def test_named_families_match_object_path(self, names):
         family = family_of([KERNEL_ALGEBRAS[name] for name in names])
@@ -555,8 +578,8 @@ class TestFamilyKernel:
             n = len(sets)
             ops = _SetOps(family)
             for law in LAWS:
-                if law.arity == 1 or law.needs_complement and ops.complement is None:
-                    continue  # scanned set by set, or not applicable
+                if law.needs_complement and ops.complement is None:
+                    continue  # not applicable
                 found = _scan(ops, law, product(sets, repeat=law.arity))
                 if found is None:
                     continue
@@ -570,6 +593,12 @@ class TestFamilyKernel:
                     positions.add((where, n % step == 0))
         assert {"tuple 0", "later slab", "last slab"} <= {where for where, _ in positions}
         assert ("last slab", False) in positions  # the slabs do not divide n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 5000), st.integers(1, 1200))
+    def test_index_columns_follow_their_formula(self, k, run, lo, length):
+        hi = lo + length
+        assert laws._digits(k, run, lo, hi) == bytes((t // run) % k for t in range(lo, hi))
 
     def test_random_sets_draw_as_before(self):
         def reference_draw(family, rng):
@@ -598,7 +627,13 @@ class TestFamilyKernel:
 
 
 class TestKernelMemoryBound:
-    """Row tables hold n * n entries, so arity-1 laws scan the n sets instead."""
+    """Kernel memory follows the slab, not the number of sets.
+
+    Index columns hold one byte lane (one list entry at points of more than
+    16 elements) per tuple of a slab at each point, and the tables are each
+    point's own, so no table grows with the n sets as n * n row tables
+    would.
+    """
 
     @pytest.mark.parametrize("max_exhaustive", [1000, 400_000])
     def test_arity_one_laws_build_no_row_table(self, max_exhaustive, monkeypatch):
