@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import DomainError, StructuralError, UnsupportedOperationError
-from .lattice import FiniteLattice, lattice_of_tables
+from .lattice import FiniteLattice, _PointTables, lattice_of_tables
 from .matrix import RationalMatrix
 
 Element = str | Fraction | RationalMatrix
@@ -115,16 +115,6 @@ class AlgebraHandle:
 
     def __repr__(self):
         return f"AlgebraHandle({self.name!r})"
-
-
-class _PointTables(NamedTuple):
-    """One finite algebra's operations as tables over indices into its elements."""
-
-    wedge: list[int]  # wedge(elements[i], elements[j]) at i * k + j
-    vee: list[int]
-    complement: list[int]
-    zero: int
-    one: int
 
 
 def _carrier(alg: AlgebraHandle) -> tuple[Element, ...] | None:

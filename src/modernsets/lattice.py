@@ -15,8 +15,19 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import DomainError, NotALatticeError, NotAPosetError, StructuralError
+
+
+class _PointTables(NamedTuple):
+    """One finite algebra's operations as tables over indices into its elements."""
+
+    wedge: list[int]  # wedge(elements[i], elements[j]) at i * k + j
+    vee: list[int]
+    complement: list[int]
+    zero: int
+    one: int
 
 
 class FiniteLattice:
@@ -66,6 +77,16 @@ class FiniteLattice:
             if strict[i] >> j & 1
             and not any(strict[i] >> k & 1 and strict[k] >> j & 1 for k in range(n))
         )
+
+    @cached_property
+    def _tables(self) -> _PointTables:
+        """Meet and join as index tables, with the bottom and top, compiled on first read."""
+        code = self._index.__getitem__
+        meet, join = (
+            [code(t) for row in table.values() for t in row.values()]
+            for table in (self.meet_table, self.join_table)
+        )
+        return _PointTables(meet, join, [], code(self.bottom), code(self.top))
 
     def index(self, token: str) -> int:
         try:
@@ -211,9 +232,8 @@ def lattice_of_tables(
         lat = FiniteLattice(name, elements, up)
     except NotALatticeError:
         return None
-    rows = [*lat.meet_table.values(), *lat.join_table.values()]
-    flat = [lat._index[t] for row in rows for t in row.values()]
-    if flat != wedge + vee or (lat.bottom, lat.top) != (elements[zero], elements[one]):
+    tables = lat._tables
+    if (tables.wedge, tables.vee, tables.zero, tables.one) != (wedge, vee, zero, one):
         return None
     return lat
 

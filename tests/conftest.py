@@ -1,10 +1,22 @@
 import dataclasses
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from modernsets import FiniteAlgebraTable, fuzzy_algebra
+from modernsets import (
+    LAWS,
+    FiniteAlgebraTable,
+    FiniteLattice,
+    check_cha,
+    check_distributive,
+    check_lattice_laws,
+    check_law,
+    fuzzy_algebra,
+    get_law,
+    lattice_algebra,
+)
+from modernsets import laws
 
 CENSUS_TOKENS = ("O", "m", "I")
 # The five wedge/vee cells the eight identities leave free, in census order.
@@ -48,6 +60,50 @@ def brute_force_lattice(elements, wedge, vee, zero, one):
     return five_lattice_laws(elements, wedge, vee) and all(
         wedge[zero, x] == zero and wedge[x, one] == x for x in elements
     )
+
+
+def carrier_scans_match_elements(target):
+    """Every single-carrier scan of ``target`` gives what a plain scan of
+    its elements gives: ``laws._verdict`` over ``product(elements,
+    repeat=arity)``, and for the frame law the pair scan over
+    ``(combinations(elements, 2), y)``.
+
+    For a lattice that covers the certificate rows, ``check_distributive``
+    and ``check_cha``, and then ``check_law`` on its algebra; for a handle,
+    ``check_law``. The laws are the registry's and the certificate's two
+    joined rows. A carrier of four or more elements has scans of at least
+    64 tuples, so it must have compiled its tables, and a smaller one must
+    not have.
+    """
+    if isinstance(target, FiniteLattice):
+        lat = target
+
+        def scanned(law):
+            return laws._verdict(lat, law, product(lat.elements, repeat=law.arity))
+
+        cert = check_lattice_laws(lat)
+        assert cert.commutative == scanned(laws._COMMUTATIVE_LAW), lat.name
+        assert cert.associative == scanned(laws._ASSOCIATIVE_LAW), lat.name
+        assert cert.absorption == scanned(get_law("absorption")), lat.name
+        assert cert.distributive == check_distributive(lat) == scanned(get_law("distributive"))
+        pairs = laws._verdict(lat, laws._CHA_LAW, product(combinations(lat.elements, 2), lat.elements))
+        expected = dataclasses.replace(pairs, details=(("binary-distributive", cert.distributive),))
+        assert cert.cha == check_cha(lat) == expected, lat.name
+        assert ("_tables" in vars(lat)) == (len(lat) >= 4), lat.name
+        target = lattice_algebra(lat)
+    for law in (*LAWS, laws._COMMUTATIVE_LAW, laws._ASSOCIATIVE_LAW):
+        verdict = check_law(target, law).verdict
+        if law.needs_complement and target.complement is None:
+            assert not verdict.applicable
+            continue
+        expected = laws._verdict(target, law, product(target.elements, repeat=law.arity))
+        assert verdict == expected, (target.name, law.name)
+    assert ("_tables" in vars(target)) == (len(target.elements) >= 4), target.name
+
+
+@pytest.fixture
+def carrier_reference():
+    return carrier_scans_match_elements
 
 
 @pytest.fixture

@@ -231,6 +231,11 @@ def random_lattices(seed, count, max_size):
     return lattices
 
 
+def test_random_lattice_scans_match_element_scans(carrier_reference):
+    for lat in random_lattices(seed=7, count=60, max_size=12):
+        carrier_reference(lat)
+
+
 def assert_cha_matches_full_enumeration(lat):
     verdict = check_cha(lat)
     witness = full_frame_law(lat)

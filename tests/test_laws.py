@@ -27,7 +27,9 @@ from modernsets import (
     check_cha,
     check_family_law,
     check_gf_ring_conditions,
+    check_lattice_laws,
     check_law,
+    check_wba_axioms,
     classical_algebra,
     classify_family,
     constant_family,
@@ -41,6 +43,7 @@ from modernsets import (
     get_law,
     intersection,
     lattice_algebra,
+    lattice_from_hasse,
     lift_check,
     lift_point_value,
     lift_point_witness,
@@ -380,6 +383,24 @@ class TestFamilyLaws:
         assert verdict.failed and verdict.witness.inputs == (second,)
         assert built == [second]
 
+    def test_set_by_set_arity_one_scan_draws_sets_as_it_checks_them(self, monkeypatch):
+        # a carrier listing m twice does not compile, so this family of 500
+        # sets is scanned set by set; excluded middle fails at the second
+        # set, so only the first two sets may be built
+        built = []
+
+        def counted(family, values):
+            built.append(ModernSet(family, values))
+            return built[-1]
+
+        monkeypatch.setattr(laws, "ModernSet", counted)
+        doubled = dataclasses.replace(chain_algebra(3), name="doubled", elements=("O", "m", "m", "I"))
+        fam = family_of([doubled, chain_algebra(5), chain_algebra(5), chain_algebra(5)])
+        verdict = check_family_law(fam, "excluded-middle").verdict
+        first, second = (ModernSet(fam, ("O", "O", "O", last)) for last in ("O", "m1"))
+        assert verdict.failed and verdict.witness.inputs == (second,)
+        assert built == [first, second]
+
     def test_mixed_matrix_family_fails_commutativity(self):
         u = Universe(("x1", "x2"))
         fam = AlgebraFamily(u, {"x1": classical_algebra(), "x2": matrix_algebra(2)})
@@ -563,6 +584,26 @@ class TestFamilyKernel:
         with pytest.raises(StructuralError, match="do not give the same result twice"):
             check_family_law(family, "commutative-vee")
 
+    def test_carrier_witness_that_does_not_reevaluate_is_an_error(self):
+        # pow3's 64 pairs run on its compiled tables, where vee(0, a) = 0
+        pow3 = lattice_algebra(powerset_lattice(3))
+        calls = []
+
+        def drifting_vee(x, y):
+            calls.append((x, y))
+            if len(calls) <= 64 and (x, y) == ("0", "a"):
+                return "0"
+            return pow3.vee(x, y)
+
+        drifting = dataclasses.replace(pow3, name="drifting", vee=drifting_vee)
+        message = (
+            "law 'commutative-vee' fails on the compiled tables of AlgebraHandle('drifting') "
+            "but not on the inputs (0, a); its operations do not give the same result twice"
+        )
+        with pytest.raises(StructuralError) as excinfo:
+            check_law(drifting, "commutative-vee")
+        assert str(excinfo.value) == message
+
     def test_slab_cases_reach_every_boundary(self):
         """The first failures of the named families fall at tuple 0, inside a
         later slab and in a last slab that does not divide the set count.
@@ -684,6 +725,21 @@ class TestKernelMemoryBound:
         expected += [f"  at point 'x{i}': {line}" for i, line in enumerate(point_lines, 1)]
         expected.append("  levels agree: yes")
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    def test_pow6_certificate_stays_within_a_megabyte(self):
+        # A lattice scan's slab holds every (x, y) of one first argument z:
+        # 4,096 tuples on pow6. The lattice is rebuilt so that compiling its
+        # tables is counted too.
+        pow6 = powerset_lattice(6)
+        lat = lattice_from_hasse("pow6", pow6.elements, pow6.covers)
+        tracemalloc.start()
+        try:
+            cert = check_lattice_laws(lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(verdict.holds for _, verdict in cert.entries)
+        assert peak < 1_000_000
 
 
 class TestSampleCounts:
@@ -1188,6 +1244,25 @@ def test_verdict_matches_reference_scan_on_certificate_rows(lat):
         assert_same_verdict(lat, law, product(lat.elements, repeat=law.arity))
     pairs = product(combinations(lat.elements, 2), lat.elements)
     assert_same_verdict(lat, laws._CHA_LAW, pairs)
+
+
+@pytest.mark.parametrize("name", ["m3", "n5", "pow3", "pow4", "pow5", "proj16", "proj17"])
+def test_single_carrier_kernel_matches_element_scan(name, carrier_reference):
+    # pow4 and proj16 run in byte lanes, pow5 and proj17 by row lookup; the
+    # proj tables do not commute, so a transposed cell shows
+    lattices = {"m3": m3_lattice(), "n5": n5_lattice()}
+    lattices.update((f"pow{n}", powerset_lattice(n)) for n in (3, 4, 5))
+    carrier_reference(lattices.get(name) or KERNEL_ALGEBRAS[name])
+
+
+def test_three_element_algebras_never_compile(census_table):
+    # a 3-element carrier's scans have at most 27 tuples, under the
+    # kernel's 64, so its own laws never compile its tables
+    for index, complement in ((55764, {"O": "I", "m": "m", "I": "O"}), (12345, None)):
+        h = census_table(index, complement).as_handle()
+        check_wba_axioms(h)
+        check_all_laws(h)
+        assert "_tables" not in vars(h) and "_tables_with_complement" not in vars(h)
 
 
 # ---------------------------------------------------------------------------
