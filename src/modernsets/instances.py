@@ -104,11 +104,8 @@ def matrix_algebra(n: int) -> AlgebraHandle:
         boundary = (zero, one, _unit_matrix(n, 0, 1), _unit_matrix(n, 1, 0))
 
     def is_member(x: Element) -> bool:
-        return (
-            isinstance(x, RationalMatrix)
-            and x.dimension == n
-            and normalize_matrix(x) == x
-        )
+        # normalize_matrix returns x itself unless x is a multiple of the identity
+        return isinstance(x, RationalMatrix) and x._n == n and ((r := normalize_matrix(x)) is x or r == x)
 
     def sample(rng: random.Random) -> RationalMatrix:
         # Integer entries in row-major order are already the canonical form.

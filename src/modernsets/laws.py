@@ -622,37 +622,46 @@ def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable) 
             differ |= int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
     at = ((differ & -differ).bit_length() - 1) // 8
     args = tuple(argument(columns.decode(value, at)) for value in slab)
+    return _rechecked(ops, law, args, f"the compiled tables of {owner!r}")
+
+
+def _rechecked(ops, law: Law, args: tuple, route: str) -> Verdict:
+    """The failure a scan through ``ops`` finds at ``args``, which ``route`` found failing."""
     witness = _scan(ops, law, (args,))
     if witness is None:
         raise StructuralError(
-            f"law {law.name!r} fails on the compiled tables of {owner!r} but not on the "
+            f"law {law.name!r} fails on {route} but not on the "
             f"inputs ({', '.join(map(render_element, args))}); "
             f"its operations do not give the same result twice"
         )
     return Verdict.fails(witness)
 
 
-# Scans of fewer tuples run on the elements, where the kernel costs more to
+# Scans of fewer tuples run on the values, where the kernel costs more to
 # set up than it saves (distributive on chain3, 27 tuples: 0.035 ms on the
 # elements, 0.044 ms on columns; on chain4, 64 tuples: 0.080 ms and
 # 0.042 ms; compiling either takes 0.01 ms; best of 7, 2-vCPU VM). A
-# 3-element algebra thus never compiles for its own laws.
+# 3-element algebra thus never compiles for its own laws. A set operation
+# costs about ten times more, and family scans break even near 8 tuples.
 _MIN_COLUMN_TUPLES = 64
+_MIN_SET_COLUMN_TUPLES = 8
+
+
+def _columns_pay(largest: int, values: int, arity: int, least: int) -> bool:
+    """``least`` or more ``arity``-tuples of ``values`` values, over carriers byte columns hold."""
+    return largest <= 256 and values ** arity >= least
 
 
 def _carrier_verdict(ops: AlgebraHandle | FiniteLattice, law: Law) -> Verdict:
     """Every ``law.arity``-tuple of a finite algebra's or lattice's elements, in row-major order.
 
-    A scan of at least ``_MIN_COLUMN_TUPLES`` tuples over at most 256
-    elements reads the cached index tables of ``ops`` (``_tables``, or
-    ``_tables_with_complement`` for a law with a complement), and when they
-    compile it runs as a one-carrier column scan (:func:`_column_verdict`).
-    The size test comes first, so a smaller scan never compiles; it, and
-    any scan whose tables do not compile, evaluates ``ops`` on the elements.
+    A one-carrier column scan (:func:`_column_verdict`) when the scan pays
+    (:func:`_columns_pay`) and the tables of ``ops`` compile, else ``ops``
+    evaluated on the elements.
     """
     elements, arity = ops.elements, law.arity
     k = len(elements)
-    if k <= 256 and k ** arity >= _MIN_COLUMN_TUPLES:
+    if _columns_pay(k, k, arity, _MIN_COLUMN_TUPLES):
         tables = ops._tables_with_complement if law.needs_complement else ops._tables
         if tables is not None:
             return _column_verdict(ops, ops, law, [elements], [tables], itemgetter(0))
@@ -662,25 +671,59 @@ def _carrier_verdict(ops: AlgebraHandle | FiniteLattice, law: Law) -> Verdict:
 def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law) -> Verdict:
     """All tuples of sets over the deciding carriers, in declaration order.
 
-    Laws of every arity scan columns of element indices a slab at a time
-    (:func:`_column_verdict`), in byte lanes at points of at most 16
-    elements and by row lookup at larger ones (:func:`_point_ops`), and
-    only the first failing tuple is decoded into sets and re-checked
-    through ``ops``. A family with a point that does not compile to exact
-    tables, or has more than 256 elements, scans the sets themselves, drawn
-    one at a time at arity 1. Columns are built as bytes, hence the 256; a
-    point that large makes more pairs than ``_MAX_EXHAUSTIVE``, so only its
-    laws of one variable come here, and they were always scanned set by set.
+    On columns of element indices (:func:`_column_verdict`) when the scan
+    pays (:func:`_columns_pay`) and every point compiles, else set by set,
+    drawn one at a time at arity 1.
     """
-    tables = [
-        (alg._tables_with_complement if law.needs_complement else alg._tables)
-        if len(_carrier(alg)) <= 256 else None
-        for alg in family.handles
-    ]
-    if None in tables:
-        sets = _all_sets(family)
-        return _verdict(ops, law, zip(sets) if law.arity == 1 else product(sets, repeat=law.arity))
-    return _column_verdict(family, ops, law, _carriers(family), tables, partial(ModernSet, family))
+    carriers = _carriers(family)
+    if _columns_pay(max(map(len, carriers)), _set_count(family), law.arity, _MIN_SET_COLUMN_TUPLES):
+        tables = [a._tables_with_complement if law.needs_complement else a._tables for a in family.handles]
+        if None not in tables:
+            return _column_verdict(family, ops, law, carriers, tables, partial(ModernSet, family))
+    sets = _all_sets(family)
+    return _verdict(ops, law, zip(sets) if law.arity == 1 else product(sets, repeat=law.arity))
+
+
+def _checked(alg: AlgebraHandle) -> AlgebraHandle:
+    """``alg`` with each operation raising when its result leaves the carrier."""
+    def checked(op: Callable | None) -> Callable | None:
+        def run(*args):
+            if alg.is_member(result := op(*args)):
+                return result
+            raise StructuralError(f"a result left the carrier of {alg.name!r}")
+        return op and run
+
+    return replace(alg, wedge=checked(alg.wedge), vee=checked(alg.vee), complement=checked(alg.complement))
+
+
+def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, tuples, seed: int) -> Verdict:
+    """:func:`_verdict` through ``ops`` over tuples of sets, evaluated point by point.
+
+    Each point runs the equations in order on its handle's checked operations
+    (:func:`_checked`), a finite handle skipping values it has passed. The
+    first tuple that fails, leaves a carrier or raises is re-checked as sets.
+    """
+    points = _per_handle(family, lambda alg: (_checked(alg), set() if alg.finite else None)).values()
+
+    def holds(args: tuple) -> bool:
+        try:
+            for (view, passed), values in zip(points, zip(*[s._values for s in args])):
+                if passed is None or values not in passed:
+                    for _, fn in law.equations:
+                        lhs, rhs = fn(view, *values)
+                        if not (lhs is rhs or lhs == rhs):
+                            return False
+                    if passed is not None:
+                        passed.add(values)
+            return True
+        except Exception:  # the re-check raises what the sets raise, or names the route
+            return False
+
+    pointwise = Law(law.name, law.arity, False, (("", lambda o, *args: (holds(args), True)),))
+    verdict = _verdict(None, pointwise, tuples, seed)
+    if verdict.failed:
+        return _rechecked(ops, law, verdict.witness.inputs, f"the points of {family!r}")
+    return verdict
 
 
 def _random_set(family: AlgebraFamily, rng: random.Random) -> ModernSet:
@@ -761,13 +804,8 @@ def check_family_law(
     reports the forced stage's first failing tuple, as the sampled route
     does, unless a cap cut that stage short.
 
-    The exhaustive scan (:func:`_exhaustive_verdict`) runs on columns of
-    element indices (:class:`_ColumnOps`), a slab of tuples at a time in
-    declaration order, so it reports the same first witness as a scan over
-    the sets. Points of at most 16 elements run each table op in byte
-    lanes and larger ones look tuples up in their rows; a family with a
-    point of more than 256 elements, or one that does not compile, is
-    scanned set by set.
+    Both scans, :func:`_exhaustive_verdict` and :func:`_sampled_verdict`,
+    report the witness, or raise the error, that a scan of the sets would.
     """
     require_count("samples", samples)
     law = _resolve(law)
@@ -797,7 +835,7 @@ def check_family_law(
         islice(_forced_tuples(family, law.arity), _FORCED_CAP),
         _draws(partial(_random_set, family), law.arity, samples, seed),
     )
-    return LawReport(law.name, _verdict(ops, law, tuples, seed))
+    return LawReport(law.name, _sampled_verdict(family, ops, law, tuples, seed))
 
 
 @dataclass(frozen=True)

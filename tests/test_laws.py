@@ -1,8 +1,8 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, combinations, product
+from functools import partial, reduce
+from itertools import chain, combinations, islice, product
 from random import Random
 
 import pytest
@@ -580,7 +580,8 @@ class TestFamilyKernel:
             return classical.vee(x, y)
 
         drifting = dataclasses.replace(classical, name="drifting", vee=drifting_vee)
-        family = constant_family(("p",), drifting)
+        # three points make 8 sets and 64 pairs, enough to scan on the tables
+        family = constant_family(("p", "q", "r"), drifting)
         with pytest.raises(StructuralError, match="do not give the same result twice"):
             check_family_law(family, "commutative-vee")
 
@@ -740,6 +741,110 @@ class TestKernelMemoryBound:
             tracemalloc.stop()
         assert all(verdict.holds for _, verdict in cert.entries)
         assert peak < 1_000_000
+
+
+def sampled_tuples(family, arity, samples, seed):
+    """The sampled stage's tuple stream: forced tuples, then seeded draws."""
+    return chain(
+        islice(laws._forced_tuples(family, arity), laws._FORCED_CAP),
+        laws._draws(partial(laws._random_set, family), arity, samples, seed),
+    )
+
+
+def outcome(scan):
+    """A scan's verdict, or the type and text of what it raised."""
+    try:
+        return scan()
+    except Exception as error:
+        return type(error), str(error)
+
+
+class TestPointwiseSampledScan:
+    """The sampled family stage, evaluated point by point, against a scan of the
+    same tuples of sets through ``_SetOps``."""
+
+    @pytest.mark.parametrize("names", [
+        ("chain5", "mat2"),
+        ("mat2", "fuzzy", "mat2"),
+        ("m3", "mat2", "m3"),
+        ("classical2", "fuzzy", "mat2", "pow2"),
+        ("mat3", "n5"),
+        ("chain5", "chain5", "chain5", "fuzzy"),
+        ("m3", "fuzzy", "n5"),
+    ])
+    def test_mixed_families_match_a_set_scan(self, names):
+        infinite = {"fuzzy": fuzzy_algebra(), "mat2": matrix_algebra(2), "mat3": matrix_algebra(3)}
+        algebras = {**NAMED_ALGEBRAS, **infinite}
+        family = family_of([algebras[name] for name in names])
+        sampled = 0
+        for seed in range(3):
+            for law in LAWS:
+                verdict = check_family_law(family, law, samples=40, seed=seed).verdict
+                if not verdict.applicable or verdict.mode == "exhaustive":
+                    continue
+                tuples = sampled_tuples(family, law.arity, 40, seed)
+                assert verdict == _verdict(_SetOps(family), law, tuples, seed), (seed, law.name)
+                sampled += 1
+        assert sampled >= 6
+
+    def test_escape_at_a_later_point_raises_the_set_scans_error(self):
+        chain3 = chain_algebra(3)
+        # both orders escape alike, so only the carrier check can see it
+        leaky = dataclasses.replace(
+            chain3, name="leaky", vee=lambda x, y: "Z" if {x, y} == {"m", "I"} else chain3.vee(x, y)
+        )
+        family = family_of([matrix_algebra(2), chain3, leaky])
+        message = "operation of algebra 'leaky' left the carrier at point 'x3': Z"
+        raised = []
+        for law in LAWS:
+            if law.needs_complement:
+                continue  # not applicable: mat2 declares no complement
+            tuples = sampled_tuples(family, law.arity, 40, 0)
+            expected = outcome(lambda: _verdict(_SetOps(family), law, tuples, 0))
+            assert outcome(lambda: check_family_law(family, law, samples=40).verdict) == expected, law.name
+            raised += [law.name] if expected == (StructuralError, message) else []
+        assert "commutative-vee" in raised
+        # the escaping pair sits at the last point, after two points that pass
+        A, B = (modern_set(family, {"x1": I2, "x2": "O", "x3": v}) for v in ("m", "I"))
+        law = get_law("commutative-vee")
+        got = outcome(lambda: laws._sampled_verdict(family, _SetOps(family), law, [(A, B)], 0))
+        assert got == (StructuralError, message)
+
+    def test_a_failure_at_a_later_point_wins_over_an_error_in_a_later_equation(self):
+        def vee(x, y):
+            raise ArithmeticError("vee is undefined here")
+
+        raising = dataclasses.replace(classical_algebra(), name="raising", vee=vee)
+        family = family_of([raising, matrix_algebra(2)])
+        law = laws._law("both-commute", r"x /\ y = y /\ x", r"x \/ y = y \/ x")
+        ops = _SetOps(family)
+        # at point 1 the first equation holds and the second raises; at point 2
+        # the first fails, and a scan of the sets reports that failure
+        A, B = (modern_set(family, {"x1": "O", "x2": m}) for m in (E01, E10))
+        expected = _verdict(ops, law, [(A, B)], 0)
+        assert expected.failed and expected.witness.note == "x wedge y = y wedge x"
+        assert laws._sampled_verdict(family, ops, law, [(A, B)], 0) == expected
+        # the whole scan meets the error first, at the empty sets
+        expected = outcome(lambda: _verdict(ops, law, sampled_tuples(family, 2, 40, 0), 0))
+        assert expected == (ArithmeticError, "vee is undefined here")
+        assert outcome(lambda: check_family_law(family, law, samples=40)) == expected
+
+    def test_a_point_failure_the_sets_do_not_repeat_is_an_error(self):
+        classical = classical_algebra()
+        calls = []
+
+        def drifting_vee(x, y):
+            # vee(O, I) = O the first time it is asked, a join afterwards
+            calls.append((x, y))
+            if (x, y) == ("O", "I") and calls.count((x, y)) == 1:
+                return "O"
+            return classical.vee(x, y)
+
+        drifting = dataclasses.replace(classical, name="drifting", vee=drifting_vee)
+        family = family_of([drifting, matrix_algebra(2)])
+        message = "fails on the points of .* do not give the same result twice"
+        with pytest.raises(StructuralError, match=message):
+            check_family_law(family, "commutative-vee")
 
 
 class TestSampleCounts:
@@ -1263,6 +1368,17 @@ def test_three_element_algebras_never_compile(census_table):
         check_wba_axioms(h)
         check_all_laws(h)
         assert "_tables" not in vars(h) and "_tables_with_complement" not in vars(h)
+
+
+def test_family_scans_of_fewer_than_eight_tuples_never_compile(census_table):
+    h = census_table(12345, None).as_handle()
+    family = constant_family(("p",), h)
+    for law in LAWS:
+        if law.arity == 1:  # 3 sets
+            check_family_law(family, law)
+    assert "_tables" not in vars(h)
+    check_family_law(family, "commutative-wedge")  # 9 pairs
+    assert "_tables" in vars(h)
 
 
 # ---------------------------------------------------------------------------

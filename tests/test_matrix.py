@@ -231,7 +231,7 @@ def slicing_product(a, b):
     return RationalMatrix._reduced(n, nums, a._den * b._den)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_product_keeps_the_slicing_products_canonical_form(n):
     rng = Random(n)
 
@@ -244,6 +244,12 @@ def test_product_keeps_the_slicing_products_canonical_form(n):
         a, b = draw(), draw()
         expected, got = slicing_product(a, b), a * b
         assert (got._nums, got._den) == (expected._nums, expected._den)
+        public = RationalMatrix(got.rows)
+        assert got == public and hash(got) == hash(public)
+        for attribute in ("_n", "_nums", "_den"):
+            with pytest.raises(AttributeError):
+                setattr(got, attribute, None)
+        assert (got._n, got._nums, got._den) == (public._n, public._nums, public._den)
 
 
 @given(_dims.flatmap(_square), _values, st.integers(min_value=1, max_value=4))
