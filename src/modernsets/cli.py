@@ -13,7 +13,8 @@ Subcommands:
     oracle <family>          crisp sets vs ordinary set algebra
 
 Exit codes: 0 when checks pass or evaluation succeeds, 1 when a law or
-axiom fails (the witness is printed), 2 for input errors. Every subcommand
+axiom fails (the witness is printed), 2 for input errors, 141 (128 +
+SIGPIPE, printing nothing more) when stdout is closed early. Every subcommand
 accepts repeated ``--load <file>`` options; built-in algebras (classical2,
 fuzzy, chain3, chain5, mat2, mat3) and lattices (m3, n5, pow1, pow2, pow3)
 are always available by name, and ``<algebra>@<n>`` names the family
@@ -24,6 +25,7 @@ for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .algebra import AlgebraHandle
@@ -275,7 +277,13 @@ def run_command(argv=None) -> int:
         workspace = builtin_workspace()
         for path in args.load:
             load_file(path, workspace)
-        return args.handler(args, workspace)
+        code = args.handler(args, workspace)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ModernSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -108,10 +108,16 @@ def matrix_algebra(n: int) -> AlgebraHandle:
         return isinstance(x, RationalMatrix) and x._n == n and ((r := normalize_matrix(x)) is x or r == x)
 
     def sample(rng: random.Random) -> RationalMatrix:
-        # Integer entries in row-major order are already the canonical form.
-        # choice over five entries draws what randint(-2, 2) would.
-        nums = tuple([rng.choice((-2, -1, 0, 1, 2)) for _ in range(n * n)])
-        return normalize_matrix(RationalMatrix._reduced(n, nums, 1))
+        # Integer entries in row-major order are already the canonical form. Each is
+        # randint(-2, 2): the first getrandbits(3) below 5, less 2, as Random draws it.
+        getrandbits = rng.getrandbits
+        nums = []
+        for _ in range(n * n):
+            r = getrandbits(3)
+            while r >= 5:
+                r = getrandbits(3)
+            nums.append(r - 2)
+        return normalize_matrix(RationalMatrix._reduced(n, tuple(nums), 1))
 
     return AlgebraHandle(
         name=f"mat{n}",
@@ -170,13 +176,13 @@ def fuzzy_algebra() -> AlgebraHandle:
     Wedge and vee compare by integer cross-products and return the very
     operand ``min``/``max`` would; the complement ``Fraction(d - n, d)``
     equals ``1 - n/d``. ``sample`` draws what ``Fraction(randint(0, d), d)``
-    after ``d = randint(1, 64)`` draws, as two ``choice`` calls on a table
-    of those fractions built on first use.
+    after ``d = randint(1, 64)`` draws: a row, then an entry, of a table of
+    those fractions built on first use, each drawn inline as ``Random`` draws it.
     """
     zero = Fraction(0)
     one = Fraction(1)
     k3 = (zero, one, Fraction(1, 2))
-    pool: tuple[tuple[Fraction, ...], ...] = ()
+    pool: tuple[tuple[tuple[Fraction, ...], int, int], ...] = ()
 
     def is_member(x: Element) -> bool:
         return isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator
@@ -193,8 +199,17 @@ def fuzzy_algebra() -> AlgebraHandle:
     def sample(rng: random.Random) -> Fraction:
         nonlocal pool
         if not pool:
-            pool = tuple(tuple(Fraction(k, d) for k in range(d + 1)) for d in range(1, 65))
-        return rng.choice(rng.choice(pool))
+            rows = [tuple(Fraction(k, d) for k in range(d + 1)) for d in range(1, 65)]
+            pool = tuple((row, len(row), len(row).bit_length()) for row in rows)
+        getrandbits = rng.getrandbits
+        r = getrandbits(7)
+        while r >= 64:
+            r = getrandbits(7)
+        row, n, k = pool[r]
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return row[r]
 
     return AlgebraHandle(
         name="fuzzy",

@@ -167,7 +167,7 @@ def _draws(draw: Callable, arity: int, samples: int, seed: int):
     """``samples`` seeded random tuples of ``draw(rng)`` values."""
     rng = random.Random(seed)
     for _ in range(samples):
-        yield tuple(draw(rng) for _ in range(arity))
+        yield tuple([draw(rng) for _ in range(arity)])
 
 
 def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int = 0) -> LawReport:
@@ -726,16 +726,32 @@ def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, tuples, seed
     return verdict
 
 
-def _random_set(family: AlgebraFamily, rng: random.Random) -> ModernSet:
-    values = []
-    for alg in family.handles:
-        if alg.elements is not None:
-            values.append(rng.choice(alg.elements))
-        elif alg.sample is not None:
-            values.append(alg.sample(rng))
-        else:
-            raise PreconditionError(f"algebra {alg.name!r} cannot be sampled")
-    return ModernSet(family, tuple(values))
+def _set_drawer(family: AlgebraFamily) -> Callable[[random.Random], ModernSet]:
+    """One random set per call: ``rng.choice(elements)`` at a finite point, else its ``sample``.
+
+    ``choice`` runs inline, as ``Random`` runs it: the first ``getrandbits(n.bit_length())`` below n.
+    """
+    sizes = [len(alg.elements) if alg.finite else 0 for alg in family.handles]
+    points = [(alg, alg.elements, n, n.bit_length()) for alg, n in zip(family.handles, sizes)]
+
+    def draw(rng: random.Random) -> ModernSet:
+        getrandbits = rng.getrandbits
+        values = []
+        for alg, elements, n, k in points:
+            if n:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                values.append(elements[r])
+            elif elements is not None:  # an empty carrier raises what choice raises
+                values.append(rng.choice(elements))
+            elif alg.sample is not None:
+                values.append(alg.sample(rng))
+            else:
+                raise PreconditionError(f"algebra {alg.name!r} cannot be sampled")
+        return ModernSet(family, tuple(values))
+
+    return draw
 
 
 # A family is scanned exhaustively up to _MAX_EXHAUSTIVE tuples, else on at most
@@ -833,7 +849,7 @@ def check_family_law(
         return LawReport(law.name, forced if forced.failed else verdict)
     tuples = chain(
         islice(_forced_tuples(family, law.arity), _FORCED_CAP),
-        _draws(partial(_random_set, family), law.arity, samples, seed),
+        _draws(_set_drawer(family), law.arity, samples, seed),
     )
     return LawReport(law.name, _sampled_verdict(family, ops, law, tuples, seed))
 

@@ -420,6 +420,26 @@ class TestTopLevel:
         runs = [run(capsys, "laws", "mat2", "--samples", "60") for _ in range(2)]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_141_quietly(self, unbuffered):
+        # stdout is a pipe whose read end is already closed, so the first
+        # write (unbuffered) or the flush (buffered) meets EPIPE
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "modernsets", "laws", "chain3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
+
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
@@ -434,6 +454,7 @@ GOLDEN_CASES = [
     ),
     ("lift-m3-distributive", ("lift", "m3@2", "distributive")),
     ("lift-fuzzy-distributive", ("lift", "fuzzy@2", "distributive")),
+    ("lift-mat2-associative-wedge", ("lift", "mat2@2", "associative-wedge", "--seed", "0")),
     ("gfcheck-pow2", ("gfcheck", "pow2@2")),
     ("gfcheck-fuzzy", ("gfcheck", "fuzzy@2")),
     ("classify-chain3", ("classify", "chain3@2")),

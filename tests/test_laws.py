@@ -1,7 +1,7 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, combinations, islice, product
 from random import Random
 
@@ -663,9 +663,62 @@ class TestFamilyKernel:
             for seed in range(6):
                 rng, reference = Random(seed), Random(seed)
                 for _ in range(40):
-                    drawn = laws._random_set(family, rng)
+                    drawn = laws._set_drawer(family)(rng)
                     assert dict(drawn.membership) == reference_draw(family, reference)
                 assert rng.getstate() == reference.getstate()
+
+    def test_finite_draws_are_choice_at_every_carrier_size(self):
+        # the inlined index draw against Random.choice on a twin generator,
+        # at every size up to the index kernel's 256, with the state compared
+        # after each draw; sizes just past a power of two redraw often
+        for n in range(1, 257):
+            elements = tuple(range(n))
+            sized = dataclasses.replace(classical_algebra(), name=f"size{n}", elements=elements)
+            draw = laws._set_drawer(family_of([sized]))
+            rng, reference = Random(n), Random(n)
+            for _ in range(16):
+                assert draw(rng).value_at("x1") == reference.choice(elements)
+                assert rng.getstate() == reference.getstate()
+
+    def test_a_point_that_cannot_be_sampled_fails_at_the_first_draw(self):
+        bare = dataclasses.replace(fuzzy_algebra(), name="bare", deciding=None, sample=None)
+        family = family_of([chain_algebra(3), bare])
+        # excluded middle fails on a forced spike, before anything is drawn
+        verdict = check_family_law(family, "excluded-middle").verdict
+        assert verdict.describe() == (
+            "fails: x vee complement(x) = I: inputs (ModernSet({'x1': m, 'x2': 0})) give "
+            "ModernSet({'x1': m, 'x2': 1}) != ModernSet({'x1': I, 'x2': 1})"
+        )
+        # commutativity passes the forced stage, so the first draw is reached
+        with pytest.raises(PreconditionError, match="^algebra 'bare' cannot be sampled$"):
+            check_family_law(family, "commutative-wedge")
+        # a point with an empty carrier raises what Random.choice raises
+        empty = dataclasses.replace(classical_algebra(), name="empty", elements=())
+        with pytest.raises(IndexError, match="^Cannot choose from an empty sequence$"):
+            check_family_law(family_of([empty, matrix_algebra(2)]), "commutative-vee")
+
+    @pytest.mark.parametrize("algebras, seed, expected", [
+        (
+            (chain_algebra(3), matrix_algebra(2)), 3,
+            "fails: x wedge (y wedge z) = (x wedge y) wedge z: inputs (ModernSet({'p': O, "
+            "'q': [[2,0],[-1,-2]]}), ModernSet({'p': m, 'q': [[2,0],[2,1]]}), ModernSet({'p': O, "
+            "'q': [[1,0],[-2,2]]})) give ModernSet({'p': O, 'q': [[2,0],[-1,-2]]}) != "
+            "ModernSet({'p': O, 'q': [[4,0],[-2,-4]]})",
+        ),
+        (
+            (matrix_algebra(2), NAMED_ALGEBRAS["n5"]), 2,
+            "fails: x wedge (y wedge z) = (x wedge y) wedge z: inputs (ModernSet({'p': "
+            "[[1,-2],[2,1]], 'q': a}), ModernSet({'p': [[1,2],[-2,1]], 'q': b}), ModernSet({'p': "
+            "[[1,0],[1,1]], 'q': b})) give ModernSet({'p': [[5,0],[5,5]], 'q': 0}) != "
+            "ModernSet({'p': [[1,0],[1,1]], 'q': 0})",
+        ),
+    ], ids=["chain3-mat2", "mat2-n5"])
+    def test_witnesses_found_by_mixed_draws_are_pinned(self, algebras, seed, expected):
+        # recorded before the draws were inlined; each witness mixes drawn
+        # finite values with drawn matrices
+        family = AlgebraFamily(Universe(("p", "q")), dict(zip(("p", "q"), algebras)))
+        verdict = check_family_law(family, "associative-wedge", seed=seed).verdict
+        assert verdict.describe() == expected
 
 
 class TestKernelMemoryBound:
@@ -747,7 +800,7 @@ def sampled_tuples(family, arity, samples, seed):
     """The sampled stage's tuple stream: forced tuples, then seeded draws."""
     return chain(
         islice(laws._forced_tuples(family, arity), laws._FORCED_CAP),
-        laws._draws(partial(laws._random_set, family), arity, samples, seed),
+        laws._draws(laws._set_drawer(family), arity, samples, seed),
     )
 
 
