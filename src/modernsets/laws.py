@@ -743,8 +743,6 @@ def _set_drawer(family: AlgebraFamily) -> Callable[[random.Random], ModernSet]:
                 while r >= n:
                     r = getrandbits(k)
                 values.append(elements[r])
-            elif elements is not None:  # an empty carrier raises what choice raises
-                values.append(rng.choice(elements))
             elif alg.sample is not None:
                 values.append(alg.sample(rng))
             else:
