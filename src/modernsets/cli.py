@@ -206,8 +206,20 @@ def _cmd_oracle(args, workspace: Workspace) -> int:
     return 0 if report.verdict.holds else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help fails on a closed stdout as other output does.
+
+    From Python 3.11 on, ``argparse`` drops an ``OSError`` raised while it
+    writes help, so help into a closed pipe would exit 0; here it raises,
+    and :func:`run_command` exits 141. Subcommand parsers take this class too.
+    """
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modernsets",
         description="Check lattice laws for set algebras with per-point membership values.",
     )
@@ -268,16 +280,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 2
-    try:
-        workspace = builtin_workspace()
-        for path in args.load:
-            load_file(path, workspace)
-        code = args.handler(args, workspace)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after help, or a usage error on stderr
+            code = exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 2
+        else:
+            workspace = builtin_workspace()
+            for path in args.load:
+                load_file(path, workspace)
+            code = args.handler(args, workspace)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -57,6 +57,7 @@ from modernsets import (
 from modernsets import laws
 from modernsets.algebra import Deciding
 from modernsets.cli import run_command
+from modernsets.lattice import _PointTables
 from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan, _verdict
 
 E01 = RationalMatrix([[0, 1], [0, 0]])
@@ -490,15 +491,18 @@ def _projection_algebra(size):
 
 # Listed first, m fails at the first set; listed last, at the last ones.
 # Squashed (wedge(m, m) = O) breaks the lattice laws at m as well. pow4 and
-# proj16 are the largest points whose table ops run in byte lanes, pow5 and
-# proj17 points that look tuples up in rows; the proj tables do not commute,
-# so they tell a cell (x, y) from (y, x).
+# proj16 are the largest points whose table ops run in one lane lookup,
+# proj17 (2 groups), pow5 and proj32 (4 groups each) points that run in
+# grouped lanes, and proj33 the smallest point that looks tuples up in rows;
+# the proj tables do not commute, so they tell a cell (x, y) from (y, x).
 KERNEL_ALGEBRAS = {
     **NAMED_ALGEBRAS,
     "pow4": lattice_algebra(powerset_lattice(4)),
     "pow5": lattice_algebra(powerset_lattice(5)),
     "proj16": _projection_algebra(16),
     "proj17": _projection_algebra(17),
+    "proj32": _projection_algebra(32),
+    "proj33": _projection_algebra(33),
     "m-first": _table_algebra("m-first", ("m", "O", "I"), "m"),
     "squashed-first": _table_algebra("squashed-first", ("m", "O", "I"), "O"),
     "squashed-last": _table_algebra("squashed-last", ("O", "I", "m"), "O"),
@@ -531,7 +535,7 @@ class TestFamilyKernel:
         ("m3", "chain3"), ("chain3", "pow2", "classical2"), ("classical2", "n5", "classical2"),
         ("m-first", "m-first"), ("squashed-first", "pow2"), ("squashed-last", "classical2"),
         ("pow4",), ("pow5",), ("pow5", "squashed-last"), ("proj16",), ("proj17",),
-        ("m-first", "proj17"),
+        ("m-first", "proj17"), ("proj32",), ("m-first", "proj33"),
     ])
     def test_named_families_match_object_path(self, names):
         family = family_of([KERNEL_ALGEBRAS[name] for name in names])
@@ -642,6 +646,31 @@ class TestFamilyKernel:
         hi = lo + length
         assert laws._digits(k, run, lo, hi) == bytes((t // run) % k for t in range(lo, hi))
 
+    @pytest.mark.parametrize("k", range(17, 33))
+    def test_grouped_lanes_match_row_lookup(self, k):
+        rng = Random(k)
+        wedge, vee = ([rng.randrange(k) for _ in range(k * k)] for _ in range(2))
+        complement = [rng.randrange(k) for _ in range(k)]
+        for cells in (wedge, vee):  # a transposed cell would show
+            assert any(cells[x * k + y] != cells[y * k + x] for x, y in product(range(k), repeat=2))
+        column, *ops = laws._point_ops(k, _PointTables(wedge, vee, complement, 0, k - 1))
+        assert column is bytes
+        xs, ys = zip(*product(range(k), repeat=2))
+        for slab in (k * k, *SLAB_SIZES):
+            cuts = [(column(xs[i:i + slab]), column(ys[i:i + slab])) for i in range(0, k * k, slab)]
+            for op, cells in zip(ops, (wedge, vee)):
+                got = b"".join(op(x, y) for x, y in cuts)
+                assert list(got) == [cells[x * k + y] for x, y in zip(xs, ys)], (slab, cells is vee)
+            got = b"".join(ops[2](x) for x, _ in cuts)
+            assert list(got) == [complement[x] for x in xs], slab
+
+    def test_byte_columns_reach_32_elements(self):
+        def column(k):
+            cells = [0] * (k * k)
+            return laws._point_ops(k, _PointTables(cells, cells, [0] * k, 0, 0))[0]
+
+        assert (column(16), column(17), column(32), column(33)) == (bytes, bytes, bytes, list)
+
     def test_random_sets_draw_as_before(self):
         def reference_draw(family, rng):
             values = {}
@@ -721,7 +750,7 @@ class TestKernelMemoryBound:
     """Kernel memory follows the slab, not the number of sets.
 
     Index columns hold one byte lane (one list entry at points of more than
-    16 elements) per tuple of a slab at each point, and the tables are each
+    32 elements) per tuple of a slab at each point, and the tables are each
     point's own, so no table grows with the n sets as n * n row tables
     would.
     """
@@ -1400,10 +1429,13 @@ def test_verdict_matches_reference_scan_on_certificate_rows(lat):
     assert_same_verdict(lat, laws._CHA_LAW, pairs)
 
 
-@pytest.mark.parametrize("name", ["m3", "n5", "pow3", "pow4", "pow5", "proj16", "proj17"])
+@pytest.mark.parametrize(
+    "name", ["m3", "n5", "pow3", "pow4", "pow5", "proj16", "proj17", "proj32", "proj33"]
+)
 def test_single_carrier_kernel_matches_element_scan(name, carrier_reference):
-    # pow4 and proj16 run in byte lanes, pow5 and proj17 by row lookup; the
-    # proj tables do not commute, so a transposed cell shows
+    # pow4 and proj16 run in one lane lookup, pow5, proj17 and proj32 in
+    # grouped lanes and proj33 by row lookup; the proj tables do not
+    # commute, so a transposed cell shows
     lattices = {"m3": m3_lattice(), "n5": n5_lattice()}
     lattices.update((f"pow{n}", powerset_lattice(n)) for n in (3, 4, 5))
     carrier_reference(lattices.get(name) or KERNEL_ALGEBRAS[name])
