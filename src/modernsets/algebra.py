@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import DomainError, StructuralError, UnsupportedOperationError
+from .errors import StructuralError
 from .lattice import FiniteLattice, _PointTables, lattice_of_tables
 from .matrix import RationalMatrix
 
@@ -58,13 +58,13 @@ class Deciding(NamedTuple):
 class AlgebraHandle:
     """Uniform interface over every algebra kind in the package.
 
-    ``wedge``/``vee`` are the raw binary operations (no membership checks;
-    use :func:`apply_wedge` / :func:`apply_vee` for the checked surface).
-    ``elements`` is the declaration-order carrier for finite algebras and
-    None otherwise. Infinite carriers instead provide ``boundary`` (elements
-    always forced into sample pools) and ``sample`` (seeded random draw),
-    and may declare ``deciding`` (:class:`Deciding`). Whether an algebra is
-    a lattice is decided by evaluation (see :attr:`lattice`), never declared.
+    ``wedge``/``vee`` are the raw binary operations, with no membership
+    checks. ``elements`` is the declaration-order carrier for finite
+    algebras and None otherwise. Infinite carriers instead provide
+    ``boundary`` (elements always forced into sample pools) and ``sample``
+    (seeded random draw), and may declare ``deciding`` (:class:`Deciding`).
+    Whether an algebra is a lattice is decided by evaluation (see
+    :attr:`lattice`), never declared.
     """
 
     name: str
@@ -159,44 +159,6 @@ def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | 
         code(alg.zero),
         code(alg.one),
     )
-
-
-def apply_wedge(a: AlgebraHandle, x: Element, y: Element) -> Element:
-    """Checked wedge: both operands must belong to the carrier.
-
-    Argument order is preserved exactly as given; no commutation.
-    """
-    _require_member(a, x)
-    _require_member(a, y)
-    return a.wedge(x, y)
-
-
-def apply_vee(a: AlgebraHandle, x: Element, y: Element) -> Element:
-    """Checked vee; operand order preserved as given."""
-    _require_member(a, x)
-    _require_member(a, y)
-    return a.vee(x, y)
-
-
-def apply_complement(a: AlgebraHandle, x: Element) -> Element:
-    if a.complement is None:
-        raise UnsupportedOperationError(f"algebra {a.name!r} declares no complement")
-    _require_member(a, x)
-    return a.complement(x)
-
-
-def enumerate_elements(a: AlgebraHandle) -> list[Element]:
-    """Declaration-order carrier list; exhaustive checks iterate this."""
-    if a.elements is None:
-        raise UnsupportedOperationError(
-            f"algebra {a.name!r} has an infinite carrier; cannot enumerate"
-        )
-    return list(a.elements)
-
-
-def _require_member(a: AlgebraHandle, x: Element) -> None:
-    if not a.is_member(x):
-        raise DomainError(f"{x!r} is not in the carrier of algebra {a.name!r}")
 
 
 @dataclass(frozen=True)

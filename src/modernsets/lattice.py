@@ -118,20 +118,6 @@ class FiniteLattice:
         token = next(t for t in tokens if t not in self._index)
         return DomainError(f"{token!r} is not an element of lattice {self.name!r}")
 
-    def join_of(self, tokens) -> str:
-        """Join of a finite family; the empty family joins to bottom."""
-        result = self.bottom
-        for t in tokens:
-            result = self.join(result, t)
-        return result
-
-    def meet_of(self, tokens) -> str:
-        """Meet of a finite family; the empty family meets to top."""
-        result = self.top
-        for t in tokens:
-            result = self.meet(result, t)
-        return result
-
 
 def _bound_table(
     name: str, elements: tuple[str, ...], bounds: list[int], kind: str
@@ -161,12 +147,7 @@ def _bound_table(
         ) from None
 
 
-def meet(lat: FiniteLattice, x: str, y: str) -> str:
-    return lat.meet(x, y)
-
-
-def join(lat: FiniteLattice, x: str, y: str) -> str:
-    return lat.join(x, y)
+meet, join = FiniteLattice.meet, FiniteLattice.join
 
 
 def lattice_from_hasse(

@@ -357,17 +357,6 @@ def _complements(lat: FiniteLattice, x: str) -> tuple[int, int]:
 _BOOLEAN_LAW = Law("boolean-complemented", 1, False, (("number of complements of x = 1", _complements),))
 
 
-def check_boolean(lat: FiniteLattice) -> Verdict:
-    """Exactly one complement per element; requires distributivity first."""
-    distributive = check_distributive(lat)
-    if distributive.failed:
-        raise PreconditionError(
-            f"lattice {lat.name!r} is not distributive; Boolean check needs "
-            f"distributivity (witness {distributive.witness.inputs})"
-        )
-    return _boolean_verdict(lat)
-
-
 def _boolean_verdict(lat: FiniteLattice) -> Verdict:
     """The Boolean row, a failing element's note giving its complement count."""
     verdict = _verdict(lat, _BOOLEAN_LAW, zip(lat.elements))
@@ -1216,10 +1205,6 @@ class FamilyClassification:
 
     level: str
     per_point: dict[Point, str] = field(compare=False)
-
-    @property
-    def rank(self) -> int:
-        return LEVELS.index(self.level)
 
     def describe(self) -> str:
         lines = [f"classification: {self.level}"]

@@ -137,18 +137,6 @@ class ModernSet:
     def __hash__(self):
         return hash(self._values)
 
-    def __or__(self, other):
-        return union(self, other)
-
-    def __and__(self, other):
-        return intersection(self, other)
-
-    def __invert__(self):
-        return complement(self)
-
-    def issubset(self, other: "ModernSet") -> bool:
-        return contains(other, self)
-
     def describe(self) -> str:
         parts = ", ".join(
             f"{x!r}: {render_element(v)}" for x, v in zip(self.family.universe.points, self._values)
@@ -257,11 +245,6 @@ def equals(a: ModernSet, b: ModernSet) -> bool:
     """Pointwise equality of membership values."""
     _require_compatible(a, b)
     return a._values == b._values
-
-
-def is_empty(a: ModernSet) -> bool:
-    """True when every point sits at its algebra's O."""
-    return all(v == alg.zero for alg, v in zip(a.family.handles, a._values))
 
 
 def contains(a: ModernSet, b: ModernSet) -> bool:

@@ -6,18 +6,12 @@ import pytest
 
 from modernsets import (
     AlgebraHandle,
-    DomainError,
     FiniteAlgebraTable,
     IdentityViolation,
     RationalMatrix,
     StructuralError,
-    UnsupportedOperationError,
-    apply_complement,
-    apply_vee,
-    apply_wedge,
     check_wba_axioms,
     classical_algebra,
-    enumerate_elements,
     fuzzy_algebra,
     matrix_algebra,
 )
@@ -146,43 +140,24 @@ def test_table_validation():
         )
 
 
-def test_apply_ops_check_membership():
-    a = classical_algebra()
-    assert apply_wedge(a, "O", "I") == "O"
-    assert apply_vee(a, "O", "I") == "I"
-    with pytest.raises(DomainError):
-        apply_wedge(a, "O", "Z")
-    with pytest.raises(DomainError):
-        apply_vee(a, 1, "I")
-
-
 def test_apply_ops_preserve_operand_order():
     m = matrix_algebra(2)
     m1 = RationalMatrix([[0, 1], [0, 0]])
     m2 = RationalMatrix([[0, 0], [1, 0]])
     # hand-multiplied products
-    assert apply_wedge(m, m1, m2) == RationalMatrix([[1, 0], [0, 0]])
-    assert apply_wedge(m, m2, m1) == RationalMatrix([[0, 0], [0, 1]])
+    assert m.wedge(m1, m2) == RationalMatrix([[1, 0], [0, 0]])
+    assert m.wedge(m2, m1) == RationalMatrix([[0, 0], [0, 1]])
 
 
 def test_vee_of_identity_with_itself_normalizes():
     m = matrix_algebra(2)
-    assert apply_vee(m, m.one, m.one) == m.one
+    assert m.vee(m.one, m.one) == m.one
 
 
 def test_complement():
-    assert apply_complement(classical_algebra(), "O") == "I"
-    assert apply_complement(fuzzy_algebra(), Fraction(3, 10)) == Fraction(7, 10)
-    with pytest.raises(UnsupportedOperationError):
-        apply_complement(matrix_algebra(2), matrix_algebra(2).zero)
-    with pytest.raises(DomainError):
-        apply_complement(fuzzy_algebra(), Fraction(3, 2))
-
-
-def test_enumerate_elements():
-    assert enumerate_elements(classical_algebra()) == ["O", "I"]
-    with pytest.raises(UnsupportedOperationError):
-        enumerate_elements(fuzzy_algebra())
+    assert classical_algebra().complement("O") == "I"
+    assert fuzzy_algebra().complement(Fraction(3, 10)) == Fraction(7, 10)
+    assert matrix_algebra(2).complement is None
 
 
 def test_handle_repr_and_finite_flag():

@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import combinations, product
 from random import Random
 
@@ -9,8 +10,6 @@ from modernsets import (
     StructuralError,
     NotALatticeError,
     NotAPosetError,
-    PreconditionError,
-    check_boolean,
     check_cha,
     check_distributive,
     check_lattice_laws,
@@ -66,14 +65,6 @@ def test_bottom_top():
     assert m3_lattice().top == "1"
     assert n5_lattice().bottom == "0"
     assert n5_lattice().top == "1"
-
-
-def test_join_of_meet_of():
-    lat = m3_lattice()
-    assert lat.join_of([]) == "0"
-    assert lat.meet_of([]) == "1"
-    assert lat.join_of(["a", "b"]) == "1"
-    assert lat.meet_of(["a", "b", "c"]) == "0"
 
 
 def test_hasse_validation_errors():
@@ -145,10 +136,10 @@ def full_frame_law(lat):
     the empty family first, and every y."""
     for size in range(len(lat.elements) + 1):
         for family in combinations(lat.elements, size):
-            joined = lat.join_of(family)
+            joined = reduce(lat.join, family, lat.bottom)
             for y in lat.elements:
                 lhs = lat.meet(joined, y)
-                rhs = lat.join_of(lat.meet(s, y) for s in family)
+                rhs = reduce(lat.join, (lat.meet(s, y) for s in family), lat.bottom)
                 if lhs != rhs:
                     return Witness(
                         inputs=(family, y),
@@ -273,14 +264,14 @@ def test_random_lattices_against_naive_reference():
         alg = lattice_algebra(lat) if len(lat) > 1 else None
         for x, y in product(lat.elements, repeat=2):
             m, j = naive_meet(lat, x, y), naive_join(lat, x, y)
-            assert meet(lat, x, y) == lat.wedge(x, y) == lat.meet_of((x, y)) == m, lat.name
-            assert join(lat, x, y) == lat.vee(x, y) == lat.join_of((x, y)) == j, lat.name
+            assert meet(lat, x, y) == lat.wedge(x, y) == m, lat.name
+            assert join(lat, x, y) == lat.vee(x, y) == j, lat.name
             assert (lat.meet_table[x][y], lat.join_table[x][y]) == (m, j), lat.name
             if alg is not None:
                 assert (alg.wedge(x, y), alg.vee(x, y)) == (m, j), lat.name
         for a, b, c in combinations(lat.elements, 3):
-            assert lat.meet_of((a, b, c)) == naive_meet(lat, naive_meet(lat, a, b), c), lat.name
-            assert lat.join_of((a, b, c)) == naive_join(lat, naive_join(lat, a, b), c), lat.name
+            assert reduce(lat.meet, (a, b, c)) == naive_meet(lat, naive_meet(lat, a, b), c), lat.name
+            assert reduce(lat.join, (a, b, c)) == naive_join(lat, naive_join(lat, a, b), c), lat.name
         assert all(lat.leq(lat.bottom, x) and lat.leq(x, lat.top) for x in lat.elements)
         assert check_lattice_laws(lat).distributive.holds == naive_distributive(lat), lat.name
 
@@ -291,8 +282,8 @@ def test_m3_heyting_witness():
     subset, scalar = verdict.witness.inputs
     lat = m3_lattice()
     # re-evaluate: meet of (join of subset) with scalar vs join of pointwise meets
-    lhs = meet(lat, lat.join_of(subset), scalar)
-    rhs = lat.join_of([meet(lat, s, scalar) for s in subset])
+    lhs = meet(lat, reduce(lat.join, subset, lat.bottom), scalar)
+    rhs = reduce(lat.join, [meet(lat, s, scalar) for s in subset], lat.bottom)
     assert (lhs, rhs) == (verdict.witness.lhs, verdict.witness.rhs)
     assert lhs != rhs
 
@@ -300,14 +291,14 @@ def test_m3_heyting_witness():
 def test_chain3_distributive_not_boolean():
     lat = lattice_from_hasse("c3", ["0", "m", "1"], [("0", "m"), ("m", "1")])
     assert check_distributive(lat).holds
-    verdict = check_boolean(lat)
+    verdict = check_lattice_laws(lat).boolean_complemented
     assert verdict.failed
     # the midpoint has no complement
     assert verdict.witness.inputs == ("m",)
 
 
 def test_pow2_boolean():
-    assert check_boolean(powerset_lattice(2)).holds
+    assert check_lattice_laws(powerset_lattice(2)).boolean_complemented.holds
 
 
 def reference_complement_count(lat):
@@ -339,18 +330,13 @@ def test_boolean_row_matches_the_reference_loop():
     outcomes = set()
     for lat in lattices:
         witness = reference_complement_count(lat)
-        for verdict in (check_boolean(lat), check_lattice_laws(lat).boolean_complemented):
-            if witness is None:
-                assert verdict.holds and verdict.mode == "exhaustive", lat.name
-            else:
-                assert verdict.failed and verdict.witness == witness, lat.name
+        verdict = check_lattice_laws(lat).boolean_complemented
+        if witness is None:
+            assert verdict.holds and verdict.mode == "exhaustive", lat.name
+        else:
+            assert verdict.failed and verdict.witness == witness, lat.name
         outcomes.add(witness is None)
     assert outcomes == {True, False}
-
-
-def test_boolean_requires_distributivity():
-    with pytest.raises(PreconditionError):
-        check_boolean(m3_lattice())
 
 
 def test_mixed_form_fails_where_distributivity_holds():
@@ -380,10 +366,6 @@ def test_unknown_token_raises():
         for args in (("zzz", "a"), ("a", "zzz")):
             with pytest.raises(DomainError, match="'zzz' is not an element of lattice 'm3'"):
                 op(*args)
-    with pytest.raises(DomainError, match="'zzz'"):
-        lat.join_of(["a", "zzz"])
-    with pytest.raises(DomainError, match="'zzz'"):
-        lat.meet_of(["zzz"])
 
 
 def test_powerset_bounds():
