@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, combinations, islice, product
 from math import inf, prod
 from operator import itemgetter
@@ -476,7 +476,7 @@ _SLAB_TUPLES = 1024
 
 @cache
 def _lane_groups(k: int) -> tuple[int, bytes, tuple[bytes, ...]]:
-    """For a point of 17 to 32 elements: rows per group ``m``, the lane map
+    """For a point of 17 to 42 elements: rows per group ``m``, the lane map
     ``v -> v % m``, and for each group after the first the lane mask that is
     0xFF where ``v // m`` is that group."""
     m = 256 // k
@@ -487,7 +487,7 @@ def _lane_groups(k: int) -> tuple[int, bytes, tuple[bytes, ...]]:
 
 
 def _grouped_lanes(k: int, cells: list[int]) -> Callable[[bytes, bytes], bytes]:
-    """A table op on byte lanes at a point of 17 to 32 elements, ``m`` rows a group."""
+    """A table op on byte lanes at a point of 17 to 42 elements, ``m`` rows a group."""
     m, low, masks = _lane_groups(k)
     first, *later = (bytes(cells[h:h + m * k]).ljust(256, b"\0") for h in range(0, k * k, m * k))
     groups = tuple(zip(later, masks))
@@ -509,22 +509,22 @@ def _grouped_lanes(k: int, cells: list[int]) -> Callable[[bytes, bytes], bytes]:
 def _point_ops(k: int, tables: _PointTables) -> tuple[type, Callable, Callable, Callable]:
     """One point's column type, wedge, vee and complement on columns of element indices.
 
-    A point of at most 32 elements holds its columns as ``bytes``, one lane
+    A point of at most 42 elements holds its columns as ``bytes``, one lane
     per tuple, and a complement is one ``translate``. At most 16 elements,
     a table op makes every tuple's cell index ``x * k + y`` with one
     big-integer product and sum (no lane carries into the next, as each
     index is below k * k <= 256), and one ``translate`` looks them all up.
-    At 17 to 32 elements the rows are cut into groups of ``m = 256 // k``
+    At 17 to 42 elements the rows are cut into groups of ``m = 256 // k``
     (:func:`_grouped_lanes`): the cell index ``(x % m) * k + y`` stays below
     256, one ``translate`` per group looks it up in that group's rows, and
     each later group's lane mask keeps the lanes whose ``x`` lies there.
-    That takes 11-17 ns a tuple at k = 17-20 and 15-31 ns at k = 24-32,
-    against 33-57 ns by row lookup. A point of 33 to 256 elements holds
-    lists and looks each tuple up in its ``k`` rows, at 33-59 ns a tuple,
-    where groups would take 41-62 ns at k = 48, 66-119 ns at 64 and
-    255-501 ns at 128 (1,200 lanes, best of 7, three runs, 2-vCPU VM).
+    That takes 11-17 ns a tuple at k = 17-20, 15-31 ns at 24-32 and 21-34 ns at
+    33-42 (7 groups at most), against 30-57 ns by row lookup. A point of 43 to 256
+    elements holds lists and looks each tuple up in its ``k`` rows, at 30-59 ns a
+    tuple, where groups take 34-38 ns at k = 43-44 (9 groups), 38-49 at 47-48, 66-119
+    at 64 and 255-501 at 128 (1,200 lanes, best of 7, three runs, 2-vCPU VM).
     """
-    if k > 32:
+    if k > 42:
         def rows(cells: list[int]) -> Callable[[list[int], list[int]], list[int]]:
             table = [cells[i * k:(i + 1) * k] for i in range(k)]
             return lambda x, y: [table[i][j] for i, j in zip(x, y)]
@@ -564,6 +564,45 @@ def _digits(k: int, run: int, lo: int, hi: int) -> bytes:
     return (period * -(-(start + hi - lo) // len(period)))[start:start + hi - lo]
 
 
+def _slabs(radices: tuple[int, ...], kinds: tuple[type, ...], arity: int, slab_tuples: int):
+    """Every ``arity``-tuple of values numbered over ``radices`` in row-major order, a slab
+    at a time: each argument's columns, of ``kinds``, over as many consecutive first
+    arguments as make ``slab_tuples`` tuples or more (the last slab may hold fewer)."""
+    n = prod(radices)
+    block = n ** (arity - 1)
+    step = min(-(-slab_tuples // block), n)
+    # how many consecutive numbers share their index at each carrier
+    places = [prod(radices[p + 1:]) for p in range(len(radices))]
+
+    def value(run: int, lo: int, hi: int) -> tuple:
+        """The columns of the values numbered ``t // run`` for ``t`` in ``range(lo, hi)``."""
+        return tuple(
+            kind(_digits(k, place * run, lo, hi)) for kind, k, place in zip(kinds, radices, places)
+        )
+
+    # the later arguments run through one block per first; full slabs share one copy
+    rest = [value(n ** j, 0, block) for j in reversed(range(arity - 1))]
+    repeated = [tuple(x * step for x in v) for v in rest]
+    for start in range(0, n, step):
+        count = min(step, n - start)
+        if count < step:
+            repeated = [tuple(x * count for x in v) for v in rest]
+        yield (value(block, start * block, (start + count) * block), *repeated)
+
+
+# A scan's slabs depend on its shape alone, so scans of one shape, such as a
+# certificate's rows, share them: a scan whose columns are all bytes and whose
+# argument bytes (arity x tuples x carriers) are at most _PLAN_BYTES keeps its slabs,
+# for 64 shapes at most (2 MB). List columns (over 42 elements) and larger scans stream.
+_PLAN_BYTES = 32 * 1024
+
+
+@lru_cache(maxsize=64)
+def _slab_plan(radices: tuple[int, ...], kinds: tuple[type, ...], arity: int, slab_tuples: int) -> tuple:
+    """The slabs of :func:`_slabs`, built once for every scan of that shape."""
+    return tuple(_slabs(radices, kinds, arity, slab_tuples))
+
+
 class _ColumnOps:
     """Operations on a slab of tuples at once, over finite carriers and their tables.
 
@@ -574,15 +613,14 @@ class _ColumnOps:
     single carrier. A slab value holds, for each carrier, the column of the
     indices its tuples have there, and each operation runs carrier by
     carrier on whole columns (:func:`_point_ops`). ``zero`` and ``one`` are
-    constant columns as long as the slab :meth:`slabs` yielded last, and
-    are valid for that slab only.
+    constant columns as long as the slab :meth:`slabs` yielded last, built
+    when an equation reads them, and are valid for that slab only.
     """
 
     def __init__(self, carriers: list[tuple[Element, ...]], tables: list[_PointTables]):
         self._tables = tables
         self._carriers = carriers
-        self._radices = list(map(len, carriers))
-        self.size = prod(self._radices)
+        self._radices = tuple(map(len, carriers))
         self._column, self._wedge, self._vee, self._complement = zip(
             *map(_point_ops, self._radices, tables)
         )
@@ -597,33 +635,24 @@ class _ColumnOps:
         return tuple(op(x) for op, x in zip(self._complement, a))
 
     def slabs(self, arity: int):
-        """Every ``arity``-tuple of numbered values in row-major order, a slab of argument values at a time.
+        """The slabs of :func:`_slabs` over these carriers, kept when all
+        columns are bytes and the scan fits ``_PLAN_BYTES``, else streamed."""
+        kinds = self._column
+        shape = (self._radices, kinds, arity, _SLAB_TUPLES)
+        kept = all(kind is bytes for kind in kinds) and (
+            arity * prod(self._radices) ** arity * len(kinds) <= _PLAN_BYTES
+        )
+        for slab in _slab_plan(*shape) if kept else _slabs(*shape):
+            self._lanes = len(slab[0][0])
+            yield slab
 
-        A slab holds the tuples of as many consecutive first arguments as
-        make ``_SLAB_TUPLES`` tuples or more (the last slab may hold fewer).
-        """
-        n = self.size
-        block = n ** (arity - 1)
-        step = -(-_SLAB_TUPLES // block)
-        points = list(zip(self._column, self._radices, self._tables))
-        # how many consecutive numbers share their index at each carrier
-        places = [prod(self._radices[p + 1:]) for p in range(len(points))]
+    @property
+    def zero(self) -> tuple:
+        return tuple(kind(bytes([t.zero])) * self._lanes for kind, t in zip(self._column, self._tables))
 
-        def value(run: int, lo: int, hi: int) -> tuple:
-            """The columns of the values numbered ``t // run`` for ``t`` in ``range(lo, hi)``."""
-            return tuple(
-                column(_digits(k, place * run, lo, hi))
-                for (column, k, _), place in zip(points, places)
-            )
-
-        # the arguments after the first run through the same block for each first
-        rest = [value(n ** j, 0, block) for j in reversed(range(arity - 1))]
-        for start in range(0, n, step):
-            count = min(step, n - start)
-            self.zero = tuple(column(bytes([t.zero])) * count * block for column, _, t in points)
-            self.one = tuple(column(bytes([t.one])) * count * block for column, _, t in points)
-            first = value(block, start * block, (start + count) * block)
-            yield (first, *(tuple(x * count for x in v) for v in rest))
+    @property
+    def one(self) -> tuple:
+        return tuple(kind(bytes([t.one])) * self._lanes for kind, t in zip(self._column, self._tables))
 
     def decode(self, value: tuple, at: int) -> tuple[Element, ...]:
         """The values, one per carrier, that tuple ``at`` of a slab value stands for."""
@@ -644,7 +673,7 @@ def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable) 
         return Verdict.holds_exhaustive()
     # An equation after the one reported may fail earlier in the slab, so the
     # first failing tuple is the lowest byte where any equation's sides differ
-    # on any carrier (the list column of a point of 33 to 256 elements reads
+    # on any carrier (the list column of a point of 43 to 256 elements reads
     # as bytes too, its indices being below 256). The slab generator is
     # paused here, so zero and one still fit the slab.
     slab = found.inputs

@@ -56,7 +56,7 @@ from modernsets import (
 )
 from modernsets import laws
 from modernsets.algebra import Deciding
-from modernsets.cli import run_command
+from modernsets.cli import builtin_workspace, run_command
 from modernsets.lattice import _PointTables
 from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan, _verdict
 
@@ -492,9 +492,10 @@ def _projection_algebra(size):
 # Listed first, m fails at the first set; listed last, at the last ones.
 # Squashed (wedge(m, m) = O) breaks the lattice laws at m as well. pow4 and
 # proj16 are the largest points whose table ops run in one lane lookup,
-# proj17 (2 groups), pow5 and proj32 (4 groups each) points that run in
-# grouped lanes, and proj33 the smallest point that looks tuples up in rows;
-# the proj tables do not commute, so they tell a cell (x, y) from (y, x).
+# proj17 (2 groups), pow5, proj32 (4 groups each), proj33 (5) and proj42
+# (7) points that run in grouped lanes, and proj43 the smallest point that
+# looks tuples up in rows; the proj tables do not commute, so they tell a
+# cell (x, y) from (y, x).
 KERNEL_ALGEBRAS = {
     **NAMED_ALGEBRAS,
     "pow4": lattice_algebra(powerset_lattice(4)),
@@ -503,6 +504,8 @@ KERNEL_ALGEBRAS = {
     "proj17": _projection_algebra(17),
     "proj32": _projection_algebra(32),
     "proj33": _projection_algebra(33),
+    "proj42": _projection_algebra(42),
+    "proj43": _projection_algebra(43),
     "m-first": _table_algebra("m-first", ("m", "O", "I"), "m"),
     "squashed-first": _table_algebra("squashed-first", ("m", "O", "I"), "O"),
     "squashed-last": _table_algebra("squashed-last", ("O", "I", "m"), "O"),
@@ -535,7 +538,8 @@ class TestFamilyKernel:
         ("m3", "chain3"), ("chain3", "pow2", "classical2"), ("classical2", "n5", "classical2"),
         ("m-first", "m-first"), ("squashed-first", "pow2"), ("squashed-last", "classical2"),
         ("pow4",), ("pow5",), ("pow5", "squashed-last"), ("proj16",), ("proj17",),
-        ("m-first", "proj17"), ("proj32",), ("m-first", "proj33"),
+        ("m-first", "proj17"), ("proj32",), ("m-first", "proj33"), ("proj42",),
+        ("m-first", "proj43"),
     ])
     def test_named_families_match_object_path(self, names):
         family = family_of([KERNEL_ALGEBRAS[name] for name in names])
@@ -646,7 +650,7 @@ class TestFamilyKernel:
         hi = lo + length
         assert laws._digits(k, run, lo, hi) == bytes((t // run) % k for t in range(lo, hi))
 
-    @pytest.mark.parametrize("k", range(17, 33))
+    @pytest.mark.parametrize("k", range(17, 43))
     def test_grouped_lanes_match_row_lookup(self, k):
         rng = Random(k)
         wedge, vee = ([rng.randrange(k) for _ in range(k * k)] for _ in range(2))
@@ -664,12 +668,12 @@ class TestFamilyKernel:
             got = b"".join(ops[2](x) for x, _ in cuts)
             assert list(got) == [complement[x] for x in xs], slab
 
-    def test_byte_columns_reach_32_elements(self):
+    def test_byte_columns_reach_42_elements(self):
         def column(k):
             cells = [0] * (k * k)
             return laws._point_ops(k, _PointTables(cells, cells, [0] * k, 0, 0))[0]
 
-        assert (column(16), column(17), column(32), column(33)) == (bytes, bytes, bytes, list)
+        assert (column(16), column(17), column(42), column(43)) == (bytes, bytes, bytes, list)
 
     def test_random_sets_draw_as_before(self):
         def reference_draw(family, rng):
@@ -750,7 +754,7 @@ class TestKernelMemoryBound:
     """Kernel memory follows the slab, not the number of sets.
 
     Index columns hold one byte lane (one list entry at points of more than
-    32 elements) per tuple of a slab at each point, and the tables are each
+    42 elements) per tuple of a slab at each point, and the tables are each
     point's own, so no table grows with the n sets as n * n row tables
     would.
     """
@@ -819,6 +823,105 @@ class TestKernelMemoryBound:
             tracemalloc.stop()
         assert all(verdict.holds for _, verdict in cert.entries)
         assert peak < 1_000_000
+
+
+class TestSlabPlans:
+    """The slabs of a scan are kept by shape: the radices, the arity, the
+    column kinds and the slab size. Every later scan of that shape reads
+    them, whatever its carriers; O and I columns, which tell carriers of
+    one shape apart, are built per scan."""
+
+    @pytest.mark.parametrize("groups", [
+        # 5-element carriers: certificates, laws and one-point families
+        (("m3",), ("n5",), ("chain5",)),
+        # 3 x 3 families with O and I at other indices (m-first's O is at 1)
+        (("m-first", "m-first"), ("squashed-first", "squashed-first"),
+         ("squashed-last", "squashed-last")),
+        # 5 x 5 families of other handles
+        (("m3", "chain5"), ("chain5", "n5"), ("n5", "m3")),
+    ])
+    def test_carriers_of_one_shape_scan_as_with_a_cleared_cache(self, groups, carrier_reference):
+        def scan(names):
+            family = family_of([KERNEL_ALGEBRAS[name] for name in names])
+            for law in LAWS:
+                assert_kernel_matches_object_path(family, law)
+            if len(names) == 1:
+                lattices = {"m3": m3_lattice(), "n5": n5_lattice()}
+                carrier_reference(lattices.get(names[0]) or KERNEL_ALGEBRAS[names[0]])
+
+        laws._slab_plan.cache_clear()
+        first, *later = groups
+        scan(first)
+        built = laws._slab_plan.cache_info().misses
+        for names in later:  # back to back, on the plans the first one built
+            scan(names)
+        assert laws._slab_plan.cache_info().misses == built > 0
+        for names in groups:
+            laws._slab_plan.cache_clear()
+            scan(names)
+
+    def test_kept_plans_follow_the_slab_size(self, monkeypatch):
+        chain5 = chain_algebra(5)
+        ops = laws._ColumnOps([chain5.elements], [chain5._tables])
+
+        def slabs():
+            got = list(ops.slabs(3))
+            for i, divisor in enumerate((25, 5, 1)):  # argument i's column runs through its digits
+                column = b"".join(slab[i][0] for slab in got)
+                assert column == bytes(t // divisor % 5 for t in range(125))
+            return [len(slab[0][0]) for slab in got]
+
+        assert slabs() == [125]
+        for size in SLAB_SIZES:
+            monkeypatch.setattr(laws, "_SLAB_TUPLES", size)
+            step = -(-size // 25)  # whole first arguments, 25 triples each
+            expected = [min(step, 5 - first) * 25 for first in range(0, 5, step)]
+            assert slabs() == expected == slabs(), size  # built, then kept
+
+    def test_kept_plans_stay_within_their_bound(self):
+        workspace = builtin_workspace()
+        finite = [workspace.resolve_algebra(name) for name in (
+            "classical2", "chain3", "chain5", "m3", "n5", "pow1", "pow2", "pow3")]
+        families = [constant_family(("p", "q"), alg) for alg in finite]
+        families += [family_of([KERNEL_ALGEBRAS[name] for name in names])
+                     for names in (("m-first", "chain5"), ("pow4",), ("proj17", "classical2"))]
+        chains = [chain_algebra(k) for k in range(4, 43)]
+
+        def sweep():
+            for alg in finite:
+                check_all_laws(alg)
+            for lat in workspace.lattices.values():
+                check_lattice_laws(lat)
+            for family in families:
+                for law in LAWS:
+                    check_family_law(family, law)
+            # more shapes than are kept: pairs up to 42 elements, triples up to 22
+            for k, chain_k in enumerate(chains, 4):
+                check_law(chain_k, "commutative-wedge")
+                check_law(chain_k, "distributive" if k <= 22 else "commutative-vee")
+                check_family_law(family_of([chain_k, finite[0]]), "idempotent-wedge")
+
+        sweep()  # compiles every table
+        laws._slab_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            sweep()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        info = laws._slab_plan.cache_info()
+        assert info.misses > info.maxsize == info.currsize
+        assert held <= info.maxsize * laws._PLAN_BYTES
+
+    def test_list_columns_and_large_scans_keep_nothing(self):
+        laws._slab_plan.cache_clear()
+        check_law(KERNEL_ALGEBRAS["proj43"], "commutative-wedge")  # list columns
+        check_law(lattice_algebra(powerset_lattice(6)), "commutative-wedge")
+        # 32 elements, 3 x 32,768 argument bytes
+        assert check_law(KERNEL_ALGEBRAS["pow5"], "distributive").verdict.holds
+        # three chain5 points, 2 x 15,625 pairs x 3 bytes
+        check_family_law(constant_family(("p", "q", "r"), chain_algebra(5)), "commutative-vee")
+        assert laws._slab_plan.cache_info().currsize == 0
 
 
 def sampled_tuples(family, arity, samples, seed):
@@ -1431,12 +1534,13 @@ def test_verdict_matches_reference_scan_on_certificate_rows(lat):
 
 
 @pytest.mark.parametrize(
-    "name", ["m3", "n5", "pow3", "pow4", "pow5", "proj16", "proj17", "proj32", "proj33"]
+    "name",
+    ["m3", "n5", "pow3", "pow4", "pow5", "proj16", "proj17", "proj32", "proj33", "proj42", "proj43"],
 )
 def test_single_carrier_kernel_matches_element_scan(name, carrier_reference):
-    # pow4 and proj16 run in one lane lookup, pow5, proj17 and proj32 in
-    # grouped lanes and proj33 by row lookup; the proj tables do not
-    # commute, so a transposed cell shows
+    # pow4 and proj16 run in one lane lookup, pow5, proj17, proj32, proj33
+    # and proj42 in grouped lanes and proj43 by row lookup; the proj tables
+    # do not commute, so a transposed cell shows
     lattices = {"m3": m3_lattice(), "n5": n5_lattice()}
     lattices.update((f"pow{n}", powerset_lattice(n)) for n in (3, 4, 5))
     carrier_reference(lattices.get(name) or KERNEL_ALGEBRAS[name])
