@@ -26,7 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple
+from operator import attrgetter
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import StructuralError
 from .lattice import FiniteLattice, _PointTables, lattice_of_tables
@@ -54,6 +55,22 @@ class Deciding(NamedTuple):
     ops: tuple[BinaryOp, BinaryOp, UnaryOp | None]
 
 
+class _Codes(NamedTuple):
+    """Exact integer codes of an infinite carrier's values, for scans to run on.
+
+    ``ops`` acts on codes as the handle's operations, O and I act on values; ``encode``
+    is injective and gives None for a value with no code; ``sample`` draws the code of
+    what the handle's ``sample`` draws, from the same random bits. Like :class:`Deciding`,
+    the record is bound to the handle's :data:`_coded_attributes` (``bound``).
+    """
+
+    ops: Any
+    encode: Callable[[Element], Any]
+    decode: Callable[[Any], Element]
+    sample: Callable[[random.Random], Any]
+    bound: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraHandle:
     """Uniform interface over every algebra kind in the package.
@@ -62,9 +79,9 @@ class AlgebraHandle:
     checks. ``elements`` is the declaration-order carrier for finite
     algebras and None otherwise. Infinite carriers instead provide
     ``boundary`` (elements always forced into sample pools) and ``sample``
-    (seeded random draw), and may declare ``deciding`` (:class:`Deciding`).
-    Whether an algebra is a lattice is decided by evaluation (see
-    :attr:`lattice`), never declared.
+    (seeded random draw), and may declare ``deciding`` (:class:`Deciding`) and
+    integer codes (``_codes``, :class:`_Codes`). Whether an algebra is a lattice
+    is decided by evaluation (see :attr:`lattice`), never declared.
     """
 
     name: str
@@ -78,6 +95,7 @@ class AlgebraHandle:
     boundary: tuple[Element, ...] = ()
     deciding: Deciding | None = None
     sample: Callable[[random.Random], Element] | None = None
+    _codes: _Codes | None = None
 
     @property
     def finite(self) -> bool:
@@ -123,6 +141,16 @@ def _carrier(alg: AlgebraHandle) -> tuple[Element, ...] | None:
     if alg.elements is None and claim and claim.ops == (alg.wedge, alg.vee, alg.complement):
         return claim.carrier
     return alg.elements
+
+
+# What a scan on codes stands in for: the operations, the draw, the membership test, O and I.
+_coded_attributes = attrgetter("wedge", "vee", "complement", "sample", "is_member", "zero", "one")
+
+
+def _bound_codes(alg: AlgebraHandle) -> _Codes | None:
+    """The handle's codes while it has the attributes they were made for, else None."""
+    codes = alg._codes
+    return codes if codes and codes.bound == _coded_attributes(alg) else None
 
 
 def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | None:

@@ -22,13 +22,16 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Mapping
+from functools import lru_cache, partial
+from math import lcm
+from operator import add
+from types import SimpleNamespace
+from typing import Any, Callable, Mapping
 
-from .algebra import AlgebraHandle, Deciding, Element
+from .algebra import AlgebraHandle, Deciding, Element, _Codes, _coded_attributes
 from .errors import DomainError, ShapeError, StructuralError
 from .lattice import FiniteLattice, lattice_from_hasse
-from .matrix import RationalMatrix
+from .matrix import RationalMatrix, _product
 
 # ---------------------------------------------------------------------------
 # Matrix carrier
@@ -37,19 +40,25 @@ from .matrix import RationalMatrix
 _identity = lru_cache(maxsize=None)(RationalMatrix.identity)
 
 
+def _normal(n: int, nums: tuple[int, ...]) -> tuple[int, ...]:
+    """Integer numerators ``nums``, or the identity's when they are k times those, k >= 1."""
+    diag = nums[0]
+    if diag >= 1 and nums[:: n + 1] == (diag,) * n and sum(map(bool, nums)) == n:
+        return _identity(n)._nums
+    return nums
+
+
 def normalize_matrix(m: RationalMatrix) -> RationalMatrix:
     """Collapse positive integer multiples of the identity to the identity.
 
     The test runs on the canonical integers: a common denominator of 1,
     equal diagonal entries of at least 1, and no nonzero entry off the
-    diagonal, which is exactly when ``m`` is ``k`` times the identity for
-    an integer ``k >= 1``. A collapse returns the one shared identity of
-    that dimension, and anything else returns ``m`` itself.
+    diagonal (:func:`_normal`), which is exactly when ``m`` is ``k`` times
+    the identity for an integer ``k >= 1``. A collapse returns the one
+    shared identity of that dimension, and anything else returns ``m`` itself.
     """
-    n, nums = m._n, m._nums
-    diag = nums[0]
-    if m._den == 1 and diag >= 1 and nums[:: n + 1] == (diag,) * n and sum(map(bool, nums)) == n:
-        return _identity(n)
+    if m._den == 1 and _normal(m._n, m._nums) is not m._nums:
+        return _identity(m._n)
     return m
 
 
@@ -107,8 +116,8 @@ def matrix_algebra(n: int) -> AlgebraHandle:
         # normalize_matrix returns x itself unless x is a multiple of the identity
         return isinstance(x, RationalMatrix) and x._n == n and ((r := normalize_matrix(x)) is x or r == x)
 
-    def sample(rng: random.Random) -> RationalMatrix:
-        # Integer entries in row-major order are already the canonical form. Each is
+    def draw(rng: random.Random) -> tuple[int, ...]:
+        # Integer entries in row-major order are already the canonical numerators. Each is
         # randint(-2, 2): the first getrandbits(3) below 5, less 2, as Random draws it.
         getrandbits = rng.getrandbits
         nums = []
@@ -117,9 +126,10 @@ def matrix_algebra(n: int) -> AlgebraHandle:
             while r >= 5:
                 r = getrandbits(3)
             nums.append(r - 2)
-        return normalize_matrix(RationalMatrix._reduced(n, tuple(nums), 1))
+        return _normal(n, tuple(nums))
 
-    return AlgebraHandle(
+    decode = partial(RationalMatrix._reduced, n, den=1)
+    alg = AlgebraHandle(
         name=f"mat{n}",
         zero=zero,
         one=one,
@@ -127,8 +137,18 @@ def matrix_algebra(n: int) -> AlgebraHandle:
         vee=lambda x, y: normalize_matrix(x + y),
         is_member=is_member,
         boundary=boundary,
-        sample=sample,
+        sample=lambda rng: decode(draw(rng)),
     )
+    # A matrix over the common denominator 1 has its numerators as code. Sums and products
+    # stay over 1, where _reduced takes no gcd: on codes they are the numerators', normalized.
+    ops = SimpleNamespace(
+        wedge=lambda a, b: _normal(n, _product(n)(a, b)), vee=lambda a, b: _normal(n, tuple(map(add, a, b))),
+        complement=None, zero=zero._nums, one=one._nums)
+
+    def encode(x: Element) -> tuple[int, ...] | None:
+        return x._nums if type(x) is RationalMatrix and x._n == n and x._den == 1 else None
+
+    return replace(alg, _codes=_Codes(ops, encode, decode, draw, _coded_attributes(alg)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +181,33 @@ def classical_algebra() -> AlgebraHandle:
     return replace(chain_algebra(2), name="classical2")
 
 
+# Every denominator the unit interval's sampler draws divides this.
+_LCM = lcm(*range(1, 65))
+
+
+def _interval_sampler(entry: Callable[[int, int], Any]) -> Callable[[random.Random], Any]:
+    """``entry(k, d)`` for ``k = randint(0, d)`` after ``d = randint(1, 64)``: a row, then an
+    entry, of a table built on first use, each drawn inline as ``Random`` draws it."""
+    pool: tuple[tuple[tuple[Any, ...], int, int], ...] = ()
+
+    def sample(rng: random.Random) -> Any:
+        nonlocal pool
+        if not pool:
+            rows = [tuple(entry(k, d) for k in range(d + 1)) for d in range(1, 65)]
+            pool = tuple((row, len(row), len(row).bit_length()) for row in rows)
+        getrandbits = rng.getrandbits
+        r = getrandbits(7)
+        while r >= 64:
+            r = getrandbits(7)
+        row, n, k = pool[r]
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return row[r]
+
+    return sample
+
+
 @lru_cache(maxsize=None)
 def fuzzy_algebra() -> AlgebraHandle:
     """Rational unit interval with min/max and complement q -> 1 - q.
@@ -176,13 +223,13 @@ def fuzzy_algebra() -> AlgebraHandle:
     Wedge and vee compare by integer cross-products and return the very
     operand ``min``/``max`` would; the complement ``Fraction(d - n, d)``
     equals ``1 - n/d``. ``sample`` draws what ``Fraction(randint(0, d), d)``
-    after ``d = randint(1, 64)`` draws: a row, then an entry, of a table of
-    those fractions built on first use, each drawn inline as ``Random`` draws it.
+    after ``d = randint(1, 64)`` draws. Scans run on the codes n * (_LCM // d)
+    of the values n/d whose d divides ``_LCM``, where the operations are ``min``,
+    ``max`` and ``_LCM - c``, which make no new denominator.
     """
     zero = Fraction(0)
     one = Fraction(1)
     k3 = (zero, one, Fraction(1, 2))
-    pool: tuple[tuple[tuple[Fraction, ...], int, int], ...] = ()
 
     def is_member(x: Element) -> bool:
         return isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator
@@ -196,22 +243,11 @@ def fuzzy_algebra() -> AlgebraHandle:
     def complement(x: Fraction) -> Fraction:
         return Fraction(x.denominator - x.numerator, x.denominator)
 
-    def sample(rng: random.Random) -> Fraction:
-        nonlocal pool
-        if not pool:
-            rows = [tuple(Fraction(k, d) for k in range(d + 1)) for d in range(1, 65)]
-            pool = tuple((row, len(row), len(row).bit_length()) for row in rows)
-        getrandbits = rng.getrandbits
-        r = getrandbits(7)
-        while r >= 64:
-            r = getrandbits(7)
-        row, n, k = pool[r]
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return row[r]
+    def encode(x: Element) -> int | None:
+        n, d = x.as_integer_ratio() if type(x) is Fraction else (0, 0)
+        return n * (_LCM // d) if d and not _LCM % d else None
 
-    return AlgebraHandle(
+    alg = AlgebraHandle(
         name="fuzzy",
         zero=zero,
         one=one,
@@ -224,8 +260,13 @@ def fuzzy_algebra() -> AlgebraHandle:
             k3, "K3 = {0, 1/2, 1} at each unit-interval point (Kalman 1958)",
             "rational unit interval with min/max and 1 - x", (wedge, vee, complement),
         ),
-        sample=sample,
+        sample=_interval_sampler(Fraction),
     )
+    ops = SimpleNamespace(wedge=min, vee=max, complement=_LCM.__sub__, zero=0, one=_LCM)
+    return replace(alg, _codes=_Codes(
+        ops, encode, partial(Fraction, denominator=_LCM),
+        _interval_sampler(lambda k, d: k * (_LCM // d)), _coded_attributes(alg),
+    ))
 
 
 def lattice_algebra(

@@ -15,19 +15,20 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import NamedTuple
 
 from .errors import DomainError, NotALatticeError, NotAPosetError, StructuralError
 
 
-class _PointTables(NamedTuple):
-    """One finite algebra's operations as tables over indices into its elements."""
+class _PointTables:
+    """One finite algebra's operations as tables over indices into its elements, the
+    result for ``(i, j)`` at ``i * k + j``. ``columns`` holds what ``laws._point_ops``
+    compiles from them, kept from their first column scan."""
 
-    wedge: list[int]  # wedge(elements[i], elements[j]) at i * k + j
-    vee: list[int]
-    complement: list[int]
-    zero: int
-    one: int
+    __slots__ = ("wedge", "vee", "complement", "zero", "one", "columns")
+
+    def __init__(self, wedge: list[int], vee: list[int], complement: list[int], zero: int, one: int):
+        self.wedge, self.vee, self.complement, self.zero, self.one = wedge, vee, complement, zero, one
+        self.columns = None
 
 
 class FiniteLattice:

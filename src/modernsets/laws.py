@@ -36,7 +36,7 @@ from math import inf, prod
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
-from .algebra import AlgebraHandle, Element, _carrier
+from .algebra import AlgebraHandle, Element, _bound_codes, _carrier
 from .errors import PreconditionError, StructuralError, UnknownLawError, require_count
 from .expressions import _compile, _identifiers, _label, parse_expression
 from .lattice import FiniteLattice, _PointTables
@@ -175,7 +175,9 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
 
     Finite carriers: exhaustive, declaration order (:func:`_carrier_verdict`).
     Infinite carriers: all tuples of boundary elements, then ``samples``
-    seeded random tuples. A law with no variables is decided by one
+    seeded random tuples, on the carrier's codes if it has bound ones
+    (:class:`~modernsets.algebra._Codes`), a failing tuple decoded and
+    re-checked on its values. A law with no variables is decided by one
     evaluation on any carrier.
     """
     require_count("samples", samples)
@@ -188,10 +190,16 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
         return LawReport(law.name, _verdict(a, law, [()]))
     if a.elements is not None:
         return LawReport(law.name, _carrier_verdict(a, law))
-    tuples = product(a.boundary, repeat=law.arity)
-    if a.sample is not None:
-        tuples = chain(tuples, _draws(a.sample, law.arity, samples, seed))
-    return LawReport(law.name, _verdict(a, law, tuples, seed))
+    ops, boundary, draw = a, a.boundary, a.sample
+    codes = _bound_codes(a)
+    if codes and None not in (coded := tuple(map(codes.encode, boundary))):
+        ops, boundary, draw = codes.ops, coded, codes.sample
+    draws = () if draw is None else _draws(draw, law.arity, samples, seed)
+    verdict = _verdict(ops, law, chain(product(boundary, repeat=law.arity), draws), seed)
+    if verdict.failed and ops is not a:
+        args = tuple(map(codes.decode, verdict.witness.inputs))
+        verdict = _rechecked(a, law, args, f"the codes of {a!r}")
+    return LawReport(law.name, verdict)
 
 
 def check_all_laws(a: AlgebraHandle, samples: int = 1000, seed: int = 0) -> tuple[LawReport, ...]:
@@ -621,9 +629,9 @@ class _ColumnOps:
         self._tables = tables
         self._carriers = carriers
         self._radices = tuple(map(len, carriers))
-        self._column, self._wedge, self._vee, self._complement = zip(
-            *map(_point_ops, self._radices, tables)
-        )
+        for k, t in zip(self._radices, tables):
+            t.columns = t.columns or _point_ops(k, t)  # compiled by the first scan of ``t``
+        self._column, self._wedge, self._vee, self._complement = zip(*(t.columns for t in tables))
 
     def wedge(self, a: tuple, b: tuple) -> tuple:
         return tuple(op(x, y) for op, x, y in zip(self._wedge, a, b))
@@ -760,22 +768,28 @@ def _checked(alg: AlgebraHandle) -> AlgebraHandle:
 def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, tuples, seed: int) -> Verdict:
     """:func:`_verdict` through ``ops`` over tuples of sets, evaluated point by point.
 
-    Each point runs the equations in order on its handle's checked operations
+    Each point runs the equations in order on its handle's bound codes of the
+    values (:class:`~modernsets.algebra._Codes`), else on its checked operations
     (:func:`_checked`), a finite handle skipping values it has passed. The
     first tuple that fails, leaves a carrier or raises is re-checked as sets.
     """
-    points = _per_handle(family, lambda alg: (_checked(alg), set() if alg.finite else None)).values()
+    points = _per_handle(family, lambda alg: (
+        _checked(alg), set() if alg.finite else None, _bound_codes(alg)
+    )).values()
 
     def holds(args: tuple) -> bool:
         try:
-            for (view, passed), values in zip(points, zip(*[s._values for s in args])):
-                if passed is None or values not in passed:
-                    for _, fn in law.equations:
-                        lhs, rhs = fn(view, *values)
-                        if not (lhs is rhs or lhs == rhs):
-                            return False
-                    if passed is not None:
-                        passed.add(values)
+            for (view, passed, codes), values in zip(points, zip(*[s._values for s in args])):
+                if codes and None not in (coded := tuple(map(codes.encode, values))):
+                    view, values = codes.ops, coded
+                elif passed is not None and values in passed:
+                    continue
+                for _, fn in law.equations:
+                    lhs, rhs = fn(view, *values)
+                    if not (lhs is rhs or lhs == rhs):
+                        return False
+                if passed is not None:
+                    passed.add(values)
             return True
         except Exception:  # the re-check raises what the sets raise, or names the route
             return False

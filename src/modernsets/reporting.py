@@ -10,16 +10,11 @@ sample count and seed so a run can be reproduced exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
 
 
 def render_element(value: Any) -> str:
-    """Stable text form for carrier elements (tokens, rationals, matrices)."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+    """Stable text form for carrier elements: a token, ``n`` or ``n/d`` for a rational, a matrix's rows."""
     return str(value)
 
 

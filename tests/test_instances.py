@@ -372,6 +372,57 @@ class TestFuzzyAlgebra:
             assert type(got) is Fraction
 
 
+@pytest.mark.parametrize("alg", [fuzzy_algebra(), matrix_algebra(2), matrix_algebra(3)], ids=lambda a: a.name)
+class TestCarrierCodes:
+    """The exact integer codes the infinite carriers are scanned on."""
+
+    @staticmethod
+    def values(alg):
+        """Boundary and drawn values, then the results of the operations on them."""
+        rng = random.Random(5)
+        drawn = [*alg.boundary, *(alg.sample(rng) for _ in range(20))]
+        results = [op(x, y) for x in drawn for y in drawn for op in (alg.wedge, alg.vee)]
+        if alg.complement is not None:
+            results += [alg.complement(x) for x in drawn]
+        return drawn + results
+
+    def test_encoding_is_an_injective_homomorphism(self, alg):
+        codes = alg._codes
+        ops, encode = codes.ops, codes.encode
+        values = self.values(alg)
+        assert (encode(alg.zero), encode(alg.one)) == (ops.zero, ops.one)
+        for x in values:
+            assert codes.decode(encode(x)) == x
+        for x, y in itertools.product(values[:60], repeat=2):
+            assert encode(alg.wedge(x, y)) == ops.wedge(encode(x), encode(y))
+            assert encode(alg.vee(x, y)) == ops.vee(encode(x), encode(y))
+            assert (encode(x) == encode(y)) == (x == y)
+        if alg.complement is None:
+            assert ops.complement is None
+        else:
+            for x in values:
+                assert encode(alg.complement(x)) == ops.complement(encode(x))
+
+    def test_code_draws_follow_the_value_draws(self, alg):
+        codes = alg._codes
+        for seed in range(8):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(100):
+                assert codes.sample(rng) == codes.encode(alg.sample(reference))
+            assert rng.getstate() == reference.getstate()
+
+    def test_values_outside_the_coded_carrier_have_no_code(self, alg):
+        uncoded = {
+            # a denominator that divides no value the sampler draws, and other types
+            "fuzzy": [Fraction(1, 67), Fraction(1, 128), 0, 0.5, "O", I2],
+            # a common denominator above 1, and another dimension
+            "mat2": [I2.scale(Fraction(1, 2)), RationalMatrix.identity(3), Fraction(0), "O"],
+            "mat3": [RationalMatrix.identity(3).scale(Fraction(1, 3)), I2, Fraction(0)],
+        }
+        for x in uncoded[alg.name]:
+            assert alg._codes.encode(x) is None, x
+
+
 class TestLatticeAlgebra:
     def test_wraps_ops(self):
         a = lattice_algebra(m3_lattice())

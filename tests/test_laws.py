@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, islice, product
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,7 +56,7 @@ from modernsets import (
     union,
 )
 from modernsets import laws
-from modernsets.algebra import Deciding
+from modernsets.algebra import Deciding, _bound_codes, _coded_attributes
 from modernsets.cli import builtin_workspace, run_command
 from modernsets.lattice import _PointTables
 from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan, _verdict
@@ -1917,3 +1918,134 @@ class TestDecidingClaim:
         assert reasons["deciding-carrier"] == "; ".join(
             (claim.reason, fz.deciding.reason)
         )
+
+
+def on_values(alg):
+    """``alg`` with each operation wrapped, so its codes are void and its scans run
+    on values; a deciding claim is declared again for the wrapped operations."""
+    def wrapped(op):
+        return op and (lambda *args: op(*args))
+
+    ops = wedge, vee, complement = wrapped(alg.wedge), wrapped(alg.vee), wrapped(alg.complement)
+    claim = alg.deciding and alg.deciding._replace(ops=ops)
+    return dataclasses.replace(alg, wedge=wedge, vee=vee, complement=complement, deciding=claim)
+
+
+CODED = {"fuzzy": fuzzy_algebra(), "mat2": matrix_algebra(2), "mat3": matrix_algebra(3)}
+
+
+class TestCodeRoute:
+    """Scans of the infinite carriers on their integer codes (``algebra._Codes``)."""
+
+    def test_wrapped_operations_void_the_codes(self):
+        for alg in CODED.values():
+            assert _bound_codes(alg) is alg._codes
+            assert _bound_codes(on_values(alg)) is None
+            assert _bound_codes(dataclasses.replace(alg, sample=alg.sample)) is alg._codes
+            assert _bound_codes(dataclasses.replace(alg, is_member=lambda x: True)) is None
+
+    @pytest.mark.parametrize("name", sorted(CODED))
+    def test_check_law_matches_the_value_route(self, name):
+        alg = CODED[name]
+        values = on_values(alg)
+        for seed in range(3):
+            for law in (*LAWS, laws._COMMUTATIVE_LAW, laws._ASSOCIATIVE_LAW):
+                got = check_law(alg, law, samples=150, seed=seed)
+                assert got == check_law(values, law, samples=150, seed=seed), (seed, law.name)
+
+    @pytest.mark.parametrize("boundary", [
+        (Fraction(1, 3), Fraction(2, 3), Fraction(0)),  # coded: scanned on codes
+        (Fraction(0), Fraction(1, 67), Fraction(1)),  # 1/67 has no code: scanned on values
+    ])
+    def test_the_boundary_is_encoded_when_scanned(self, boundary):
+        alg = dataclasses.replace(fuzzy_algebra(), boundary=boundary)
+        values = on_values(alg)
+        for law in LAWS:
+            assert check_law(alg, law, samples=50) == check_law(values, law, samples=50), law.name
+
+    @pytest.mark.parametrize("names", [
+        ("fuzzy", "mat2"),
+        ("mat2", "chain3", "fuzzy"),
+        ("mat2", "mat2"),
+        ("m3", "mat3", "fuzzy", "pow2"),
+        ("fuzzy", "fuzzy", "fuzzy", "fuzzy"),
+    ])
+    def test_family_verdicts_match_the_value_route(self, names):
+        algebras = {**NAMED_ALGEBRAS, **CODED}
+        coded = family_of([algebras[name] for name in names])
+        values = family_of([on_values(algebras[name]) for name in names])
+        for seed in range(3):
+            for law in LAWS:
+                got = check_family_law(coded, law, samples=40, seed=seed).verdict
+                expected = check_family_law(values, law, samples=40, seed=seed).verdict
+                assert (got.mode, got.samples, got.details) == (
+                    expected.mode, expected.samples, expected.details), (seed, law.name)
+                assert got.describe() == expected.describe(), (seed, law.name)
+
+    def test_a_value_with_no_code_is_scanned_on_values(self):
+        fz, mat2 = fuzzy_algebra(), matrix_algebra(2)
+        family = family_of([fz, mat2])
+        odd = Fraction(1, 67)
+        sets = [modern_set(family, {"x1": v, "x2": m}) for v in (odd, Fraction(1, 2)) for m in (E01, I2)]
+        ops = _SetOps(family)
+        for law in LAWS:
+            if law.needs_complement:
+                continue
+            tuples = list(product(sets, repeat=law.arity))
+            got = laws._sampled_verdict(family, ops, law, tuples, 0)
+            assert got == _verdict(ops, law, tuples, 0), law.name
+
+    def test_a_passing_scan_never_calls_the_handles_vee(self):
+        calls = []
+
+        def spied(alg):
+            def vee(x, y):
+                calls.append((x, y))
+                return alg.vee(x, y)
+
+            handle = dataclasses.replace(alg, vee=vee)
+            return dataclasses.replace(handle, _codes=alg._codes._replace(bound=_coded_attributes(handle)))
+
+        fz = spied(fuzzy_algebra())
+        verdict = check_law(fz, "commutative-vee").verdict
+        assert verdict.describe() == "holds (sampled, samples=1009, seed=0)"
+        assert calls == []
+        family = family_of([spied(matrix_algebra(2)), fz])
+        assert check_family_law(family, "commutative-vee").verdict.mode == "sampled"
+        assert calls == []
+        # the same handle without its codes calls its vee at every tuple
+        assert check_law(dataclasses.replace(fz, _codes=None), "commutative-vee").verdict == verdict
+        assert len(calls) == 2 * 1009
+
+    def test_codes_that_disagree_with_the_values_are_an_error(self):
+        fz = fuzzy_algebra()
+        ops = SimpleNamespace(**{**vars(fz._codes.ops), "vee": min})
+        bad = dataclasses.replace(fz, _codes=fz._codes._replace(ops=ops))
+        # on codes absorption fails at (1, 0): min(1, min(1, 0)) = 0; on values it holds
+        message = "fails on the codes of AlgebraHandle.*do not give the same result twice"
+        with pytest.raises(StructuralError, match=message):
+            check_law(bad, "absorption")
+        family = family_of([bad, matrix_algebra(2)])
+        message = "fails on the points of AlgebraFamily.*do not give the same result twice"
+        with pytest.raises(StructuralError, match=message):
+            check_family_law(family, "absorption")
+
+
+class TestCompiledColumnOps:
+    def test_each_table_compiles_once(self, monkeypatch):
+        compiled = []
+        point_ops = laws._point_ops
+        monkeypatch.setattr(laws, "_point_ops", lambda k, t: compiled.append(t) or point_ops(k, t))
+        lat = lattice_from_hasse("diamond", ("0", "a", "b", "c", "1"), (
+            ("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1"),
+        ))
+        check_lattice_laws(lat)
+        assert compiled == [lat._tables]
+        check_lattice_laws(lat)
+        alg = lattice_algebra(lat, complement={"0": "1", "a": "a", "b": "b", "c": "c", "1": "0"})
+        check_all_laws(alg)
+        check_all_laws(alg)
+        family = family_of([alg, alg])
+        for law in LAWS:
+            check_family_law(family, law)
+        assert compiled == [lat._tables, alg._tables, alg._tables_with_complement]
