@@ -467,6 +467,12 @@ GOLDEN_CASES = [
     ("lift-m3-distributive", ("lift", "m3@2", "distributive")),
     ("lift-fuzzy-distributive", ("lift", "fuzzy@2", "distributive")),
     ("lift-mat2-associative-wedge", ("lift", "mat2@2", "associative-wedge", "--seed", "0")),
+    # chain3, fuzzy and mat2: counting from 1, the family witness is tuple 160, draw 34
+    # after 126 forced tuples, in the third slab of the sampled scan
+    (
+        "lift-mixed-associative-wedge",
+        ("lift", "mixed", "associative-wedge", "--load", str(GOLDEN / "mixed.def"), "--seed", "0"),
+    ),
     ("gfcheck-pow2", ("gfcheck", "pow2@2")),
     ("gfcheck-fuzzy", ("gfcheck", "fuzzy@2")),
     ("classify-chain3", ("classify", "chain3@2")),

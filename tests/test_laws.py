@@ -14,6 +14,7 @@ from modernsets import (
     LAWS,
     AlgebraFamily,
     AlgebraHandle,
+    DomainError,
     FiniteAlgebraTable,
     ModernSet,
     PreconditionError,
@@ -56,7 +57,7 @@ from modernsets import (
     union,
 )
 from modernsets import laws
-from modernsets.algebra import Deciding, _bound_codes, _coded_attributes
+from modernsets.algebra import Deciding, _Codes, _bound_codes, _coded_attributes
 from modernsets.cli import builtin_workspace, run_command
 from modernsets.lattice import _PointTables
 from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan, _verdict
@@ -925,12 +926,26 @@ class TestSlabPlans:
         assert laws._slab_plan.cache_info().currsize == 0
 
 
+def reference_draws(draw, arity, samples, seed):
+    """``samples`` seeded random tuples of ``draw(rng)`` values, each drawn afresh: the
+    draws as they were before sampled scans shared one stream per seed and read it a
+    slab at a time. Kept as the oracle of the shared streams."""
+    rng = Random(seed)
+    for _ in range(samples):
+        yield tuple([draw(rng) for _ in range(arity)])
+
+
 def sampled_tuples(family, arity, samples, seed):
     """The sampled stage's tuple stream: forced tuples, then seeded draws."""
     return chain(
         islice(laws._forced_tuples(family, arity), laws._FORCED_CAP),
-        laws._draws(laws._set_drawer(family), arity, samples, seed),
+        reference_draws(laws._set_drawer(family), arity, samples, seed),
     )
+
+
+def slabs_of(tuples):
+    """``tuples`` as one slab's argument columns."""
+    return [[list(column) for column in zip(*tuples)]]
 
 
 def outcome(scan):
@@ -989,7 +1004,7 @@ class TestPointwiseSampledScan:
         # the escaping pair sits at the last point, after two points that pass
         A, B = (modern_set(family, {"x1": I2, "x2": "O", "x3": v}) for v in ("m", "I"))
         law = get_law("commutative-vee")
-        got = outcome(lambda: laws._sampled_verdict(family, _SetOps(family), law, [(A, B)], 0))
+        got = outcome(lambda: laws._sampled_verdict(family, _SetOps(family), law, slabs_of([(A, B)]), 0))
         assert got == (StructuralError, message)
 
     def test_a_failure_at_a_later_point_wins_over_an_error_in_a_later_equation(self):
@@ -1005,7 +1020,7 @@ class TestPointwiseSampledScan:
         A, B = (modern_set(family, {"x1": "O", "x2": m}) for m in (E01, E10))
         expected = _verdict(ops, law, [(A, B)], 0)
         assert expected.failed and expected.witness.note == "x wedge y = y wedge x"
-        assert laws._sampled_verdict(family, ops, law, [(A, B)], 0) == expected
+        assert laws._sampled_verdict(family, ops, law, slabs_of([(A, B)]), 0) == expected
         # the whole scan meets the error first, at the empty sets
         expected = outcome(lambda: _verdict(ops, law, sampled_tuples(family, 2, 40, 0), 0))
         assert expected == (ArithmeticError, "vee is undefined here")
@@ -1513,7 +1528,7 @@ def test_verdict_matches_reference_scan_on_census_tables(census_table):
     # the sampled path: boundary tuples, then seeded draws
     fz = fuzzy_algebra()
     for law in LAWS:
-        draws = laws._draws(fz.sample, law.arity, 50, 4)
+        draws = reference_draws(fz.sample, law.arity, 50, 4)
         assert_same_verdict(fz, law, chain(product(fz.boundary, repeat=law.arity), draws), seed=4)
 
 
@@ -1992,7 +2007,7 @@ class TestCodeRoute:
             if law.needs_complement:
                 continue
             tuples = list(product(sets, repeat=law.arity))
-            got = laws._sampled_verdict(family, ops, law, tuples, 0)
+            got = laws._sampled_verdict(family, ops, law, slabs_of(tuples), 0)
             assert got == _verdict(ops, law, tuples, 0), law.name
 
     def test_a_passing_scan_never_calls_the_handles_vee(self):
@@ -2049,3 +2064,273 @@ class TestCompiledColumnOps:
         for law in LAWS:
             check_family_law(family, law)
         assert compiled == [lat._tables, alg._tables, alg._tables_with_complement]
+
+
+# ---------------------------------------------------------------------------
+# Shared seeded streams, scanned a slab at a time
+
+
+def reference_check_law(alg, law, samples, seed):
+    """``check_law``'s sampled scan of an infinite carrier, on its values, with the
+    draws of ``reference_draws``."""
+    tuples = chain(product(alg.boundary, repeat=law.arity), reference_draws(alg.sample, law.arity, samples, seed))
+    return _verdict(alg, law, tuples, seed)
+
+
+def reference_family_verdict(family, law, samples, seed):
+    """The sampled family stage, scanned as sets, with the draws of ``reference_draws``."""
+    return _verdict(_SetOps(family), law, sampled_tuples(family, law.arity, samples, seed), seed)
+
+
+def marked_carrier(bad, refused):
+    """Integers, drawn as ``getrandbits(32)`` and coded as themselves. ``wedge(x, x)`` is
+    ``x + 1`` at the values in ``bad``, so idempotence fails exactly there, and a draw
+    of a value in ``refused`` raises. The two sets may be filled after the carrier is
+    built, once the values it will draw are known."""
+    def sample(rng):
+        value = rng.getrandbits(32)
+        if value in refused:
+            raise ArithmeticError(f"draw {value} refused")
+        return value
+
+    def wedge(x, y):
+        return x + 1 if x == y and x in bad else min(x, y)
+
+    top = 1 << 33
+    handle = AlgebraHandle(
+        name="marked", zero=0, one=top, wedge=wedge, vee=max,
+        is_member=lambda x: type(x) is int, sample=sample,
+    )
+    ops = SimpleNamespace(wedge=wedge, vee=max, complement=None, zero=0, one=top)
+    encode = lambda x: x if type(x) is int else None  # noqa: E731
+    return dataclasses.replace(handle, _codes=_Codes(ops, encode, int, sample, _coded_attributes(handle)))
+
+
+def marked_values(scan, seed, count):
+    """The marked carrier's first ``count`` draws at ``seed``, in the order ``scan`` (the
+    carrier itself, or a family whose last point it is) draws them."""
+    if isinstance(scan, AlgebraHandle):
+        return [v for (v,) in reference_draws(scan.sample, 1, count, seed)]
+    point = scan.universe.points[-1]
+    return [s.value_at(point) for (s,) in reference_draws(laws._set_drawer(scan), 1, count, seed)]
+
+
+# Both laws fail only where a marked value meets itself: the first at tuple i when draw i
+# is marked, the second when draw 2i or 2i + 1 is.
+IDEMPOTENT = get_law("idempotent-wedge")
+IDEMPOTENT_PAIR = laws._law("idempotent-pair", r"x /\ x = x", r"y /\ y = y")
+
+
+def marked_scans():
+    """The mark and refusal sets of a new marked carrier, and each way of scanning it:
+    on codes, on values, and as the last point of families whose other point, if any,
+    is scanned tuple by tuple (chain3) or on codes (fuzzy)."""
+    bad, refused = set(), set()
+    marked = marked_carrier(bad, refused)
+    scans = {
+        "codes": marked,
+        "values": dataclasses.replace(marked, _codes=None),
+        "marked@1": family_of([marked]),
+        "chain3+marked": family_of([chain_algebra(3), marked]),
+        "fuzzy+marked": family_of([fuzzy_algebra(), marked]),
+    }
+    return bad, refused, scans
+
+
+def scan_outcome(scan, law, samples, seed):
+    """What the checker gives for ``scan``, and what the reference scan gives."""
+    if isinstance(scan, AlgebraHandle):
+        got = outcome(lambda: check_law(scan, law, samples=samples, seed=seed).verdict)
+        expected = outcome(lambda: reference_check_law(scan, law, samples, seed))
+    else:
+        got = outcome(lambda: check_family_law(scan, law, samples=samples, seed=seed).verdict)
+        expected = outcome(lambda: reference_family_verdict(scan, law, samples, seed))
+    return got, expected
+
+
+class TestSharedStreams:
+    """Every law of a battery at one seed reads one kept stream of draws, a slab of
+    ``_DRAW_SLAB`` tuples at a time; verdicts, witnesses and counts are those of the
+    draws each scan once made afresh (``reference_draws``)."""
+
+    @pytest.mark.parametrize("names", [
+        ("fuzzy",), ("mat2",), ("mat3",),
+        ("chain3", "fuzzy", "mat2"), ("mat2", "pow2"), ("fuzzy", "mat2", "m3"), ("mat2", "mat2"),
+    ])
+    def test_batteries_in_any_order_match_fresh_draws(self, names):
+        algebras = {**NAMED_ALGEBRAS, **CODED}
+        if len(names) == 1:
+            alg, samples = algebras[names[0]], 150
+            scan = lambda law, seed: check_law(alg, law, samples=samples, seed=seed).verdict  # noqa: E731
+            reference = lambda law, seed: reference_check_law(alg, law, samples, seed)  # noqa: E731
+        else:
+            family, samples = family_of([algebras[name] for name in names]), 100
+            scan = lambda law, seed: check_family_law(family, law, samples=samples, seed=seed).verdict  # noqa: E731
+            reference = lambda law, seed: reference_family_verdict(family, law, samples, seed)  # noqa: E731
+        battery = [law for law in LAWS if scan(law, 0).applicable]
+        expected = {(law.name, seed): reference(law, seed) for law in battery for seed in range(3)}
+        sampled = {key for key, verdict in expected.items() if verdict.mode == "sampled"}
+        for order in ("registry", "reversed", "cleared"):
+            for seed in range(3):
+                for law in battery[::-1] if order == "reversed" else battery:
+                    if order == "cleared":
+                        laws._streams.clear()
+                    got = scan(law, seed)
+                    if got.mode == "sampled":
+                        assert got == expected[law.name, seed], (order, seed, law.name)
+                        sampled.discard((law.name, seed))
+        assert not sampled  # every sampled reference verdict was met
+        assert len(laws._streams) <= laws._STREAMS
+
+    @pytest.mark.parametrize("at", [0, 63, 64, 65, 127, 128, 149])
+    @pytest.mark.parametrize("law", [IDEMPOTENT, IDEMPOTENT_PAIR], ids=["arity1", "arity2"])
+    def test_a_failure_at_each_slab_edge(self, at, law):
+        bad, _, scans = marked_scans()
+        for name, scan in scans.items():
+            for seed in range(2):
+                values = marked_values(scan, seed, law.arity * (at + 1))
+                bad.clear()
+                bad.add(values[-1])
+                got, expected = scan_outcome(scan, law, 150, seed)
+                assert got == expected and expected.failed, (name, seed)
+                inputs = expected.witness.inputs
+                if not isinstance(scan, AlgebraHandle):
+                    inputs = [s._values[-1] for s in inputs]
+                assert values[-1] in inputs, (name, seed)
+
+    @pytest.mark.parametrize("samples", [0, 1, 63, 64, 65, 100, 150])
+    def test_sample_counts_off_the_slab_size(self, samples):
+        _, _, scans = marked_scans()
+        for name, scan in scans.items():
+            for law in (IDEMPOTENT, IDEMPOTENT_PAIR):
+                got, expected = scan_outcome(scan, law, samples, 3)
+                assert got == expected and expected.holds, (name, law.name)
+                forced = 0 if isinstance(scan, AlgebraHandle) else expected.samples - samples
+                assert got.samples == forced + samples
+
+    @pytest.mark.parametrize("name", ["codes", "values", "marked@1", "chain3+marked", "fuzzy+marked"])
+    def test_a_draw_that_raises_is_met_after_the_tuples_before_it(self, name):
+        bad, refused, scans = marked_scans()
+        scan, k = scans[name], 100  # draw 100: the second slab of arity 1, the fourth of arity 2
+        values = marked_values(scan, 0, k + 40)
+        for law in (IDEMPOTENT, IDEMPOTENT_PAIR):
+            for mark in (None, 10, 70, 99, 101, 130):  # before the refused draw, in its slab, after
+                bad.clear()
+                refused.clear()
+                bad.update(() if mark is None else [values[mark]])
+                refused.add(values[k])
+                # the tuple holding draw k is reached unless a failure comes before it
+                wins = mark is not None and mark // law.arity < k // law.arity
+                for _ in range(2):  # the second call meets the same error, not a shorter stream
+                    got, expected = scan_outcome(scan, law, 150, 0)
+                    assert got == expected, (law.name, mark)
+                    if wins:
+                        assert expected.failed
+                    else:
+                        assert expected == (ArithmeticError, f"draw {values[k]} refused")
+
+    def test_the_first_failing_tuple_is_the_lowest_over_the_equations(self):
+        # draw 13 is tuple 6's x and draw 7 tuple 3's y: the second equation fails first
+        bad, _, scans = marked_scans()
+        for name, scan in scans.items():
+            values = marked_values(scan, 0, 14)
+            bad.clear()
+            bad.update((values[12], values[7]))
+            got, expected = scan_outcome(scan, IDEMPOTENT_PAIR, 100, 0)
+            assert got == expected and expected.witness.note == "y wedge y = y", name
+
+    def test_a_forced_tuple_that_cannot_be_built_is_met_after_the_tuples_before_it(self):
+        bad, _, scans = marked_scans()
+        bad.add(7)
+        spiked = dataclasses.replace(scans["codes"], boundary=(7,))  # its spike fails
+        outside = dataclasses.replace(fuzzy_algebra(), name="outside", boundary=(Fraction(3, 2),))
+        family = family_of([spiked, outside])
+        got, expected = scan_outcome(family, IDEMPOTENT, 50, 0)
+        assert got == expected and expected.failed
+        # without the failing spike, building the next point's spikes raises
+        bad.clear()
+        got, expected = scan_outcome(family, IDEMPOTENT, 50, 0)
+        assert got == expected and expected[0] is DomainError
+
+    def test_an_interrupted_draw_leaves_no_stream_behind(self):
+        # The 40th draw is interrupted once, after taking its random bits. The scan stops
+        # there; the next one draws afresh, not on from the generator's state.
+        bad, _, scans = marked_scans()
+        marked, calls = scans["codes"], []
+
+        def sample(rng):
+            value = marked.sample(rng)
+            calls.append(value)
+            if len(calls) == 40:
+                raise KeyboardInterrupt
+            return value
+
+        values = dataclasses.replace(marked, sample=sample)
+        codes = dataclasses.replace(values, _codes=marked._codes._replace(
+            sample=sample, bound=_coded_attributes(values)))
+        bad.add(marked_values(marked, 0, 100)[-1])  # a one-point family draws the same values
+        for scan in (codes, values, family_of([values])):
+            calls.clear()
+            with pytest.raises(KeyboardInterrupt):
+                scan_outcome(scan, IDEMPOTENT, 150, 0)
+            got, expected = scan_outcome(scan, IDEMPOTENT, 150, 0)
+            assert got == expected and expected.failed, scan
+
+    def test_a_float_seed_equal_to_an_int_draws_its_own_stream(self):
+        # -1.0 == -1 as a key, but Random(-1.0) draws other values than Random(-1)
+        bad, _, scans = marked_scans()
+        for name, scan in scans.items():
+            bad.clear()
+            bad.add(marked_values(scan, -1.0, 6)[-1])
+            for seed in (-1, -1.0):
+                got, expected = scan_outcome(scan, IDEMPOTENT, 20, seed)
+                assert got == expected, (name, seed)
+            assert expected.failed, name
+
+
+class TestStreamMemoryBound:
+    """The kept streams are few and short; a scan that reads more than a kept stream
+    holds draws its own and keeps only the slab it reads, so its memory does not grow
+    with the sample count."""
+
+    @staticmethod
+    def peak(scan) -> int:
+        tracemalloc.start()
+        try:
+            scan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_long_scans_keep_no_draws(self):
+        fz = fuzzy_algebra()
+        mat2_3 = constant_family(("p", "q", "r"), matrix_algebra(2))
+
+        def fuzzy(samples):
+            verdict = check_law(fz, "commutative-wedge", samples=samples).verdict
+            assert verdict.describe() == f"holds (sampled, samples={9 + samples}, seed=0)"
+
+        def family(samples):
+            verdict = check_family_law(mat2_3, "commutative-vee", samples=samples).verdict
+            assert verdict.mode == "sampled" and verdict.holds
+
+        # Kept, 200,000 fuzzy pairs would hold 400,000 codes (over 3 MB) and 10,000
+        # pairs of mat2@3 sets 20,000 sets (over 5 MB). A traced scan of 200,000 such
+        # pairs takes 20 s, so the family is measured at fewer.
+        for scan, small, large in ((fuzzy, 20_000, 200_000), (family, 2_000, 10_000)):
+            scan(100)  # pools, tables and code records are built before the measurement
+            low, high = self.peak(lambda: scan(small)), self.peak(lambda: scan(large))
+            # the tuple free lists alone move the peak by some 15 KB between runs
+            assert high < low + 64 * 1024, (scan.__name__, low, high)
+
+    def test_the_memo_keeps_at_most_its_streams_and_values(self):
+        fz, mat2 = fuzzy_algebra(), matrix_algebra(2)
+        for seed in range(8):
+            check_law(fz, "distributive", samples=1000, seed=seed)
+            check_law(mat2, "associative-vee", samples=2000, seed=seed)  # 6,000 values: not kept
+            check_family_law(family_of([mat2, fz]), "commutative-vee", samples=300, seed=seed)
+        assert len(laws._streams) == laws._STREAMS
+        assert all(len(stream.values) <= laws._STREAM_VALUES for stream in laws._streams.values())
+        assert all(stream.keep for stream in laws._streams.values())
+        assert mat2._codes.sample not in {key for key, _ in laws._streams}
