@@ -55,12 +55,6 @@ from .reporting import render_element
 from .sets import AlgebraFamily, constant_family
 
 
-# Crisp checks enumerate every pair of subsets of the universe, 4^|X| pairs:
-# 1,024 at five points, and at eight points 65,536, which takes seconds on
-# matrix points.
-UNIVERSE_CAPS = range(6)
-
-
 def builtin_workspace() -> Workspace:
     """Workspace preloaded with the shipped algebras and lattices."""
     w = Workspace()
@@ -165,9 +159,7 @@ def _cmd_lift(args, workspace: Workspace) -> int:
 
 def _cmd_gfcheck(args, workspace: Workspace) -> int:
     family = _resolve_family(workspace, args.family)
-    report = check_gf_ring_conditions(
-        family, samples=args.samples, seed=args.seed, universe_size_cap=args.max_universe
-    )
+    report = check_gf_ring_conditions(family, samples=args.samples, seed=args.seed)
     print(report.describe())
     return 0 if report.passed else 1
 
@@ -201,7 +193,7 @@ def _cmd_witness(args, workspace: Workspace) -> int:
 
 def _cmd_oracle(args, workspace: Workspace) -> int:
     family = _resolve_family(workspace, args.family)
-    report = verify_crisp_restriction(family, universe_size_cap=args.max_universe)
+    report = verify_crisp_restriction(family)
     print(report.describe())
     return 0 if report.verdict.holds else 1
 
@@ -258,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family name, or <algebra>@<n>")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-universe", type=int, default=4, choices=UNIVERSE_CAPS)
 
     p = command("eval", _cmd_eval, "evaluate a set expression")
     p.add_argument("family", help="family the result must live over")
@@ -272,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("oracle", _cmd_oracle, "crisp sets vs ordinary set algebra")
     p.add_argument("family", help="family name, or <algebra>@<n>")
-    p.add_argument("--max-universe", type=int, default=4, choices=UNIVERSE_CAPS)
 
     return parser
 

@@ -377,19 +377,26 @@ class TestOracle:
         assert code == 0
         assert "holds" in out
 
-    def test_universe_cap(self, capsys):
-        code, _, err = run(capsys, "oracle", "fuzzy@5")
-        assert code == 2
-        code, out, _ = run(capsys, "oracle", "fuzzy@5", "--max-universe", "5")
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["oracle", "mat3@8"], "crisp-restriction: holds (exhaustive)"),
+            (["gfcheck", "pow2@8"], "  3. crisp operations coincide: holds (exhaustive)"),
+        ],
+        ids=["oracle", "gfcheck"],
+    )
+    def test_eight_points_are_answered(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
         assert code == 0
+        assert line in out.splitlines()
+        assert err == ""
 
     @pytest.mark.parametrize("command", ["oracle", "gfcheck"])
-    def test_universe_cap_has_a_ceiling(self, capsys, command):
-        # 4^8 pairs of crisp sets over eight matrix points take seconds
-        code, out, err = run(capsys, command, "mat3@8", "--max-universe", "8")
+    def test_max_universe_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, command, "fuzzy@2", "--max-universe", "5")
         assert code == 2
         assert out == ""
-        assert "argument --max-universe: invalid choice: 8" in err
+        assert "unrecognized arguments: --max-universe 5" in err
 
     def test_negative_control(self, capsys, tmp_path):
         path = tmp_path / "broken.alg"
@@ -481,6 +488,12 @@ GOLDEN_CASES = [
     ("classify-fuzzy", ("classify", "fuzzy@2")),
     ("classify-mat2", ("classify", "mat2@1")),
     ("oracle-chain3", ("oracle", "chain3@3")),
+    # chain3 with the identity complement: every identity holds, crisp complement fails
+    ("validate-identity-complement", ("validate", str(GOLDEN / "identity-complement.def"))),
+    (
+        "oracle-identity-complement",
+        ("oracle", "chain3id@2", "--load", str(GOLDEN / "identity-complement.def")),
+    ),
     ("witness-mat2-wedge", ("witness", "mat2", "wedge")),
 ]
 

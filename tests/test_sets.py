@@ -1,6 +1,9 @@
 import ast
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from random import Random
 
 import pytest
 
@@ -10,11 +13,13 @@ from modernsets import (
     DomainError,
     FiniteAlgebraTable,
     IncompatibleFamilyError,
-    PreconditionError,
+    LawReport,
     RationalMatrix,
     StructuralError,
     Universe,
     UnsupportedOperationError,
+    Verdict,
+    Witness,
     chain_algebra,
     classical_algebra,
     complement as set_complement,
@@ -26,8 +31,12 @@ from modernsets import (
     full_set,
     fuzzy_algebra,
     intersection,
+    lattice_algebra,
+    m3_lattice,
     matrix_algebra,
     modern_set,
+    n5_lattice,
+    powerset_lattice,
     union,
     verify_crisp_restriction,
 )
@@ -325,12 +334,25 @@ class TestCrispRestriction:
         fam = constant_family(("x",), matrix_algebra(2))
         assert not dict(verify_crisp_restriction(fam).verdict.details)["complement-checked"]
 
-    def test_universe_cap(self):
-        fam = constant_family(tuple(f"x{i}" for i in range(5)), classical_algebra())
-        with pytest.raises(PreconditionError):
-            verify_crisp_restriction(fam)
-        report = verify_crisp_restriction(fam, universe_size_cap=5)
+    def test_work_is_counted_per_point(self):
+        # 3n + 1 pairs and n + 1 complements, each over all n points
+        calls = Counter()
+
+        def counted(op):
+            def f(*args):
+                calls[op] += 1
+                return getattr(classical_algebra(), op)(*args)
+            return f
+
+        counting = dataclasses.replace(
+            classical_algebra(), name="counting",
+            wedge=counted("wedge"), vee=counted("vee"), complement=counted("complement"),
+        )
+        n = 40
+        report = verify_crisp_restriction(constant_family(range(n), counting))
         assert report.verdict.holds
+        assert dict(report.verdict.details)["crisp-sets"] == 2 ** n
+        assert calls == {"vee": n * (3 * n + 1), "wedge": n * (3 * n + 1), "complement": n * (n + 1)}
 
     def test_negative_control(self):
         # a two-element table where I vee I = O breaks the crisp picture
@@ -455,3 +477,158 @@ class TestCrispRestriction:
         report = verify_crisp_restriction(constant_family(("x",), classical_algebra()))
         assert report.law == "crisp-restriction"
         assert "crisp-restriction" in report.describe()
+
+
+def full_scan_crisp_restriction(family):
+    """Crisp restriction decided on every pair of the 2^|X| crisp sets, as a reference.
+
+    Each result is read back through a dictionary of all the embeddings, so a
+    shared embedding reads back as its largest mask; the shipped check reads
+    point by point with ``==`` and agrees with this only for values that obey
+    Python's hash/eq contract (equal values hash equal), as every carrier here does.
+    """
+    points = family.universe.points
+    masks = range(1 << len(points))
+    full = masks[-1]
+    crisp = [embed_crisp(family, [p for i, p in enumerate(points) if a >> i & 1]) for a in masks]
+    mask_of = {s: a for a, s in enumerate(crisp)}.get
+
+    def first_failure():
+        for a, b in product(masks, repeat=2):
+            for op, f, want in (("union", union, a | b), ("intersection", intersection, a & b)):
+                got = mask_of(f(crisp[a], crisp[b]))
+                if got != want:
+                    return op, (a, b), got, want
+        if all(alg.complement is not None for alg in family.handles):
+            for a in masks:
+                got = mask_of(set_complement(crisp[a]))
+                if got != full ^ a:
+                    return "complement", (a,), got, full ^ a
+        return None
+
+    found = first_failure()
+    if found is None:
+        has_complement = all(alg.complement is not None for alg in family.handles)
+        details = (("universe-size", len(points)), ("crisp-sets", len(masks)),
+                   ("complement-checked", has_complement))
+        return LawReport("crisp-restriction", Verdict.holds_exhaustive(details=details))
+
+    def subset(mask):
+        if mask is None:
+            return "non-crisp"
+        return "{" + ", ".join(repr(p) for i, p in enumerate(points) if mask >> i & 1) + "}"
+
+    op, inputs, got, want = found
+    inputs = tuple(map(subset, inputs))
+    if got is None and op != "complement":
+        witness = Witness(inputs, "non-crisp", "crisp", f"{op} left the crisp sets")
+    else:
+        witness = Witness(inputs, subset(got), subset(want), f"{op} disagrees with subset {op}")
+    return LawReport("crisp-restriction", Verdict.fails(witness))
+
+
+SHIPPED = (
+    classical_algebra(), fuzzy_algebra(), chain_algebra(3), chain_algebra(5),
+    matrix_algebra(2), matrix_algebra(3), lattice_algebra(m3_lattice()),
+    lattice_algebra(n5_lattice()), lattice_algebra(powerset_lattice(2)),
+)
+TOKENS = ("O", "m", "I")
+BOOLEAN = {
+    "wedge": lambda x, y: "I" if x == y == "I" else "O",
+    "vee": lambda x, y: "O" if x == y == "O" else "I",
+    "complement": {"O": "I", "I": "O"}.get,
+}
+
+
+def random_table(rng, name):
+    """A table on O, m, I: Boolean on {O, I} but for cells broken at random, with any complement."""
+    def table(op):
+        cells = {(x, y): rng.choice(TOKENS) for x in TOKENS for y in TOKENS}
+        for x, y in product("OI", repeat=2):
+            cells[x, y] = rng.choice(TOKENS) if rng.random() < 0.06 else BOOLEAN[op](x, y)
+        return cells
+
+    choice, comp = rng.choice((None, "boolean", "any")), None
+    if choice is not None:
+        comp = {x: rng.choice(TOKENS) for x in TOKENS}
+        if choice == "boolean":
+            comp.update(O="I", I="O")
+    return FiniteAlgebraTable(name, TOKENS, "O", "I", table("wedge"), table("vee"), comp).as_handle()
+
+
+def random_handle(rng, name):
+    """O, m and I, with cells on {O, I} that now and then go wrong, non-crisp, off the carrier, or raise."""
+    def op(label, arity):
+        outcomes = {}
+        for cell in product("OI", repeat=arity):
+            roll = rng.random()
+            if roll < 0.04:
+                outcomes[cell] = "raise"
+            elif roll < 0.08:
+                outcomes[cell] = rng.choice(("O", "m", "I", "off"))
+            else:
+                outcomes[cell] = BOOLEAN[label](*cell)
+
+        def f(*args):
+            got = outcomes.get(args, "m")
+            if got == "raise":
+                raise ArithmeticError(f"{name} {label}{args}")
+            return got
+        return f
+
+    complement = op("complement", 1) if rng.random() < 0.6 else None
+    return AlgebraHandle(
+        name, "O", "I", op("wedge", 2), op("vee", 2), TOKENS.__contains__, complement, TOKENS
+    )
+
+
+def degenerate_handle(rng, name):
+    """O = I = e; a result may be the non-crisp f."""
+    results = {cell: rng.choice("eeef") for cell in ("wedge", "vee", "complement")}
+    return AlgebraHandle(
+        name, "e", "e", lambda x, y: results["wedge"], lambda x, y: results["vee"],
+        ("e", "f").__contains__,
+        (lambda x: results["complement"]) if rng.random() < 0.5 else None, ("e", "f"),
+    )
+
+
+def random_family(rng):
+    """1-5 points, each a broken table, a hand-built handle, an O = I handle, a
+    shipped algebra, or a handle an earlier point already holds."""
+    handles = []
+    for i in range(rng.randint(1, 5)):
+        if handles and rng.random() < 0.3:
+            handles.append(rng.choice(handles))
+        else:
+            kind = rng.choice((random_table, random_table, random_handle, degenerate_handle, None, None))
+            handles.append(rng.choice(SHIPPED) if kind is None else kind(rng, f"h{i}"))
+    points = tuple(f"p{i}" for i in range(len(handles)))
+    return AlgebraFamily(Universe(points), dict(zip(points, handles)))
+
+
+def crisp_outcome(check, family):
+    try:
+        report = check(family)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report.describe(), report.verdict.details
+
+
+class TestCrispRestrictionMatchesFullScan:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_verdict_witness_and_error(self, seed):
+        rng = Random(seed)
+        seen = Counter()
+        for k in range(100):
+            family = random_family(rng)
+            expected = crisp_outcome(full_scan_crisp_restriction, family)
+            got = crisp_outcome(verify_crisp_restriction, family)
+            assert got == expected, (k, [alg.name for alg in family.handles])
+            if isinstance(expected[0], type):
+                seen["raises"] += 1
+            elif "holds" in expected[0]:
+                seen["holds"] += 1
+            else:
+                seen["fails"] += 1
+                seen["fails past the empty first set"] += "inputs ({}" not in expected[0]
+        assert min(seen.values()) > 0 and len(seen) == 4, seen
