@@ -109,12 +109,16 @@ class AlgebraHandle:
         :func:`_carrier`: the order is x <= y iff wedge(x, y) = x, and the
         algebra is a lattice when wedge and vee are that order's meet and
         join and O and I its bounds (:func:`~modernsets.lattice.lattice_of_tables`).
-        None for carriers with nothing finite to evaluate and for tables
-        that are not exact (see :func:`_compile_point`).
+        A handle with a lattice's own tables (:func:`_own_lattice`) and that
+        lattice's name is that lattice. None for carriers with nothing finite
+        to evaluate and for tables that are not exact (see :func:`_compile_point`).
         """
         tables = self._tables
         if tables is None:
             return None
+        lat = _own_lattice(self)
+        if lat is not None and lat.name == self.name:
+            return lat
         return lattice_of_tables(
             self.name, _carrier(self), tables.wedge, tables.vee, tables.zero, tables.one
         )
@@ -153,6 +157,16 @@ def _bound_codes(alg: AlgebraHandle) -> _Codes | None:
     return codes if codes and codes.bound == _coded_attributes(alg) else None
 
 
+def _own_lattice(alg: AlgebraHandle) -> FiniteLattice | None:
+    """The lattice whose own meet and join, elements, bottom and top ``alg`` has, else None."""
+    lat = getattr(alg.wedge, "__self__", None)
+    if isinstance(lat, FiniteLattice) and (alg.wedge, alg.vee, alg.elements, alg.zero, alg.one) == (
+        lat.meet, lat.join, lat.elements, lat.bottom, lat.top
+    ):
+        return lat
+    return None
+
+
 def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | None:
     """Integer tables of one algebra over :func:`_carrier`, or None if they would not be exact.
 
@@ -160,19 +174,26 @@ def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | 
     element pair and stores each result as its index in the carrier.
     Returns None when there is no finite carrier, its elements are not
     distinct, or O, I or some result is not a listed element that
-    ``is_member`` accepts.
+    ``is_member`` accepts. A handle bound to a lattice (:func:`_own_lattice`)
+    has that lattice's meet and join tables, whose results are its elements
+    (each is its own meet), so it checks those and returns the lattice's own
+    tables, or shares their lists and adds the complement's.
     """
     elements = _carrier(alg)
     if elements is None:
         return None
+    lat = _own_lattice(alg)
     try:
         index = {e: i for i, e in enumerate(elements)}
-        wedge = [alg.wedge(x, y) for x in elements for y in elements]
-        vee = [alg.vee(x, y) for x in elements for y in elements]
+        if lat is None:
+            wedge = [alg.wedge(x, y) for x in elements for y in elements]
+            vee = [alg.vee(x, y) for x in elements for y in elements]
+            results = (alg.zero, alg.one, *wedge, *vee)
+        else:
+            results = elements
         comp = [alg.complement(x) for x in elements] if with_complement else []
-        results = (alg.zero, alg.one, *wedge, *vee, *comp)
         if len(index) != len(elements) or not all(
-            r in index and alg.is_member(r) for r in results
+            r in index and alg.is_member(r) for r in (*results, *comp)
         ):
             return None
     except Exception:
@@ -180,6 +201,11 @@ def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | 
         # at the same operation, if it gets that far.
         return None
     code = index.__getitem__
+    if lat is not None:
+        tables = lat._tables
+        if not with_complement:
+            return tables
+        return _PointTables(tables.wedge, tables.vee, [code(r) for r in comp], tables.zero, tables.one)
     return _PointTables(
         [code(r) for r in wedge],
         [code(r) for r in vee],

@@ -259,7 +259,8 @@ def contains(a: ModernSet, b: ModernSet) -> bool:
     for x, alg, u, v in zip(family.universe.points, family.handles, a._values, b._values):
         if alg.lattice is None:
             raise UnsupportedOperationError(
-                f"algebra {alg.name!r} at point {x!r} declares no order"
+                f"algebra {alg.name!r} at point {x!r} is not lattice-backed; "
+                f"containment needs a per-point order"
             )
         if alg.wedge(v, u) != v:
             return False

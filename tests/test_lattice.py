@@ -1,3 +1,4 @@
+import dataclasses
 from functools import reduce
 from itertools import combinations, product
 from random import Random
@@ -6,14 +7,19 @@ import pytest
 
 from modernsets import (
     DomainError,
+    FiniteAlgebraTable,
     FiniteLattice,
     StructuralError,
     NotALatticeError,
     NotAPosetError,
+    check_all_laws,
     check_cha,
     check_distributive,
+    check_gf_ring_conditions,
     check_lattice_laws,
     check_law,
+    classify_family,
+    constant_family,
     join,
     lattice_algebra,
     lattice_from_hasse,
@@ -536,7 +542,18 @@ def test_covers_are_read_off_the_order_not_the_input():
     # ("0", "1") is implied by the other two pairs, so it is not a cover
     lat = lattice_from_hasse("x", ("0", "a", "1"), (("0", "a"), ("a", "1"), ("0", "1")))
     assert lat.covers == (("0", "a"), ("a", "1"))
-    assert lat.covers == lattice_algebra(lat).lattice.covers
+    assert lat.covers == table_handle(lat).lattice.covers
+
+
+def table_handle(lat):
+    """``lat``'s meet and join as an algebra of tables, which does not wrap ``lat``,
+    so its ``lattice`` is read off the tables."""
+    def cells(table):
+        return {(x, y): r for x, row in table.items() for y, r in row.items()}
+
+    return FiniteAlgebraTable(
+        lat.name, lat.elements, lat.bottom, lat.top, cells(lat.meet_table), cells(lat.join_table)
+    ).as_handle()
 
 
 def test_lattices_read_off_tables_match_their_hasse_diagrams():
@@ -552,7 +569,8 @@ def test_lattices_read_off_tables_match_their_hasse_diagrams():
     for lat, reference in cases:
         if len(lat) < 2:
             continue
-        derived = lattice_algebra(lat).lattice
+        derived = table_handle(lat).lattice
+        assert derived is not lat
         assert derived.elements == lat.elements
         assert derived.covers == lat.covers == reference, lat.name
         for x, y in product(lat.elements, repeat=2):
@@ -560,3 +578,121 @@ def test_lattices_read_off_tables_match_their_hasse_diagrams():
             assert derived.meet(x, y) == lat.meet(x, y)
             assert derived.join(x, y) == lat.join(x, y)
         assert (derived.bottom, derived.top) == (lat.bottom, lat.top)
+
+
+# ---------------------------------------------------------------------------
+# Algebras bound to a lattice: they read its tables and are its order
+
+
+def counting(calls, fn):
+    def run(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return run
+
+
+def test_a_lattice_algebra_reads_its_lattices_tables():
+    lat = m3_lattice()
+    alg = lattice_algebra(lat)
+    assert alg._tables is lat._tables
+    assert alg.lattice is lat
+    # the complement is compiled beside the lattice's own meet and join lists
+    comp = lattice_algebra(lat, complement={"0": "1", "a": "b", "b": "c", "c": "a", "1": "0"})
+    tables = comp._tables_with_complement
+    assert (tables.wedge, tables.vee) == (lat._tables.wedge, lat._tables.vee)
+    assert tables.complement == [4, 2, 3, 1, 0]
+
+
+def test_a_bound_algebra_checks_membership_once_per_element():
+    lat = n5_lattice()
+    calls = []
+    alg = dataclasses.replace(lattice_algebra(lat), is_member=counting(calls, lambda x: True))
+    assert alg._tables is lat._tables
+    assert len(calls) == len(lat)
+
+
+@pytest.mark.parametrize("field", ["wedge", "vee", "zero", "one", "elements"])
+def test_replacing_a_lattices_own_attribute_compiles_from_the_operations(field):
+    lat = n5_lattice()
+    k = len(lat)
+    op_calls, member_calls = [], []
+    alg = dataclasses.replace(
+        lattice_algebra(lat), is_member=counting(member_calls, lambda x: x in lat.elements)
+    )
+    changed = {
+        "wedge": counting(op_calls, lat.meet),
+        "vee": counting(op_calls, lat.join),
+        "zero": lat.top,
+        "one": lat.bottom,
+        "elements": lat.elements[::-1],
+    }[field]
+    unbound = dataclasses.replace(alg, **{field: changed})
+    assert unbound._tables is not lat._tables
+    # O, I and every wedge and vee result
+    assert len(member_calls) == 2 + 2 * k * k
+    assert len(op_calls) == (k * k if field in ("wedge", "vee") else 0)
+    derived = unbound.lattice
+    if field in ("zero", "one"):
+        # O is then the top, or I the bottom, so the tables describe no lattice
+        assert derived is None
+    else:
+        assert derived is not lat and derived.name == lat.name
+        assert set(derived.covers) == set(lat.covers)
+
+
+def test_a_renamed_lattice_algebra_shares_the_tables_under_its_own_name():
+    lat = powerset_lattice(2)
+    renamed = dataclasses.replace(lattice_algebra(lat), name="renamed")
+    assert renamed._tables is lat._tables
+    derived = renamed.lattice
+    assert derived is not lat and derived.name == "renamed"
+    assert derived.covers == lat.covers
+
+
+def test_a_bound_algebra_refused_by_its_membership_test_has_no_tables():
+    lat = m3_lattice()
+    alg = dataclasses.replace(lattice_algebra(lat), is_member=lambda x: x != "b")
+    assert alg._tables is None
+    assert alg.lattice is None
+
+
+def test_a_complement_leaving_the_carrier_has_no_complement_tables():
+    lat = m3_lattice()
+    alg = dataclasses.replace(lattice_algebra(lat), complement=lambda x: "z")
+    assert alg._tables is lat._tables
+    assert alg._tables_with_complement is None
+    # every element passes, then the complement's first "a" is refused
+    calls = []
+    refused = dataclasses.replace(
+        lattice_algebra(lat, complement={"0": "1", "a": "a", "b": "b", "c": "c", "1": "0"}),
+        is_member=counting(calls, lambda x: x != "a" or len(calls) <= len(lat)),
+    )
+    assert refused._tables_with_complement is None
+
+
+def test_bound_algebras_report_what_their_unbound_twins_report():
+    rng = Random(28)
+    for i, lat in enumerate(random_lattices(seed=28, count=16, max_size=12)):
+        if len(lat) < 2:
+            continue
+        complement = None
+        if i % 2:
+            complement = {x: rng.choice(lat.elements) for x in lat.elements}
+            complement[lat.bottom], complement[lat.top] = lat.top, lat.bottom
+        bound = lattice_algebra(lat, complement=complement)
+        twin = dataclasses.replace(
+            bound, wedge=lambda x, y, lat=lat: lat.meet(x, y), vee=lambda x, y, lat=lat: lat.join(x, y)
+        )
+        reports = [check_all_laws(a) for a in (bound, twin)]
+        assert [r.verdict for r in reports[0]] == [r.verdict for r in reports[1]], lat.name
+        assert [r.describe() for r in reports[0]] == [r.describe() for r in reports[1]]
+        assert bound.lattice is lat and twin.lattice is not lat
+        certs = [check_lattice_laws(a.lattice) for a in (bound, twin)]
+        assert certs[0].entries == certs[1].entries
+        assert certs[0].describe() == certs[1].describe()
+        families = [constant_family(("p", "q"), a) for a in (bound, twin)]
+        levels = [classify_family(f) for f in families]
+        assert levels[0] == levels[1] and levels[0].describe() == levels[1].describe()
+        rings = [check_gf_ring_conditions(f, seed=i) for f in families]
+        assert rings[0] == rings[1] and rings[0].describe() == rings[1].describe()
