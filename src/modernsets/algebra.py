@@ -152,9 +152,12 @@ _coded_attributes = attrgetter("wedge", "vee", "complement", "sample", "is_membe
 
 
 def _bound_codes(alg: AlgebraHandle) -> _Codes | None:
-    """The handle's codes while it has the attributes they were made for, else None."""
+    """The handle's codes while it has the attributes they were made for and O, I and
+    every boundary value have one, else None."""
     codes = alg._codes
-    return codes if codes and codes.bound == _coded_attributes(alg) else None
+    if codes and codes.bound == _coded_attributes(alg):
+        return None if None in map(codes.encode, (alg.zero, alg.one, *alg.boundary)) else codes
+    return None
 
 
 def _own_lattice(alg: AlgebraHandle) -> FiniteLattice | None:
@@ -177,7 +180,7 @@ def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | 
     ``is_member`` accepts. A handle bound to a lattice (:func:`_own_lattice`)
     has that lattice's meet and join tables, whose results are its elements
     (each is its own meet), so it checks those and returns the lattice's own
-    tables, or shares their lists and adds the complement's.
+    tables, or tables based on them that add the complement's.
     """
     elements = _carrier(alg)
     if elements is None:
@@ -205,7 +208,7 @@ def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | 
         tables = lat._tables
         if not with_complement:
             return tables
-        return _PointTables(tables.wedge, tables.vee, [code(r) for r in comp], tables.zero, tables.one)
+        return _PointTables(tables.wedge, tables.vee, [code(r) for r in comp], tables.zero, tables.one, tables)
     return _PointTables(
         [code(r) for r in wedge],
         [code(r) for r in vee],

@@ -22,13 +22,14 @@ from .errors import DomainError, NotALatticeError, NotAPosetError, StructuralErr
 class _PointTables:
     """One finite algebra's operations as tables over indices into its elements, the
     result for ``(i, j)`` at ``i * k + j``. ``columns`` holds what ``laws._point_ops``
-    compiles from them, kept from their first column scan."""
+    compiles from them, kept from their first column scan; tables whose wedge and vee
+    are those of ``base`` take its compiled ones."""
 
-    __slots__ = ("wedge", "vee", "complement", "zero", "one", "columns")
+    __slots__ = ("wedge", "vee", "complement", "zero", "one", "base", "columns")
 
-    def __init__(self, wedge: list[int], vee: list[int], complement: list[int], zero: int, one: int):
+    def __init__(self, wedge: list[int], vee: list[int], complement: list[int], zero: int, one: int, base=None):
         self.wedge, self.vee, self.complement, self.zero, self.one = wedge, vee, complement, zero, one
-        self.columns = None
+        self.base, self.columns = base, None
 
 
 class FiniteLattice:

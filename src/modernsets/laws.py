@@ -23,7 +23,10 @@ eight defining identities are registry equations too, each evaluated once
 by :func:`check_wba_axioms` so that every violation is reported. Every
 verdict, certificate row, ring condition (crisp restriction among them)
 and noncommuting-pair search comes from one scanner, :func:`_verdict`,
-over the tuples each check chooses.
+over the tuples each check chooses. The larger scans run a slab of tuples
+at a time on one column kernel (:func:`_slab_verdict`), with each point
+held as element indices, integer codes or values, and re-check only
+their first failing tuple through :func:`_verdict`.
 """
 
 from __future__ import annotations
@@ -142,12 +145,12 @@ def _verdict(ops, law: Law, tuples, seed: int | None = None) -> Verdict:
 
     At each tuple the law's equations are tried in order, and the first
     one whose sides differ is the witness. Every scan runs here, or
-    re-checks its first failing tuple here: a column scan
-    (:func:`_column_verdict`) evaluates the equations of its failing slab
-    once more to find that tuple, and a sampled scan a slab at a time
-    (:func:`_slab_verdict`) finds it on codes. With no seed a pass is
-    exhaustive; with a seed it is sampled, and the verdict records how
-    many tuples were tried.
+    re-checks its first failing tuple here: the column kernel
+    (:func:`_slab_verdict`), which runs the exhaustive scans of compiled
+    tables and every sampled scan, finds that tuple as the lowest lane
+    where some equation differs, and scans here any slab it cannot
+    evaluate. With no seed a pass is exhaustive; with a seed it is
+    sampled, and the verdict records how many tuples were tried.
     """
     equations = law.equations
     checked = 0
@@ -271,67 +274,39 @@ def _batched(tuples):
             return
 
 
-class _CodeColumns:
-    """A carrier's codes (:class:`~modernsets.algebra._Codes`) on a slab of tuples at once.
+def _slab_verdict(ops, law: Law, columns: "_ColumnOps", slabs, route: str, seed: int | None = None) -> Verdict:
+    """The first failing tuple of ``slabs``, or a pass over all of them.
 
-    A slab value is a list of codes, one per tuple, and each operation is one ``map`` of
-    the code operation over such lists. ``zero`` and ``one`` are constant columns as long
-    as the slab :meth:`failing` scans.
-    """
-
-    def __init__(self, codes):
-        ops = codes.ops
-        self._encode = codes.encode
-        self._wedge, self._vee, self._complement = ops.wedge, ops.vee, ops.complement
-        self._zero, self._one = [ops.zero], [ops.one]
-        self._lanes = 0
-
-    def encoded(self, columns: list) -> list[list] | None:
-        """The codes of value ``columns``, or None when some value has none."""
-        coded = [[*map(self._encode, column)] for column in columns]
-        return None if any(None in column for column in coded) else coded
-
-    def wedge(self, x: list, y: list) -> list:
-        return [*map(self._wedge, x, y)]
-
-    def vee(self, x: list, y: list) -> list:
-        return [*map(self._vee, x, y)]
-
-    def complement(self, x: list) -> list:
-        return [*map(self._complement, x)]
-
-    @property
-    def zero(self) -> list:
-        return self._zero * self._lanes
-
-    @property
-    def one(self) -> list:
-        return self._one * self._lanes
-
-    def failing(self, law: Law, columns: list[list]) -> int:
-        """The first tuple of the slab ``columns`` where some equation's sides differ,
-        else the slab's length."""
-        self._lanes = first = len(columns[0])
-        for _, fn in law.equations:
-            lhs, rhs = fn(self, *columns)
-            if lhs != rhs:
-                first = min(first, [*map(ne, lhs, rhs)].index(True))
-        return first
-
-
-def _slab_verdict(slabs, failing: Callable[[list], int], recheck: Callable[[tuple], Verdict], seed: int) -> Verdict:
-    """The first failing tuple of ``slabs``, or a sampled pass over all of them.
-
-    ``failing(columns)`` gives the index of a slab's first failing tuple, or its length,
-    and that tuple's verdict is ``recheck(args)``. A pass records how many were tried.
+    A slab is its columns, which ``columns`` scans (:meth:`_ColumnOps.failing`), and its
+    tuples, or None to decode them from the columns. Only the first failing tuple is
+    decoded and re-checked through ``ops``; ``route`` is named if it passes there. A slab
+    whose columns raise, or that has none, is scanned through ``ops``, so the witness,
+    error and count are those of a scan through ``ops``. With a seed a pass is sampled
+    and counts the tuples tried, else it is exhaustive.
     """
     checked = 0
-    for columns in slabs:
-        at = failing(columns)
-        if at < len(columns[0]):
-            return recheck(tuple(column[at] for column in columns))
+    for lanes, tuples in slabs:
+        try:
+            at = lanes and columns.failing(law, lanes)
+        except Exception:
+            at = None
+        if at is None:
+            tuples = tuples or [columns.decoded(lanes, i) for i in range(columns.lanes)]
+            verdict = _verdict(ops, law, tuples)
+            if verdict.failed:
+                return verdict
+            at = len(tuples)
+        elif at < columns.lanes:
+            args = columns.decoded(lanes, at)
+            if (witness := _scan(ops, law, (args,))) is None:
+                raise StructuralError(
+                    f"law {law.name!r} fails on {route} but not on the "
+                    f"inputs ({', '.join(map(render_element, args))}); "
+                    f"its operations do not give the same result twice"
+                )
+            return Verdict.fails(witness)
         checked += at
-    return Verdict.holds_sampled(samples=checked, seed=seed)
+    return Verdict.holds_exhaustive() if seed is None else Verdict.holds_sampled(samples=checked, seed=seed)
 
 
 def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int = 0) -> LawReport:
@@ -339,11 +314,10 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
 
     Finite carriers: exhaustive, declaration order (:func:`_carrier_verdict`).
     Infinite carriers: all tuples of boundary elements, then ``samples``
-    seeded random tuples. A carrier with bound codes
-    (:class:`~modernsets.algebra._Codes`) is scanned on them, a slab at a time
-    (:class:`_CodeColumns`), and a failing tuple is decoded and re-checked on
-    its values. A law with no variables is decided by one evaluation on any
-    carrier.
+    seeded random tuples, a slab at a time (:func:`_slab_verdict`), on the
+    carrier's codes where it has them (:func:`~modernsets.algebra._bound_codes`),
+    else on its values. A failing tuple is decoded and re-checked on its values.
+    A law with no variables is decided by one evaluation on any carrier.
     """
     require_count("samples", samples)
     law = _resolve(law)
@@ -355,19 +329,15 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
         return LawReport(law.name, _verdict(a, law, [()]))
     if a.elements is not None:
         return LawReport(law.name, _carrier_verdict(a, law))
-    boundary, codes = a.boundary, _bound_codes(a)
-    if codes and None not in (coded := tuple(map(codes.encode, boundary))):
-        slabs = chain(
-            _batched(product(coded, repeat=law.arity)), _draws(codes.sample, law.arity, samples, seed)
-        )
-        return LawReport(law.name, _slab_verdict(
-            slabs, partial(_CodeColumns(codes).failing, law),
-            lambda args: _rechecked(a, law, tuple(map(codes.decode, args)), f"the codes of {a!r}"),
-            seed,
-        ))
-    draws = () if a.sample is None else _draws(a.sample, law.arity, samples, seed)
-    tuples = chain(product(boundary, repeat=law.arity), chain.from_iterable(zip(*slab) for slab in draws))
-    return LawReport(law.name, _verdict(a, law, tuples, seed))
+    codes = _bound_codes(a)
+    point, boundary = (_coded(codes), map(codes.encode, a.boundary)) if codes else (_mapped(a), a.boundary)
+    sample = (codes or a).sample
+    draws = () if sample is None else _draws(sample, law.arity, samples, seed)
+    slabs = chain(_batched(product(boundary, repeat=law.arity)), draws)
+    return LawReport(law.name, _slab_verdict(
+        a, law, _ColumnOps([point], itemgetter(0)), (([(c,) for c in slab], None) for slab in slabs),
+        f"the {'codes' if codes else 'values'} of {a!r}", seed,
+    ))
 
 
 def check_all_laws(a: AlgebraHandle, samples: int = 1000, seed: int = 0) -> tuple[LawReport, ...]:
@@ -705,8 +675,7 @@ def _point_ops(k: int, tables: _PointTables) -> tuple[type, Callable, Callable, 
             table = [cells[i * k:(i + 1) * k] for i in range(k)]
             return lambda x, y: [table[i][j] for i, j in zip(x, y)]
 
-        complement = tables.complement
-        return list, rows(tables.wedge), rows(tables.vee), lambda x: [complement[i] for i in x]
+        return list, rows(tables.wedge), rows(tables.vee), _complement_lanes(list, tables.complement)
 
     if k * k <= 256:
         def lanes(cells: list[int]) -> Callable[[bytes, bytes], bytes]:
@@ -718,9 +687,26 @@ def _point_ops(k: int, tables: _PointTables) -> tuple[type, Callable, Callable, 
             )
     else:
         lanes = partial(_grouped_lanes, k)
+    return bytes, lanes(tables.wedge), lanes(tables.vee), _complement_lanes(bytes, tables.complement)
 
-    complement = bytes(tables.complement).ljust(256, b"\0")
-    return bytes, lanes(tables.wedge), lanes(tables.vee), lambda x: x.translate(complement)
+
+def _complement_lanes(kind: type, cells: list[int]) -> Callable:
+    """A complement table on columns of ``kind``: one ``translate`` of bytes, else a lookup per lane."""
+    if kind is list:
+        return lambda x: [cells[i] for i in x]
+    table = bytes(cells).ljust(256, b"\0")
+    return lambda x: x.translate(table)
+
+
+def _compiled(k: int, tables: _PointTables) -> tuple[type, Callable, Callable, Callable]:
+    """:func:`_point_ops` of ``tables``, kept from their first scan; tables based on a
+    lattice's (``base``) take its wedge and vee and compile only their complement."""
+    if tables.columns is None and tables.base is None:
+        tables.columns = _point_ops(k, tables)
+    elif tables.columns is None:
+        kind, wedge, vee, _ = _compiled(k, tables.base)
+        tables.columns = kind, wedge, vee, _complement_lanes(kind, tables.complement)
+    return tables.columns
 
 
 def _digits(k: int, run: int, lo: int, hi: int) -> bytes:
@@ -779,27 +765,67 @@ def _slab_plan(radices: tuple[int, ...], kinds: tuple[type, ...], arity: int, sl
     return tuple(_slabs(radices, kinds, arity, slab_tuples))
 
 
+class _Lanes(NamedTuple):
+    """One point's operations on columns, one lane per tuple of a slab. ``column`` makes
+    a column of a scan's draws, ``encoded`` one of values (raising when one has no lane),
+    and ``decode`` gives one lane's value; ``zero`` and ``one`` are one-lane columns."""
+
+    wedge: Callable
+    vee: Callable
+    complement: Callable | None
+    zero: Any
+    one: Any
+    column: Callable
+    encoded: Callable
+    decode: Callable
+
+
+def _indexed(carrier: tuple[Element, ...], tables: _PointTables) -> _Lanes:
+    """Lanes of element indices over a finite carrier's compiled tables (:func:`_compiled`)."""
+    kind, wedge, vee, complement = _compiled(len(carrier), tables)
+    index = {e: i for i, e in enumerate(carrier)}.__getitem__
+    return _Lanes(
+        wedge, vee, complement, kind((tables.zero,)), kind((tables.one,)),
+        kind, lambda values: kind(map(index, values)), carrier.__getitem__,
+    )
+
+
+def _mapped(ops, column: Callable = list, encoded: Callable = list, decode: Callable = lambda v: v) -> _Lanes:
+    """Lanes of lists, each operation of ``ops`` one ``map`` over them."""
+    wedge, vee, complement = ops.wedge, ops.vee, ops.complement
+    return _Lanes(
+        lambda x, y: [*map(wedge, x, y)], lambda x, y: [*map(vee, x, y)],
+        complement and (lambda x: [*map(complement, x)]), [ops.zero], [ops.one], column, encoded, decode,
+    )
+
+
+def _coded(codes) -> _Lanes:
+    """Lanes of a carrier's codes (:class:`~modernsets.algebra._Codes`)."""
+    def encoded(values) -> list:
+        if None in (column := [*map(codes.encode, values)]):
+            raise ValueError("a value has no code")
+        return column
+
+    return _mapped(codes.ops, list, encoded, codes.decode)
+
+
+def _first_difference(x, y) -> int:
+    """The first lane where two different columns differ."""
+    if type(x) is bytes:
+        differ = int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
+        return ((differ & -differ).bit_length() - 1) // 8
+    return [*map(ne, x, y)].index(True)
+
+
 class _ColumnOps:
-    """Operations on a slab of tuples at once, over finite carriers and their tables.
+    """Operations on a slab of tuples at once: a slab value holds a column per point, in
+    its lanes (:class:`_Lanes`), and each operation runs point by point on whole columns.
+    ``zero`` and ``one`` fit the slab :meth:`failing` scanned last. ``argument`` makes an
+    argument of a decoded tuple from its values, one per point."""
 
-    Tuples of values, one per carrier, are numbered as mixed-radix numbers
-    whose digits are element indices, carrier 0 most significant, so
-    ``range(size)`` runs through them in the order of ``product(*carriers)``:
-    the sets of a family in :func:`_all_sets` order, or the elements of a
-    single carrier. A slab value holds, for each carrier, the column of the
-    indices its tuples have there, and each operation runs carrier by
-    carrier on whole columns (:func:`_point_ops`). ``zero`` and ``one`` are
-    constant columns as long as the slab :meth:`slabs` yielded last, built
-    when an equation reads them, and are valid for that slab only.
-    """
-
-    def __init__(self, carriers: list[tuple[Element, ...]], tables: list[_PointTables]):
-        self._tables = tables
-        self._carriers = carriers
-        self._radices = tuple(map(len, carriers))
-        for k, t in zip(self._radices, tables):
-            t.columns = t.columns or _point_ops(k, t)  # compiled by the first scan of ``t``
-        self._column, self._wedge, self._vee, self._complement = zip(*(t.columns for t in tables))
+    def __init__(self, points: list[_Lanes], argument: Callable):
+        self._wedge, self._vee, self._complement, self._zero, self._one, *_, self._decode = zip(*points)
+        self._argument = argument
 
     def wedge(self, a: tuple, b: tuple) -> tuple:
         return tuple(op(x, y) for op, x, y in zip(self._wedge, a, b))
@@ -810,68 +836,45 @@ class _ColumnOps:
     def complement(self, a: tuple) -> tuple:
         return tuple(op(x) for op, x in zip(self._complement, a))
 
-    def slabs(self, arity: int):
-        """The slabs of :func:`_slabs` over these carriers, kept when all
-        columns are bytes and the scan fits ``_PLAN_BYTES``, else streamed."""
-        kinds = self._column
-        shape = (self._radices, kinds, arity, _SLAB_TUPLES)
-        kept = all(kind is bytes for kind in kinds) and (
-            arity * prod(self._radices) ** arity * len(kinds) <= _PLAN_BYTES
-        )
-        for slab in _slab_plan(*shape) if kept else _slabs(*shape):
-            self._lanes = len(slab[0][0])
-            yield slab
-
     @property
     def zero(self) -> tuple:
-        return tuple(kind(bytes([t.zero])) * self._lanes for kind, t in zip(self._column, self._tables))
+        return tuple(z * self.lanes for z in self._zero)
 
     @property
     def one(self) -> tuple:
-        return tuple(kind(bytes([t.one])) * self._lanes for kind, t in zip(self._column, self._tables))
+        return tuple(o * self.lanes for o in self._one)
 
-    def decode(self, value: tuple, at: int) -> tuple[Element, ...]:
-        """The values, one per carrier, that tuple ``at`` of a slab value stands for."""
-        return tuple(c[column[at]] for c, column in zip(self._carriers, value))
+    def failing(self, law: Law, slab: list[tuple]) -> int:
+        """The lowest lane of ``slab`` where the sides of some equation differ at some
+        point, else its number of lanes."""
+        self.lanes = first = len(slab[0][0])
+        for _, fn in law.equations:
+            for x, y in zip(*fn(self, *slab)):
+                if x != y:
+                    first = min(first, _first_difference(x, y))
+        return first
+
+    def decoded(self, slab: list[tuple], at: int) -> tuple:
+        """Tuple ``at`` of ``slab``, each argument made from its decoded values."""
+        decodes, argument = self._decode, self._argument
+        return tuple(argument(tuple(d(column[at]) for d, column in zip(decodes, value))) for value in slab)
 
 
 def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable) -> Verdict:
     """Every ``law.arity``-tuple of ``product(*carriers)``, a slab of index columns at a time.
 
-    Only the first failing tuple is decoded, each argument's values passed
-    through ``argument``, and re-checked through ``ops``, so the witness,
-    its label and any error come from ``ops`` as a scan over the values
-    would give them. ``owner`` is named if the re-check passes.
+    A tuple of values, one per carrier, is numbered as a mixed-radix number of element
+    indices, carrier 0 most significant, so the slabs (:func:`_slabs`, kept when they are
+    bytes and fit ``_PLAN_BYTES``) run in the order of ``product(*carriers)``. The first
+    failing tuple is re-checked through ``ops`` (:func:`_slab_verdict`), its arguments
+    made by ``argument``; ``owner`` is named if the re-check passes.
     """
-    columns = _ColumnOps(carriers, tables)
-    found = _scan(columns, law, columns.slabs(law.arity))
-    if found is None:
-        return Verdict.holds_exhaustive()
-    # An equation after the one reported may fail earlier in the slab, so the
-    # first failing tuple is the lowest byte where any equation's sides differ
-    # on any carrier (the list column of a point of 43 to 256 elements reads
-    # as bytes too, its indices being below 256). The slab generator is
-    # paused here, so zero and one still fit the slab.
-    slab = found.inputs
-    differ = 0
-    for _, fn in law.equations:
-        for x, y in zip(*fn(columns, *slab)):
-            differ |= int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
-    at = ((differ & -differ).bit_length() - 1) // 8
-    args = tuple(argument(columns.decode(value, at)) for value in slab)
-    return _rechecked(ops, law, args, f"the compiled tables of {owner!r}")
-
-
-def _rechecked(ops, law: Law, args: tuple, route: str) -> Verdict:
-    """The failure a scan through ``ops`` finds at ``args``, which ``route`` found failing."""
-    witness = _scan(ops, law, (args,))
-    if witness is None:
-        raise StructuralError(
-            f"law {law.name!r} fails on {route} but not on the "
-            f"inputs ({', '.join(map(render_element, args))}); "
-            f"its operations do not give the same result twice"
-        )
-    return Verdict.fails(witness)
+    points = [_indexed(carrier, t) for carrier, t in zip(carriers, tables)]
+    radices, kinds, arity = tuple(map(len, carriers)), tuple(p.column for p in points), law.arity
+    kept = all(kind is bytes for kind in kinds) and arity * len(kinds) * prod(radices) ** arity <= _PLAN_BYTES
+    slabs = (_slab_plan if kept else _slabs)(radices, kinds, arity, _SLAB_TUPLES)
+    route = f"the compiled tables of {owner!r}"
+    return _slab_verdict(ops, law, _ColumnOps(points, argument), ((slab, None) for slab in slabs), route)
 
 
 # Scans of fewer tuples run on the values, where the kernel costs more to
@@ -933,73 +936,64 @@ def _checked(alg: AlgebraHandle) -> AlgebraHandle:
     return replace(alg, wedge=checked(alg.wedge), vee=checked(alg.vee), complement=checked(alg.complement))
 
 
-def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, slabs, seed: int) -> Verdict:
-    """:func:`_verdict` through ``ops`` over ``slabs`` of tuples of sets, evaluated point by point.
+def _point_lanes(alg: AlgebraHandle, law: Law) -> _Lanes:
+    """A family point's lanes in a sampled scan of ``law``: element indices where its
+    tables compile (at most 256 elements), else its codes, else its values under its
+    checked operations (:func:`_checked`)."""
+    if not alg.finite:
+        codes = _bound_codes(alg)
+        return _coded(codes) if codes else _mapped(_checked(alg))
+    elements = alg.elements
+    tables = len(elements) <= 256 and (alg._tables_with_complement if law.needs_complement else alg._tables)
+    if tables:
+        return _indexed(elements, tables)
+    return _mapped(_checked(alg), lambda drawn: [*map(elements.__getitem__, drawn)])
 
-    A point with bound codes (:class:`~modernsets.algebra._Codes`) whose values in a
-    slab all have codes evaluates the slab on them (:class:`_CodeColumns`). Every
-    other point goes tuple by tuple, up to the first tuple that failed on codes, on
-    its checked operations (:func:`_checked`), a finite handle skipping values it
-    has passed. The first tuple that fails, leaves a carrier or raises is
-    re-checked as sets.
+
+def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, slabs, seed: int, draws=()) -> Verdict:
+    """:func:`_verdict` through ``ops`` over ``slabs`` of tuples of sets, then ``draws``
+    of tuples of per-point draws (:func:`_point_draws`), each point on its lanes
+    (:func:`_point_lanes`). A slab of sets with a value that has no lane, such as a value
+    with no code, is scanned as sets.
     """
-    points = _per_handle(family, lambda alg: (
-        _bound_codes(alg) and _CodeColumns(alg._codes), _checked(alg), set() if alg.finite else None
-    )).values()
+    points = [*_per_handle(family, partial(_point_lanes, law=law)).values()]
 
-    def holds(view: AlgebraHandle, passed: set | None, values: tuple) -> bool:
-        if passed is not None and values in passed:
-            return True
+    def of_sets(slab: list[list[ModernSet]]) -> tuple:
         try:
-            for _, fn in law.equations:
-                lhs, rhs = fn(view, *values)
-                if not (lhs is rhs or lhs == rhs):
-                    return False
-        except Exception:  # the re-check raises what the sets raise, or names the route
-            return False
-        if passed is not None:
-            passed.add(values)
-        return True
+            return [tuple(p.encoded(v) for p, v in zip(points, zip(*(s._values for s in c)))) for c in slab], None
+        except Exception:
+            return None, [*zip(*slab)]
 
-    def failing(columns: list[list[ModernSet]]) -> int:
-        first, by_tuple = len(columns[0]), []
-        # each point's argument columns: the values the sets of each column have there
-        at_points = zip(*(zip(*(s._values for s in column)) for column in columns))
-        for (coded, view, passed), values in zip(points, at_points):
-            if coded and (codes := coded.encoded(values)):
-                first = min(first, coded.failing(law, codes))
-            else:
-                by_tuple.append((view, passed, [*zip(*values)]))
-        for at in range(first if by_tuple else 0):
-            if not all(holds(view, passed, tuples[at]) for view, passed, tuples in by_tuple):
-                return at
-        return first
+    def of_draws(slab: list[list[tuple]]) -> tuple:
+        return [tuple(p.column(drawn) for p, drawn in zip(points, zip(*column))) for column in slab], None
 
-    return _slab_verdict(slabs, failing, lambda args: _rechecked(ops, law, args, f"the points of {family!r}"), seed)
+    return _slab_verdict(
+        ops, law, _ColumnOps(points, partial(ModernSet, family)),
+        chain(map(of_sets, slabs), map(of_draws, draws)), f"the points of {family!r}", seed,
+    )
 
 
-def _set_drawer(family: AlgebraFamily) -> Callable[[random.Random], ModernSet]:
-    """One random set per call: ``rng.choice(elements)`` at a finite point, else its ``sample``.
-
-    ``choice`` runs inline, as ``Random`` runs it: the first ``getrandbits(n.bit_length())`` below n.
-    """
+def _point_draws(family: AlgebraFamily) -> Callable[[random.Random], tuple]:
+    """One draw per point per call: an element's index at a finite point, drawn inline as
+    ``rng.choice`` draws it (the first ``getrandbits(n.bit_length())`` below n), the code
+    ``_Codes.sample`` draws where the point has codes, else the point's ``sample``."""
     sizes = [len(alg.elements) if alg.finite else 0 for alg in family.handles]
-    points = [(alg, alg.elements, n, n.bit_length()) for alg, n in zip(family.handles, sizes)]
+    points = [(alg, n, n.bit_length(), (_bound_codes(alg) or alg).sample) for alg, n in zip(family.handles, sizes)]
 
-    def draw(rng: random.Random) -> ModernSet:
+    def draw(rng: random.Random) -> tuple:
         getrandbits = rng.getrandbits
-        values = []
-        for alg, elements, n, k in points:
+        drawn = []
+        for alg, n, k, sample in points:
             if n:
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
-                values.append(elements[r])
-            elif alg.sample is not None:
-                values.append(alg.sample(rng))
+                drawn.append(r)
+            elif sample is not None:
+                drawn.append(sample(rng))
             else:
                 raise PreconditionError(f"algebra {alg.name!r} cannot be sampled")
-        return ModernSet(family, tuple(values))
+        return tuple(drawn)
 
     return draw
 
@@ -1097,11 +1091,9 @@ def check_family_law(
             return LawReport(law.name, replace(verdict, details=details))
         forced = _verdict(ops, law, islice(_forced_tuples(family, law.arity), _FORCED_CAP))
         return LawReport(law.name, forced if forced.failed else verdict)
-    slabs = chain(
-        _batched(islice(_forced_tuples(family, law.arity), _FORCED_CAP)),
-        _draws(_set_drawer(family), law.arity, samples, seed, key=family),
-    )
-    return LawReport(law.name, _sampled_verdict(family, ops, law, slabs, seed))
+    forced = _batched(islice(_forced_tuples(family, law.arity), _FORCED_CAP))
+    draws = _draws(_point_draws(family), law.arity, samples, seed, key=family)
+    return LawReport(law.name, _sampled_verdict(family, ops, law, forced, seed, draws))
 
 
 @dataclass(frozen=True)

@@ -480,6 +480,9 @@ GOLDEN_CASES = [
         "lift-mixed-associative-wedge",
         ("lift", "mixed", "associative-wedge", "--load", str(GOLDEN / "mixed.def"), "--seed", "0"),
     ),
+    # sampled family scans over finite points only: 125 sets at each of three points
+    ("lift-chain5-3-distributive", ("lift", "chain5@3", "distributive")),
+    ("lift-m3-3-distributive", ("lift", "m3@3", "distributive")),
     ("gfcheck-pow2", ("gfcheck", "pow2@2")),
     ("gfcheck-fuzzy", ("gfcheck", "fuzzy@2")),
     ("classify-chain3", ("classify", "chain3@2")),

@@ -1,7 +1,7 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, combinations, islice, product
 from random import Random
 from types import SimpleNamespace
@@ -678,29 +678,27 @@ class TestFamilyKernel:
         assert (column(16), column(17), column(42), column(43)) == (bytes, bytes, bytes, list)
 
     def test_random_sets_draw_as_before(self):
-        def reference_draw(family, rng):
-            values = {}
-            for x in family.universe.points:
-                alg = family.algebra_at(x)
-                if alg.elements is not None:
-                    values[x] = alg.elements[rng.randrange(len(alg.elements))]
-                else:
-                    values[x] = alg.sample(rng)
-            return values
-
+        chain3 = chain_algebra(3)
+        # its vee leaves the carrier, so its tables do not compile
+        leaky = dataclasses.replace(chain3, name="leaky", vee=lambda x, y: "Z" if {x, y} == {"m", "I"} else "O")
+        assert leaky._tables is None
         families = [
             family_of([NAMED_ALGEBRAS["chain5"], fuzzy_algebra(), matrix_algebra(2)]),
             family_of([matrix_algebra(2), NAMED_ALGEBRAS["m3"], NAMED_ALGEBRAS["classical2"]]),
             family_of([fuzzy_algebra(), NAMED_ALGEBRAS["pow2"]]),
             family_of([NAMED_ALGEBRAS["n5"]]),
+            family_of([matrix_algebra(3), NAMED_ALGEBRAS["chain5"], fuzzy_algebra(), matrix_algebra(2)]),
+            family_of([on_values(fuzzy_algebra()), matrix_algebra(3), NAMED_ALGEBRAS["chain5"]]),
+            family_of([leaky, fuzzy_algebra(), matrix_algebra(3)]),
         ]
         for family in families:
+            draw = laws._point_draws(family)
             for seed in range(6):
                 rng, reference = Random(seed), Random(seed)
                 for _ in range(40):
-                    drawn = laws._set_drawer(family)(rng)
-                    assert dict(drawn.membership) == reference_draw(family, reference)
-                assert rng.getstate() == reference.getstate()
+                    drawn = draw(rng)
+                    assert decoded_draw(family, drawn) == reference_draw(family, reference)
+                    assert rng.getstate() == reference.getstate()
 
     def test_finite_draws_are_choice_at_every_carrier_size(self):
         # the inlined index draw against Random.choice on a twin generator,
@@ -709,10 +707,12 @@ class TestFamilyKernel:
         for n in range(1, 257):
             elements = tuple(range(n))
             sized = dataclasses.replace(classical_algebra(), name=f"size{n}", elements=elements)
-            draw = laws._set_drawer(family_of([sized]))
+            family = family_of([sized])
+            draw = laws._point_draws(family)
             rng, reference = Random(n), Random(n)
             for _ in range(16):
-                assert draw(rng).value_at("x1") == reference.choice(elements)
+                (index,) = draw(rng)
+                assert decoded_draw(family, (index,)) == {"x1": reference.choice(elements)}
                 assert rng.getstate() == reference.getstate()
 
     def test_a_point_that_cannot_be_sampled_fails_at_the_first_draw(self):
@@ -864,10 +864,10 @@ class TestSlabPlans:
 
     def test_kept_plans_follow_the_slab_size(self, monkeypatch):
         chain5 = chain_algebra(5)
-        ops = laws._ColumnOps([chain5.elements], [chain5._tables])
+        kinds = (laws._compiled(5, chain5._tables)[0],)
 
         def slabs():
-            got = list(ops.slabs(3))
+            got = list(laws._slab_plan((5,), kinds, 3, laws._SLAB_TUPLES))
             for i, divisor in enumerate((25, 5, 1)):  # argument i's column runs through its digits
                 column = b"".join(slab[i][0] for slab in got)
                 assert column == bytes(t // divisor % 5 for t in range(125))
@@ -935,11 +935,34 @@ def reference_draws(draw, arity, samples, seed):
         yield tuple([draw(rng) for _ in range(arity)])
 
 
+def reference_draw(family, rng):
+    """One random set's values by point: ``rng.randrange`` over a finite point's
+    elements, else the point's ``sample``."""
+    values = {}
+    for x in family.universe.points:
+        alg = family.algebra_at(x)
+        if alg.elements is not None:
+            values[x] = alg.elements[rng.randrange(len(alg.elements))]
+        else:
+            values[x] = alg.sample(rng)
+    return values
+
+
+def decoded_draw(family, drawn):
+    """The values of one per-point draw (``laws._point_draws``): an element's index at
+    a finite point, a code where the point has codes, else the value itself."""
+    values = {}
+    for x, alg, d in zip(family.universe.points, family.handles, drawn):
+        codes = _bound_codes(alg)
+        values[x] = alg.elements[d] if alg.finite else codes.decode(d) if codes else d
+    return values
+
+
 def sampled_tuples(family, arity, samples, seed):
     """The sampled stage's tuple stream: forced tuples, then seeded draws."""
     return chain(
         islice(laws._forced_tuples(family, arity), laws._FORCED_CAP),
-        reference_draws(laws._set_drawer(family), arity, samples, seed),
+        reference_draws(lambda rng: modern_set(family, reference_draw(family, rng)), arity, samples, seed),
     )
 
 
@@ -1964,10 +1987,12 @@ class TestCodeRoute:
     def test_check_law_matches_the_value_route(self, name):
         alg = CODED[name]
         values = on_values(alg)
-        for seed in range(3):
-            for law in (*LAWS, laws._COMMUTATIVE_LAW, laws._ASSOCIATIVE_LAW):
-                got = check_law(alg, law, samples=150, seed=seed)
-                assert got == check_law(values, law, samples=150, seed=seed), (seed, law.name)
+        for scanned in (alg, values):
+            for seed in range(3):
+                for law in (*LAWS, laws._COMMUTATIVE_LAW, laws._ASSOCIATIVE_LAW):
+                    got = check_law(scanned, law, samples=150, seed=seed).verdict
+                    if got.applicable:
+                        assert got == reference_check_law(scanned, law, 150, seed), (seed, law.name)
 
     @pytest.mark.parametrize("boundary", [
         (Fraction(1, 3), Fraction(2, 3), Fraction(0)),  # coded: scanned on codes
@@ -1976,8 +2001,10 @@ class TestCodeRoute:
     def test_the_boundary_is_encoded_when_scanned(self, boundary):
         alg = dataclasses.replace(fuzzy_algebra(), boundary=boundary)
         values = on_values(alg)
-        for law in LAWS:
-            assert check_law(alg, law, samples=50) == check_law(values, law, samples=50), law.name
+        for scanned in (alg, values):
+            for law in LAWS:
+                got = check_law(scanned, law, samples=50).verdict
+                assert got == reference_check_law(scanned, law, 50, 0), law.name
 
     @pytest.mark.parametrize("names", [
         ("fuzzy", "mat2"),
@@ -1992,10 +2019,13 @@ class TestCodeRoute:
         values = family_of([on_values(algebras[name]) for name in names])
         for seed in range(3):
             for law in LAWS:
-                got = check_family_law(coded, law, samples=40, seed=seed).verdict
-                expected = check_family_law(values, law, samples=40, seed=seed).verdict
-                assert (got.mode, got.samples, got.details) == (
-                    expected.mode, expected.samples, expected.details), (seed, law.name)
+                for family in (coded, values):
+                    got = check_family_law(family, law, samples=40, seed=seed).verdict
+                    if got.applicable and laws._set_count(family) ** law.arity > laws._MAX_EXHAUSTIVE:
+                        expected = reference_family_verdict(family, law, 40, seed)
+                        assert got == expected, (seed, law.name)
+                        assert got.describe() == expected.describe(), (seed, law.name)
+                got, expected = (check_family_law(f, law, samples=40, seed=seed).verdict for f in (coded, values))
                 assert got.describe() == expected.describe(), (seed, law.name)
 
     def test_a_value_with_no_code_is_scanned_on_values(self):
@@ -2010,6 +2040,13 @@ class TestCodeRoute:
             tuples = list(product(sets, repeat=law.arity))
             got = laws._sampled_verdict(family, ops, law, slabs_of(tuples), 0)
             assert got == _verdict(ops, law, tuples, 0), law.name
+        # a boundary value with no code puts the point on its values for the whole scan
+        odd_fz = dataclasses.replace(fz, boundary=(*fz.boundary, odd))
+        family = family_of([odd_fz, mat2])
+        for law in LAWS:
+            if not law.needs_complement:
+                got = check_family_law(family, law, samples=40).verdict
+                assert got == reference_family_verdict(family, law, 40, 0), law.name
 
     def test_a_passing_scan_never_calls_the_handles_vee(self):
         calls = []
@@ -2064,9 +2101,13 @@ class TestCompiledColumnOps:
         family = family_of([alg, alg])
         for law in LAWS:
             check_family_law(family, law)
-        # the algebra wraps the lattice, so it reads the lattice's tables and lane ops
+        # the algebra wraps the lattice, so it reads the lattice's tables and lane ops,
+        # and its complement compiles only the complement column
         assert alg._tables is lat._tables
-        assert compiled == [lat._tables, alg._tables_with_complement]
+        assert compiled == [lat._tables]
+        kind, wedge, vee, complement = alg._tables_with_complement.columns
+        assert (kind, wedge, vee) == lat._tables.columns[:3]
+        assert complement(bytes(range(5))) == bytes([4, 1, 2, 3, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -2115,7 +2156,7 @@ def marked_values(scan, seed, count):
     if isinstance(scan, AlgebraHandle):
         return [v for (v,) in reference_draws(scan.sample, 1, count, seed)]
     point = scan.universe.points[-1]
-    return [s.value_at(point) for (s,) in reference_draws(laws._set_drawer(scan), 1, count, seed)]
+    return [values[point] for (values,) in reference_draws(partial(reference_draw, scan), 1, count, seed)]
 
 
 # Both laws fail only where a marked value meets itself: the first at tuple i when draw i
@@ -2241,6 +2282,32 @@ class TestSharedStreams:
             bad.update((values[12], values[7]))
             got, expected = scan_outcome(scan, IDEMPOTENT_PAIR, 100, 0)
             assert got == expected and expected.witness.note == "y wedge y = y", name
+
+    def test_a_slab_whose_operations_raise_is_scanned_again(self):
+        # on values the wedge raises at one drawn value, and idempotence fails at another
+        # in the same slab: whichever comes first is met, as a scan of values or sets meets it
+        bad, _, scans = marked_scans()
+        refused, values_of = set(), scans["values"]
+
+        def wedge(x, y):
+            if x in refused:
+                raise ArithmeticError(f"wedge of {x} refused")
+            return values_of.wedge(x, y)
+
+        raising = dataclasses.replace(values_of, wedge=wedge)
+        for scan in (raising, family_of([chain_algebra(3), raising])):
+            values = marked_values(scan, 0, 20)
+            for mark, refuse in ((5, 10), (10, 5)):
+                bad.clear()
+                refused.clear()
+                bad.add(values[mark])
+                refused.add(values[refuse])
+                got, expected = scan_outcome(scan, IDEMPOTENT, 50, 0)
+                assert got == expected, (scan, mark)
+                if mark < refuse:
+                    assert expected.failed, scan
+                else:
+                    assert expected == (ArithmeticError, f"wedge of {values[refuse]} refused"), scan
 
     def test_a_forced_tuple_that_cannot_be_built_is_met_after_the_tuples_before_it(self):
         bad, _, scans = marked_scans()
