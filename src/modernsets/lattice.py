@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from weakref import WeakKeyDictionary
 
 from .errors import DomainError, NotALatticeError, NotAPosetError, StructuralError
 
@@ -23,13 +24,15 @@ class _PointTables:
     """One finite algebra's operations as tables over indices into its elements, the
     result for ``(i, j)`` at ``i * k + j``. ``columns`` holds what ``laws._point_ops``
     compiles from them, kept from their first column scan; tables whose wedge and vee
-    are those of ``base`` take its compiled ones."""
+    are those of ``base`` take its compiled ones. ``scanned`` records what column scans
+    proved on them of each equation function (``laws._carrier_verdict``); its keys are
+    weak, so it keeps no function alive."""
 
-    __slots__ = ("wedge", "vee", "complement", "zero", "one", "base", "columns")
+    __slots__ = ("wedge", "vee", "complement", "zero", "one", "base", "columns", "scanned")
 
     def __init__(self, wedge: list[int], vee: list[int], complement: list[int], zero: int, one: int, base=None):
         self.wedge, self.vee, self.complement, self.zero, self.one = wedge, vee, complement, zero, one
-        self.base, self.columns = base, None
+        self.base, self.columns, self.scanned = base, None, WeakKeyDictionary()
 
 
 class FiniteLattice:

@@ -274,15 +274,18 @@ def _batched(tuples):
             return
 
 
-def _slab_verdict(ops, law: Law, columns: "_ColumnOps", slabs, route: str, seed: int | None = None) -> Verdict:
+def _slab_verdict(
+    ops, law: Law, columns: "_ColumnOps", slabs, route: str, seed: int | None = None, record=None
+) -> Verdict:
     """The first failing tuple of ``slabs``, or a pass over all of them.
 
     A slab is its columns, which ``columns`` scans (:meth:`_ColumnOps.failing`), and its
     tuples, or None to decode them from the columns. Only the first failing tuple is
-    decoded and re-checked through ``ops``; ``route`` is named if it passes there. A slab
-    whose columns raise, or that has none, is scanned through ``ops``, so the witness,
-    error and count are those of a scan through ``ops``. With a seed a pass is sampled
-    and counts the tuples tried, else it is exhaustive.
+    decoded and re-checked through ``ops`` (:func:`_rechecked`). A slab whose columns
+    raise, or that has none, is scanned through ``ops``, so the witness, error and count
+    are those of a scan through ``ops``. With a seed a pass is sampled and counts the
+    tuples tried, else it is exhaustive. ``record``, the record of the one table the
+    columns read, gains what they proved (:func:`_prove`) when every slab ran on them.
     """
     checked = 0
     for lanes, tuples in slabs:
@@ -291,22 +294,32 @@ def _slab_verdict(ops, law: Law, columns: "_ColumnOps", slabs, route: str, seed:
         except Exception:
             at = None
         if at is None:
+            record = None  # a slab scanned through ops proves nothing of the tables
             tuples = tuples or [columns.decoded(lanes, i) for i in range(columns.lanes)]
             verdict = _verdict(ops, law, tuples)
             if verdict.failed:
                 return verdict
             at = len(tuples)
         elif at < columns.lanes:
-            args = columns.decoded(lanes, at)
-            if (witness := _scan(ops, law, (args,))) is None:
-                raise StructuralError(
-                    f"law {law.name!r} fails on {route} but not on the "
-                    f"inputs ({', '.join(map(render_element, args))}); "
-                    f"its operations do not give the same result twice"
-                )
-            return Verdict.fails(witness)
+            if record is not None:
+                _prove(record, law, checked + at, columns.equation)
+            return _rechecked(ops, law, columns.decoded(lanes, at), route)
         checked += at
+    if record is not None:
+        _prove(record, law, checked)
     return Verdict.holds_exhaustive() if seed is None else Verdict.holds_sampled(samples=checked, seed=seed)
+
+
+def _rechecked(ops, law: Law, args: tuple, route: str) -> Verdict:
+    """``law`` failing at ``args`` through ``ops``, as it does on ``route``; an error
+    naming ``route`` if it passes there."""
+    if (witness := _scan(ops, law, (args,))) is None:
+        raise StructuralError(
+            f"law {law.name!r} fails on {route} but not on the "
+            f"inputs ({', '.join(map(render_element, args))}); "
+            f"its operations do not give the same result twice"
+        )
+    return Verdict.fails(witness)
 
 
 def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int = 0) -> LawReport:
@@ -482,11 +495,14 @@ def check_cha(lat: FiniteLattice) -> Verdict:
     That triple is re-checked as the pair ``((a, b), y)``. The details
     carry the binary-distributivity verdict computed independently; the two
     must agree, and tests hold us to that.
+
+    Both scans read the record of the lattice's compiled tables
+    (:func:`_carrier_verdict`), so once a certificate or an earlier call has
+    scanned them, neither scans again. That is exact: a recorded pass was
+    proved on those very tables, and a recorded failure is re-checked on the
+    lattice, so the verdicts and witnesses are those of a fresh scan.
     """
-    return _cha_verdict(lat, check_distributive(lat))
-
-
-def _cha_verdict(lat: FiniteLattice, binary: Verdict) -> Verdict:
+    binary = check_distributive(lat)
     verdict = _carrier_verdict(lat, _CHA_TRIPLE_LAW)
     if verdict.failed:
         a, b, y = verdict.witness.inputs
@@ -572,7 +588,7 @@ def check_lattice_laws(lat: FiniteLattice) -> LatticeCertificate:
         associative=_carrier_verdict(lat, _ASSOCIATIVE_LAW),
         absorption=_carrier_verdict(lat, get_law("absorption")),
         distributive=distributive,
-        cha=_cha_verdict(lat, distributive),
+        cha=check_cha(lat),
         boolean_complemented=boolean,
     )
 
@@ -846,12 +862,13 @@ class _ColumnOps:
 
     def failing(self, law: Law, slab: list[tuple]) -> int:
         """The lowest lane of ``slab`` where the sides of some equation differ at some
-        point, else its number of lanes."""
+        point, else its number of lanes; ``equation`` is then the index of the first
+        equation that differs there."""
         self.lanes = first = len(slab[0][0])
-        for _, fn in law.equations:
+        for i, (_, fn) in enumerate(law.equations):
             for x, y in zip(*fn(self, *slab)):
-                if x != y:
-                    first = min(first, _first_difference(x, y))
+                if x != y and (lane := _first_difference(x, y)) < first:
+                    first, self.equation = lane, i
         return first
 
     def decoded(self, slab: list[tuple], at: int) -> tuple:
@@ -860,21 +877,23 @@ class _ColumnOps:
         return tuple(argument(tuple(d(column[at]) for d, column in zip(decodes, value))) for value in slab)
 
 
-def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable) -> Verdict:
+def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable, record=None) -> Verdict:
     """Every ``law.arity``-tuple of ``product(*carriers)``, a slab of index columns at a time.
 
     A tuple of values, one per carrier, is numbered as a mixed-radix number of element
     indices, carrier 0 most significant, so the slabs (:func:`_slabs`, kept when they are
     bytes and fit ``_PLAN_BYTES``) run in the order of ``product(*carriers)``. The first
-    failing tuple is re-checked through ``ops`` (:func:`_slab_verdict`), its arguments
-    made by ``argument``; ``owner`` is named if the re-check passes.
+    failing tuple is re-checked through ``ops`` (:func:`_slab_verdict`, which adds to
+    ``record``), its arguments made by ``argument``; ``owner`` is named if the re-check
+    passes.
     """
     points = [_indexed(carrier, t) for carrier, t in zip(carriers, tables)]
     radices, kinds, arity = tuple(map(len, carriers)), tuple(p.column for p in points), law.arity
     kept = all(kind is bytes for kind in kinds) and arity * len(kinds) * prod(radices) ** arity <= _PLAN_BYTES
     slabs = (_slab_plan if kept else _slabs)(radices, kinds, arity, _SLAB_TUPLES)
     route = f"the compiled tables of {owner!r}"
-    return _slab_verdict(ops, law, _ColumnOps(points, argument), ((slab, None) for slab in slabs), route)
+    columns = _ColumnOps(points, argument)
+    return _slab_verdict(ops, law, columns, ((slab, None) for slab in slabs), route, record=record)
 
 
 # Scans of fewer tuples run on the values, where the kernel costs more to
@@ -898,14 +917,59 @@ def _carrier_verdict(ops: AlgebraHandle | FiniteLattice, law: Law) -> Verdict:
     A one-carrier column scan (:func:`_column_verdict`) when the scan pays
     (:func:`_columns_pay`) and the tables of ``ops`` compile, else ``ops``
     evaluated on the elements.
+
+    Each equation is scanned once per compiled carrier. The tables' record
+    (``_PointTables.scanned``) holds, for each equation function scanned on them,
+    ``(arity, n, fails)``: the first n tuples pass that equation and, if ``fails``,
+    tuple n fails it. Let m be the least failing n (k ** arity if none fails). When
+    every equation of ``law`` has an entry with n >= m, the law is answered without a
+    scan: it holds when m = k ** arity, and otherwise tuple m is decoded and re-checked
+    through ``ops`` (:func:`_rechecked`), as a scan's first failing tuple would be.
+    Else the law is scanned, and the record gains what the scan proved (:func:`_prove`).
+    This is exact. The columns read only the tables, so a scan gives the same lanes
+    whichever ``ops`` share them; a pass never evaluates ``ops``; a failure is still
+    re-checked on the live operations; and a scan that fell back to ``ops`` for any slab
+    records nothing. So every verdict, witness and error is a fresh scan's.
     """
     elements, arity = ops.elements, law.arity
     k = len(elements)
     if _columns_pay(k, k, arity, _MIN_COLUMN_TUPLES):
         tables = ops._tables_with_complement if law.needs_complement else ops._tables
         if tables is not None:
-            return _column_verdict(ops, ops, law, [elements], [tables], itemgetter(0))
+            first = _recorded(tables.scanned, law, k ** arity)
+            if first is None:
+                return _column_verdict(ops, ops, law, [elements], [tables], itemgetter(0), tables.scanned)
+            if first == k ** arity:
+                return Verdict.holds_exhaustive()
+            args = tuple(elements[first // k ** p % k] for p in reversed(range(arity)))
+            return _rechecked(ops, law, args, f"the compiled tables of {ops!r}")
     return _verdict(ops, law, product(elements, repeat=arity))
+
+
+def _recorded(record, law: Law, total: int) -> int | None:
+    """The first of the ``total`` tuples that fails ``law`` by ``record`` (``total`` when
+    none does), or None when some equation has no entry of ``law``'s arity reaching it."""
+    try:
+        entries = [record.get(fn) for _, fn in law.equations]
+    except TypeError:  # a function that cannot be weakly referenced has no entry
+        return None
+    if any(entry is None or entry[0] != law.arity for entry in entries):
+        return None
+    first = min((n for _, n, fails in entries if fails), default=total)
+    return first if all(n >= first for _, n, _ in entries) else None
+
+
+def _prove(record, law: Law, n: int, failing: int | None = None) -> None:
+    """Add to ``record`` that the first ``n`` tuples pass every equation of ``law`` and,
+    unless ``failing`` is None, that tuple n fails the equation of that index. An entry
+    is never lowered; one of another arity is replaced."""
+    for i, (_, fn) in enumerate(law.equations):
+        entry = (law.arity, n, i == failing)
+        try:
+            old = record.get(fn)
+            record[fn] = entry if old is None or old[0] != entry[0] else max(old, entry)
+        except TypeError:
+            pass
 
 
 def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law) -> Verdict:

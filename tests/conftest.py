@@ -15,6 +15,7 @@ from modernsets import (
     fuzzy_algebra,
     get_law,
     lattice_algebra,
+    lattice_from_hasse,
 )
 from modernsets import laws
 
@@ -101,9 +102,37 @@ def carrier_scans_match_elements(target):
     assert ("_tables" in vars(target)) == (len(target.elements) >= 4), target.name
 
 
+def rebuilt(target):
+    """A new lattice or handle equal to ``target`` that shares no compiled tables, and so
+    no record of their scans, with it: a handle bound to a lattice is bound to a copy."""
+    if isinstance(target, FiniteLattice):
+        return lattice_from_hasse(target.name, target.elements, target.covers)
+    lat = getattr(target.wedge, "__self__", None)
+    if isinstance(lat, FiniteLattice):
+        lat = rebuilt(lat)
+        return dataclasses.replace(target, wedge=lat.meet, vee=lat.join)
+    return dataclasses.replace(target)
+
+
 @pytest.fixture
 def carrier_reference():
     return carrier_scans_match_elements
+
+
+@pytest.fixture
+def fresh_copy():
+    return rebuilt
+
+
+@pytest.fixture
+def kernel_scans(monkeypatch):
+    """The names of the laws the column kernel scans (``_ColumnOps.failing``), in order."""
+    scanned = []
+    failing = laws._ColumnOps.failing
+    monkeypatch.setattr(
+        laws._ColumnOps, "failing", lambda o, law, slab: scanned.append(law.name) or failing(o, law, slab)
+    )
+    return scanned
 
 
 @pytest.fixture

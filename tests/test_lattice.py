@@ -1,6 +1,6 @@
 import dataclasses
-from functools import reduce
-from itertools import combinations, product
+from functools import partial, reduce
+from itertools import chain, combinations, permutations, product
 from random import Random
 
 import pytest
@@ -9,9 +9,11 @@ from modernsets import (
     DomainError,
     FiniteAlgebraTable,
     FiniteLattice,
+    LatticeCertificate,
     StructuralError,
     NotALatticeError,
     NotAPosetError,
+    chain_algebra,
     check_all_laws,
     check_cha,
     check_distributive,
@@ -20,6 +22,8 @@ from modernsets import (
     check_law,
     classify_family,
     constant_family,
+    find_noncommuting_witness,
+    get_law,
     join,
     lattice_algebra,
     lattice_from_hasse,
@@ -29,6 +33,7 @@ from modernsets import (
     powerset_lattice,
 )
 from modernsets import laws
+from modernsets.cli import builtin_workspace
 from modernsets.reporting import Witness
 
 
@@ -696,3 +701,224 @@ def test_bound_algebras_report_what_their_unbound_twins_report():
         assert levels[0] == levels[1] and levels[0].describe() == levels[1].describe()
         rings = [check_gf_ring_conditions(f, seed=i) for f in families]
         assert rings[0] == rings[1] and rings[0].describe() == rings[1].describe()
+
+
+# ---------------------------------------------------------------------------
+# Each equation is scanned once per compiled carrier: certificates, law
+# batteries and gfcheck read one record of what the scans of its tables proved.
+
+
+def shown(check):
+    """What ``check()`` shows: its verdicts, witnesses included, and their text, or the
+    type and text of what it raised."""
+    try:
+        result = check()
+    except Exception as error:
+        return type(error), str(error)
+    if isinstance(result, tuple):  # a battery of law reports
+        return result, [report.describe() for report in result]
+    if isinstance(result, LatticeCertificate):
+        return result.entries, result.describe()
+    return result, result.describe()
+
+
+def assert_shared_scans_match_fresh_ones(make, checks):
+    """Each check of ``checks(*make())`` shows the same on objects of its own as when
+    all of them run on one set of objects, in their order and in reverse."""
+    names = list(checks(*make()))
+    fresh = {name: shown(checks(*make())[name]) for name in names}
+    for order in (names, names[::-1]):
+        shared = checks(*make())
+        assert {name: shown(shared[name]) for name in order} == fresh, order
+
+
+def record_checks(lat, alg):
+    """The checks that share a compiled carrier: on ``lat`` and its algebra ``alg``, or,
+    when ``alg`` has no lattice, the battery and gfcheck alone."""
+    checks = {
+        "certificate": lambda: check_lattice_laws(lat),
+        "battery": lambda: check_all_laws(alg),
+        "cha": lambda: check_cha(lat),
+        "distributive": lambda: check_distributive(lat),
+        "gfcheck": lambda: check_gf_ring_conditions(constant_family(("p", "q"), alg)),
+    }
+    return {name: check for name, check in checks.items() if lat is not None or name in ("battery", "gfcheck")}
+
+
+def seeded_tables(seed, count):
+    """Table algebras of 4 and 5 elements off the tables of seeded random lattices;
+    every other one has a wedge or vee cell redrawn and a complement swapping O and I."""
+    rng = Random(seed)
+    tables = []
+    for i, lat in enumerate(lat for lat in random_lattices(seed, 8 * count, 5) if len(lat) >= 4):
+        tokens = lat.elements
+        wedge = {(x, y): lat.meet(x, y) for x in tokens for y in tokens}
+        vee = {(x, y): lat.join(x, y) for x in tokens for y in tokens}
+        complement = None
+        if i % 2:
+            rng.choice((wedge, vee))[rng.choice(tokens), rng.choice(tokens)] = rng.choice(tokens)
+            complement = {x: rng.choice(tokens) for x in tokens}
+            complement[lat.bottom], complement[lat.top] = lat.top, lat.bottom
+        tables.append(FiniteAlgebraTable(f"table{i}", tokens, lat.bottom, lat.top, wedge, vee, complement))
+        if len(tables) == count:
+            return tables
+
+
+def record_targets():
+    """Every shipped finite algebra and lattice, seeded random lattices (every other one
+    with a complement) and seeded tables, each with its complement or None."""
+    workspace = builtin_workspace()
+    targets = [(alg, None) for alg in workspace.algebras.values() if alg.finite]
+    targets += [(lat, None) for lat in (*workspace.lattices.values(), powerset_lattice(4))]
+    rng = Random(30)
+    for i, lat in enumerate(lat for lat in random_lattices(seed=30, count=12, max_size=12) if len(lat) >= 2):
+        complement = None
+        if i % 2:
+            complement = {x: rng.choice(lat.elements) for x in lat.elements}
+            complement[lat.bottom], complement[lat.top] = lat.top, lat.bottom
+        targets.append((lat, complement))
+    targets += [(table, None) for table in seeded_tables(seed=30, count=8)]
+    return [pytest.param(*target, id=target[0].name + " with complement" * bool(target[1])) for target in targets]
+
+
+@pytest.mark.parametrize("target, complement", record_targets())
+def test_shared_scans_match_fresh_ones(target, complement, fresh_copy):
+    def make():
+        if isinstance(target, FiniteLattice):
+            lat = fresh_copy(target)
+            return lat, lattice_algebra(lat, complement=complement)
+        alg = target.as_handle() if isinstance(target, FiniteAlgebraTable) else fresh_copy(target)
+        return alg.lattice, alg
+
+    assert_shared_scans_match_fresh_ones(make, record_checks)
+
+
+def test_a_certificate_leaves_the_battery_and_gfcheck_nothing_to_scan(kernel_scans, fresh_copy):
+    lattices = [fresh_copy(lat) for lat in (m3_lattice(), n5_lattice(), powerset_lattice(3), powerset_lattice(4))]
+    # 10 and 12 elements, distributive and not
+    lattices += random_lattices(seed=30, count=2, max_size=12)
+    shared = {
+        "commutative", "commutative-wedge", "commutative-vee", "associative", "associative-wedge",
+        "associative-vee", "absorption", "distributive", "complete-heyting",
+    }
+    for lat in lattices:
+        kernel_scans.clear()
+        check_lattice_laws(lat)
+        assert "distributive" in kernel_scans and "complete-heyting" in kernel_scans, lat.name
+        kernel_scans.clear()
+        alg = lattice_algebra(lat)
+        check_all_laws(alg)
+        check_gf_ring_conditions(constant_family(("p", "q"), alg))
+        assert not shared & set(kernel_scans), lat.name
+
+
+def test_a_law_whose_second_equation_alone_fails_reads_the_record(kernel_scans):
+    # chain5 with vee(m1, m2) = m3: wedge is still associative, vee is not
+    tokens = chain_algebra(5).elements
+    rank = tokens.index
+    wedge = {(x, y): min(x, y, key=rank) for x in tokens for y in tokens}
+    vee = {(x, y): max(x, y, key=rank) for x in tokens for y in tokens}
+    vee["m1", "m2"] = "m3"
+    table = FiniteAlgebraTable("vee-broken", tokens, "O", "I", wedge, vee)
+
+    def checks(alg):
+        return {name: partial(check_law, alg, law) for name, law in (
+            ("wedge", "associative-wedge"), ("vee", "associative-vee"), ("both", laws._ASSOCIATIVE_LAW))}
+
+    assert_shared_scans_match_fresh_ones(lambda: (table.as_handle(),), checks)
+    alg = table.as_handle()
+    wedge_verdict, vee_verdict = (check_law(alg, law).verdict for law in ("associative-wedge", "associative-vee"))
+    kernel_scans.clear()
+    both = check_law(alg, laws._ASSOCIATIVE_LAW).verdict
+    assert kernel_scans == []
+    assert wedge_verdict.holds and both == vee_verdict and both.failed
+    assert both.witness.note == get_law("associative-vee").equations[0][0]
+
+
+def test_distributive_after_a_certificate_reads_the_lower_bound(kernel_scans, fresh_copy):
+    for lat in (fresh_copy(m3_lattice()), fresh_copy(n5_lattice())):
+        cert = check_lattice_laws(lat)
+        # the first failing triple fails the first equation; the other passes every triple before it
+        entries = [lat._tables.scanned[fn] for _, fn in get_law("distributive").equations]
+        (_, m, first_fails), (_, n, second_fails) = entries
+        assert m == n and (first_fails, second_fails) == (True, False), lat.name
+        kernel_scans.clear()
+        verdict = check_distributive(lat)
+        assert kernel_scans == [], lat.name
+        assert verdict == cert.distributive == check_distributive(fresh_copy(lat)), lat.name
+        assert verdict.failed and verdict.describe() == cert.distributive.describe()
+
+
+def test_a_registry_equation_under_another_label_reads_the_record(kernel_scans):
+    # eight elements, so pairs run on the tables; wedge keeps its left argument
+    # and vee its right one, apart from the eight O/I identities
+    tokens = ("O", "I", *"abcdef")
+    wedge = {(x, y): x for x in tokens for y in tokens}
+    vee = {(x, y): y for x in tokens for y in tokens}
+    for x, y in product("OI", repeat=2):
+        wedge[x, y] = "I" if x == y == "I" else "O"
+        vee[x, y] = "O" if x == y == "O" else "I"
+    table = FiniteAlgebraTable("proj8", tokens, "O", "I", wedge, vee)
+    commutes = get_law("commutative-wedge")
+    relabelled = dataclasses.replace(commutes, name="swap", equations=(("swap", commutes.equations[0][1]),))
+
+    def checks(alg):
+        return {
+            "registry": partial(check_law, alg, commutes),
+            "relabelled": partial(check_law, alg, relabelled),
+            "witness search": partial(find_noncommuting_witness, alg),
+        }
+
+    assert_shared_scans_match_fresh_ones(lambda: (table.as_handle(),), checks)
+    alg = table.as_handle()
+    registry = check_law(alg, commutes).verdict
+    kernel_scans.clear()
+    witness = find_noncommuting_witness(alg)
+    verdict = check_law(alg, relabelled).verdict
+    assert kernel_scans == []
+    assert witness.note == "wedge(x, y) = wedge(y, x)" and verdict.witness.note == "swap"
+    assert registry.witness.inputs == witness.inputs == verdict.witness.inputs
+
+
+def test_a_scan_through_the_operations_records_nothing(fresh_copy):
+    # Two handles share one lattice's tables. The columns have no name, so every
+    # slab of this law is scanned through each handle's operations, and what one
+    # handle passes there says nothing of the other.
+    lat = fresh_copy(powerset_lattice(3))
+    first, second = lattice_algebra(lat, name="first"), lattice_algebra(lat, name="second")
+    named = laws.Law("named-first", 2, False, (("name = first", lambda o, x, y: (o.name, "first")),))
+    assert first._tables is second._tables
+    assert check_law(first, named).verdict.holds
+    assert check_law(second, named).verdict.failed
+    assert len(lat._tables.scanned) == 0
+
+
+def test_laws_sharing_equations_answer_as_fresh_scans(kernel_scans):
+    # Laws of one or two of four equations of three variables, on tables that break
+    # them at different triples: checked in a seeded order on one handle, each law
+    # gives a fresh handle's verdict, and once all are checked none scans again.
+    equations = [eq for name in ("associative-wedge", "associative-vee", "distributive")
+                 for eq in get_law(name).equations]
+    combined = [laws.Law(f"law{i}", 3, False, eqs)
+                for i, eqs in enumerate(chain(permutations(equations, 1), permutations(equations, 2)))]
+    rng = Random(30)
+    for table in seeded_tables(seed=31, count=16):
+        fresh = [check_law(table.as_handle(), law).verdict for law in combined]
+        alg = table.as_handle()
+        order = rng.sample(range(len(combined)), len(combined))
+        shared = {i: check_law(alg, combined[i]).verdict for i in order}
+        assert [shared[i] for i in range(len(combined))] == fresh, table.name
+        kernel_scans.clear()
+        for law in combined:
+            check_law(alg, law)
+        assert kernel_scans == [], table.name
+
+
+def test_one_function_at_two_arities_reads_no_entry_of_the_other(fresh_copy):
+    # x wedge (the last argument) = x fails first at the pair (a, 0), number 8,
+    # and at the triple (a, 0, 0), number 64
+    alg = lattice_algebra(fresh_copy(powerset_lattice(3)))
+    fn = lambda o, x, *rest: (o.wedge(x, rest[-1]), x)  # noqa: E731
+    pair, triple = (laws.Law(f"arity{n}", n, False, (("x wedge last = x", fn),)) for n in (2, 3))
+    expected = [laws._verdict(alg, law, product(alg.elements, repeat=law.arity)) for law in (pair, triple)]
+    assert [check_law(alg, law).verdict for law in (pair, triple, pair, triple)] == expected * 2

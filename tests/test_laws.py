@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
@@ -595,7 +596,7 @@ class TestFamilyKernel:
         with pytest.raises(StructuralError, match="do not give the same result twice"):
             check_family_law(family, "commutative-vee")
 
-    def test_carrier_witness_that_does_not_reevaluate_is_an_error(self):
+    def test_carrier_witness_that_does_not_reevaluate_is_an_error(self, kernel_scans):
         # pow3's 64 pairs run on its compiled tables, where vee(0, a) = 0
         pow3 = lattice_algebra(powerset_lattice(3))
         calls = []
@@ -614,6 +615,13 @@ class TestFamilyKernel:
         with pytest.raises(StructuralError) as excinfo:
             check_law(drifting, "commutative-vee")
         assert str(excinfo.value) == message
+        # The tables' record answers the second check with no scan, and the re-check
+        # of its witness on the drifting vee raises the same error.
+        kernel_scans.clear()
+        with pytest.raises(StructuralError) as excinfo:
+            check_law(drifting, "commutative-vee")
+        assert str(excinfo.value) == message
+        assert kernel_scans == []
 
     def test_slab_cases_reach_every_boundary(self):
         """The first failures of the named families fall at tuple 0, inside a
@@ -827,6 +835,26 @@ class TestKernelMemoryBound:
         assert peak < 1_000_000
 
 
+class TestScanRecordMemory:
+    def test_throwaway_laws_leave_no_entry(self, fresh_copy):
+        # A table's record holds each equation function weakly, so laws
+        # checked once and dropped leave nothing behind.
+        pow3 = lattice_algebra(fresh_copy(powerset_lattice(3)))
+        record = pow3._tables.scanned
+        for i in range(10_000):
+            if i % 2:
+                fn = lambda o, x, y: (o.wedge(x, y), x)  # noqa: E731
+            else:
+                fn = lambda o, x, y: (o.wedge(x, y), o.wedge(y, x))  # noqa: E731
+            verdict = check_law(pow3, Law(f"throwaway{i}", 2, False, ((f"equation {i}", fn),))).verdict
+            assert verdict.failed == bool(i % 2)
+            # all 64 pairs pass, or the first with x wedge y != x: (a, 0), pair 8
+            assert record[fn] == ((2, 8, True) if i % 2 else (2, 64, False))
+        del fn
+        gc.collect()
+        assert len(record) == 0
+
+
 class TestSlabPlans:
     """The slabs of a scan are kept by shape: the radices, the arity, the
     column kinds and the slab size. Every later scan of that shape reads
@@ -880,30 +908,34 @@ class TestSlabPlans:
             expected = [min(step, 5 - first) * 25 for first in range(0, 5, step)]
             assert slabs() == expected == slabs(), size  # built, then kept
 
-    def test_kept_plans_stay_within_their_bound(self):
+    def test_kept_plans_stay_within_their_bound(self, fresh_copy):
         workspace = builtin_workspace()
-        finite = [workspace.resolve_algebra(name) for name in (
+        shipped = [workspace.resolve_algebra(name) for name in (
             "classical2", "chain3", "chain5", "m3", "n5", "pow1", "pow2", "pow3")]
-        families = [constant_family(("p", "q"), alg) for alg in finite]
-        families += [family_of([KERNEL_ALGEBRAS[name] for name in names])
-                     for names in (("m-first", "chain5"), ("pow4",), ("proj17", "classical2"))]
+        kernel = [[KERNEL_ALGEBRAS[name] for name in names]
+                  for names in (("m-first", "chain5"), ("pow4",), ("proj17", "classical2"))]
         chains = [chain_algebra(k) for k in range(4, 43)]
 
         def sweep():
+            # New handles, lattices and families of the same shapes each time: the
+            # record of a table's scans would answer a second sweep of the same ones.
+            finite = [fresh_copy(alg) for alg in shipped]
+            families = [constant_family(("p", "q"), alg) for alg in finite]
+            families += [family_of([fresh_copy(alg) for alg in algs]) for algs in kernel]
             for alg in finite:
                 check_all_laws(alg)
             for lat in workspace.lattices.values():
-                check_lattice_laws(lat)
+                check_lattice_laws(fresh_copy(lat))
             for family in families:
                 for law in LAWS:
                     check_family_law(family, law)
             # more shapes than are kept: pairs up to 42 elements, triples up to 22
-            for k, chain_k in enumerate(chains, 4):
+            for k, chain_k in enumerate(map(fresh_copy, chains), 4):
                 check_law(chain_k, "commutative-wedge")
                 check_law(chain_k, "distributive" if k <= 22 else "commutative-vee")
                 check_family_law(family_of([chain_k, finite[0]]), "idempotent-wedge")
 
-        sweep()  # compiles every table
+        sweep()  # fills every other cache
         laws._slab_plan.cache_clear()
         tracemalloc.start()
         try:
