@@ -22,11 +22,11 @@ and each certificate row is a registry law scanned over its elements. The
 eight defining identities are registry equations too, each evaluated once
 by :func:`check_wba_axioms` so that every violation is reported. Every
 verdict, certificate row, ring condition (crisp restriction among them)
-and noncommuting-pair search comes from one scanner, :func:`_verdict`,
-over the tuples each check chooses. The larger scans run a slab of tuples
-at a time on one column kernel (:func:`_slab_verdict`), with each point
-held as element indices, integer codes or values, and re-check only
-their first failing tuple through :func:`_verdict`.
+and noncommuting-pair search scans the tuples its check chooses. Small
+scans run on the values (:func:`_verdict`); the larger ones, and every
+sampled scan, run a slab of tuples at a time on one column kernel
+(:func:`_slab_verdict`), with each point held as element indices, integer
+codes or values, and re-check only their first failing tuple on the values.
 """
 
 from __future__ import annotations
@@ -140,28 +140,23 @@ def _resolve(law: "Law | str") -> Law:
     return get_law(law) if isinstance(law, str) else law
 
 
-def _verdict(ops, law: Law, tuples, seed: int | None = None) -> Verdict:
-    """The first failing tuple, or a pass over all of ``tuples``.
+def _verdict(ops, law: Law, tuples) -> Verdict:
+    """The first failing tuple, or an exhaustive pass over all of ``tuples``.
 
     At each tuple the law's equations are tried in order, and the first
-    one whose sides differ is the witness. Every scan runs here, or
-    re-checks its first failing tuple here: the column kernel
-    (:func:`_slab_verdict`), which runs the exhaustive scans of compiled
-    tables and every sampled scan, finds that tuple as the lowest lane
-    where some equation differs, and scans here any slab it cannot
-    evaluate. With no seed a pass is exhaustive; with a seed it is
-    sampled, and the verdict records how many tuples were tried.
+    one whose sides differ is the witness. Small scans run here. The column
+    kernel (:func:`_slab_verdict`), which runs the exhaustive scans of
+    compiled tables and every sampled scan, finds its first failing tuple
+    as the lowest lane where some equation differs and re-checks it here,
+    and scans here any slab it cannot evaluate.
     """
     equations = law.equations
-    checked = 0
-    for checked, args in enumerate(tuples, 1):
+    for args in tuples:
         for label, fn in equations:
             lhs, rhs = fn(ops, *args)
             if lhs != rhs:
                 return Verdict.fails(Witness(inputs=args, lhs=lhs, rhs=rhs, note=label))
-    if seed is None:
-        return Verdict.holds_exhaustive()
-    return Verdict.holds_sampled(samples=checked, seed=seed)
+    return Verdict.holds_exhaustive()
 
 
 def _scan(ops, law: Law, tuples) -> Witness | None:
@@ -279,31 +274,28 @@ def _slab_verdict(
 ) -> Verdict:
     """The first failing tuple of ``slabs``, or a pass over all of them.
 
-    A slab is its columns, which ``columns`` scans (:meth:`_ColumnOps.failing`), and its
-    tuples, or None to decode them from the columns. Only the first failing tuple is
-    decoded and re-checked through ``ops`` (:func:`_rechecked`). A slab whose columns
-    raise, or that has none, is scanned through ``ops``, so the witness, error and count
-    are those of a scan through ``ops``. With a seed a pass is sampled and counts the
-    tuples tried, else it is exhaustive. ``record``, the record of the one table the
-    columns read, gains what they proved (:func:`_prove`) when every slab ran on them.
+    A slab is its argument columns, which ``columns`` scans (:meth:`_ColumnOps.failing`).
+    Only the first failing tuple is decoded and re-checked through ``ops``
+    (:func:`_rechecked`). A slab whose columns raise is decoded and scanned through
+    ``ops``, so the witness, error and count are those of a scan through ``ops``. With a
+    seed a pass is sampled and counts the tuples tried, else it is exhaustive. ``record``,
+    the record of the one table the columns read, gains what they proved (:func:`_prove`)
+    when every slab ran on them.
     """
     checked = 0
-    for lanes, tuples in slabs:
+    for slab in slabs:
         try:
-            at = lanes and columns.failing(law, lanes)
+            at = columns.failing(law, slab)
         except Exception:
-            at = None
-        if at is None:
             record = None  # a slab scanned through ops proves nothing of the tables
-            tuples = tuples or [columns.decoded(lanes, i) for i in range(columns.lanes)]
-            verdict = _verdict(ops, law, tuples)
+            verdict = _verdict(ops, law, [columns.decoded(slab, i) for i in range(columns.lanes)])
             if verdict.failed:
                 return verdict
-            at = len(tuples)
-        elif at < columns.lanes:
+            at = columns.lanes
+        if at < columns.lanes:
             if record is not None:
                 _prove(record, law, checked + at, columns.equation)
-            return _rechecked(ops, law, columns.decoded(lanes, at), route)
+            return _rechecked(ops, law, columns.decoded(slab, at), route)
         checked += at
     if record is not None:
         _prove(record, law, checked)
@@ -348,7 +340,7 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
     draws = () if sample is None else _draws(sample, law.arity, samples, seed)
     slabs = chain(_batched(product(boundary, repeat=law.arity)), draws)
     return LawReport(law.name, _slab_verdict(
-        a, law, _ColumnOps([point], itemgetter(0)), (([(c,) for c in slab], None) for slab in slabs),
+        a, law, _ColumnOps([point], itemgetter(0)), ([(c,) for c in slab] for slab in slabs),
         f"the {'codes' if codes else 'values'} of {a!r}", seed,
     ))
 
@@ -444,10 +436,7 @@ _CHA_LAW = Law(
 )
 # The frame law with the family's two elements as separate variables, so
 # that it scans like any law of three variables.
-_CHA_TRIPLE_LAW = Law(
-    "complete-heyting", 3, False,
-    ((_CHA_LAW.equations[0][0], lambda o, a, b, y: _frame(o, (a, b), y)),),
-)
+_CHA_TRIPLE_LAW = _law("complete-heyting", r"(x \/ y) /\ z = (x /\ z) \/ (y /\ z)")
 _SET_FRAME_LAW = Law(
     "set-frame", 2, False,
     (("(vee of collection) wedge B = vee of pairwise wedges", _frame),),
@@ -893,7 +882,7 @@ def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable, 
     slabs = (_slab_plan if kept else _slabs)(radices, kinds, arity, _SLAB_TUPLES)
     route = f"the compiled tables of {owner!r}"
     columns = _ColumnOps(points, argument)
-    return _slab_verdict(ops, law, columns, ((slab, None) for slab in slabs), route, record=record)
+    return _slab_verdict(ops, law, columns, slabs, route, record=record)
 
 
 # Scans of fewer tuples run on the values, where the kernel costs more to
@@ -1014,26 +1003,22 @@ def _point_lanes(alg: AlgebraHandle, law: Law) -> _Lanes:
     return _mapped(_checked(alg), lambda drawn: [*map(elements.__getitem__, drawn)])
 
 
-def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, slabs, seed: int, draws=()) -> Verdict:
-    """:func:`_verdict` through ``ops`` over ``slabs`` of tuples of sets, then ``draws``
-    of tuples of per-point draws (:func:`_point_draws`), each point on its lanes
-    (:func:`_point_lanes`). A slab of sets with a value that has no lane, such as a value
-    with no code, is scanned as sets.
+def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, tuples, seed: int, draws=()) -> Verdict:
+    """:func:`_verdict` through ``ops`` over ``tuples`` of sets, each set given as its
+    values in point order, then ``draws`` of tuples of per-point draws
+    (:func:`_point_draws`), each point on its lanes (:func:`_point_lanes`).
     """
     points = [*_per_handle(family, partial(_point_lanes, law=law)).values()]
 
-    def of_sets(slab: list[list[ModernSet]]) -> tuple:
-        try:
-            return [tuple(p.encoded(v) for p, v in zip(points, zip(*(s._values for s in c)))) for c in slab], None
-        except Exception:
-            return None, [*zip(*slab)]
-
-    def of_draws(slab: list[list[tuple]]) -> tuple:
-        return [tuple(p.column(drawn) for p, drawn in zip(points, zip(*column))) for column in slab], None
+    def columns(field: str) -> Callable[[list], list]:
+        """A slab's argument columns, each point's made by its lanes' ``field``."""
+        makers = [getattr(p, field) for p in points]
+        return lambda slab: [tuple(make(v) for make, v in zip(makers, zip(*arg))) for arg in slab]
 
     return _slab_verdict(
         ops, law, _ColumnOps(points, partial(ModernSet, family)),
-        chain(map(of_sets, slabs), map(of_draws, draws)), f"the points of {family!r}", seed,
+        chain(map(columns("encoded"), _batched(tuples)), map(columns("column"), draws)),
+        f"the points of {family!r}", seed,
     )
 
 
@@ -1070,19 +1055,19 @@ _PER_POINT_CAP = 1000
 
 
 def _forced_tuples(family: AlgebraFamily, arity: int):
-    """Deterministic tuples every sampled family check must try.
+    """Deterministic tuples every sampled family check must try, each set as its values.
 
     All empty/full combinations, then for each point all tuples of spikes
     at that same point (capped per point). Same-point spike tuples are the
     lifted images of per-point counterexample tuples, so a law failing at
     a boundary value of any single point cannot slip past this stage.
     """
-    bounds = (empty_set(family), full_set(family))
+    bounds = (empty_set(family)._values, full_set(family)._values)
     yield from product(bounds, repeat=arity)
     for x in family.universe.points:
         alg = family.algebra_at(x)
         values = alg.elements if alg.elements is not None else alg.boundary
-        spikes = [lift_point_value(family, x, v) for v in values]
+        spikes = [lift_point_value(family, x, v)._values for v in values]
         yield from islice(product(spikes, repeat=arity), _PER_POINT_CAP)
 
 
@@ -1145,6 +1130,7 @@ def check_family_law(
         ))
     if law.arity == 0:  # a closed law reads no set, so one evaluation decides it
         return LawReport(law.name, _verdict(ops, law, [()]))
+    forced = islice(_forced_tuples(family, law.arity), _FORCED_CAP)
     if _set_count(family) ** law.arity <= _MAX_EXHAUSTIVE:
         verdict = _exhaustive_verdict(family, ops, law)
         reasons = dict.fromkeys(a.deciding.reason for a in family.handles if not a.finite)
@@ -1153,9 +1139,8 @@ def check_family_law(
         if verdict.holds:
             details = (("deciding-carrier", "; ".join(reasons)),)
             return LawReport(law.name, replace(verdict, details=details))
-        forced = _verdict(ops, law, islice(_forced_tuples(family, law.arity), _FORCED_CAP))
-        return LawReport(law.name, forced if forced.failed else verdict)
-    forced = _batched(islice(_forced_tuples(family, law.arity), _FORCED_CAP))
+        scanned = _sampled_verdict(family, ops, law, forced, seed)
+        return LawReport(law.name, scanned if scanned.failed else verdict)
     draws = _draws(_point_draws(family), law.arity, samples, seed, key=family)
     return LawReport(law.name, _sampled_verdict(family, ops, law, forced, seed, draws))
 

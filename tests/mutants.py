@@ -1,0 +1,161 @@
+"""Mutants of the scan routes, each with the tests that must catch it.
+
+Each entry names a source file under ``src/``, a text that occurs in it exactly once,
+the text that replaces it, and the tests expected to fail on the result. For each
+entry ``src/`` is copied to a temporary directory, the edit is applied there, and only
+the named tests run, with ``-x``, against that copy. The run fails when a mutant
+survives (its tests pass), when its old text no longer occurs exactly once, or when
+pytest cannot run the named tests. A change to a guarded route updates this list.
+
+Run from anywhere, with pytest installed::
+
+    python tests/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    what: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+LAWS = "modernsets/laws.py"
+STREAMS = "tests/test_laws.py::TestSharedStreams"
+
+MUTANTS = [
+    Mutant(
+        "_slab_verdict re-raises a raising slab instead of rescanning it",
+        LAWS,
+        "            record = None  # a slab scanned through ops proves nothing of the tables\n",
+        "            raise\n",
+        (f"{STREAMS}::test_a_slab_whose_operations_raise_is_scanned_again",),
+    ),
+    Mutant(
+        "the fallback through ops keeps the record",
+        LAWS,
+        "            record = None  # a slab scanned through ops proves nothing of the tables\n",
+        "            pass\n",
+        ("tests/test_lattice.py::test_a_scan_through_the_operations_records_nothing",),
+    ),
+    Mutant(
+        "_prove lowers an entry",
+        LAWS,
+        "record[fn] = entry if old is None or old[0] != entry[0] else max(old, entry)",
+        "record[fn] = entry",
+        ("tests/test_lattice.py::test_laws_sharing_equations_answer_as_fresh_scans",),
+    ),
+    Mutant(
+        "_recorded reads an entry of another arity",
+        LAWS,
+        "if any(entry is None or entry[0] != law.arity for entry in entries):",
+        "if any(entry is None for entry in entries):",
+        ("tests/test_lattice.py::test_one_function_at_two_arities_reads_no_entry_of_the_other",),
+    ),
+    Mutant(
+        "a failing deciding-carrier scan keeps its own witness",
+        LAWS,
+        "return LawReport(law.name, scanned if scanned.failed else verdict)",
+        "return LawReport(law.name, verdict)",
+        (
+            "tests/test_cli.py::test_golden_transcript[lift-fuzzy-excluded-middle]",
+            "tests/test_laws.py::test_scan_witness_stands_when_a_cap_cuts_the_forced_stage_short",
+            "tests/test_laws.py::test_a_failing_forced_stage_is_the_family_verdict",
+        ),
+    ),
+    Mutant(
+        "_forced_tuples yields the spikes before the bounds",
+        LAWS,
+        "    yield from product(bounds, repeat=arity)\n"
+        "    for x in family.universe.points:\n"
+        "        alg = family.algebra_at(x)\n"
+        "        values = alg.elements if alg.elements is not None else alg.boundary\n"
+        "        spikes = [lift_point_value(family, x, v)._values for v in values]\n"
+        "        yield from islice(product(spikes, repeat=arity), _PER_POINT_CAP)\n",
+        "    for x in family.universe.points:\n"
+        "        alg = family.algebra_at(x)\n"
+        "        values = alg.elements if alg.elements is not None else alg.boundary\n"
+        "        spikes = [lift_point_value(family, x, v)._values for v in values]\n"
+        "        yield from islice(product(spikes, repeat=arity), _PER_POINT_CAP)\n"
+        "    yield from product(bounds, repeat=arity)\n",
+        ("tests/test_laws.py::test_the_forced_stage_tries_the_bounds_before_the_spikes",),
+    ),
+    Mutant(
+        "_batched raises its deferred error before yielding the tuples ahead of it",
+        LAWS,
+        "        if slab:\n"
+        "            yield [*map(list, zip(*slab))]\n"
+        "        if error is not None:\n"
+        "            raise error\n",
+        "        if error is not None:\n"
+        "            raise error\n"
+        "        if slab:\n"
+        "            yield [*map(list, zip(*slab))]\n",
+        (f"{STREAMS}::test_a_forced_tuple_that_cannot_be_built_is_met_after_the_tuples_before_it",),
+    ),
+    Mutant(
+        "every point of a sampled scan takes the first handle's lanes",
+        LAWS,
+        "points = [*_per_handle(family, partial(_point_lanes, law=law)).values()]",
+        "points = [_point_lanes(family.handles[0], law)] * len(family.handles)",
+        ("tests/test_laws.py::TestPointwiseSampledScan::test_mixed_families_match_a_set_scan",),
+    ),
+]
+
+
+def pytest(src: Path, tests) -> subprocess.CompletedProcess:
+    """The named tests, run with ``-x`` against the package in ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=REPO, env=env, capture_output=True, text=True, check=False,
+    )
+
+
+def run(mutant: Mutant, scratch: Path) -> str | None:
+    """Why ``mutant`` fails the run, or None when its tests catch it."""
+    src = scratch / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = src / mutant.path
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return f"its old text occurs {text.count(mutant.old)} times in src/{mutant.path}"
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    result = pytest(src, mutant.tests)
+    if result.returncode == 1:
+        return None
+    if result.returncode == 0:
+        return "it survives its tests"
+    return f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
+
+
+def main() -> int:
+    # a test that fails on the unmutated source would catch every mutant
+    tests = dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests)
+    result = pytest(REPO / "src", tests)
+    if result.returncode != 0:
+        print(f"the guarding tests fail on the unmutated source:\n{result.stdout}{result.stderr}")
+        return 1
+    failures = 0
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory() as scratch:
+            reason = run(mutant, Path(scratch))
+        print(f"{'caught' if reason is None else 'FAILED'}: {mutant.what}" + (f": {reason}" if reason else ""))
+        failures += reason is not None
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants caught")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

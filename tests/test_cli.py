@@ -473,6 +473,9 @@ GOLDEN_CASES = [
     ),
     ("lift-m3-distributive", ("lift", "m3@2", "distributive")),
     ("lift-fuzzy-distributive", ("lift", "fuzzy@2", "distributive")),
+    # the family witness comes from the forced stage: {'x1': 1/2, 'x2': 0}, where the
+    # exhaustive scan of K3 would first fail at {'x1': 0, 'x2': 1/2}
+    ("lift-fuzzy-excluded-middle", ("lift", "fuzzy@2", "excluded-middle")),
     ("lift-mat2-associative-wedge", ("lift", "mat2@2", "associative-wedge", "--seed", "0")),
     # chain3, fuzzy and mat2: counting from 1, the family witness is tuple 160, draw 34
     # after 126 forced tuples, in the third slab of the sampled scan

@@ -991,16 +991,17 @@ def decoded_draw(family, drawn):
 
 
 def sampled_tuples(family, arity, samples, seed):
-    """The sampled stage's tuple stream: forced tuples, then seeded draws."""
+    """The sampled stage's tuples of sets: forced tuples, then seeded draws."""
+    forced = islice(laws._forced_tuples(family, arity), laws._FORCED_CAP)
     return chain(
-        islice(laws._forced_tuples(family, arity), laws._FORCED_CAP),
+        (tuple(ModernSet(family, values) for values in args) for args in forced),
         reference_draws(lambda rng: modern_set(family, reference_draw(family, rng)), arity, samples, seed),
     )
 
 
-def slabs_of(tuples):
-    """``tuples`` as one slab's argument columns."""
-    return [[list(column) for column in zip(*tuples)]]
+def values_of(tuples):
+    """``tuples`` of sets as the tuples of their values that ``_sampled_verdict`` scans."""
+    return [tuple(s._values for s in args) for args in tuples]
 
 
 def outcome(scan):
@@ -1035,7 +1036,7 @@ class TestPointwiseSampledScan:
                 if not verdict.applicable or verdict.mode == "exhaustive":
                     continue
                 tuples = sampled_tuples(family, law.arity, 40, seed)
-                assert verdict == _verdict(_SetOps(family), law, tuples, seed), (seed, law.name)
+                assert verdict == reference_verdict(_SetOps(family), law, tuples, seed), (seed, law.name)
                 sampled += 1
         assert sampled >= 6
 
@@ -1052,14 +1053,14 @@ class TestPointwiseSampledScan:
             if law.needs_complement:
                 continue  # not applicable: mat2 declares no complement
             tuples = sampled_tuples(family, law.arity, 40, 0)
-            expected = outcome(lambda: _verdict(_SetOps(family), law, tuples, 0))
+            expected = outcome(lambda: reference_verdict(_SetOps(family), law, tuples, 0))
             assert outcome(lambda: check_family_law(family, law, samples=40).verdict) == expected, law.name
             raised += [law.name] if expected == (StructuralError, message) else []
         assert "commutative-vee" in raised
         # the escaping pair sits at the last point, after two points that pass
         A, B = (modern_set(family, {"x1": I2, "x2": "O", "x3": v}) for v in ("m", "I"))
         law = get_law("commutative-vee")
-        got = outcome(lambda: laws._sampled_verdict(family, _SetOps(family), law, slabs_of([(A, B)]), 0))
+        got = outcome(lambda: laws._sampled_verdict(family, _SetOps(family), law, values_of([(A, B)]), 0))
         assert got == (StructuralError, message)
 
     def test_a_failure_at_a_later_point_wins_over_an_error_in_a_later_equation(self):
@@ -1073,11 +1074,11 @@ class TestPointwiseSampledScan:
         # at point 1 the first equation holds and the second raises; at point 2
         # the first fails, and a scan of the sets reports that failure
         A, B = (modern_set(family, {"x1": "O", "x2": m}) for m in (E01, E10))
-        expected = _verdict(ops, law, [(A, B)], 0)
+        expected = reference_verdict(ops, law, [(A, B)], 0)
         assert expected.failed and expected.witness.note == "x wedge y = y wedge x"
-        assert laws._sampled_verdict(family, ops, law, slabs_of([(A, B)]), 0) == expected
+        assert laws._sampled_verdict(family, ops, law, values_of([(A, B)]), 0) == expected
         # the whole scan meets the error first, at the empty sets
-        expected = outcome(lambda: _verdict(ops, law, sampled_tuples(family, 2, 40, 0), 0))
+        expected = outcome(lambda: reference_verdict(ops, law, sampled_tuples(family, 2, 40, 0), 0))
         assert expected == (ArithmeticError, "vee is undefined here")
         assert outcome(lambda: check_family_law(family, law, samples=40)) == expected
 
@@ -1560,11 +1561,11 @@ def reference_verdict(ops, law, tuples, seed=None):
     return Verdict.holds_sampled(samples=checked, seed=seed)
 
 
-def assert_same_verdict(ops, law, tuples, seed=None):
+def assert_same_verdict(ops, law, tuples):
     tuples = list(tuples)
-    got = _verdict(ops, law, tuples, seed)
-    # status, mode, count, seed and the witness's inputs, sides and note
-    assert got == reference_verdict(ops, law, tuples, seed), law.name
+    got = _verdict(ops, law, tuples)
+    # status, mode and the witness's inputs, sides and note
+    assert got == reference_verdict(ops, law, tuples), law.name
     return got
 
 
@@ -1585,7 +1586,7 @@ def test_verdict_matches_reference_scan_on_census_tables(census_table):
     fz = fuzzy_algebra()
     for law in LAWS:
         draws = reference_draws(fz.sample, law.arity, 50, 4)
-        assert_same_verdict(fz, law, chain(product(fz.boundary, repeat=law.arity), draws), seed=4)
+        assert_same_verdict(fz, law, chain(product(fz.boundary, repeat=law.arity), draws))
 
 
 @pytest.mark.parametrize(
@@ -1871,6 +1872,57 @@ def test_scan_witness_stands_when_a_cap_cuts_the_forced_stage_short(monkeypatch)
     assert s == lift_point_value(family, "p", Fraction(1, 2))
 
 
+def test_the_forced_stage_tries_the_bounds_before_the_spikes():
+    # with complement(I) = m at the chain point, non-contradiction fails at the full
+    # set, and later at the spike of 1/2 at the fuzzy point
+    chain3 = chain_algebra(3)
+    skewed = dataclasses.replace(chain3, name="skewed", complement={"O": "I", "m": "m", "I": "m"}.__getitem__)
+    family = family_of([fuzzy_algebra(), skewed])
+    verdict = check_family_law(family, "non-contradiction").verdict
+    assert verdict.witness.inputs == (full_set(family),)
+
+
+def reference_forced_sets(family, arity):
+    """The forced stage as tuples of sets, built set by set as the stage once yielded them."""
+    yield from product((empty_set(family), full_set(family)), repeat=arity)
+    for x in family.universe.points:
+        alg = family.algebra_at(x)
+        values = alg.elements if alg.elements is not None else alg.boundary
+        spikes = [lift_point_value(family, x, v) for v in values]
+        yield from islice(product(spikes, repeat=arity), laws._PER_POINT_CAP)
+
+
+FORCED_MIX = [
+    names for size in (1, 2, 3) for names in product(("fuzzy", "classical2", "chain3", "m3", "n5"), repeat=size)
+    if "fuzzy" in names
+]
+
+
+def test_a_failing_forced_stage_is_the_family_verdict():
+    """Whenever a scan of the forced stage's sets fails, its failure is the family verdict:
+    the sampled route scans that stage first, and a failing scan of deciding carriers
+    gives way to it."""
+    algebras = {**NAMED_ALGEBRAS, "fuzzy": fuzzy_algebra()}
+    routes = {"decided": 0, "sampled": 0, "moved": 0}
+    for names in FORCED_MIX:
+        family = family_of([algebras[name] for name in names])
+        ops = _SetOps(family)
+        for law in LAWS:
+            if law.needs_complement and ops.complement is None:
+                continue
+            expected = _verdict(ops, law, islice(reference_forced_sets(family, law.arity), laws._FORCED_CAP))
+            if not expected.failed:
+                continue
+            assert check_family_law(family, law).verdict == expected, (names, law.name)
+            if laws._set_count(family) ** law.arity > laws._MAX_EXHAUSTIVE:
+                routes["sampled"] += 1
+            else:
+                routes["decided"] += 1
+                routes["moved"] += laws._exhaustive_verdict(family, ops, law) != expected
+    # some deciding-carrier scans fail first at another tuple than the forced stage does
+    assert all(routes.values()), routes
+
+
 def test_matrix_families_stay_sampled(monkeypatch):
     u = Universe(("p", "q"))
     family = AlgebraFamily(u, {"p": fuzzy_algebra(), "q": matrix_algebra(2)})
@@ -2062,18 +2114,8 @@ class TestCodeRoute:
 
     def test_a_value_with_no_code_is_scanned_on_values(self):
         fz, mat2 = fuzzy_algebra(), matrix_algebra(2)
-        family = family_of([fz, mat2])
-        odd = Fraction(1, 67)
-        sets = [modern_set(family, {"x1": v, "x2": m}) for v in (odd, Fraction(1, 2)) for m in (E01, I2)]
-        ops = _SetOps(family)
-        for law in LAWS:
-            if law.needs_complement:
-                continue
-            tuples = list(product(sets, repeat=law.arity))
-            got = laws._sampled_verdict(family, ops, law, slabs_of(tuples), 0)
-            assert got == _verdict(ops, law, tuples, 0), law.name
         # a boundary value with no code puts the point on its values for the whole scan
-        odd_fz = dataclasses.replace(fz, boundary=(*fz.boundary, odd))
+        odd_fz = dataclasses.replace(fz, boundary=(*fz.boundary, Fraction(1, 67)))
         family = family_of([odd_fz, mat2])
         for law in LAWS:
             if not law.needs_complement:
@@ -2150,12 +2192,12 @@ def reference_check_law(alg, law, samples, seed):
     """``check_law``'s sampled scan of an infinite carrier, on its values, with the
     draws of ``reference_draws``."""
     tuples = chain(product(alg.boundary, repeat=law.arity), reference_draws(alg.sample, law.arity, samples, seed))
-    return _verdict(alg, law, tuples, seed)
+    return reference_verdict(alg, law, tuples, seed)
 
 
 def reference_family_verdict(family, law, samples, seed):
     """The sampled family stage, scanned as sets, with the draws of ``reference_draws``."""
-    return _verdict(_SetOps(family), law, sampled_tuples(family, law.arity, samples, seed), seed)
+    return reference_verdict(_SetOps(family), law, sampled_tuples(family, law.arity, samples, seed), seed)
 
 
 def marked_carrier(bad, refused):
