@@ -25,14 +25,15 @@ class _PointTables:
     result for ``(i, j)`` at ``i * k + j``. ``columns`` holds what ``laws._point_ops``
     compiles from them, kept from their first column scan; tables whose wedge and vee
     are those of ``base`` take its compiled ones. ``scanned`` records what column scans
-    proved on them of each equation function (``laws._carrier_verdict``); its keys are
-    weak, so it keeps no function alive."""
+    proved on them of each equation function (``laws._carrier_verdict``), and ``lookup``
+    holds each equation function's table over the point tuples (``laws._law_table``);
+    their keys are weak, so they keep no function alive."""
 
-    __slots__ = ("wedge", "vee", "complement", "zero", "one", "base", "columns", "scanned")
+    __slots__ = ("wedge", "vee", "complement", "zero", "one", "base", "columns", "scanned", "lookup")
 
     def __init__(self, wedge: list[int], vee: list[int], complement: list[int], zero: int, one: int, base=None):
         self.wedge, self.vee, self.complement, self.zero, self.one = wedge, vee, complement, zero, one
-        self.base, self.columns, self.scanned = base, None, WeakKeyDictionary()
+        self.base, self.columns, self.scanned, self.lookup = base, None, WeakKeyDictionary(), WeakKeyDictionary()
 
 
 class FiniteLattice:

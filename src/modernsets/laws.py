@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache, partial
-from itertools import chain, combinations, islice, product
+from itertools import chain, islice, product
 from math import inf, prod
 from operator import itemgetter, ne
 from typing import Any, Callable, NamedTuple
@@ -492,11 +492,16 @@ def check_cha(lat: FiniteLattice) -> Verdict:
     lattice, so the verdicts and witnesses are those of a fresh scan.
     """
     binary = check_distributive(lat)
-    verdict = _carrier_verdict(lat, _CHA_TRIPLE_LAW)
+    verdict = _as_pair(lat, _CHA_LAW, _carrier_verdict(lat, _CHA_TRIPLE_LAW))
+    return replace(verdict, details=(("binary-distributive", binary),))
+
+
+def _as_pair(ops, law: Law, verdict: Verdict) -> Verdict:
+    """A frame-law triple scan's verdict, a failing (a, b, y) re-checked as the pair ((a, b), y)."""
     if verdict.failed:
         a, b, y = verdict.witness.inputs
-        verdict = _verdict(lat, _CHA_LAW, [((a, b), y)])
-    return replace(verdict, details=(("binary-distributive", binary),))
+        verdict = _verdict(ops, law, [((a, b), y)])
+    return verdict
 
 
 def _complements(lat: FiniteLattice, x: str) -> tuple[int, int]:
@@ -773,7 +778,8 @@ def _slab_plan(radices: tuple[int, ...], kinds: tuple[type, ...], arity: int, sl
 class _Lanes(NamedTuple):
     """One point's operations on columns, one lane per tuple of a slab. ``column`` makes
     a column of a scan's draws, ``encoded`` one of values (raising when one has no lane),
-    and ``decode`` gives one lane's value; ``zero`` and ``one`` are one-lane columns."""
+    and ``decode`` gives one lane's value; ``zero`` and ``one`` are one-lane columns.
+    ``table`` is ``(k, tables)`` at a compiled point of ``k`` elements (:func:`_law_table`)."""
 
     wedge: Callable
     vee: Callable
@@ -783,6 +789,7 @@ class _Lanes(NamedTuple):
     column: Callable
     encoded: Callable
     decode: Callable
+    table: tuple[int, _PointTables] | None = None
 
 
 def _indexed(carrier: tuple[Element, ...], tables: _PointTables) -> _Lanes:
@@ -792,6 +799,7 @@ def _indexed(carrier: tuple[Element, ...], tables: _PointTables) -> _Lanes:
     return _Lanes(
         wedge, vee, complement, kind((tables.zero,)), kind((tables.one,)),
         kind, lambda values: kind(map(index, values)), carrier.__getitem__,
+        (len(carrier), tables),
     )
 
 
@@ -824,12 +832,14 @@ def _first_difference(x, y) -> int:
 
 class _ColumnOps:
     """Operations on a slab of tuples at once: a slab value holds a column per point, in
-    its lanes (:class:`_Lanes`), and each operation runs point by point on whole columns.
-    ``zero`` and ``one`` fit the slab :meth:`failing` scanned last. ``argument`` makes an
-    argument of a decoded tuple from its values, one per point."""
+    its lanes (:class:`_Lanes`), and each operation runs point by point on whole columns,
+    or :meth:`failing` looks each point's tuples up in its law tables. ``zero`` and ``one``
+    fit the slab :meth:`failing` scanned last. ``argument`` makes an argument of a decoded
+    tuple from its values, one per point."""
 
     def __init__(self, points: list[_Lanes], argument: Callable):
-        self._wedge, self._vee, self._complement, self._zero, self._one, *_, self._decode = zip(*points)
+        self._wedge, self._vee, self._complement, self._zero, self._one, *_ = zip(*points)
+        *_, self._decode, self._tables = zip(*points)
         self._argument = argument
 
     def wedge(self, a: tuple, b: tuple) -> tuple:
@@ -852,8 +862,22 @@ class _ColumnOps:
     def failing(self, law: Law, slab: list[tuple]) -> int:
         """The lowest lane of ``slab`` where the sides of some equation differ at some
         point, else its number of lanes; ``equation`` is then the index of the first
-        equation that differs there."""
+        equation that differs there. The operations are pointwise, so with two points or
+        more, two variables or more and every point's ``k ** arity`` tuples indexed by a
+        byte, each point's tuple index ``sum(x_j * k ** (arity - 1 - j))`` is looked up in
+        its law table of each equation (:func:`_law_table`): the same lanes, one lookup each.
+        """
         self.lanes = first = len(slab[0][0])
+        arity, points = law.arity, self._tables
+        if arity > 1 and len(points) > 1 and all(p and p[0] ** arity <= 256 for p in points):
+            indices = [sum(
+                int.from_bytes(arg[i], "little") * k ** (arity - 1 - j) for j, arg in enumerate(slab)
+            ).to_bytes(self.lanes, "little") for i, (k, _) in enumerate(points)]
+            for e, (_, fn) in enumerate(law.equations):
+                for (k, tables), index in zip(points, indices):
+                    if (lane := index.translate(_law_table(k, tables, fn, arity)).find(1, 0, first)) >= 0:
+                        first, self.equation = lane, e
+            return first
         for i, (_, fn) in enumerate(law.equations):
             for x, y in zip(*fn(self, *slab)):
                 if x != y and (lane := _first_difference(x, y)) < first:
@@ -866,6 +890,25 @@ class _ColumnOps:
         return tuple(argument(tuple(d(column[at]) for d, column in zip(decodes, value))) for value in slab)
 
 
+def _law_table(k: int, tables: _PointTables, fn: Callable, arity: int) -> bytes:
+    """For each ``arity``-tuple of a point's element indices in row-major order, 1 where
+    the sides of ``fn`` differ on ``tables``, else 0, padded to a ``translate`` table: one
+    evaluation of the compiled lanes, kept in ``tables.lookup`` when ``fn`` can be weakly
+    referenced. An equation that raises there raises here, every time."""
+    lookup = tables.lookup
+    try:
+        entry = lookup.get(fn)
+    except TypeError:
+        entry, lookup = None, {}
+    if entry is None or entry[0] != arity:
+        ops = _ColumnOps([_indexed(range(k), tables)], None)
+        ops.lanes = k ** arity
+        (slab,) = _slabs((k,), (bytes,), arity, ops.lanes)
+        (lhs,), (rhs,) = fn(ops, *slab)
+        lookup[fn] = entry = arity, bytes(map(ne, lhs, rhs)).ljust(256, b"\0")
+    return entry[1]
+
+
 def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable, record=None) -> Verdict:
     """Every ``law.arity``-tuple of ``product(*carriers)``, a slab of index columns at a time.
 
@@ -874,7 +917,7 @@ def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable, 
     bytes and fit ``_PLAN_BYTES``) run in the order of ``product(*carriers)``. The first
     failing tuple is re-checked through ``ops`` (:func:`_slab_verdict`, which adds to
     ``record``), its arguments made by ``argument``; ``owner`` is named if the re-check
-    passes.
+    passes. Over two carriers or more, the tuples may be looked up (:meth:`_ColumnOps.failing`).
     """
     points = [_indexed(carrier, t) for carrier, t in zip(carriers, tables)]
     radices, kinds, arity = tuple(map(len, carriers)), tuple(p.column for p in points), law.arity
@@ -966,7 +1009,8 @@ def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law) -> Verdic
 
     On columns of element indices (:func:`_column_verdict`) when the scan
     pays (:func:`_columns_pay`) and every point compiles, else set by set,
-    drawn one at a time at arity 1.
+    drawn one at a time at arity 1. The columns look each point's tuple up in
+    its law tables where they can (:meth:`_ColumnOps.failing`).
     """
     carriers = _carriers(family)
     if _columns_pay(max(map(len, carriers)), _set_count(family), law.arity, _MIN_SET_COLUMN_TUPLES):
@@ -1424,15 +1468,17 @@ _BOUNDS_LAW = Law(
 def _direct_frame_law(family: AlgebraFamily) -> Verdict:
     """Frame law stated on sets: (vee of A_i) wedge B = vee of (A_i wedge B).
 
-    Only collections of two distinct sets are scanned. The caller runs this
-    on lattice-backed points only, where the sets form a lattice under
-    union and intersection, so the argument in `check_cha` applies: empty
-    and one-set collections cannot fail, binary distributivity gives every
-    larger collection, and the first failing collection in size order is
-    a pair.
+    Only collections of two distinct sets are scanned: the caller runs this
+    on lattice-backed points only, where the sets form a lattice under union
+    and intersection, so by the argument in :func:`check_cha` the first
+    failing collection in size order is a pair. The family scan
+    (:func:`_exhaustive_verdict`) scans the triples (a, b, y) of sets, and
+    the first failing one is the first failing pair ``((a, b), y)`` of
+    ``product(combinations(sets, 2), sets)``: a = b never fails
+    (idempotence), and (b, a, y) fails iff (a, b, y) does (union commutes).
     """
-    sets = list(_all_sets(family))
-    return _verdict(_SetOps(family), _SET_FRAME_LAW, product(combinations(sets, 2), sets))
+    ops = _SetOps(family)
+    return _as_pair(ops, _SET_FRAME_LAW, _exhaustive_verdict(family, ops, _CHA_TRIPLE_LAW))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ class Mutant(NamedTuple):
 
 LAWS = "modernsets/laws.py"
 STREAMS = "tests/test_laws.py::TestSharedStreams"
+TABLES = "tests/test_laws.py::TestLawTables"
+FRAME = "tests/test_laws.py::TestGfRingConditions::test_direct_frame_law_matches_the_pair_scan"
 
 MUTANTS = [
     Mutant(
@@ -110,6 +112,40 @@ MUTANTS = [
         "points = [*_per_handle(family, partial(_point_lanes, law=law)).values()]",
         "points = [_point_lanes(family.handles[0], law)] * len(family.handles)",
         ("tests/test_laws.py::TestPointwiseSampledScan::test_mixed_families_match_a_set_scan",),
+    ),
+    Mutant(
+        "the law-table lookup drops the last point",
+        LAWS,
+        "                for (k, tables), index in zip(points, indices):\n",
+        "                for (k, tables), index in zip(points[:-1], indices):\n",
+        (
+            f"{TABLES}::test_registry_laws_match_the_object_path[classical2+m3]",
+            f"{TABLES}::test_registry_laws_match_the_object_path[chain3+n5]",
+        ),
+    ),
+    Mutant(
+        "the tuple index weighs the arguments in reverse",
+        LAWS,
+        'int.from_bytes(arg[i], "little") * k ** (arity - 1 - j)',
+        'int.from_bytes(arg[i], "little") * k ** j',
+        (
+            f"{TABLES}::test_registry_laws_match_the_object_path[classical2+n5]",
+            f"{TABLES}::test_registry_laws_match_the_object_path[n5+chain3]",
+        ),
+    ),
+    Mutant(
+        "a complement law's table is built on the lattice's tables, which hold no complement",
+        LAWS,
+        "        (len(carrier), tables),\n",
+        "        (len(carrier), tables.base or tables),\n",
+        (f"{TABLES}::test_complement_laws_read_the_complement_on_lattice_backed_points",),
+    ),
+    Mutant(
+        "the direct frame-law route keeps the triple witness",
+        LAWS,
+        "    return _as_pair(ops, _SET_FRAME_LAW, _exhaustive_verdict(family, ops, _CHA_TRIPLE_LAW))\n",
+        "    return _exhaustive_verdict(family, ops, _CHA_TRIPLE_LAW)\n",
+        (f"{FRAME}[classical2+m3]", f"{FRAME}[n5]"),
     ),
 ]
 

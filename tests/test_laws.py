@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, combinations, islice, product
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
@@ -60,6 +61,7 @@ from modernsets import (
 from modernsets import laws
 from modernsets.algebra import Deciding, _Codes, _bound_codes, _coded_attributes
 from modernsets.cli import builtin_workspace, run_command
+from modernsets.fileformat import load_file
 from modernsets.lattice import _PointTables
 from modernsets.laws import _SetOps, _all_sets, _direct_frame_law, _scan, _verdict
 
@@ -958,6 +960,133 @@ class TestSlabPlans:
         assert laws._slab_plan.cache_info().currsize == 0
 
 
+TABLE_ALGEBRAS = {
+    **{name: NAMED_ALGEBRAS[name] for name in ("classical2", "chain3", "pow2", "m3", "n5", "chain5")},
+    "fuzzy": fuzzy_algebra(),  # decided on K3
+    "chain3id": load_file(str(Path(__file__).parent / "golden" / "identity-complement.def")).algebras["chain3id"],
+}
+TABLE_FAMILIES = [*product(TABLE_ALGEBRAS, repeat=2), *combinations(TABLE_ALGEBRAS, 3)]
+
+
+def memo_set_ops(family, sets):
+    """The set operations of ``_SetOps`` over ``sets``, every set of ``family``, each
+    result computed once by ``intersection``, ``union`` or ``complement`` and given as
+    the set of ``sets`` it equals, so a set-by-set scan of many tuples stays quick."""
+    at = {id(s): i for i, s in enumerate(sets)}
+    same = {s: s for s in sets}
+    ops = _SetOps(family)
+
+    def table(op):
+        rows = [[same[op(a, b)] for b in sets] for a in sets]
+        return lambda a, b: rows[at[id(a)]][at[id(b)]]
+
+    complements = ops.complement and [same[ops.complement(a)] for a in sets]
+    return SimpleNamespace(
+        wedge=table(intersection), vee=table(union), zero=same[ops.zero], one=same[ops.one],
+        complement=complements and (lambda a: complements[at[id(a)]]),
+    )
+
+
+def law_tables(family, law):
+    """Each point's compiled tables for ``law``."""
+    return [a._tables_with_complement if law.needs_complement else a._tables for a in family.handles]
+
+
+class TestLawTables:
+    """A family scan of two points or more looks each point's tuples up in its law
+    tables (``laws._law_table``) and finds the same lanes, witness for witness, as a
+    scan of the sets."""
+
+    @pytest.mark.parametrize("names", TABLE_FAMILIES, ids="+".join)
+    def test_registry_laws_match_the_object_path(self, names):
+        family = family_of([TABLE_ALGEBRAS[name] for name in names])
+        ops, sets = _SetOps(family), list(_all_sets(family))
+        memo = memo_set_ops(family, sets)
+        for law in LAWS:
+            if law.needs_complement and ops.complement is None:
+                continue  # not applicable
+            if len(sets) ** law.arity > laws._MAX_EXHAUSTIVE:
+                continue  # sampled
+            # the scan check_family_law runs; with K3 it adds details to a pass and may
+            # report the forced stage's witness instead, so the scan is compared itself
+            got = laws._exhaustive_verdict(family, ops, law)
+            assert got == _verdict(memo, law, product(sets, repeat=law.arity)), law.name
+            if law.arity > 1:  # every point was looked up
+                assert all(fn in tables.lookup for tables in law_tables(family, law) for _, fn in law.equations)
+
+    def test_the_first_equation_to_fail_at_the_first_lane_is_noted(self, monkeypatch):
+        noted = []
+        failing = laws._ColumnOps.failing
+
+        def noting(columns, law, slab):
+            at = failing(columns, law, slab)
+            noted.append(columns.equation if at < columns.lanes else None)
+            return at
+
+        monkeypatch.setattr(laws._ColumnOps, "failing", noting)
+        family = family_of([chain_algebra(3), pow2_algebra()])
+        ops, sets = _SetOps(family), list(_all_sets(family))
+        for equations, note, equation in [
+            # the second equation alone fails
+            ((r"x /\ y = y /\ x", r"x \/ y = x"), "x vee y = x", 1),
+            # both fail at the first failing pair, the first is noted
+            ((r"x \/ y = x", r"x \/ y = x /\ x"), "x vee y = x", 0),
+            # the second fails at an earlier pair than the first
+            ((r"x /\ y = x", r"x \/ y = x"), "x vee y = x", 1),
+        ]:
+            law = laws._law("two-equations", *equations)
+            noted.clear()
+            verdict = check_family_law(family, law).verdict
+            assert verdict == _verdict(ops, law, product(sets, repeat=2))
+            assert verdict.witness.note == note
+            assert noted[-1] == equation, equations
+            assert all(fn in tables.lookup for tables in law_tables(family, law) for _, fn in law.equations)
+
+    def test_complement_laws_read_the_complement_on_lattice_backed_points(self):
+        # a lattice's own tables hold no complement; the identity complement breaks
+        # de Morgan, which the bottom everywhere would not
+        chain3 = chain_algebra(3)
+        identity = lattice_algebra(chain3.lattice, complement={x: x for x in chain3.elements}, name="chain3lid")
+        for names in ((identity, classical_algebra()), (pow2_algebra(), identity)):
+            family = family_of(names)
+            sets = list(_all_sets(family))
+            law = get_law("de-morgan")
+            verdict = check_family_law(family, law).verdict
+            assert verdict.failed
+            assert verdict == _verdict(_SetOps(family), law, product(sets, repeat=2))
+
+    @pytest.mark.parametrize("names", [("chain5", "m3", "n5"), ("pow2", "chain5", "chain5")], ids="+".join)
+    def test_a_sampled_finite_family_matches_a_set_scan(self, names):
+        family = family_of([NAMED_ALGEBRAS[name] for name in names])
+        assert laws._set_count(family) ** 3 > laws._MAX_EXHAUSTIVE
+        for seed in range(2):
+            for law in LAWS:
+                if law.arity < 3 or (law.needs_complement and _SetOps(family).complement is None):
+                    continue
+                verdict = check_family_law(family, law, samples=100, seed=seed).verdict
+                assert verdict.mode == "sampled" or verdict.failed, law.name
+                tuples = sampled_tuples(family, law.arity, 100, seed)
+                assert verdict == reference_verdict(_SetOps(family), law, tuples, seed), (seed, law.name)
+                assert all(fn in tables.lookup for tables in law_tables(family, law) for _, fn in law.equations)
+
+    def test_throwaway_laws_leave_no_table(self, fresh_copy):
+        # Each point's law tables hold each equation function weakly, as the record of
+        # a table's scans does, so laws checked once and dropped leave nothing behind.
+        family = family_of([fresh_copy(chain_algebra(3)), fresh_copy(pow2_algebra())])
+        lookups = [tables.lookup for tables in law_tables(family, get_law("commutative-wedge"))]
+        for i in range(10_000):
+            if i % 2:
+                fn = lambda o, x, y: (o.wedge(x, y), x)  # noqa: E731
+            else:
+                fn = lambda o, x, y: (o.wedge(x, y), o.wedge(y, x))  # noqa: E731
+            verdict = check_family_law(family, Law(f"throwaway{i}", 2, False, ((f"equation {i}", fn),))).verdict
+            assert verdict.failed == bool(i % 2)
+            assert all(fn in lookup for lookup in lookups)
+        del fn
+        gc.collect()
+        assert [len(lookup) for lookup in lookups] == [0, 0]
+
+
 def reference_draws(draw, arity, samples, seed):
     """``samples`` seeded random tuples of ``draw(rng)`` values, each drawn afresh: the
     draws as they were before sampled scans shared one stream per seed and read it a
@@ -1332,6 +1461,22 @@ class TestGfRingConditions:
         assert got.status == expected.status
         assert got.witness == expected.witness
         assert got.holds == all(name in ("pow2", "chain3") for name in assignment)
+
+    FRAME_ALGEBRAS = {
+        "classical2": classical_algebra(), "chain3": chain_algebra(3), "chain4": chain_algebra(4),
+        "pow2": pow2_algebra(), "m3": lattice_algebra(m3_lattice()), "n5": lattice_algebra(n5_lattice()),
+    }
+
+    @pytest.mark.parametrize(
+        "names", [*product(FRAME_ALGEBRAS, repeat=1), *product(FRAME_ALGEBRAS, repeat=2)], ids="+".join
+    )
+    def test_direct_frame_law_matches_the_pair_scan(self, names):
+        # the reference scans each pair of distinct sets against each set, in pair order
+        fam = family_of([self.FRAME_ALGEBRAS[name] for name in names])
+        sets = list(_all_sets(fam))
+        expected = _verdict(_SetOps(fam), laws._SET_FRAME_LAW, product(combinations(sets, 2), sets))
+        assert _direct_frame_law(fam) == expected
+        assert expected.holds == all(name not in ("m3", "n5") for name in names)
 
     @staticmethod
     def _frame_law_by_collections(fam, max_size):
