@@ -200,7 +200,7 @@ def _compile_point(alg: AlgebraHandle, with_complement: bool) -> _PointTables | 
         ):
             return None
     except Exception:
-        # Whatever an operation raises, the set-by-set scan raises it too,
+        # Whatever an operation raises, a scan on the values raises it too,
         # at the same operation, if it gets that far.
         return None
     code = index.__getitem__

@@ -23,10 +23,11 @@ eight defining identities are registry equations too, each evaluated once
 by :func:`check_wba_axioms` so that every violation is reported. Every
 verdict, certificate row, ring condition (crisp restriction among them)
 and noncommuting-pair search scans the tuples its check chooses. Small
-scans run on the values (:func:`_verdict`); the larger ones, and every
-sampled scan, run a slab of tuples at a time on one column kernel
-(:func:`_slab_verdict`), with each point held as element indices, integer
-codes or values, and re-check only their first failing tuple on the values.
+single-carrier scans run on the values (:func:`_verdict`); the larger ones,
+and every family and sampled scan, run a slab of tuples at a time on one
+column kernel (:func:`_slab_verdict`), with each point held as element
+indices, integer codes or values, and re-check only their first failing
+tuple on the values.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ def _verdict(ops, law: Law, tuples) -> Verdict:
     """The first failing tuple, or an exhaustive pass over all of ``tuples``.
 
     At each tuple the law's equations are tried in order, and the first
-    one whose sides differ is the witness. Small scans run here. The column
-    kernel (:func:`_slab_verdict`), which runs the exhaustive scans of
-    compiled tables and every sampled scan, finds its first failing tuple
+    one whose sides differ is the witness. Small single-carrier scans run
+    here. The column kernel (:func:`_slab_verdict`), which runs every other
+    scan, finds its first failing tuple
     as the lowest lane where some equation differs and re-checks it here,
     and scans here any slab it cannot evaluate.
     """
@@ -423,24 +424,9 @@ _COMMUTATIVE_LAW = _joined("commutative", "commutative-wedge", "commutative-vee"
 _ASSOCIATIVE_LAW = _joined("associative", "associative-wedge", "associative-vee")
 
 
-def _frame(o, pair, y):
-    """Frame law on a two-element family: (a vee b) wedge y, and the join of the meets."""
-    a, b = pair
-    return o.wedge(o.vee(a, b), y), o.vee(o.wedge(a, y), o.wedge(b, y))
-
-
-# One equation, two routes, each keeping its own witness label.
-_CHA_LAW = Law(
-    "complete-heyting", 2, False,
-    (("(vee family) wedge y = vee of (s wedge y)", _frame),),
-)
 # The frame law with the family's two elements as separate variables, so
 # that it scans like any law of three variables.
 _CHA_TRIPLE_LAW = _law("complete-heyting", r"(x \/ y) /\ z = (x /\ z) \/ (y /\ z)")
-_SET_FRAME_LAW = Law(
-    "set-frame", 2, False,
-    (("(vee of collection) wedge B = vee of pairwise wedges", _frame),),
-)
 
 
 def check_distributive(lat: FiniteLattice) -> Verdict:
@@ -481,9 +467,11 @@ def check_cha(lat: FiniteLattice) -> Verdict:
     * so the first failing triple in row-major order has a before b, and
       the triples with a before b come in the pair scan's order.
 
-    That triple is re-checked as the pair ``((a, b), y)``. The details
-    carry the binary-distributivity verdict computed independently; the two
-    must agree, and tests hold us to that.
+    That triple's witness is given as the pair ``((a, b), y)``: its sides,
+    ``(a vee b) wedge y`` and ``(a wedge y) vee (b wedge y)``, are the pair's,
+    already re-checked on the lattice. The details carry the
+    binary-distributivity verdict computed independently; the two must
+    agree, and tests hold us to that.
 
     Both scans read the record of the lattice's compiled tables
     (:func:`_carrier_verdict`), so once a certificate or an earlier call has
@@ -492,15 +480,15 @@ def check_cha(lat: FiniteLattice) -> Verdict:
     lattice, so the verdicts and witnesses are those of a fresh scan.
     """
     binary = check_distributive(lat)
-    verdict = _as_pair(lat, _CHA_LAW, _carrier_verdict(lat, _CHA_TRIPLE_LAW))
+    verdict = _as_pair(_carrier_verdict(lat, _CHA_TRIPLE_LAW), "(vee family) wedge y = vee of (s wedge y)")
     return replace(verdict, details=(("binary-distributive", binary),))
 
 
-def _as_pair(ops, law: Law, verdict: Verdict) -> Verdict:
-    """A frame-law triple scan's verdict, a failing (a, b, y) re-checked as the pair ((a, b), y)."""
+def _as_pair(verdict: Verdict, note: str) -> Verdict:
+    """A frame-law triple scan's verdict, a failing (a, b, y) given as the pair ((a, b), y)."""
     if verdict.failed:
         a, b, y = verdict.witness.inputs
-        verdict = _verdict(ops, law, [((a, b), y)])
+        verdict = Verdict.fails(replace(verdict.witness, inputs=((a, b), y), note=note))
     return verdict
 
 
@@ -617,11 +605,6 @@ def _set_count(family: AlgebraFamily) -> float:
     return inf if carriers is None else prod(map(len, carriers))
 
 
-def _all_sets(family: AlgebraFamily):
-    for values in product(*_carriers(family)):
-        yield ModernSet(family, values)
-
-
 # Tuples per slab of a lane scan, at least. Smaller slabs slow passing
 # scans (chain5@6 idempotent-wedge: 1.7 ms, 3.6 ms at 256); larger ones
 # evaluate whole slabs past an early failure (m3@2 distributive: 0.5 ms,
@@ -719,19 +702,21 @@ def _compiled(k: int, tables: _PointTables) -> tuple[type, Callable, Callable, C
     return tables.columns
 
 
-def _digits(k: int, run: int, lo: int, hi: int) -> bytes:
-    """The bytes ``(t // run) % k`` for ``t`` in ``range(lo, hi)``.
+def _digits(k: int, run: int, lo: int, hi: int) -> bytes | list[int]:
+    """The digits ``(t // run) % k`` for ``t`` in ``range(lo, hi)``, as bytes, or as a
+    list when ``k`` is over 256.
 
     Built from the runs of equal digits the window touches, or, when it
     touches more than ``k``, from one period of them repeated.
     """
+    unit, join = (bytes, b"".join) if k <= 256 else (list, lambda runs: [*chain.from_iterable(runs)])
     first, last = lo // run, (hi - 1) // run
     if last - first < k:
-        return b"".join(
-            bytes([d % k]) * (min(d * run + run, hi) - max(d * run, lo))
+        return join(
+            unit([d % k]) * (min(d * run + run, hi) - max(d * run, lo))
             for d in range(first, last + 1)
         )
-    period = b"".join(bytes([d]) * run for d in range(k))
+    period = join(unit([d]) * run for d in range(k))
     start = lo % len(period)
     return (period * -(-(start + hi - lo) // len(period)))[start:start + hi - lo]
 
@@ -909,46 +894,38 @@ def _law_table(k: int, tables: _PointTables, fn: Callable, arity: int) -> bytes:
     return entry[1]
 
 
-def _column_verdict(owner, ops, law: Law, carriers, tables, argument: Callable, record=None) -> Verdict:
-    """Every ``law.arity``-tuple of ``product(*carriers)``, a slab of index columns at a time.
+def _column_verdict(route: str, ops, law: Law, carriers, points, argument: Callable, record=None) -> Verdict:
+    """Every ``law.arity``-tuple of ``product(*carriers)``, each carrier on its ``points``'
+    lanes, a slab of columns at a time.
 
     A tuple of values, one per carrier, is numbered as a mixed-radix number of element
-    indices, carrier 0 most significant, so the slabs (:func:`_slabs`, kept when they are
-    bytes and fit ``_PLAN_BYTES``) run in the order of ``product(*carriers)``. The first
-    failing tuple is re-checked through ``ops`` (:func:`_slab_verdict`, which adds to
-    ``record``), its arguments made by ``argument``; ``owner`` is named if the re-check
-    passes. Over two carriers or more, the tuples may be looked up (:meth:`_ColumnOps.failing`).
+    indices, carrier 0 most significant, so the slabs (:func:`_slabs`, each column made
+    from its index digits by its lanes' ``column``, kept when they are bytes and fit
+    ``_PLAN_BYTES``) run in the order of ``product(*carriers)``. The first failing tuple is
+    re-checked through ``ops`` (:func:`_slab_verdict`, which adds to ``record``), its
+    arguments made by ``argument``; ``route`` is named if the re-check passes. Over two
+    carriers or more, the tuples may be looked up (:meth:`_ColumnOps.failing`).
     """
-    points = [_indexed(carrier, t) for carrier, t in zip(carriers, tables)]
     radices, kinds, arity = tuple(map(len, carriers)), tuple(p.column for p in points), law.arity
     kept = all(kind is bytes for kind in kinds) and arity * len(kinds) * prod(radices) ** arity <= _PLAN_BYTES
     slabs = (_slab_plan if kept else _slabs)(radices, kinds, arity, _SLAB_TUPLES)
-    route = f"the compiled tables of {owner!r}"
-    columns = _ColumnOps(points, argument)
-    return _slab_verdict(ops, law, columns, slabs, route, record=record)
+    return _slab_verdict(ops, law, _ColumnOps(points, argument), slabs, route, record=record)
 
 
-# Scans of fewer tuples run on the values, where the kernel costs more to
-# set up than it saves (distributive on chain3, 27 tuples: 0.035 ms on the
+# Single-carrier scans of fewer tuples run on the values, where the kernel costs more
+# to set up than it saves (distributive on chain3, 27 tuples: 0.035 ms on the
 # elements, 0.044 ms on columns; on chain4, 64 tuples: 0.080 ms and
 # 0.042 ms; compiling either takes 0.01 ms; best of 7, 2-vCPU VM). A
-# 3-element algebra thus never compiles for its own laws. A set operation
-# costs about ten times more, and family scans break even near 8 tuples.
+# 3-element algebra thus never compiles for its own laws.
 _MIN_COLUMN_TUPLES = 64
-_MIN_SET_COLUMN_TUPLES = 8
-
-
-def _columns_pay(largest: int, values: int, arity: int, least: int) -> bool:
-    """``least`` or more ``arity``-tuples of ``values`` values, over carriers byte columns hold."""
-    return largest <= 256 and values ** arity >= least
 
 
 def _carrier_verdict(ops: AlgebraHandle | FiniteLattice, law: Law) -> Verdict:
     """Every ``law.arity``-tuple of a finite algebra's or lattice's elements, in row-major order.
 
-    A one-carrier column scan (:func:`_column_verdict`) when the scan pays
-    (:func:`_columns_pay`) and the tables of ``ops`` compile, else ``ops``
-    evaluated on the elements.
+    A one-carrier column scan (:func:`_column_verdict`) when it has at least
+    ``_MIN_COLUMN_TUPLES`` tuples over at most 256 elements and the tables of
+    ``ops`` compile, else ``ops`` evaluated on the elements.
 
     Each equation is scanned once per compiled carrier. The tables' record
     (``_PointTables.scanned``) holds, for each equation function scanned on them,
@@ -965,16 +942,17 @@ def _carrier_verdict(ops: AlgebraHandle | FiniteLattice, law: Law) -> Verdict:
     """
     elements, arity = ops.elements, law.arity
     k = len(elements)
-    if _columns_pay(k, k, arity, _MIN_COLUMN_TUPLES):
+    if k <= 256 and k ** arity >= _MIN_COLUMN_TUPLES:
         tables = ops._tables_with_complement if law.needs_complement else ops._tables
         if tables is not None:
-            first = _recorded(tables.scanned, law, k ** arity)
+            route, first = f"the compiled tables of {ops!r}", _recorded(tables.scanned, law, k ** arity)
             if first is None:
-                return _column_verdict(ops, ops, law, [elements], [tables], itemgetter(0), tables.scanned)
+                points = [_indexed(elements, tables)]
+                return _column_verdict(route, ops, law, [elements], points, itemgetter(0), tables.scanned)
             if first == k ** arity:
                 return Verdict.holds_exhaustive()
             args = tuple(elements[first // k ** p % k] for p in reversed(range(arity)))
-            return _rechecked(ops, law, args, f"the compiled tables of {ops!r}")
+            return _rechecked(ops, law, args, route)
     return _verdict(ops, law, product(elements, repeat=arity))
 
 
@@ -1005,20 +983,14 @@ def _prove(record, law: Law, n: int, failing: int | None = None) -> None:
 
 
 def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law) -> Verdict:
-    """All tuples of sets over the deciding carriers, in declaration order.
-
-    On columns of element indices (:func:`_column_verdict`) when the scan
-    pays (:func:`_columns_pay`) and every point compiles, else set by set,
-    drawn one at a time at arity 1. The columns look each point's tuple up in
-    its law tables where they can (:meth:`_ColumnOps.failing`).
+    """All tuples of sets over the deciding carriers, in declaration order, on the
+    column kernel (:func:`_column_verdict`), each point on its lanes (:func:`_point_lanes`).
+    The columns look each point's tuple up in its law tables where they can
+    (:meth:`_ColumnOps.failing`).
     """
-    carriers = _carriers(family)
-    if _columns_pay(max(map(len, carriers)), _set_count(family), law.arity, _MIN_SET_COLUMN_TUPLES):
-        tables = [a._tables_with_complement if law.needs_complement else a._tables for a in family.handles]
-        if None not in tables:
-            return _column_verdict(family, ops, law, carriers, tables, partial(ModernSet, family))
-    sets = _all_sets(family)
-    return _verdict(ops, law, zip(sets) if law.arity == 1 else product(sets, repeat=law.arity))
+    points = [*_per_handle(family, partial(_point_lanes, law=law, exhaustive=True)).values()]
+    route = f"the points of {family!r}"
+    return _column_verdict(route, ops, law, _carriers(family), points, partial(ModernSet, family))
 
 
 def _checked(alg: AlgebraHandle) -> AlgebraHandle:
@@ -1033,14 +1005,15 @@ def _checked(alg: AlgebraHandle) -> AlgebraHandle:
     return replace(alg, wedge=checked(alg.wedge), vee=checked(alg.vee), complement=checked(alg.complement))
 
 
-def _point_lanes(alg: AlgebraHandle, law: Law) -> _Lanes:
-    """A family point's lanes in a sampled scan of ``law``: element indices where its
-    tables compile (at most 256 elements), else its codes, else its values under its
-    checked operations (:func:`_checked`)."""
-    if not alg.finite:
+def _point_lanes(alg: AlgebraHandle, law: Law, exhaustive: bool = False) -> _Lanes:
+    """A family point's lanes in a scan of ``law``. In an exhaustive scan, or at a finite
+    point, element indices over its carrier (:func:`_carrier`) where its tables compile (at
+    most 256 elements), else carrier values made from index digits; at an infinite point of
+    a sampled scan, its codes, else its values. Values run under :func:`_checked` operations."""
+    if not (exhaustive or alg.finite):
         codes = _bound_codes(alg)
         return _coded(codes) if codes else _mapped(_checked(alg))
-    elements = alg.elements
+    elements = _carrier(alg)
     tables = len(elements) <= 256 and (alg._tables_with_complement if law.needs_complement else alg._tables)
     if tables:
         return _indexed(elements, tables)
@@ -1476,9 +1449,11 @@ def _direct_frame_law(family: AlgebraFamily) -> Verdict:
     the first failing one is the first failing pair ``((a, b), y)`` of
     ``product(combinations(sets, 2), sets)``: a = b never fails
     (idempotence), and (b, a, y) fails iff (a, b, y) does (union commutes).
+    Its witness is given as that pair, whose sides it has already re-checked
+    through the set operations.
     """
-    ops = _SetOps(family)
-    return _as_pair(ops, _SET_FRAME_LAW, _exhaustive_verdict(family, ops, _CHA_TRIPLE_LAW))
+    verdict = _exhaustive_verdict(family, _SetOps(family), _CHA_TRIPLE_LAW)
+    return _as_pair(verdict, "(vee of collection) wedge B = vee of pairwise wedges")
 
 
 # ---------------------------------------------------------------------------

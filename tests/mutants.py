@@ -35,6 +35,7 @@ LAWS = "modernsets/laws.py"
 STREAMS = "tests/test_laws.py::TestSharedStreams"
 TABLES = "tests/test_laws.py::TestLawTables"
 FRAME = "tests/test_laws.py::TestGfRingConditions::test_direct_frame_law_matches_the_pair_scan"
+SCANS = "tests/test_laws.py::TestFamilyScanReference"
 
 MUTANTS = [
     Mutant(
@@ -143,9 +144,33 @@ MUTANTS = [
     Mutant(
         "the direct frame-law route keeps the triple witness",
         LAWS,
-        "    return _as_pair(ops, _SET_FRAME_LAW, _exhaustive_verdict(family, ops, _CHA_TRIPLE_LAW))\n",
-        "    return _exhaustive_verdict(family, ops, _CHA_TRIPLE_LAW)\n",
+        '    return _as_pair(verdict, "(vee of collection) wedge B = vee of pairwise wedges")\n',
+        "    return verdict\n",
         (f"{FRAME}[classical2+m3]", f"{FRAME}[n5]"),
+    ),
+    Mutant(
+        "an exhaustive scan puts an infinite point on its codes, not its deciding carrier",
+        LAWS,
+        "    if not (exhaustive or alg.finite):\n",
+        "    if not alg.finite:\n",
+        (
+            f"{TABLES}::test_registry_laws_match_the_object_path[fuzzy+classical2]",
+            f"{TABLES}::test_registry_laws_match_the_object_path[chain3+fuzzy]",
+        ),
+    ),
+    Mutant(
+        "value lanes run the raw operations, so a result leaving the carrier goes unseen",
+        LAWS,
+        "    return _mapped(_checked(alg), lambda drawn: [*map(elements.__getitem__, drawn)])\n",
+        "    return _mapped(alg, lambda drawn: [*map(elements.__getitem__, drawn)])\n",
+        (f"{SCANS}::test_registry_laws_match_the_set_scan[leaving]",),
+    ),
+    Mutant(
+        "index digits over 256 elements are not taken modulo the carrier",
+        LAWS,
+        "unit([d % k])",
+        "unit([d % k if k <= 256 else d])",
+        (f"{SCANS}::test_points_of_more_than_256_elements_run_on_their_values[100]",),
     ),
 ]
 
