@@ -94,43 +94,28 @@ def _resolve_family(workspace: Workspace, text: str) -> AlgebraFamily:
 
 
 def _cmd_validate(args, workspace: Workspace) -> int:
-    before = (
-        set(workspace.algebras),
-        set(workspace.lattices),
-        set(workspace.families),
-        set(workspace.sets),
-    )
+    kinds = (workspace.algebras, workspace.lattices, workspace.families, workspace.sets)
+    before = [set(names) for names in kinds]
     try:
         load_file(args.file, workspace)
     except (NotAPosetError, NotALatticeError) as exc:
         print(f"invalid: {exc}")
         return 1
+    algebras, lattices, families, sets = (
+        [name for name in names if name not in old] for names, old in zip(kinds, before)
+    )
     failed = False
-    printed = False
-    for name in workspace.algebras:
-        if name in before[0]:
-            continue
-        printed = True
+    for name in algebras:
         report = check_wba_axioms(workspace.algebras[name])
         print(f"algebra {name}: {report.describe()}")
         failed |= not report.passed
-    for name in workspace.lattices:
-        if name in before[1]:
-            continue
-        printed = True
+    for name in lattices:
         print(check_lattice_laws(workspace.lattices[name]).describe())
-    for name in workspace.families:
-        if name in before[2]:
-            continue
-        printed = True
-        family = workspace.families[name]
-        print(f"family {name}: {len(family.universe)} point(s), every point assigned")
-    for name in workspace.sets:
-        if name in before[3]:
-            continue
-        printed = True
+    for name in families:
+        print(f"family {name}: {len(workspace.families[name].universe)} point(s), every point assigned")
+    for name in sets:
         print(f"set {name}: every value in its point's carrier")
-    if not printed:
+    if not (algebras or lattices or families or sets):
         print("nothing defined")
     return 1 if failed else 0
 

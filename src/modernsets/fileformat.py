@@ -60,24 +60,22 @@ class Workspace:
         self._lattice_algebras: dict[str, AlgebraHandle] = {}
 
     def add_algebra(self, name: str, algebra: AlgebraHandle) -> None:
-        if name in self.algebras:
-            raise StructuralError(f"algebra {name!r} is already defined")
-        self.algebras[name] = algebra
+        self._add("algebra", self.algebras, name, algebra)
 
     def add_lattice(self, name: str, lattice: FiniteLattice) -> None:
-        if name in self.lattices:
-            raise StructuralError(f"lattice {name!r} is already defined")
-        self.lattices[name] = lattice
+        self._add("lattice", self.lattices, name, lattice)
 
     def add_family(self, name: str, family: AlgebraFamily) -> None:
-        if name in self.families:
-            raise StructuralError(f"family {name!r} is already defined")
-        self.families[name] = family
+        self._add("family", self.families, name, family)
 
     def add_set(self, name: str, s: ModernSet) -> None:
-        if name in self.sets:
-            raise StructuralError(f"set {name!r} is already defined")
-        self.sets[name] = s
+        self._add("set", self.sets, name, s)
+
+    @staticmethod
+    def _add(kind: str, names: dict, name: str, value) -> None:
+        if name in names:
+            raise StructuralError(f"{kind} {name!r} is already defined")
+        names[name] = value
 
     def resolve_algebra(self, name: str) -> AlgebraHandle | None:
         """An algebra by name, wrapping a same-named lattice if needed.
@@ -137,20 +135,11 @@ def load_text(
     cursor = _Cursor(text, source)
     while (entry := cursor.next_content()) is not None:
         lineno, fields = entry
-        keyword = fields[0]
-        if keyword == "algebra":
-            _read_algebra(cursor, lineno, fields, workspace)
-        elif keyword == "lattice":
-            _read_lattice(cursor, lineno, fields, workspace)
-        elif keyword == "family":
-            _read_family(cursor, lineno, fields, workspace)
-        elif keyword == "set":
-            _read_set(cursor, lineno, fields, workspace)
-        else:
+        if fields[0] not in _READERS:
             raise cursor.error(
-                f"expected 'algebra', 'lattice', 'family', or 'set', got {keyword!r}",
-                lineno,
+                f"expected 'algebra', 'lattice', 'family', or 'set', got {fields[0]!r}", lineno
             )
+        _READERS[fields[0]](cursor, lineno, fields, workspace)
     return workspace
 
 
@@ -163,15 +152,13 @@ def _body(cursor: _Cursor, kind: str, name: str):
     raise cursor.error(f"{kind} {name!r}: missing 'end'", len(cursor.lines))
 
 
-def _block_name(cursor: _Cursor, lineno: int, fields: list[str], kind: str) -> str:
+def _fresh_name(cursor: _Cursor, lineno: int, fields: list[str], names: dict, kind: str) -> str:
+    """The one name in a block header, refused when ``names`` already holds it."""
     if len(fields) != 2:
         raise cursor.error(f"'{kind}' header takes exactly one name", lineno)
+    if fields[1] in names:
+        raise cursor.error(f"{kind} {fields[1]!r} is already defined", lineno)
     return fields[1]
-
-
-def _check_fresh(cursor, lineno, workspace_dict, name, kind):
-    if name in workspace_dict:
-        raise cursor.error(f"{kind} {name!r} is already defined", lineno)
 
 
 def _read_tokens(cursor, lineno, fields):
@@ -187,10 +174,9 @@ def _read_tokens(cursor, lineno, fields):
 
 
 def _read_algebra(cursor: _Cursor, header_line: int, fields: list[str], workspace: Workspace):
-    name = _block_name(cursor, header_line, fields, "algebra")
-    _check_fresh(cursor, header_line, workspace.algebras, name, "algebra")
+    name = _fresh_name(cursor, header_line, fields, workspace.algebras, "algebra")
     elements: tuple[str, ...] | None = None
-    zero = one = None
+    bounds: dict[str, str] = {}
     tables: dict[str, dict] = {"wedge": {}, "vee": {}, "complement": {}}
     seen_sections: set[str] = set()
     mode: str | None = None
@@ -204,14 +190,9 @@ def _read_algebra(cursor: _Cursor, header_line: int, fields: list[str], workspac
         elif keyword in ("zero", "one"):
             if len(fields) != 2:
                 raise cursor.error(f"'{keyword}' takes exactly one token", lineno)
-            if keyword == "zero":
-                if zero is not None:
-                    raise cursor.error("'zero' given twice", lineno)
-                zero = fields[1]
-            else:
-                if one is not None:
-                    raise cursor.error("'one' given twice", lineno)
-                one = fields[1]
+            if keyword in bounds:
+                raise cursor.error(f"'{keyword}' given twice", lineno)
+            bounds[keyword] = fields[1]
             mode = None
         elif keyword in ("wedge", "vee", "complement"):
             if len(fields) != 1:
@@ -241,8 +222,8 @@ def _read_algebra(cursor: _Cursor, header_line: int, fields: list[str], workspac
             if key in tables[mode]:
                 raise cursor.error(f"duplicate {mode} row for {key!r}", lineno)
             tables[mode][key] = fields[-1]
-    if elements is None or zero is None or one is None:
-        missing = "elements" if elements is None else ("zero" if zero is None else "one")
+    if elements is None or len(bounds) < 2:
+        missing = "elements" if elements is None else ("zero" if "zero" not in bounds else "one")
         raise cursor.error(f"algebra {name!r}: missing '{missing}'", cursor.pos)
     for section in ("wedge", "vee"):
         if section not in seen_sections:
@@ -251,8 +232,8 @@ def _read_algebra(cursor: _Cursor, header_line: int, fields: list[str], workspac
         table = FiniteAlgebraTable(
             name=name,
             elements=elements,
-            zero_token=zero,
-            one_token=one,
+            zero_token=bounds["zero"],
+            one_token=bounds["one"],
             wedge_table=tables["wedge"],
             vee_table=tables["vee"],
             complement_table=tables["complement"] if "complement" in seen_sections else None,
@@ -263,8 +244,7 @@ def _read_algebra(cursor: _Cursor, header_line: int, fields: list[str], workspac
 
 
 def _read_lattice(cursor: _Cursor, header_line: int, fields: list[str], workspace: Workspace):
-    name = _block_name(cursor, header_line, fields, "lattice")
-    _check_fresh(cursor, header_line, workspace.lattices, name, "lattice")
+    name = _fresh_name(cursor, header_line, fields, workspace.lattices, "lattice")
     elements: tuple[str, ...] | None = None
     covers: list[tuple[str, str]] = []
     for lineno, fields in _body(cursor, "lattice", name):
@@ -293,8 +273,7 @@ def _read_lattice(cursor: _Cursor, header_line: int, fields: list[str], workspac
 
 
 def _read_family(cursor: _Cursor, header_line: int, fields: list[str], workspace: Workspace):
-    name = _block_name(cursor, header_line, fields, "family")
-    _check_fresh(cursor, header_line, workspace.families, name, "family")
+    name = _fresh_name(cursor, header_line, fields, workspace.families, "family")
     points: tuple[str, ...] | None = None
     assignment: dict[str, AlgebraHandle] = {}
     for lineno, fields in _body(cursor, "family", name):
@@ -389,7 +368,8 @@ def _read_set(cursor: _Cursor, header_line: int, fields: list[str], workspace: W
     if len(fields) != 4 or fields[2] != "over":
         raise cursor.error("'set' header must be: set <name> over <family>", header_line)
     name, family_name = fields[1], fields[3]
-    _check_fresh(cursor, header_line, workspace.sets, name, "set")
+    if name in workspace.sets:
+        raise cursor.error(f"set {name!r} is already defined", header_line)
     if family_name not in workspace.families:
         raise cursor.error(f"unknown family {family_name!r}", header_line)
     family = workspace.families[family_name]
@@ -410,3 +390,6 @@ def _read_set(cursor: _Cursor, header_line: int, fields: list[str], workspace: W
     except DomainError as exc:
         raise cursor.error(str(exc), cursor.pos) from exc
     workspace.add_set(name, built)
+
+
+_READERS = {"algebra": _read_algebra, "lattice": _read_lattice, "family": _read_family, "set": _read_set}

@@ -1,4 +1,5 @@
-"""Mutants of the scan routes, each with the tests that must catch it.
+"""Mutants of the scan routes and of ``validate`` and its definition-file reader,
+each with the tests that must catch it.
 
 Each entry names a source file under ``src/``, a text that occurs in it exactly once,
 the text that replaces it, and the tests expected to fail on the result. For each
@@ -32,10 +33,14 @@ class Mutant(NamedTuple):
 
 
 LAWS = "modernsets/laws.py"
+CLI = "modernsets/cli.py"
+FILEFORMAT = "modernsets/fileformat.py"
 STREAMS = "tests/test_laws.py::TestSharedStreams"
 TABLES = "tests/test_laws.py::TestLawTables"
 FRAME = "tests/test_laws.py::TestGfRingConditions::test_direct_frame_law_matches_the_pair_scan"
 SCANS = "tests/test_laws.py::TestFamilyScanReference"
+VALIDATE = "tests/test_cli.py::TestValidate"
+MESSAGES = "tests/test_fileformat.py::test_reader_messages_name_source_and_line"
 
 MUTANTS = [
     Mutant(
@@ -171,6 +176,28 @@ MUTANTS = [
         "unit([d % k])",
         "unit([d % k if k <= 256 else d])",
         (f"{SCANS}::test_points_of_more_than_256_elements_run_on_their_values[100]",),
+    ),
+    Mutant(
+        "validate reports every name, the built-in and --load-ed ones too",
+        CLI,
+        "[name for name in names if name not in old]",
+        "[*names]",
+        (
+            f"{VALIDATE}::test_a_file_of_comments_defines_nothing",
+            f"{VALIDATE}::test_loaded_names_are_not_reported",
+        ),
+    ),
+    Mutant(
+        "a repeated block name reaches the workspace's error, which names no line",
+        FILEFORMAT,
+        "    if fields[1] in names:\n"
+        "        raise cursor.error(f\"{kind} {fields[1]!r} is already defined\", lineno)\n",
+        "",
+        (
+            f"{MESSAGES}[algebra-twice]",
+            f"{MESSAGES}[lattice-in-workspace]",
+            f"{MESSAGES}[family-twice]",
+        ),
     ),
 ]
 

@@ -39,6 +39,22 @@ BROKEN_ALGEBRA = dedent(
     """
 )
 
+
+def algebra_block(name):
+    """BROKEN_ALGEBRA mended and renamed: a two-element Boolean algebra."""
+    return BROKEN_ALGEBRA.replace("O I O\nI O I", "O I I\nI O I").replace("broken", name)
+
+
+POINT_LATTICE = "lattice {name}\nelements e\nend\n"
+CHAIN2_LATTICE = "lattice {name}\nelements 0 1\ncover 0 1\nend\n"
+HOLD_EVERY_LATTICE_LAW = "".join(
+    f"  {law}: holds (exhaustive)\n"
+    for law in (
+        "commutative", "associative", "absorption",
+        "distributive", "complete-heyting", "boolean-complemented",
+    )
+)
+
 FUZZY_SETS = dedent(
     """
     family fam
@@ -126,9 +142,7 @@ class TestValidate:
 
     def test_valid_file(self, capsys, tmp_path):
         path = tmp_path / "ok.alg"
-        path.write_text(
-            BROKEN_ALGEBRA.replace("O I O\nI O I", "O I I\nI O I"), encoding="utf-8"
-        )
+        path.write_text(algebra_block("broken"), encoding="utf-8")
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0
         assert "broken" in out
@@ -210,6 +224,66 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
         assert str(path) in err
+
+    def test_a_file_of_comments_defines_nothing(self, capsys, tmp_path):
+        path = tmp_path / "empty.def"
+        path.write_text("# only a comment\n\n", encoding="utf-8")
+        assert run(capsys, "validate", str(path)) == (0, "nothing defined\n", "")
+
+    def test_blocks_print_by_kind_in_definition_order(self, capsys, tmp_path):
+        path = tmp_path / "mixed.def"
+        path.write_text(
+            "family fam\nuniverse p\nassign p classical2\nend\n"
+            + POINT_LATTICE.format(name="L")
+            + algebra_block("A")
+            + "set S over fam\np I\nend\n"
+            + algebra_block("B")
+            + CHAIN2_LATTICE.format(name="M"),
+            encoding="utf-8",
+        )
+        assert run(capsys, "validate", str(path)) == (
+            0,
+            "algebra A: all weak-Boolean-algebra identities hold\n"
+            "algebra B: all weak-Boolean-algebra identities hold\n"
+            f"lattice L: 1 elements\n{HOLD_EVERY_LATTICE_LAW}"
+            f"lattice M: 2 elements\n{HOLD_EVERY_LATTICE_LAW}"
+            "family fam: 1 point(s), every point assigned\n"
+            "set S: every value in its point's carrier\n",
+            "",
+        )
+
+    def test_loaded_names_are_not_reported(self, capsys, tmp_path):
+        loaded = tmp_path / "a.def"
+        loaded.write_text(
+            algebra_block("A") + POINT_LATTICE.format(name="L")
+            + "family fa\nuniverse p\nassign p A\nend\nset SA over fa\np I\nend\n",
+            encoding="utf-8",
+        )
+        path = tmp_path / "b.def"
+        path.write_text(
+            algebra_block("B") + "family fb\nuniverse p\nassign p A\nend\n", encoding="utf-8"
+        )
+        assert run(capsys, "validate", str(path), "--load", str(loaded)) == (
+            0,
+            "algebra B: all weak-Boolean-algebra identities hold\n"
+            "family fb: 1 point(s), every point assigned\n",
+            "",
+        )
+
+    def test_a_failing_algebra_still_prints_every_block(self, capsys, tmp_path):
+        path = tmp_path / "broken.def"
+        path.write_text(
+            algebra_block("A") + BROKEN_ALGEBRA + CHAIN2_LATTICE.format(name="M"),
+            encoding="utf-8",
+        )
+        assert run(capsys, "validate", str(path)) == (
+            1,
+            "algebra A: all weak-Boolean-algebra identities hold\n"
+            "algebra broken: 1 identity violation(s):\n"
+            "  O vee I = I: expected I, got O\n"
+            f"lattice M: 2 elements\n{HOLD_EVERY_LATTICE_LAW}",
+            "",
+        )
 
 
 class TestClassify:

@@ -466,6 +466,97 @@ class TestWorkspaceAndFiles:
         assert ws.resolve_algebra("nosuch") is None
 
 
+CHAIN = "lattice c\nelements 0 1\ncover 0 1\nend\n"
+FAMILY = "family f\nuniverse p\nassign p c\nend\n"
+SET = "set s over f\np 1\nend\n"
+
+
+@pytest.mark.parametrize(
+    "preload, text, message",
+    [
+        pytest.param(
+            None, BOOL_BLOCK + BOOL_BLOCK, "<input>:23: algebra 'bool2' is already defined",
+            id="algebra-twice",
+        ),
+        pytest.param(
+            None, CHAIN + CHAIN, "<input>:5: lattice 'c' is already defined", id="lattice-twice"
+        ),
+        pytest.param(
+            None, CHAIN + FAMILY + FAMILY, "<input>:9: family 'f' is already defined", id="family-twice"
+        ),
+        pytest.param(
+            None, CHAIN + FAMILY + SET + SET, "<input>:12: set 's' is already defined", id="set-twice"
+        ),
+        pytest.param(
+            BOOL_BLOCK, BOOL_BLOCK, "<input>:3: algebra 'bool2' is already defined",
+            id="algebra-in-workspace",
+        ),
+        pytest.param(
+            CHAIN, "\n" + CHAIN, "<input>:2: lattice 'c' is already defined", id="lattice-in-workspace"
+        ),
+        pytest.param(
+            CHAIN + FAMILY, FAMILY, "<input>:1: family 'f' is already defined", id="family-in-workspace"
+        ),
+        pytest.param(
+            CHAIN + FAMILY + SET, SET, "<input>:1: set 's' is already defined", id="set-in-workspace"
+        ),
+        *(
+            pytest.param(None, header, f"<input>:1: '{kind}' header takes exactly one name", id=header)
+            for kind in ("algebra", "lattice", "family")
+            for header in (kind, f"{kind} a b")
+        ),
+        pytest.param(
+            None,
+            "# a comment\nfrobnicate x\nend\n",
+            "<input>:2: expected 'algebra', 'lattice', 'family', or 'set', got 'frobnicate'",
+            id="unknown-keyword",
+        ),
+        pytest.param(
+            None, BOOL_BLOCK.replace("zero F\n", "zero F\nzero T\n"), "<input>:6: 'zero' given twice",
+            id="zero-twice",
+        ),
+        pytest.param(
+            None, BOOL_BLOCK.replace("one T\n", "one T\none F\n"), "<input>:7: 'one' given twice",
+            id="one-twice",
+        ),
+        pytest.param(
+            None, BOOL_BLOCK.replace("zero F\n", "zero F T\n"), "<input>:5: 'zero' takes exactly one token",
+            id="zero-two-tokens",
+        ),
+        pytest.param(
+            None, BOOL_BLOCK.replace("one T\n", "one\n"), "<input>:6: 'one' takes exactly one token",
+            id="one-no-token",
+        ),
+        pytest.param(
+            None, "algebra a\nzero F\none T\nend\n", "<input>:4: algebra 'a': missing 'elements'",
+            id="missing-elements",
+        ),
+        pytest.param(
+            None, "algebra a\nelements F T\none T\nend\n", "<input>:4: algebra 'a': missing 'zero'",
+            id="missing-zero",
+        ),
+        pytest.param(
+            None, "algebra a\nelements F T\nzero F\nend\n", "<input>:4: algebra 'a': missing 'one'",
+            id="missing-one",
+        ),
+        # with several directives missing, the first of elements, zero, one is named
+        pytest.param(
+            None, "algebra a\nelements F T\n\nend\n", "<input>:4: algebra 'a': missing 'zero'",
+            id="missing-zero-and-one",
+        ),
+        pytest.param(
+            None, "algebra a\none T\nend\n", "<input>:3: algebra 'a': missing 'elements'",
+            id="missing-elements-and-zero",
+        ),
+    ],
+)
+def test_reader_messages_name_source_and_line(preload, text, message):
+    workspace = None if preload is None else load_text(preload)
+    with pytest.raises(FileFormatError) as err:
+        load_text(text, workspace)
+    assert str(err.value) == message
+
+
 class TestMatrixLiteral:
     def test_valid(self):
         assert parse_matrix_literal("[[0,1],[0,0]]") == RationalMatrix([[0, 1], [0, 0]])
