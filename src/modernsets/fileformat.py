@@ -296,7 +296,10 @@ def _read_family(cursor: _Cursor, header_line: int, fields: list[str], workspace
                 raise cursor.error(f"unknown point {point!r} in assign", lineno)
             if point in assignment:
                 raise cursor.error(f"point {point!r} assigned twice", lineno)
-            algebra = workspace.resolve_algebra(algebra_name)
+            try:
+                algebra = workspace.resolve_algebra(algebra_name)
+            except StructuralError as exc:  # a one-element lattice makes no algebra
+                raise cursor.error(str(exc), lineno) from exc
             if algebra is None:
                 raise cursor.error(
                     f"unknown algebra or lattice {algebra_name!r}", lineno

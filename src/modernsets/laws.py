@@ -847,21 +847,18 @@ class _ColumnOps:
     def failing(self, law: Law, slab: list[tuple]) -> int:
         """The lowest lane of ``slab`` where the sides of some equation differ at some
         point, else its number of lanes; ``equation`` is then the index of the first
-        equation that differs there. The operations are pointwise, so with two points or
-        more, two variables or more and every point's ``k ** arity`` tuples indexed by a
-        byte, each point's tuple index ``sum(x_j * k ** (arity - 1 - j))`` is looked up in
-        its law table of each equation (:func:`_law_table`): the same lanes, one lookup each.
+        equation that differs there. The operations are pointwise, so where every point can
+        be looked up (:func:`_lookable`; only sampled scans, whose draws have no numbering,
+        come here so), each point's tuple index ``sum(x_j * k ** (arity - 1 - j))`` is made
+        from the argument columns and looked up in its law tables (:func:`_first_marked`).
         """
         self.lanes = first = len(slab[0][0])
         arity, points = law.arity, self._tables
-        if arity > 1 and len(points) > 1 and all(p and p[0] ** arity <= 256 for p in points):
+        if _lookable(points, arity):
             indices = [sum(
                 int.from_bytes(arg[i], "little") * k ** (arity - 1 - j) for j, arg in enumerate(slab)
             ).to_bytes(self.lanes, "little") for i, (k, _) in enumerate(points)]
-            for e, (_, fn) in enumerate(law.equations):
-                for (k, tables), index in zip(points, indices):
-                    if (lane := index.translate(_law_table(k, tables, fn, arity)).find(1, 0, first)) >= 0:
-                        first, self.equation = lane, e
+            first, self.equation = _first_marked(_law_tables(points, law), indices)
             return first
         for i, (_, fn) in enumerate(law.equations):
             for x, y in zip(*fn(self, *slab)):
@@ -875,9 +872,32 @@ class _ColumnOps:
         return tuple(argument(tuple(d(column[at]) for d, column in zip(decodes, value))) for value in slab)
 
 
+def _lookable(points: tuple, arity: int) -> bool:
+    """Whether a scan over ``points`` (each ``_Lanes.table``) looks its tuples up in law tables:
+    two points or more, two variables or more, every point's ``k ** arity`` tuples in a byte."""
+    return arity > 1 and len(points) > 1 and all(p and p[0] ** arity <= 256 for p in points)
+
+
+def _law_tables(points: tuple, law: Law) -> list[list[bytes]]:
+    """Each equation's law table (:func:`_law_table`) at each point, equation by equation."""
+    return [[_law_table(k, tables, fn, law.arity) for k, tables in points] for _, fn in law.equations]
+
+
+def _first_marked(tables: list[list[bytes]], indices: list[bytes]) -> tuple[int, int | None]:
+    """The lowest lane where some equation's law table marks a point's tuple index in
+    ``indices`` and the first equation marking it there, else the lanes and None."""
+    first, equation = len(indices[0]), None
+    for e, row in enumerate(tables):
+        for table, index in zip(row, indices):
+            if (lane := index.translate(table).find(1, 0, first)) >= 0:
+                first, equation = lane, e
+    return first, equation
+
+
 def _law_table(k: int, tables: _PointTables, fn: Callable, arity: int) -> bytes:
     """For each ``arity``-tuple of a point's element indices in row-major order, 1 where
-    the sides of ``fn`` differ on ``tables``, else 0, padded to a ``translate`` table: one
+    the sides of ``fn`` differ on ``tables``, else 0, padded to a ``translate`` table that
+    maps a tuple's index (:func:`_index_blocks`, :meth:`_ColumnOps.failing`) to its mark: one
     evaluation of the compiled lanes, kept in ``tables.lookup`` when ``fn`` can be weakly
     referenced. An equation that raises there raises here, every time."""
     lookup = tables.lookup
@@ -894,6 +914,49 @@ def _law_table(k: int, tables: _PointTables, fn: Callable, arity: int) -> bytes:
     return entry[1]
 
 
+# Index blocks depend on a scan's shape alone, so 64 shapes keep theirs. An entry holds n
+# digits and k * n ** (arity - 1) bytes, at most half the n ** arity tuples, as a looked-up
+# scan has 2 points or more of 2 elements or more: 25,000 bytes under a _MAX_EXHAUSTIVE
+# of 50,000, so 1.6 MB for all 64.
+@lru_cache(maxsize=64)
+def _index_blocks(k: int, place: int, n: int, arity: int) -> tuple[bytes, tuple[bytes, ...]]:
+    """At a point of ``k`` elements, the digit ``(x // place) % k`` of each of ``n`` sets
+    ``x``, and for each digit ``d``, the point's tuple indices of the block of row-major
+    ``arity``-tuples whose first set has digit ``d``: those of the later sets, built once,
+    shifted by ``d * k ** (arity - 1)`` in one ``translate``."""
+    digits = _digits(k, place, 0, n)
+    shifted = [bytes([d]) for d in range(k)]
+    for m in range(1, arity):
+        rest = b"".join(map(shifted.__getitem__, digits))
+        shifted = [rest.translate(bytes(range(d * k ** m, 256)).ljust(256, b"\0")) for d in range(k)]
+    return digits, tuple(shifted)
+
+
+def _numbered_verdict(route: str, ops, law: Law, radices: tuple, points, argument: Callable) -> Verdict | None:
+    """:func:`_column_verdict` over points that are looked up, with no argument column: a
+    slab of first sets joins their index blocks (:func:`_index_blocks`) at each point. The
+    first failing tuple is decoded from its number and re-checked through ``ops``. None
+    when a law table raises, so that the slabs are scanned through ``ops`` instead."""
+    try:
+        tables = _law_tables(tuple(p.table for p in points), law)
+    except Exception:
+        return None
+    n, arity, places = prod(radices), law.arity, [prod(radices[p + 1:]) for p in range(len(radices))]
+    block = n ** (arity - 1)
+    step = min(-(-_SLAB_TUPLES // block), n)
+    blocks = [_index_blocks(k, place, n, arity) for k, place in zip(radices, places)]
+    for start in range(0, n, step):
+        indices = [b"".join(map(shifted.__getitem__, digits[start:start + step])) for digits, shifted in blocks]
+        at, _ = _first_marked(tables, indices)
+        if at < len(indices[0]):
+            t = start * block + at
+            return _rechecked(ops, law, tuple(
+                argument(tuple(p.decode(x // place % k) for p, k, place in zip(points, radices, places)))
+                for x in (t // n ** j % n for j in reversed(range(arity)))
+            ), route)
+    return Verdict.holds_exhaustive()
+
+
 def _column_verdict(route: str, ops, law: Law, carriers, points, argument: Callable, record=None) -> Verdict:
     """Every ``law.arity``-tuple of ``product(*carriers)``, each carrier on its ``points``'
     lanes, a slab of columns at a time.
@@ -903,10 +966,14 @@ def _column_verdict(route: str, ops, law: Law, carriers, points, argument: Calla
     from its index digits by its lanes' ``column``, kept when they are bytes and fit
     ``_PLAN_BYTES``) run in the order of ``product(*carriers)``. The first failing tuple is
     re-checked through ``ops`` (:func:`_slab_verdict`, which adds to ``record``), its
-    arguments made by ``argument``; ``route`` is named if the re-check passes. Over two
-    carriers or more, the tuples may be looked up (:meth:`_ColumnOps.failing`).
+    arguments made by ``argument``; ``route`` is named if the re-check passes. Tuples that
+    are looked up (:func:`_lookable`) are scanned by their numbers (:func:`_numbered_verdict`).
     """
     radices, kinds, arity = tuple(map(len, carriers)), tuple(p.column for p in points), law.arity
+    if _lookable(tuple(p.table for p in points), arity) and (
+        verdict := _numbered_verdict(route, ops, law, radices, points, argument)
+    ) is not None:
+        return verdict
     kept = all(kind is bytes for kind in kinds) and arity * len(kinds) * prod(radices) ** arity <= _PLAN_BYTES
     slabs = (_slab_plan if kept else _slabs)(radices, kinds, arity, _SLAB_TUPLES)
     return _slab_verdict(ops, law, _ColumnOps(points, argument), slabs, route, record=record)
@@ -985,8 +1052,8 @@ def _prove(record, law: Law, n: int, failing: int | None = None) -> None:
 def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law) -> Verdict:
     """All tuples of sets over the deciding carriers, in declaration order, on the
     column kernel (:func:`_column_verdict`), each point on its lanes (:func:`_point_lanes`).
-    The columns look each point's tuple up in its law tables where they can
-    (:meth:`_ColumnOps.failing`).
+    Where every point can be looked up, each tuple is looked up in each point's law tables
+    by its number, with no argument column (:func:`_numbered_verdict`).
     """
     points = [*_per_handle(family, partial(_point_lanes, law=law, exhaustive=True)).values()]
     route = f"the points of {family!r}"

@@ -152,7 +152,8 @@ def fresh_copy():
 
 @pytest.fixture
 def kernel_scans(monkeypatch):
-    """The names of the laws the column kernel scans (``_ColumnOps.failing``), in order."""
+    """The names of the laws the column kernel scans (``_ColumnOps.failing``), in order; an
+    exhaustive family scan that looks its tuples up by their numbers does not pass there."""
     scanned = []
     failing = laws._ColumnOps.failing
     monkeypatch.setattr(

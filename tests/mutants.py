@@ -1,5 +1,7 @@
 """Mutants of the scan routes and of ``validate`` and its definition-file reader,
-each with the tests that must catch it.
+each with the tests that must catch it. The law-table lookups of family scans are
+guarded on both of their routes: an exhaustive scan's, which numbers its tuples, and a
+sampled scan's, which makes each tuple's index from its drawn arguments.
 
 Each entry names a source file under ``src/``, a text that occurs in it exactly once,
 the text that replaces it, and the tests expected to fail on the result. For each
@@ -39,6 +41,7 @@ STREAMS = "tests/test_laws.py::TestSharedStreams"
 TABLES = "tests/test_laws.py::TestLawTables"
 FRAME = "tests/test_laws.py::TestGfRingConditions::test_direct_frame_law_matches_the_pair_scan"
 SCANS = "tests/test_laws.py::TestFamilyScanReference"
+SAMPLED = "tests/test_laws.py::TestPointwiseSampledScan::test_mixed_families_match_a_set_scan"
 VALIDATE = "tests/test_cli.py::TestValidate"
 MESSAGES = "tests/test_fileformat.py::test_reader_messages_name_source_and_line"
 
@@ -122,22 +125,51 @@ MUTANTS = [
     Mutant(
         "the law-table lookup drops the last point",
         LAWS,
-        "                for (k, tables), index in zip(points, indices):\n",
-        "                for (k, tables), index in zip(points[:-1], indices):\n",
+        "        for table, index in zip(row, indices):\n",
+        "        for table, index in zip(row[:-1], indices):\n",
+        (
+            f"{TABLES}::test_registry_laws_match_the_object_path[classical2+m3]",
+            f"{TABLES}::test_registry_laws_match_the_object_path[chain3+n5]",
+            f"{SAMPLED}[names9]",
+        ),
+    ),
+    Mutant(
+        "the tuple index of a sampled slab weighs the arguments in reverse",
+        LAWS,
+        'int.from_bytes(arg[i], "little") * k ** (arity - 1 - j)',
+        'int.from_bytes(arg[i], "little") * k ** j',
+        (f"{SAMPLED}[names9]", f"{TABLES}::test_the_first_equation_to_fail_at_the_first_lane_is_noted"),
+    ),
+    Mutant(
+        "the index blocks weigh each argument one power of k too low, the first k ** (arity - 2)",
+        LAWS,
+        "rest.translate(bytes(range(d * k ** m, 256))",
+        "rest.translate(bytes(range(d * k ** (m - 1), 256))",
         (
             f"{TABLES}::test_registry_laws_match_the_object_path[classical2+m3]",
             f"{TABLES}::test_registry_laws_match_the_object_path[chain3+n5]",
         ),
     ),
     Mutant(
-        "the tuple index weighs the arguments in reverse",
+        "the decode of a looked-up failing tuple drops a point's place",
         LAWS,
-        'int.from_bytes(arg[i], "little") * k ** (arity - 1 - j)',
-        'int.from_bytes(arg[i], "little") * k ** j',
+        "p.decode(x // place % k)",
+        "p.decode(x % k)",
         (
             f"{TABLES}::test_registry_laws_match_the_object_path[classical2+n5]",
             f"{TABLES}::test_registry_laws_match_the_object_path[n5+chain3]",
         ),
+    ),
+    Mutant(
+        "a law table that raises ends the looked-up scan instead of its slabs scanning through ops",
+        LAWS,
+        "        tables = _law_tables(tuple(p.table for p in points), law)\n"
+        "    except Exception:\n"
+        "        return None\n",
+        "        tables = _law_tables(tuple(p.table for p in points), law)\n"
+        "    except Exception:\n"
+        "        raise\n",
+        (f"{TABLES}::test_an_equation_that_raises_on_the_law_tables_answers_as_a_set_scan",),
     ),
     Mutant(
         "a complement law's table is built on the lattice's tables, which hold no complement",

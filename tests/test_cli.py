@@ -167,6 +167,14 @@ class TestValidate:
         assert code == 1
         assert "invalid" in out
 
+    def test_a_one_element_lattice_assigned_at_a_point_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "e.def"
+        path.write_text(POINT_LATTICE.format(name="e") + "family f\nuniverse p\nassign p e\nend\n", encoding="utf-8")
+        lineno = POINT_LATTICE.count("\n") + 3
+        assert run(capsys, "validate", str(path)) == (
+            2, "", f"error: {path}:{lineno}: lattice 'e' has a single element; an algebra needs O != I\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/defs.txt")
         assert code == 2

@@ -500,6 +500,11 @@ SET = "set s over f\np 1\nend\n"
         pytest.param(
             CHAIN + FAMILY + SET, SET, "<input>:1: set 's' is already defined", id="set-in-workspace"
         ),
+        pytest.param(
+            None, "lattice e\nelements 0\nend\nfamily f\nuniverse p\nassign p e\nend\n",
+            "<input>:6: lattice 'e' has a single element; an algebra needs O != I",
+            id="one-element-lattice-assigned",
+        ),
         *(
             pytest.param(None, header, f"<input>:1: '{kind}' header takes exactly one name", id=header)
             for kind in ("algebra", "lattice", "family")

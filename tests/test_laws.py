@@ -938,6 +938,21 @@ class TestKernelMemoryBound:
         assert all(verdict.holds for _, verdict in cert.entries)
         assert peak < 1_000_000
 
+    def test_two_million_looked_up_tuples_stay_within_a_megabyte(self, monkeypatch, fresh_copy):
+        # chain5@3 distributive, under a cap raised to take its 1.95 M triples: each
+        # point's index blocks hold 5 x 125 ** 2 bytes, a slab's columns 125 ** 2
+        monkeypatch.setattr(laws, "_MAX_EXHAUSTIVE", 2_000_000)
+        laws._index_blocks.cache_clear()
+        family = constant_family(("a", "b", "c"), fresh_copy(chain_algebra(5)))
+        tracemalloc.start()
+        try:
+            verdict = check_family_law(family, "distributive").verdict
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == Verdict.holds_exhaustive()
+        assert peak < 1_000_000
+
 
 class TestScanRecordMemory:
     def test_throwaway_laws_leave_no_entry(self, fresh_copy):
@@ -1117,6 +1132,8 @@ class TestLawTables:
                 assert all(fn in tables.lookup for tables in law_tables(family, law) for _, fn in law.equations)
 
     def test_the_first_equation_to_fail_at_the_first_lane_is_noted(self, monkeypatch):
+        # an exhaustive scan looks its tuples up by their numbers; a sampled one of an
+        # all-finite family looks them up in ``failing``, which notes the equation
         noted = []
         failing = laws._ColumnOps.failing
 
@@ -1128,6 +1145,7 @@ class TestLawTables:
         monkeypatch.setattr(laws._ColumnOps, "failing", noting)
         family = family_of([chain_algebra(3), pow2_algebra()])
         ops, sets = _SetOps(family), list(all_sets(family))
+        sampled = family_of([pow2_algebra()] * 4)  # 65,536 pairs of sets
         for equations, note, equation in [
             # the second equation alone fails
             ((r"x /\ y = y /\ x", r"x \/ y = x"), "x vee y = x", 1),
@@ -1137,12 +1155,37 @@ class TestLawTables:
             ((r"x /\ y = x", r"x \/ y = x"), "x vee y = x", 1),
         ]:
             law = laws._law("two-equations", *equations)
-            noted.clear()
             verdict = check_family_law(family, law).verdict
             assert verdict == _verdict(ops, law, product(sets, repeat=2))
             assert verdict.witness.note == note
-            assert noted[-1] == equation, equations
             assert all(fn in tables.lookup for tables in law_tables(family, law) for _, fn in law.equations)
+            noted.clear()
+            verdict = check_family_law(sampled, law, samples=40).verdict
+            tuples = sampled_tuples(sampled, 2, 40, 0)
+            assert verdict == reference_verdict(_SetOps(sampled), law, tuples, 0)
+            assert verdict.witness.note == note
+            assert noted[-1] == equation, equations
+            assert all(fn in tables.lookup for tables in law_tables(sampled, law) for _, fn in law.equations)
+
+    def test_an_equation_that_raises_on_the_law_tables_answers_as_a_set_scan(self):
+        # no law table can be built, so each slab is scanned through the set operations
+        def refusing(equation):
+            def fn(o, x, y):
+                if isinstance(o, laws._ColumnOps):
+                    raise ArithmeticError("no columns")
+                return equation(o, x, y)
+            return fn
+
+        family = family_of([chain_algebra(3), pow2_algebra()])
+        ops, sets = _SetOps(family), list(all_sets(family))
+        for label, equation, fails in [
+            ("x wedge y = y wedge x", lambda o, x, y: (o.wedge(x, y), o.wedge(y, x)), False),
+            ("x vee y = x", lambda o, x, y: (o.vee(x, y), x), True),
+        ]:
+            law = Law("refusing", 2, False, ((label, refusing(equation)),))
+            verdict = check_family_law(family, law).verdict
+            assert verdict == _verdict(ops, law, product(sets, repeat=2))
+            assert verdict.failed == fails
 
     def test_complement_laws_read_the_complement_on_lattice_backed_points(self):
         # a lattice's own tables hold no complement; the identity complement breaks
@@ -1255,6 +1298,11 @@ class TestPointwiseSampledScan:
         ("mat3", "n5"),
         ("chain5", "chain5", "chain5", "fuzzy"),
         ("m3", "fuzzy", "n5"),
+        # all finite, past the cap: sampled scans look their tuples up in law tables
+        ("chain5", "m3", "n5"),  # arity 3
+        ("pow2", "pow2", "pow2", "pow2"),  # 256 sets: arity 2 and 3
+        # distributive fails only at the last point, and at (x, y, z) but not (z, y, x)
+        ("chain5", "chain5", "n5"),
     ])
     def test_mixed_families_match_a_set_scan(self, names):
         infinite = {"fuzzy": fuzzy_algebra(), "mat2": matrix_algebra(2), "mat3": matrix_algebra(3)}
