@@ -58,10 +58,13 @@ class Deciding(NamedTuple):
 class _Codes(NamedTuple):
     """Exact integer codes of an infinite carrier's values, for scans to run on.
 
-    ``ops`` acts on codes as the handle's operations, O and I act on values; ``encode``
-    is injective and gives None for a value with no code; ``sample`` draws the code of
-    what the handle's ``sample`` draws, from the same random bits. Like :class:`Deciding`,
-    the record is bound to the handle's :data:`_coded_attributes` (``bound``).
+    ``ops`` acts on columns of codes as the handle's operations act on values: ``wedge``
+    and ``vee`` take two lists of codes, ``complement`` (None when the handle has none)
+    one, and each gives the list of its results, one per lane; ``zero`` and ``one`` are
+    the codes of O and I. ``encode`` is injective and gives None for a value with no code;
+    ``sample`` draws the code of what the handle's ``sample`` draws, from the same random
+    bits. Like :class:`Deciding`, the record is bound to the handle's
+    :data:`_coded_attributes` (``bound``).
     """
 
     ops: Any

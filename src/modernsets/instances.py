@@ -22,16 +22,15 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import lcm
-from operator import add
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
 from .algebra import AlgebraHandle, Deciding, Element, _Codes, _coded_attributes
 from .errors import DomainError, ShapeError, StructuralError
 from .lattice import FiniteLattice, lattice_from_hasse
-from .matrix import RationalMatrix, _product
+from .matrix import RationalMatrix, _product_terms
 
 # ---------------------------------------------------------------------------
 # Matrix carrier
@@ -96,13 +95,79 @@ def _unit_matrix(n: int, i: int, j: int) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
+def _normal_test(n: int) -> str:
+    """:func:`_normal`'s test on the numerators ``r`` of an n x n matrix, as an expression."""
+    tests = [f"not r[{i}]" for i in range(n * n) if i % (n + 1)]
+    tests += [f"r[0] == r[{i}]" for i in range(n + 1, n * n, n + 1)]
+    return " and ".join([*tests, "r[0] >= 1"])
+
+
+class _MatrixCodes:
+    """The column operations and code draw of the n x n matrices over the common
+    denominator 1, whose codes are their numerators.
+
+    ``wedge`` and ``vee`` take two lists of codes and give the list of their products
+    or sums, normalized (:func:`_normal`); each is one comprehension, generated from
+    fixed strings and integer indices on first use, so a process that never scans this
+    dimension's codes compiles nothing. ``sample`` draws ``randint(-2, 2)`` for each
+    entry in row-major order, unrolled, as ``Random`` draws it.
+    """
+
+    complement = None
+
+    def __init__(self, n: int):
+        self._n = n
+        self.zero, self.one = (0,) * (n * n), _identity(n)._nums
+
+    def _generated(self, *lines: str) -> Callable:
+        """The function ``kernel`` that ``lines`` define, where ``I`` is the identity's code."""
+        namespace = {"I": self.one}
+        exec("\n".join(lines), namespace)
+        return namespace["kernel"]
+
+    def _kernel(self, cells: Callable[[list[str], list[str]], list[str]]) -> Callable[[list, list], list]:
+        """The entries ``cells`` makes of the names of two codes' entries, lane by lane, normalized."""
+        a, b = ([f"{v}{i}" for i in range(self._n * self._n)] for v in "ab")
+        return self._generated(
+            "def kernel(x, y):",
+            f"    return [I if {_normal_test(self._n)} else r for ({', '.join(a)},), ({', '.join(b)},)"
+            f" in zip(x, y) for r in [({', '.join(cells(a, b))},)]]",
+        )
+
+    @cached_property
+    def wedge(self) -> Callable[[list, list], list]:
+        return self._kernel(partial(_product_terms, self._n))
+
+    @cached_property
+    def vee(self) -> Callable[[list, list], list]:
+        return self._kernel(lambda a, b: [f"{x} + {y}" for x, y in zip(a, b)])
+
+    @cached_property
+    def _draw(self) -> Callable[[random.Random], tuple[int, ...]]:
+        # Each entry is randint(-2, 2): the first getrandbits(3) below 5, less 2.
+        names = range(self._n * self._n)
+        return self._generated(
+            "def kernel(rng):",
+            "    getrandbits = rng.getrandbits",
+            *(f"    e{i} = getrandbits(3)\n    while e{i} >= 5:\n        e{i} = getrandbits(3)" for i in names),
+            f"    r = ({', '.join(f'e{i} - 2' for i in names)},)",
+            f"    return I if {_normal_test(self._n)} else r",
+        )
+
+    def sample(self, rng: random.Random) -> tuple[int, ...]:
+        return self._draw(rng)
+
+
 @lru_cache(maxsize=None)
 def matrix_algebra(n: int) -> AlgebraHandle:
     """The n x n rational matrices under multiply/add with normalization.
 
     O is the zero matrix, I the identity. No complement and no order are
     declared. The boundary pool is (O, I, E01, E10) for n >= 2, which pins
-    the first reported noncommuting pair to the two unit matrices.
+    the first reported noncommuting pair to the two unit matrices. Scans run
+    on the numerators of matrices over the common denominator 1, with the
+    column operations and draw of :class:`_MatrixCodes`; sampled values are
+    the decoded draws.
     """
     if n < 1:
         raise ValueError(f"matrix dimension must be at least 1, got {n}")
@@ -116,18 +181,9 @@ def matrix_algebra(n: int) -> AlgebraHandle:
         # normalize_matrix returns x itself unless x is a multiple of the identity
         return isinstance(x, RationalMatrix) and x._n == n and ((r := normalize_matrix(x)) is x or r == x)
 
-    def draw(rng: random.Random) -> tuple[int, ...]:
-        # Integer entries in row-major order are already the canonical numerators. Each is
-        # randint(-2, 2): the first getrandbits(3) below 5, less 2, as Random draws it.
-        getrandbits = rng.getrandbits
-        nums = []
-        for _ in range(n * n):
-            r = getrandbits(3)
-            while r >= 5:
-                r = getrandbits(3)
-            nums.append(r - 2)
-        return _normal(n, tuple(nums))
-
+    # A matrix over the common denominator 1 has its numerators as code. Sums and products
+    # stay over 1, where _reduced takes no gcd: on codes they are the numerators', normalized.
+    ops = _MatrixCodes(n)
     decode = partial(RationalMatrix._reduced, n, den=1)
     alg = AlgebraHandle(
         name=f"mat{n}",
@@ -137,18 +193,13 @@ def matrix_algebra(n: int) -> AlgebraHandle:
         vee=lambda x, y: normalize_matrix(x + y),
         is_member=is_member,
         boundary=boundary,
-        sample=lambda rng: decode(draw(rng)),
+        sample=lambda rng: decode(ops.sample(rng)),
     )
-    # A matrix over the common denominator 1 has its numerators as code. Sums and products
-    # stay over 1, where _reduced takes no gcd: on codes they are the numerators', normalized.
-    ops = SimpleNamespace(
-        wedge=lambda a, b: _normal(n, _product(n)(a, b)), vee=lambda a, b: _normal(n, tuple(map(add, a, b))),
-        complement=None, zero=zero._nums, one=one._nums)
 
     def encode(x: Element) -> tuple[int, ...] | None:
         return x._nums if type(x) is RationalMatrix and x._n == n and x._den == 1 else None
 
-    return replace(alg, _codes=_Codes(ops, encode, decode, draw, _coded_attributes(alg)))
+    return replace(alg, _codes=_Codes(ops, encode, decode, ops.sample, _coded_attributes(alg)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +276,8 @@ def fuzzy_algebra() -> AlgebraHandle:
     equals ``1 - n/d``. ``sample`` draws what ``Fraction(randint(0, d), d)``
     after ``d = randint(1, 64)`` draws. Scans run on the codes n * (_LCM // d)
     of the values n/d whose d divides ``_LCM``, where the operations are ``min``,
-    ``max`` and ``_LCM - c``, which make no new denominator.
+    ``max`` and ``_LCM - c``, which make no new denominator; each column
+    operation is one list comprehension over the lanes.
     """
     zero = Fraction(0)
     one = Fraction(1)
@@ -262,7 +314,11 @@ def fuzzy_algebra() -> AlgebraHandle:
         ),
         sample=_interval_sampler(Fraction),
     )
-    ops = SimpleNamespace(wedge=min, vee=max, complement=_LCM.__sub__, zero=0, one=_LCM)
+    ops = SimpleNamespace(
+        wedge=lambda x, y: [a if a < b else b for a, b in zip(x, y)],
+        vee=lambda x, y: [a if a > b else b for a, b in zip(x, y)],
+        complement=lambda x: [_LCM - c for c in x], zero=0, one=_LCM,
+    )
     return replace(alg, _codes=_Codes(
         ops, encode, partial(Fraction, denominator=_LCM),
         _interval_sampler(lambda k, d: k * (_LCM // d)), _coded_attributes(alg),

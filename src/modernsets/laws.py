@@ -599,9 +599,8 @@ def _carriers(family: AlgebraFamily) -> list[tuple[Element, ...]] | None:
     return None if None in carriers else carriers
 
 
-def _set_count(family: AlgebraFamily) -> float:
-    """How many sets the deciding carriers make; infinite when a point has none."""
-    carriers = _carriers(family)
+def _set_count(carriers: list[tuple[Element, ...]] | None) -> float:
+    """How many sets the deciding carriers (:func:`_carriers`) make; infinite when a point has none."""
     return inf if carriers is None else prod(map(len, carriers))
 
 
@@ -788,23 +787,26 @@ def _indexed(carrier: tuple[Element, ...], tables: _PointTables) -> _Lanes:
     )
 
 
-def _mapped(ops, column: Callable = list, encoded: Callable = list, decode: Callable = lambda v: v) -> _Lanes:
-    """Lanes of lists, each operation of ``ops`` one ``map`` over them."""
+def _mapped(ops, column: Callable = list, encoded: Callable = list) -> _Lanes:
+    """Lanes of lists of values, each operation of ``ops`` (a handle's, acting on one
+    value) one ``map`` over them."""
     wedge, vee, complement = ops.wedge, ops.vee, ops.complement
     return _Lanes(
         lambda x, y: [*map(wedge, x, y)], lambda x, y: [*map(vee, x, y)],
-        complement and (lambda x: [*map(complement, x)]), [ops.zero], [ops.one], column, encoded, decode,
+        complement and (lambda x: [*map(complement, x)]), [ops.zero], [ops.one], column, encoded, lambda v: v,
     )
 
 
 def _coded(codes) -> _Lanes:
-    """Lanes of a carrier's codes (:class:`~modernsets.algebra._Codes`)."""
+    """Lanes of lists of a carrier's codes, on which the column operations of its
+    :class:`~modernsets.algebra._Codes` act directly."""
     def encoded(values) -> list:
         if None in (column := [*map(codes.encode, values)]):
             raise ValueError("a value has no code")
         return column
 
-    return _mapped(codes.ops, list, encoded, codes.decode)
+    ops = codes.ops
+    return _Lanes(ops.wedge, ops.vee, ops.complement, [ops.zero], [ops.one], list, encoded, codes.decode)
 
 
 def _first_difference(x, y) -> int:
@@ -1049,15 +1051,18 @@ def _prove(record, law: Law, n: int, failing: int | None = None) -> None:
             pass
 
 
-def _exhaustive_verdict(family: AlgebraFamily, ops: _SetOps, law: Law) -> Verdict:
-    """All tuples of sets over the deciding carriers, in declaration order, on the
-    column kernel (:func:`_column_verdict`), each point on its lanes (:func:`_point_lanes`).
+def _exhaustive_verdict(
+    family: AlgebraFamily, ops: _SetOps, law: Law, carriers: list[tuple[Element, ...]]
+) -> Verdict:
+    """All tuples of sets over the deciding ``carriers`` (:func:`_carriers`), in declaration
+    order, on the column kernel (:func:`_column_verdict`), each point on its lanes
+    (:func:`_point_lanes`).
     Where every point can be looked up, each tuple is looked up in each point's law tables
     by its number, with no argument column (:func:`_numbered_verdict`).
     """
     points = [*_per_handle(family, partial(_point_lanes, law=law, exhaustive=True)).values()]
     route = f"the points of {family!r}"
-    return _column_verdict(route, ops, law, _carriers(family), points, partial(ModernSet, family))
+    return _column_verdict(route, ops, law, carriers, points, partial(ModernSet, family))
 
 
 def _checked(alg: AlgebraHandle) -> AlgebraHandle:
@@ -1215,8 +1220,9 @@ def check_family_law(
     if law.arity == 0:  # a closed law reads no set, so one evaluation decides it
         return LawReport(law.name, _verdict(ops, law, [()]))
     forced = islice(_forced_tuples(family, law.arity), _FORCED_CAP)
-    if _set_count(family) ** law.arity <= _MAX_EXHAUSTIVE:
-        verdict = _exhaustive_verdict(family, ops, law)
+    carriers = _carriers(family)
+    if _set_count(carriers) ** law.arity <= _MAX_EXHAUSTIVE:
+        verdict = _exhaustive_verdict(family, ops, law, carriers)
         reasons = dict.fromkeys(a.deciding.reason for a in family.handles if not a.finite)
         if not reasons:
             return LawReport(law.name, verdict)
@@ -1519,7 +1525,7 @@ def _direct_frame_law(family: AlgebraFamily) -> Verdict:
     Its witness is given as that pair, whose sides it has already re-checked
     through the set operations.
     """
-    verdict = _exhaustive_verdict(family, _SetOps(family), _CHA_TRIPLE_LAW)
+    verdict = _exhaustive_verdict(family, _SetOps(family), _CHA_TRIPLE_LAW, _carriers(family))
     return _as_pair(verdict, "(vee of collection) wedge B = vee of pairwise wedges")
 
 

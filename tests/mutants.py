@@ -1,7 +1,9 @@
-"""Mutants of the scan routes and of ``validate`` and its definition-file reader,
-each with the tests that must catch it. The law-table lookups of family scans are
-guarded on both of their routes: an exhaustive scan's, which numbers its tuples, and a
-sampled scan's, which makes each tuple's index from its drawn arguments.
+"""Mutants of the scan routes, of the coded carriers' kernels and of ``validate`` and
+its definition-file reader, each with the tests that must catch it. The law-table
+lookups of family scans are guarded on both of their routes: an exhaustive scan's,
+which numbers its tuples, and a sampled scan's, which makes each tuple's index from its
+drawn arguments. The coded kernels are the column operations and code draws that
+sampled scans of the unit interval and the matrix carriers run on.
 
 Each entry names a source file under ``src/``, a text that occurs in it exactly once,
 the text that replaces it, and the tests expected to fail on the result. For each
@@ -37,6 +39,7 @@ class Mutant(NamedTuple):
 LAWS = "modernsets/laws.py"
 CLI = "modernsets/cli.py"
 FILEFORMAT = "modernsets/fileformat.py"
+INSTANCES = "modernsets/instances.py"
 STREAMS = "tests/test_laws.py::TestSharedStreams"
 TABLES = "tests/test_laws.py::TestLawTables"
 FRAME = "tests/test_laws.py::TestGfRingConditions::test_direct_frame_law_matches_the_pair_scan"
@@ -44,6 +47,9 @@ SCANS = "tests/test_laws.py::TestFamilyScanReference"
 SAMPLED = "tests/test_laws.py::TestPointwiseSampledScan::test_mixed_families_match_a_set_scan"
 VALIDATE = "tests/test_cli.py::TestValidate"
 MESSAGES = "tests/test_fileformat.py::test_reader_messages_name_source_and_line"
+CODES = "tests/test_instances.py::TestCarrierCodes"
+KERNELS = "tests/test_instances.py::TestMatrixKernels"
+DRAWS = "tests/test_instances.py::TestMatrixAlgebra::test_sampler_draws_what_the_public_constructor_builds"
 
 MUTANTS = [
     Mutant(
@@ -208,6 +214,27 @@ MUTANTS = [
         "unit([d % k])",
         "unit([d % k if k <= 256 else d])",
         (f"{SCANS}::test_points_of_more_than_256_elements_run_on_their_values[100]",),
+    ),
+    Mutant(
+        "the generated normalization drops >= 1, so the zero matrix collapses to I",
+        INSTANCES,
+        '"r[0] >= 1"',
+        '"True"',
+        (f"{KERNELS}::test_seeded_codes[1]", f"{KERNELS}::test_seeded_codes[2]"),
+    ),
+    Mutant(
+        "the unit interval's column vee compares the wrong way",
+        INSTANCES,
+        "vee=lambda x, y: [a if a > b else b for a, b in zip(x, y)]",
+        "vee=lambda x, y: [a if a < b else b for a, b in zip(x, y)]",
+        (f"{CODES}::test_encoding_is_an_injective_homomorphism[fuzzy]",),
+    ),
+    Mutant(
+        "the unrolled matrix draw rejects an entry at most once",
+        INSTANCES,
+        "while e{i} >= 5:",
+        "if e{i} >= 5:",
+        (f"{DRAWS}[1]", f"{DRAWS}[4]"),
     ),
     Mutant(
         "validate reports every name, the built-in and --load-ed ones too",

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,8 @@ from modernsets import (
     normalize_matrix,
     powerset_lattice,
 )
+from modernsets.instances import _normal
+from modernsets.matrix import _product
 
 E01 = RationalMatrix([[0, 1], [0, 0]])
 E10 = RationalMatrix([[0, 0], [1, 0]])
@@ -143,7 +146,7 @@ class TestMatrixAlgebra:
         for _ in range(50):
             assert m.is_member(m.sample(rng))
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sampler_draws_what_the_public_constructor_builds(self, n):
         sample = matrix_algebra(n).sample
         for seed in range(5):
@@ -372,7 +375,10 @@ class TestFuzzyAlgebra:
             assert type(got) is Fraction
 
 
-@pytest.mark.parametrize("alg", [fuzzy_algebra(), matrix_algebra(2), matrix_algebra(3)], ids=lambda a: a.name)
+CODED = [fuzzy_algebra(), *map(matrix_algebra, (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("alg", CODED, ids=lambda a: a.name)
 class TestCarrierCodes:
     """The exact integer codes the infinite carriers are scanned on."""
 
@@ -393,15 +399,20 @@ class TestCarrierCodes:
         assert (encode(alg.zero), encode(alg.one)) == (ops.zero, ops.one)
         for x in values:
             assert codes.decode(encode(x)) == x
-        for x, y in itertools.product(values[:60], repeat=2):
-            assert encode(alg.wedge(x, y)) == ops.wedge(encode(x), encode(y))
-            assert encode(alg.vee(x, y)) == ops.vee(encode(x), encode(y))
+        # every pair of the first 60 values, one lane each, in one call per operation
+        pairs = [*itertools.product(values[:60], repeat=2)]
+        xs, ys = ([encode(v) for v in column] for column in zip(*pairs))
+        for op, column in ((alg.wedge, ops.wedge(xs, ys)), (alg.vee, ops.vee(xs, ys))):
+            assert len(column) == len(pairs)
+            for (x, y), got in zip(pairs, column):
+                assert got == encode(op(x, y)), (x, y)
+        for x, y in pairs:
             assert (encode(x) == encode(y)) == (x == y)
         if alg.complement is None:
             assert ops.complement is None
         else:
-            for x in values:
-                assert encode(alg.complement(x)) == ops.complement(encode(x))
+            column = ops.complement([encode(x) for x in values])
+            assert column == [encode(alg.complement(x)) for x in values]
 
     def test_code_draws_follow_the_value_draws(self, alg):
         codes = alg._codes
@@ -416,11 +427,60 @@ class TestCarrierCodes:
             # a denominator that divides no value the sampler draws, and other types
             "fuzzy": [Fraction(1, 67), Fraction(1, 128), 0, 0.5, "O", I2],
             # a common denominator above 1, and another dimension
+            "mat1": [RationalMatrix([[Fraction(1, 2)]]), I2, 1, Fraction(1)],
             "mat2": [I2.scale(Fraction(1, 2)), RationalMatrix.identity(3), Fraction(0), "O"],
             "mat3": [RationalMatrix.identity(3).scale(Fraction(1, 3)), I2, Fraction(0)],
+            "mat4": [RationalMatrix.identity(4).scale(Fraction(1, 4)), RationalMatrix.identity(3), "I"],
         }
         for x in uncoded[alg.name]:
             assert alg._codes.encode(x) is None, x
+
+
+def kernel_references(n):
+    """What the n x n matrices' column wedge and vee give at one lane: the normalized
+    product and sum of the numerators."""
+    return (
+        lambda a, b: _normal(n, _product(n)(a, b)),
+        lambda a, b: _normal(n, tuple(map(add, a, b))),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+class TestMatrixKernels:
+    """The generated column kernels of the matrices' codes (``instances._MatrixCodes``)."""
+
+    @staticmethod
+    def assert_kernels_match(n, xs, ys):
+        ops = matrix_algebra(n)._codes.ops
+        wedge, vee = kernel_references(n)
+        assert ops.wedge(xs, ys) == [*map(wedge, xs, ys)]
+        assert ops.vee(xs, ys) == [*map(vee, xs, ys)]
+
+    def test_seeded_codes(self, n):
+        ops = matrix_algebra(n)._codes.ops
+        multiples = [tuple(k * v for v in ops.one) for k in (-1, 1, 2, 3)]
+        special = [ops.zero, ops.one, *multiples]
+        rng = random.Random(n)
+        drawn = [ops.sample(rng) for _ in range(40)]
+        pairs = [*itertools.product(special + drawn[:10], repeat=2), *zip(drawn, reversed(drawn))]
+        xs, ys = map(list, zip(*pairs))
+        self.assert_kernels_match(n, xs, ys)
+        # O is no multiple of I: its sums and products with O stay O
+        assert ops.wedge([ops.zero], [ops.one]) == ops.vee([ops.zero], [ops.zero]) == [ops.zero]
+        assert ops.wedge([], []) == ops.vee([], []) == []
+
+    @given(data=st.data())
+    def test_small_integer_codes(self, n, data):
+        code = st.tuples(*[st.integers(-3, 3)] * (n * n))
+        pairs = data.draw(st.lists(st.tuples(code, code), max_size=8))
+        xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+        self.assert_kernels_match(n, xs, ys)
+
+    def test_kernels_compile_on_first_use(self, n):
+        ops = matrix_algebra.__wrapped__(n)._codes.ops
+        assert not {"wedge", "vee", "_draw"} & vars(ops).keys()
+        assert ops.wedge([ops.one], [ops.zero]) == [ops.zero]
+        assert vars(ops).keys() >= {"wedge"}
 
 
 class TestLatticeAlgebra:

@@ -551,7 +551,7 @@ class TestFamilyKernel:
     def test_named_families_match_object_path(self, names):
         family = family_of([KERNEL_ALGEBRAS[name] for name in names])
         for law in LAWS:
-            if laws._set_count(family) ** law.arity <= 50_000:
+            if set_count(family) ** law.arity <= 50_000:
                 assert_kernel_matches_object_path(family, law, SLAB_SIZES)
 
     @settings(max_examples=60, deadline=None)
@@ -819,7 +819,8 @@ def assert_family_scan_matches_sets(family, law):
     if law.needs_complement and ops.complement is None:
         return None  # not applicable
     expected = family_scan_outcome(lambda: _verdict(ops, law, product(all_sets(family), repeat=law.arity)))
-    assert family_scan_outcome(lambda: laws._exhaustive_verdict(family, ops, law)) == expected, law.name
+    scan = partial(laws._exhaustive_verdict, family, ops, law, laws._carriers(family))
+    assert family_scan_outcome(scan) == expected, law.name
     if all(alg.finite for alg in family.handles):  # check_family_law answers with that scan
         assert family_scan_outcome(lambda: check_family_law(family, law).verdict) == expected, law.name
     return expected
@@ -845,7 +846,7 @@ class TestFamilyScanReference:
         for name in ("classical2", "chain3", "m-first", "doubled"):
             family = family_of([SCAN_ALGEBRAS[name]])
             for law in LAWS:
-                if laws._set_count(family) ** law.arity < 8:
+                if set_count(family) ** law.arity < 8:
                     kernel_scans.clear()
                     assert_family_scan_matches_sets(family, law)
                     assert kernel_scans, (name, law.name)
@@ -859,7 +860,7 @@ class TestFamilyScanReference:
         monkeypatch.setattr(laws, "_MAX_EXHAUSTIVE", 300 ** 2)
         for family in (family_of([chain]), family_of([classical_algebra(), chain])):
             for law in LAWS:
-                if laws._set_count(family) ** law.arity <= laws._MAX_EXHAUSTIVE:
+                if set_count(family) ** law.arity <= laws._MAX_EXHAUSTIVE:
                     assert_family_scan_matches_sets(family, law)
         assert "_tables" not in vars(chain)
 
@@ -1126,7 +1127,7 @@ class TestLawTables:
                 continue  # sampled
             # the scan check_family_law runs; with K3 it adds details to a pass and may
             # report the forced stage's witness instead, so the scan is compared itself
-            got = laws._exhaustive_verdict(family, ops, law)
+            got = laws._exhaustive_verdict(family, ops, law, laws._carriers(family))
             assert got == _verdict(memo, law, product(sets, repeat=law.arity)), law.name
             if law.arity > 1:  # every point was looked up
                 assert all(fn in tables.lookup for tables in law_tables(family, law) for _, fn in law.equations)
@@ -1203,7 +1204,7 @@ class TestLawTables:
     @pytest.mark.parametrize("names", [("chain5", "m3", "n5"), ("pow2", "chain5", "chain5")], ids="+".join)
     def test_a_sampled_finite_family_matches_a_set_scan(self, names):
         family = family_of([NAMED_ALGEBRAS[name] for name in names])
-        assert laws._set_count(family) ** 3 > laws._MAX_EXHAUSTIVE
+        assert set_count(family) ** 3 > laws._MAX_EXHAUSTIVE
         for seed in range(2):
             for law in LAWS:
                 if law.arity < 3 or (law.needs_complement and _SetOps(family).complement is None):
@@ -1252,6 +1253,11 @@ def reference_draw(family, rng):
         else:
             values[x] = alg.sample(rng)
     return values
+
+
+def set_count(family):
+    """How many sets the family's deciding carriers make (``laws._set_count``)."""
+    return laws._set_count(laws._carriers(family))
 
 
 def decoded_draw(family, drawn):
@@ -2198,11 +2204,11 @@ def test_a_failing_forced_stage_is_the_family_verdict():
             if not expected.failed:
                 continue
             assert check_family_law(family, law).verdict == expected, (names, law.name)
-            if laws._set_count(family) ** law.arity > laws._MAX_EXHAUSTIVE:
+            if set_count(family) ** law.arity > laws._MAX_EXHAUSTIVE:
                 routes["sampled"] += 1
             else:
                 routes["decided"] += 1
-                routes["moved"] += laws._exhaustive_verdict(family, ops, law) != expected
+                routes["moved"] += laws._exhaustive_verdict(family, ops, law, laws._carriers(family)) != expected
     # some deciding-carrier scans fail first at another tuple than the forced stage does
     assert all(routes.values()), routes
 
@@ -2389,7 +2395,7 @@ class TestCodeRoute:
             for law in LAWS:
                 for family in (coded, values):
                     got = check_family_law(family, law, samples=40, seed=seed).verdict
-                    if got.applicable and laws._set_count(family) ** law.arity > laws._MAX_EXHAUSTIVE:
+                    if got.applicable and set_count(family) ** law.arity > laws._MAX_EXHAUSTIVE:
                         expected = reference_family_verdict(family, law, 40, seed)
                         assert got == expected, (seed, law.name)
                         assert got.describe() == expected.describe(), (seed, law.name)
@@ -2430,7 +2436,7 @@ class TestCodeRoute:
 
     def test_codes_that_disagree_with_the_values_are_an_error(self):
         fz = fuzzy_algebra()
-        ops = SimpleNamespace(**{**vars(fz._codes.ops), "vee": min})
+        ops = SimpleNamespace(**{**vars(fz._codes.ops), "vee": fz._codes.ops.wedge})
         bad = dataclasses.replace(fz, _codes=fz._codes._replace(ops=ops))
         # on codes absorption fails at (1, 0): min(1, min(1, 0)) = 0; on values it holds
         message = "fails on the codes of AlgebraHandle.*do not give the same result twice"
@@ -2503,7 +2509,10 @@ def marked_carrier(bad, refused):
         name="marked", zero=0, one=top, wedge=wedge, vee=max,
         is_member=lambda x: type(x) is int, sample=sample,
     )
-    ops = SimpleNamespace(wedge=wedge, vee=max, complement=None, zero=0, one=top)
+    ops = SimpleNamespace(
+        wedge=lambda x, y: [*map(wedge, x, y)], vee=lambda x, y: [*map(max, x, y)],
+        complement=None, zero=0, one=top,
+    )
     encode = lambda x: x if type(x) is int else None  # noqa: E731
     return dataclasses.replace(handle, _codes=_Codes(ops, encode, int, sample, _coded_attributes(handle)))
 
