@@ -138,6 +138,12 @@ class AlgebraHandle:
         """:func:`_compile_point` with the complement."""
         return _compile_point(self, True)
 
+    @cached_property
+    def _lanes(self) -> dict:
+        """The handle's column lanes in family scans (``laws._point_lanes``), by route and
+        complement flag, each built on first use."""
+        return {}
+
     def __repr__(self):
         return f"AlgebraHandle({self.name!r})"
 

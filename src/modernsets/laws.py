@@ -38,7 +38,7 @@ from functools import cache, lru_cache, partial
 from itertools import chain, islice, product
 from math import inf, prod
 from operator import itemgetter, ne
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .algebra import AlgebraHandle, Element, _bound_codes, _carrier
 from .errors import PreconditionError, StructuralError, UnknownLawError, require_count
@@ -51,8 +51,6 @@ from .sets import (
     Point,
     complement as set_complement,
     embed_crisp,
-    empty_set,
-    full_set,
     intersection,
     modern_set,
     union,
@@ -173,82 +171,173 @@ _DRAW_SLAB = 64
 
 # Every law of a battery at one seed reads the same seeded values: tuple i of arity a
 # is values a*i ... a*i + a - 1 of one stream. The _STREAMS streams read last keep their
-# first _STREAM_VALUES values, enough for check_law's 1,000 default samples at arity 3.
+# first _STREAM_VALUES draws, one per point of a value: enough for check_law's 1,000
+# default samples at arity 3, and for 200 samples of a 3-point family at arity 3.
 # A scan that reads more draws a stream of its own and keeps only the slab it reads, as
 # the sample count is uncapped. On the families benchmark (2-vCPU VM, Python 3.11), a
 # memo of 4 streams raised peak_rss_mb by 0.54 MB (median of 12 runs), one of 32 by
 # 2.6-2.9 MB (+10-11%, two runs), past the benchmark's 10% bound.
+# A kept stream also keeps the argument columns of the slabs scans built from it, with
+# their boundary or forced tuples, under a key naming all they depend on (_kept), so
+# every later law of that arity replays them: those of _SLAB_KEYS keys, each of a scan
+# of at most _KEPT_TUPLES tuples. A stream evicted or drawn again drops them, as their
+# builds hold the stream: left to the cycle collector, they took the families
+# benchmark's peak_rss_mb from 26.1 to 28.6 MB (one run). A family's draws are made a
+# slab at a time (_slab_draw). Families verdicts_per_s rose 11.3% at the median, and
+# peak_rss_mb 0.7% (10 pairs, 2-vCPU VM, Python 3.11, BENCH_37.json). Kept whole, the
+# forced stage of chain50 at 20 points held 18.7 MB of slabs for one battery.
 _STREAMS = 4
 _STREAM_VALUES = 3000
+_SLAB_KEYS = 6
+_KEPT_TUPLES = 3000
+
+
+@lru_cache(maxsize=64)
+def _slab_draw(sizes: tuple[int, ...]) -> Callable:
+    """``draw(samplers, rng, count, values)``: append to ``values`` the draws of ``count``
+    values of a family whose points have ``sizes`` elements (0 at an infinite point), each
+    value's draws in point order. A finite point of n elements draws an element's index as
+    ``rng.choice`` does, the first ``getrandbits(n.bit_length())`` below n; an infinite
+    one calls the next of ``samplers`` on ``rng``. A value's draws are appended once all
+    its points have drawn. Generated once per shape, from integers only.
+    """
+    lines = ["def draw(samplers, rng, count, values):", "    getrandbits, append = rng.getrandbits, values.append"]
+    if infinite := [i for i, n in enumerate(sizes) if not n]:
+        lines.append(f"    ({''.join(f's{i}, ' for i in infinite)}) = samplers")
+    lines.append("    for _ in range(count):")
+    for i, n in enumerate(sizes):
+        if n:
+            k = n.bit_length()
+            lines += [f"        v{i} = getrandbits({k})", f"        while v{i} >= {n}:", f"            v{i} = getrandbits({k})"]
+        else:
+            lines.append(f"        v{i} = s{i}(rng)")
+    lines += [f"        append(v{i})" for i in range(len(sizes))]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["draw"]
 
 
 class _Stream:
-    """The values ``draw(rng)`` takes from ``random.Random(seed)``, drawn as far as scans read.
+    """The values :func:`_slab_draw` draws for a shape ``(sizes, samplers)`` from
+    ``random.Random(seed)``, drawn as far as scans read; ``values`` holds each value's
+    draws, ``points`` of them, one after the other.
 
-    A kept stream holds every value it has drawn, any other the values read last. A draw
-    that raises ends the stream, and ``error`` holds what it raised.
+    A kept stream holds every value it has drawn, and in ``slabs`` the slabs scans built
+    from it (:func:`_kept`); any other holds only the values read last. A draw that raises
+    ends the stream, and ``error`` holds what it raised.
     """
 
-    __slots__ = ("draw", "rng", "keep", "values", "start", "error")
+    __slots__ = ("draw", "points", "seed", "rng", "keep", "values", "start", "error", "slabs")
 
-    def __init__(self, draw: Callable, seed: int, keep: bool):
-        self.draw, self.rng, self.keep = draw, random.Random(seed), keep
-        self.values, self.start, self.error = [], 0, None
+    def __init__(self, shape: tuple[tuple[int, ...], tuple], seed: int, keep: bool):
+        sizes, samplers = shape
+        self.draw, self.points, self.seed, self.rng = partial(_slab_draw(sizes), samplers), len(sizes), seed, None
+        self.keep, self.values, self.start, self.error, self.slabs = keep, [], 0, None, {}
 
     def read(self, lo: int, hi: int) -> list:
-        """Values ``lo`` to ``hi - 1``, read in order; fewer when a draw raised."""
+        """The draws of values ``lo`` to ``hi - 1``, read in order; fewer when a draw raised."""
+        points = self.points
         if not self.keep:
-            del self.values[:lo - self.start]
+            del self.values[:(lo - self.start) * points]
             self.start = lo
-        values, draw, rng = self.values, self.draw, self.rng
-        if self.error is None:
+        values = self.values
+        if self.error is None and (count := hi - self.start - len(values) // points) > 0:
+            self.rng = self.rng or random.Random(self.seed)  # seeded at the first draw
             try:
-                for _ in range(hi - self.start - len(values)):
-                    values.append(draw(rng))
+                self.draw(self.rng, count, values)
             except BaseException as error:  # the generator stopped inside a draw
                 self.error = error
                 if not isinstance(error, Exception):
                     raise
-        return values[lo - self.start:hi - self.start]
+        return values[(lo - self.start) * points:(hi - self.start) * points]
 
 
 _streams: dict[tuple, _Stream] = {}
 
 
-def _stream(key, draw: Callable, seed: int, count: int) -> _Stream:
-    """The kept stream of ``(key, seed)`` when ``count`` values fit it, else a new unkept one.
+def _stream(key, seed: int, count: int, shape: Callable[[], tuple]) -> _Stream:
+    """The kept stream of ``(key, seed)`` when ``count`` draws fit it, else a new unkept
+    one, of the draw ``shape()`` gives.
 
     Only an int seed is kept: ``None`` seeds afresh each time, and a float can equal an
-    int that seeds another stream. A stream that ended in an error is drawn again.
+    int that seeds another stream. A stream that ended in an error is drawn again. One
+    evicted or drawn again drops its slabs, whose builds hold it, so that no cycle is
+    left for the collector.
     """
     if count > _STREAM_VALUES or type(seed) is not int:
-        return _Stream(draw, seed, False)
+        return _Stream(shape(), seed, False)
     stream = _streams.pop((key, seed), None)
-    if stream is None or stream.error is not None:
-        stream = _Stream(draw, seed, True)
-    _streams[key, seed] = stream  # the newest last, so the first is the one read longest ago
+    if stream is not None and stream.error is not None:
+        stream.slabs.clear()
+        stream = None
+    _streams[key, seed] = stream = stream or _Stream(shape(), seed, True)  # the newest last
     if len(_streams) > _STREAMS:
-        del _streams[next(iter(_streams))]
+        _streams.pop(next(iter(_streams))).slabs.clear()
     return stream
 
 
-def _draws(draw: Callable, arity: int, samples: int, seed: int, key=None):
-    """``samples`` seeded tuples of ``draw(rng)`` values, as slabs of at most ``_DRAW_SLAB``.
+def _draws(stream: _Stream, arity: int, samples: int):
+    """``samples`` tuples of ``stream``'s values, as slabs of at most ``_DRAW_SLAB``.
 
-    Tuple i is values ``arity * i`` to ``arity * i + arity - 1`` of the stream of
-    ``(key, seed)`` (:func:`_stream`; ``key`` defaults to ``draw``), and a slab is its
-    argument columns. A draw that raises ends its slab, and the next one raises its error,
-    so a scan meets it only after the tuples drawn before it.
+    Tuple i is values ``arity * i`` to ``arity * i + arity - 1``, and a slab holds, for each
+    argument, each point's column of draws. A draw that raises ends its slab, and the next
+    one raises its error, so a scan meets it only after the tuples drawn before it.
     """
-    stream = _stream(draw if key is None else key, draw, seed, arity * samples)
-    end = arity * samples
+    points, end = stream.points, arity * samples
     for lo in range(0, end, arity * _DRAW_SLAB):
         hi = min(lo + arity * _DRAW_SLAB, end)
-        values = stream.read(lo, hi)
-        if whole := len(values) - len(values) % arity:
-            yield [values[j:whole:arity] for j in range(arity)]
-        if len(values) < hi - lo:
+        drawn = stream.read(lo, hi)
+        if whole := len(drawn) // points // arity * arity * points:  # the draws of whole tuples
+            step = arity * points
+            yield [[drawn[j * points + p:whole:step] for p in range(points)] for j in range(arity)]
+        if len(drawn) < (hi - lo) * points:
             raise stream.error
+
+
+class _Replay:
+    """The slabs a sampled scan's ``build`` has yielded, kept for later scans (:func:`_kept`);
+    ``build`` is None once it has ended, and ``error`` what it raised, if anything."""
+
+    __slots__ = ("slabs", "build", "error")
+
+    def __init__(self, build: Iterator):
+        self.slabs, self.build, self.error = [], build, None
+
+
+def _kept(stream: _Stream | None, key: tuple, tuples: int, build: Callable[[], Iterator]) -> Iterator:
+    """The slabs of ``build()``, at most ``tuples`` tuples, kept on a kept ``stream`` under
+    ``key`` as far as scans read them, and replayed to every later scan with that key.
+
+    ``key`` names everything the slabs depend on. An ``Exception`` the build raises is kept
+    and raised again at the same slab; any other ``BaseException`` leaves no slab behind.
+    An unkept stream, or none, keeps nothing, nor does a scan of over ``_KEPT_TUPLES``
+    tuples; a stream keeps the slabs of ``_SLAB_KEYS`` keys, the newest.
+    """
+    if stream is None or not stream.keep or tuples > _KEPT_TUPLES:
+        yield from build()
+        return
+    if (kept := stream.slabs.get(key)) is None:
+        if len(stream.slabs) == _SLAB_KEYS:
+            del stream.slabs[next(iter(stream.slabs))]
+        kept = stream.slabs[key] = _Replay(build())
+    slabs, at = kept.slabs, 0
+    while at < len(slabs) or kept.build is not None:
+        if at == len(slabs):
+            try:
+                slabs.append(next(kept.build))
+            except StopIteration:
+                kept.build = None
+                break
+            except Exception as error:
+                kept.build, kept.error = None, error
+                raise
+            except BaseException:
+                stream.slabs.pop(key, None)
+                raise
+        yield slabs[at]
+        at += 1
+    if kept.error is not None:
+        raise kept.error
 
 
 def _batched(tuples):
@@ -268,6 +357,20 @@ def _batched(tuples):
             raise error
         if len(slab) < _DRAW_SLAB:
             return
+
+
+def _sampled_slabs(encoders: list, makers: list, tuples, stream: _Stream | None, arity: int, samples: int):
+    """A sampled scan's slabs, each the tuple of its points' columns for every argument:
+    ``tuples`` (:func:`_batched`), each argument given in point order, each point's column
+    made by its ``encoders`` entry, then ``samples`` tuples of ``stream``'s draws
+    (:func:`_draws`; none without a stream), made by its ``makers`` entry."""
+    forced = (
+        [tuple(make(v) for make, v in zip(encoders, zip(*arg))) for arg in slab] for slab in _batched(tuples)
+    )
+    if stream is None:
+        return forced
+    draws = _draws(stream, arity, samples)
+    return chain(forced, ([tuple(make(c) for make, c in zip(makers, arg)) for arg in slab] for slab in draws))
 
 
 def _slab_verdict(
@@ -323,6 +426,8 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
     seeded random tuples, a slab at a time (:func:`_slab_verdict`), on the
     carrier's codes where it has them (:func:`~modernsets.algebra._bound_codes`),
     else on its values. A failing tuple is decoded and re-checked on its values.
+    The slabs are kept on the sampler's stream (:func:`_kept`) under a key naming
+    the handle, whose boundary they hold, as handles of one sampler share its streams.
     A law with no variables is decided by one evaluation on any carrier.
     """
     require_count("samples", samples)
@@ -336,13 +441,14 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
     if a.elements is not None:
         return LawReport(law.name, _carrier_verdict(a, law))
     codes = _bound_codes(a)
-    point, boundary = (_coded(codes), map(codes.encode, a.boundary)) if codes else (_mapped(a), a.boundary)
-    sample = (codes or a).sample
-    draws = () if sample is None else _draws(sample, law.arity, samples, seed)
-    slabs = chain(_batched(product(boundary, repeat=law.arity)), draws)
+    point, sample, arity = _coded(codes) if codes else _mapped(a), (codes or a).sample, law.arity
+    stream = sample and _stream(sample, seed, arity * samples, lambda: ((0,), (sample,)))
+    key, tuples = (a, arity, samples, codes is not None), len(a.boundary) ** arity + samples
+    slabs = _kept(stream, key, tuples, lambda: _sampled_slabs(
+        [list], [point.column], product(zip(point.encoded(a.boundary)), repeat=arity), stream, arity, samples,
+    ))
     return LawReport(law.name, _slab_verdict(
-        a, law, _ColumnOps([point], itemgetter(0)), ([(c,) for c in slab] for slab in slabs),
-        f"the {'codes' if codes else 'values'} of {a!r}", seed,
+        a, law, _ColumnOps([point], itemgetter(0)), slabs, f"the {'codes' if codes else 'values'} of {a!r}", seed,
     ))
 
 
@@ -585,8 +691,7 @@ class _SetOps:
     def __init__(self, family: AlgebraFamily):
         self.wedge = intersection
         self.vee = union
-        self.zero = empty_set(family)
-        self.one = full_set(family)
+        self.zero, self.one = family._bounds
         if all(alg.complement is not None for alg in family.handles):
             self.complement = set_complement
         else:
@@ -1060,7 +1165,7 @@ def _exhaustive_verdict(
     Where every point can be looked up, each tuple is looked up in each point's law tables
     by its number, with no argument column (:func:`_numbered_verdict`).
     """
-    points = [*_per_handle(family, partial(_point_lanes, law=law, exhaustive=True)).values()]
+    points = [_point_lanes(alg, law, exhaustive=True) for alg in family.handles]
     route = f"the points of {family!r}"
     return _column_verdict(route, ops, law, carriers, points, partial(ModernSet, family))
 
@@ -1078,62 +1183,62 @@ def _checked(alg: AlgebraHandle) -> AlgebraHandle:
 
 
 def _point_lanes(alg: AlgebraHandle, law: Law, exhaustive: bool = False) -> _Lanes:
-    """A family point's lanes in a scan of ``law``. In an exhaustive scan, or at a finite
-    point, element indices over its carrier (:func:`_carrier`) where its tables compile (at
-    most 256 elements), else carrier values made from index digits; at an infinite point of
-    a sampled scan, its codes, else its values. Values run under :func:`_checked` operations."""
+    """A family point's lanes in a scan of ``law``, built once per handle, route and
+    complement flag and kept on the handle (``AlgebraHandle._lanes``). In an exhaustive
+    scan, or at a finite point, element indices over its carrier (:func:`_carrier`) where
+    its tables compile (at most 256 elements), else carrier values made from index digits;
+    at an infinite point of a sampled scan, its codes, else its values. Values run under
+    :func:`_checked` operations."""
+    route = (exhaustive or alg.finite, law.needs_complement)
+    if (lanes := alg._lanes.get(route)) is not None:
+        return lanes
     if not (exhaustive or alg.finite):
         codes = _bound_codes(alg)
-        return _coded(codes) if codes else _mapped(_checked(alg))
-    elements = _carrier(alg)
-    tables = len(elements) <= 256 and (alg._tables_with_complement if law.needs_complement else alg._tables)
-    if tables:
-        return _indexed(elements, tables)
-    return _mapped(_checked(alg), lambda drawn: [*map(elements.__getitem__, drawn)])
+        lanes = _coded(codes) if codes else _mapped(_checked(alg))
+    else:
+        elements = _carrier(alg)
+        tables = len(elements) <= 256 and (alg._tables_with_complement if law.needs_complement else alg._tables)
+        if tables:
+            lanes = _indexed(elements, tables)
+        else:
+            lanes = _mapped(_checked(alg), lambda drawn: [*map(elements.__getitem__, drawn)])
+    alg._lanes[route] = lanes
+    return lanes
 
 
-def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, tuples, seed: int, draws=()) -> Verdict:
-    """:func:`_verdict` through ``ops`` over ``tuples`` of sets, each set given as its
-    values in point order, then ``draws`` of tuples of per-point draws
-    (:func:`_point_draws`), each point on its lanes (:func:`_point_lanes`).
+def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, samples: int, seed: int) -> Verdict:
+    """The forced tuples of sets (:func:`_forced_tuples`), then ``samples`` tuples of the
+    family's draws (:func:`_point_draws`), each point on its lanes (:func:`_point_lanes`),
+    scanned a slab at a time (:func:`_slab_verdict`). The slabs are kept on the family's
+    stream (:func:`_kept`) for every later law of the arity. Their key names the family,
+    which fixes each point's values and draws, the caps of the forced stage, and whether
+    each point's lanes hold element indices, which fixes how its columns hold them.
     """
-    points = [*_per_handle(family, partial(_point_lanes, law=law)).values()]
-
-    def columns(field: str) -> Callable[[list], list]:
-        """A slab's argument columns, each point's made by its lanes' ``field``."""
-        makers = [getattr(p, field) for p in points]
-        return lambda slab: [tuple(make(v) for make, v in zip(makers, zip(*arg))) for arg in slab]
-
+    points, arity = [_point_lanes(alg, law) for alg in family.handles], law.arity
+    stream = _stream(family, seed, arity * samples * len(points), partial(_point_draws, family))
+    key = (family, arity, samples, _FORCED_CAP, _PER_POINT_CAP, tuple(p.table is not None for p in points))
+    slabs = _kept(stream, key, _forced_count(family, arity) + samples, lambda: _sampled_slabs(
+        [p.encoded for p in points], [p.column for p in points],
+        islice(_forced_tuples(family, arity), _FORCED_CAP), stream, arity, samples,
+    ))
     return _slab_verdict(
-        ops, law, _ColumnOps(points, partial(ModernSet, family)),
-        chain(map(columns("encoded"), _batched(tuples)), map(columns("column"), draws)),
-        f"the points of {family!r}", seed,
+        ops, law, _ColumnOps(points, partial(ModernSet, family)), slabs, f"the points of {family!r}", seed,
     )
 
 
-def _point_draws(family: AlgebraFamily) -> Callable[[random.Random], tuple]:
-    """One draw per point per call: an element's index at a finite point, drawn inline as
-    ``rng.choice`` draws it (the first ``getrandbits(n.bit_length())`` below n), the code
-    ``_Codes.sample`` draws where the point has codes, else the point's ``sample``."""
-    sizes = [len(alg.elements) if alg.finite else 0 for alg in family.handles]
-    points = [(alg, n, n.bit_length(), (_bound_codes(alg) or alg).sample) for alg, n in zip(family.handles, sizes)]
+def _point_draws(family: AlgebraFamily) -> tuple[tuple[int, ...], tuple[Callable, ...]]:
+    """The shape of the family's draw (:func:`_slab_draw`): each point's size, 0 at an
+    infinite point, and each infinite point's sampler, the code ``_Codes.sample`` draws
+    where the point has codes, else the point's ``sample``, else an error that it cannot
+    be sampled. A finite point draws an element's index."""
+    def unsampled(alg: AlgebraHandle, rng: random.Random):
+        raise PreconditionError(f"algebra {alg.name!r} cannot be sampled")
 
-    def draw(rng: random.Random) -> tuple:
-        getrandbits = rng.getrandbits
-        drawn = []
-        for alg, n, k, sample in points:
-            if n:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                drawn.append(r)
-            elif sample is not None:
-                drawn.append(sample(rng))
-            else:
-                raise PreconditionError(f"algebra {alg.name!r} cannot be sampled")
-        return tuple(drawn)
-
-    return draw
+    sizes = tuple(len(alg.elements) if alg.finite else 0 for alg in family.handles)
+    samplers = tuple(
+        (_bound_codes(alg) or alg).sample or partial(unsampled, alg) for alg in family.handles if not alg.finite
+    )
+    return sizes, samplers
 
 
 # A family is scanned exhaustively up to _MAX_EXHAUSTIVE tuples, else on at most
@@ -1151,13 +1256,19 @@ def _forced_tuples(family: AlgebraFamily, arity: int):
     lifted images of per-point counterexample tuples, so a law failing at
     a boundary value of any single point cannot slip past this stage.
     """
-    bounds = (empty_set(family)._values, full_set(family)._values)
+    bounds = [s._values for s in family._bounds]
     yield from product(bounds, repeat=arity)
     for x in family.universe.points:
         alg = family.algebra_at(x)
         values = alg.elements if alg.elements is not None else alg.boundary
         spikes = [lift_point_value(family, x, v)._values for v in values]
         yield from islice(product(spikes, repeat=arity), _PER_POINT_CAP)
+
+
+def _forced_count(family: AlgebraFamily, arity: int) -> int:
+    """How many tuples the forced stage tries (:func:`_forced_tuples`), under its caps."""
+    spikes = (len(alg.elements if alg.elements is not None else alg.boundary) ** arity for alg in family.handles)
+    return min(2 ** arity + sum(min(n, _PER_POINT_CAP) for n in spikes), _FORCED_CAP)
 
 
 def _per_handle(family: AlgebraFamily, answer: Callable) -> dict[Point, Any]:
@@ -1219,7 +1330,6 @@ def check_family_law(
         ))
     if law.arity == 0:  # a closed law reads no set, so one evaluation decides it
         return LawReport(law.name, _verdict(ops, law, [()]))
-    forced = islice(_forced_tuples(family, law.arity), _FORCED_CAP)
     carriers = _carriers(family)
     if _set_count(carriers) ** law.arity <= _MAX_EXHAUSTIVE:
         verdict = _exhaustive_verdict(family, ops, law, carriers)
@@ -1229,10 +1339,9 @@ def check_family_law(
         if verdict.holds:
             details = (("deciding-carrier", "; ".join(reasons)),)
             return LawReport(law.name, replace(verdict, details=details))
-        scanned = _sampled_verdict(family, ops, law, forced, seed)
+        scanned = _sampled_verdict(family, ops, law, 0, seed)
         return LawReport(law.name, scanned if scanned.failed else verdict)
-    draws = _draws(_point_draws(family), law.arity, samples, seed, key=family)
-    return LawReport(law.name, _sampled_verdict(family, ops, law, forced, seed, draws))
+    return LawReport(law.name, _sampled_verdict(family, ops, law, samples, seed))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Mapping
 
@@ -78,6 +79,11 @@ class AlgebraFamily:
         self.handles = tuple(assignment[x] for x in universe.points)
         self.position = {x: i for i, x in enumerate(universe.points)}
         self.name = name
+
+    @cached_property
+    def _bounds(self) -> tuple["ModernSet", "ModernSet"]:
+        """The empty and the full set, built once for the law scans over the family."""
+        return empty_set(self), full_set(self)
 
     def algebra_at(self, point: Point) -> AlgebraHandle:
         try:

@@ -41,6 +41,7 @@ CLI = "modernsets/cli.py"
 FILEFORMAT = "modernsets/fileformat.py"
 INSTANCES = "modernsets/instances.py"
 STREAMS = "tests/test_laws.py::TestSharedStreams"
+MEMORY = "tests/test_laws.py::TestStreamMemoryBound"
 TABLES = "tests/test_laws.py::TestLawTables"
 FRAME = "tests/test_laws.py::TestGfRingConditions::test_direct_frame_law_matches_the_pair_scan"
 SCANS = "tests/test_laws.py::TestFamilyScanReference"
@@ -121,11 +122,178 @@ MUTANTS = [
         "            yield [*map(list, zip(*slab))]\n",
         (f"{STREAMS}::test_a_forced_tuple_that_cannot_be_built_is_met_after_the_tuples_before_it",),
     ),
+    # The stream memo's mutants, first checked by hand when the memo came in (all values
+    # kept, unbounded memo, draw error raised before its slab, stream cut short, errored
+    # stream kept, float seed kept, first failing equation only, miscounted samples,
+    # finite points skipped, forced-tuple error raised eagerly); the last is the _batched
+    # entry above.
+    Mutant(
+        "an unkept stream keeps every value it has drawn",
+        LAWS,
+        "        if not self.keep:\n            del self.values[:(lo - self.start) * points]\n",
+        "        if False:\n            del self.values[:(lo - self.start) * points]\n",
+        ("tests/test_laws.py::TestStreamMemoryBound::test_long_scans_keep_no_draws",),
+    ),
+    Mutant(
+        "the stream memo keeps every stream",
+        LAWS,
+        "    if len(_streams) > _STREAMS:\n",
+        "    if False:\n",
+        ("tests/test_laws.py::TestStreamMemoryBound::test_the_memo_keeps_at_most_its_streams_and_values",),
+    ),
+    Mutant(
+        "a draw's error is raised before the tuples drawn ahead of it in its slab",
+        LAWS,
+        "        if whole := len(drawn) // points // arity * arity * points:  # the draws of whole tuples\n"
+        "            step = arity * points\n"
+        "            yield [[drawn[j * points + p:whole:step] for p in range(points)] for j in range(arity)]\n"
+        "        if len(drawn) < (hi - lo) * points:\n"
+        "            raise stream.error\n",
+        "        if len(drawn) < (hi - lo) * points:\n"
+        "            raise stream.error\n"
+        "        if whole := len(drawn) // points // arity * arity * points:  # the draws of whole tuples\n"
+        "            step = arity * points\n"
+        "            yield [[drawn[j * points + p:whole:step] for p in range(points)] for j in range(arity)]\n",
+        (f"{STREAMS}::test_a_draw_that_raises_is_met_after_the_tuples_before_it",),
+    ),
+    Mutant(
+        "a read draws one value too few",
+        LAWS,
+        "(count := hi - self.start - len(values) // points) > 0",
+        "(count := hi - self.start - len(values) // points - 1) > 0",
+        (f"{STREAMS}::test_sample_counts_off_the_slab_size",),
+    ),
+    Mutant(
+        "a stream that ended in an error is kept",
+        LAWS,
+        "    if stream is not None and stream.error is not None:\n",
+        "    if False:\n",
+        (f"{MEMORY}::test_a_stream_evicted_or_drawn_again_drops_its_slabs",),
+    ),
+    Mutant(
+        "a float seed is kept, and reads the stream of the int it equals",
+        LAWS,
+        "type(seed) is not int",
+        "seed is None",
+        (f"{STREAMS}::test_a_float_seed_equal_to_an_int_draws_its_own_stream",),
+    ),
+    Mutant(
+        "only the first equation that differs in a slab names its failing lane",
+        LAWS,
+        "if x != y and (lane := _first_difference(x, y)) < first:",
+        "if x != y and first == self.lanes and (lane := _first_difference(x, y)) < first:",
+        (f"{STREAMS}::test_the_first_failing_tuple_is_the_lowest_over_the_equations",),
+    ),
+    Mutant(
+        "the last slab of draws is not cut at the sample count",
+        LAWS,
+        "hi = min(lo + arity * _DRAW_SLAB, end)",
+        "hi = lo + arity * _DRAW_SLAB",
+        (f"{STREAMS}::test_sample_counts_off_the_slab_size",),
+    ),
+    Mutant(
+        "a slab compares the sides at its last point only",
+        LAWS,
+        "            for x, y in zip(*fn(self, *slab)):\n",
+        "            for x, y in [*zip(*fn(self, *slab))][-1:]:\n",
+        (f"{SAMPLED}[names6]",),
+    ),
+    # The kept slabs and the slab draw.
+    Mutant(
+        "check_law's slab key leaves out the sample count",
+        LAWS,
+        "(a, arity, samples, codes is not None)",
+        "(a, arity, codes is not None)",
+        (f"{STREAMS}::test_the_slab_key_names_everything_a_slab_depends_on",),
+    ),
+    Mutant(
+        "check_law's slab key names the sampler's stream but not the handle",
+        LAWS,
+        "(a, arity, samples, codes is not None)",
+        "(arity, samples, codes is not None)",
+        (
+            f"{STREAMS}::test_handles_of_one_sampler_match_fresh_draws[names0]",
+            f"{STREAMS}::test_the_slab_key_names_everything_a_slab_depends_on",
+        ),
+    ),
+    Mutant(
+        "a family's slab key leaves out the caps of the forced stage",
+        LAWS,
+        "key = (family, arity, samples, _FORCED_CAP, _PER_POINT_CAP, ",
+        "key = (family, arity, samples, ",
+        (f"{STREAMS}::test_the_slab_key_names_everything_a_slab_depends_on",),
+    ),
+    Mutant(
+        "a family's slab key leaves out its points' lane routes",
+        LAWS,
+        "tuple(p.table is not None for p in points))",
+        "())",
+        (f"{STREAMS}::test_the_slab_key_names_everything_a_slab_depends_on",),
+    ),
+    Mutant(
+        "an Exception building a slab is not kept, so a later scan ends there",
+        LAWS,
+        "                kept.build, kept.error = None, error\n",
+        "                kept.build = None\n",
+        (f"{STREAMS}::test_an_error_building_a_slab_is_kept_in_its_place",),
+    ),
+    Mutant(
+        "an Exception building a slab drops the key, so a later scan builds it again",
+        LAWS,
+        "                kept.build, kept.error = None, error\n",
+        "                stream.slabs.pop(key, None)\n",
+        (f"{STREAMS}::test_an_error_building_a_slab_is_kept_in_its_place",),
+    ),
+    Mutant(
+        "an interrupted build keeps its key, so a later scan ends there",
+        LAWS,
+        "                stream.slabs.pop(key, None)\n                raise\n",
+        "                raise\n",
+        (f"{STREAMS}::test_an_interrupted_build_leaves_no_slab_behind",),
+    ),
+    Mutant(
+        "an unkept stream keeps slabs",
+        LAWS,
+        "    if stream is None or not stream.keep or tuples > _KEPT_TUPLES:\n",
+        "    if stream is None or tuples > _KEPT_TUPLES:\n",
+        (f"{MEMORY}::test_unkept_streams_keep_no_slabs",),
+    ),
+    Mutant(
+        "a scan of more tuples than a stream keeps keeps its slabs",
+        LAWS,
+        "    if stream is None or not stream.keep or tuples > _KEPT_TUPLES:\n",
+        "    if stream is None or not stream.keep:\n",
+        (f"{MEMORY}::test_a_stream_keeps_the_slabs_of_few_small_scans",),
+    ),
+    Mutant(
+        "a stream keeps the slabs of every key",
+        LAWS,
+        "        if len(stream.slabs) == _SLAB_KEYS:\n",
+        "        if False:\n",
+        (f"{MEMORY}::test_a_stream_keeps_the_slabs_of_few_small_scans",),
+    ),
+    Mutant(
+        "an evicted stream keeps its slabs",
+        LAWS,
+        "        _streams.pop(next(iter(_streams))).slabs.clear()\n",
+        "        del _streams[next(iter(_streams))]\n",
+        (f"{MEMORY}::test_a_stream_evicted_or_drawn_again_drops_its_slabs",),
+    ),
+    Mutant(
+        "the generated draw redraws an index above the carrier, not at its size",
+        LAWS,
+        'f"        while v{i} >= {n}:"',
+        'f"        while v{i} > {n}:"',
+        (
+            "tests/test_laws.py::TestFamilyKernel::test_finite_draws_are_choice_at_every_carrier_size",
+            "tests/test_laws.py::TestFamilyKernel::test_random_sets_draw_as_before",
+        ),
+    ),
     Mutant(
         "every point of a sampled scan takes the first handle's lanes",
         LAWS,
-        "points = [*_per_handle(family, partial(_point_lanes, law=law)).values()]",
-        "points = [_point_lanes(family.handles[0], law)] * len(family.handles)",
+        "points, arity = [_point_lanes(alg, law) for alg in family.handles], law.arity",
+        "points, arity = [_point_lanes(family.handles[0], law)] * len(family.handles), law.arity",
         ("tests/test_laws.py::TestPointwiseSampledScan::test_mixed_families_match_a_set_scan",),
     ),
     Mutant(
@@ -204,8 +372,8 @@ MUTANTS = [
     Mutant(
         "value lanes run the raw operations, so a result leaving the carrier goes unseen",
         LAWS,
-        "    return _mapped(_checked(alg), lambda drawn: [*map(elements.__getitem__, drawn)])\n",
-        "    return _mapped(alg, lambda drawn: [*map(elements.__getitem__, drawn)])\n",
+        "lanes = _mapped(_checked(alg), lambda drawn: [*map(elements.__getitem__, drawn)])",
+        "lanes = _mapped(alg, lambda drawn: [*map(elements.__getitem__, drawn)])",
         (f"{SCANS}::test_registry_laws_match_the_set_scan[leaving]",),
     ),
     Mutant(

@@ -704,13 +704,16 @@ class TestFamilyKernel:
             family_of([leaky, fuzzy_algebra(), matrix_algebra(3)]),
         ]
         for family in families:
-            draw = laws._point_draws(family)
+            sizes, samplers = laws._point_draws(family)
+            draw, points = laws._slab_draw(sizes), len(sizes)
             for seed in range(6):
-                rng, reference = Random(seed), Random(seed)
-                for _ in range(40):
-                    drawn = draw(rng)
-                    assert decoded_draw(family, drawn) == reference_draw(family, reference)
+                rng, reference, values = Random(seed), Random(seed), []
+                for count in (1, 1, 7, 0, 64, 3):  # a slab of each count, then the generator's state
+                    draw(samplers, rng, count, values)
+                    for i in range(len(values) - count * points, len(values), points):
+                        assert decoded_draw(family, values[i:i + points]) == reference_draw(family, reference)
                     assert rng.getstate() == reference.getstate()
+                assert len(values) == 76 * points
 
     def test_finite_draws_are_choice_at_every_carrier_size(self):
         # the inlined index draw against Random.choice on a twin generator,
@@ -720,11 +723,11 @@ class TestFamilyKernel:
             elements = tuple(range(n))
             sized = dataclasses.replace(classical_algebra(), name=f"size{n}", elements=elements)
             family = family_of([sized])
-            draw = laws._point_draws(family)
-            rng, reference = Random(n), Random(n)
+            sizes, samplers = laws._point_draws(family)
+            rng, reference, values = Random(n), Random(n), []
             for _ in range(16):
-                (index,) = draw(rng)
-                assert decoded_draw(family, (index,)) == {"x1": reference.choice(elements)}
+                laws._slab_draw(sizes)(samplers, rng, 1, values)
+                assert decoded_draw(family, values[-1:]) == {"x1": reference.choice(elements)}
                 assert rng.getstate() == reference.getstate()
 
     def test_a_point_that_cannot_be_sampled_fails_at_the_first_draw(self):
@@ -739,6 +742,12 @@ class TestFamilyKernel:
         # commutativity passes the forced stage, so the first draw is reached
         with pytest.raises(PreconditionError, match="^algebra 'bare' cannot be sampled$"):
             check_family_law(family, "commutative-wedge")
+        # the draw raises at its first value, once chain3's index is drawn, and keeps none
+        (sizes, samplers), rng, reference, values = laws._point_draws(family), Random(0), Random(0), []
+        with pytest.raises(PreconditionError, match="^algebra 'bare' cannot be sampled$"):
+            laws._slab_draw(sizes)(samplers, rng, 64, values)
+        reference.choice(chain_algebra(3).elements)
+        assert values == [] and rng.getstate() == reference.getstate()
 
     @pytest.mark.parametrize("algebras, seed, expected", [
         (
@@ -1261,8 +1270,8 @@ def set_count(family):
 
 
 def decoded_draw(family, drawn):
-    """The values of one per-point draw (``laws._point_draws``): an element's index at
-    a finite point, a code where the point has codes, else the value itself."""
+    """The values of one family draw (``laws._point_draws``), one per point: an element's
+    index at a finite point, a code where the point has codes, else the value itself."""
     values = {}
     for x, alg, d in zip(family.universe.points, family.handles, drawn):
         codes = _bound_codes(alg)
@@ -1282,6 +1291,14 @@ def sampled_tuples(family, arity, samples, seed):
 def values_of(tuples):
     """``tuples`` of sets as the tuples of their values that ``_sampled_verdict`` scans."""
     return [tuple(s._values for s in args) for args in tuples]
+
+
+def scan_of_sets(family, law, tuples, monkeypatch):
+    """The sampled family scan (``laws._sampled_verdict``) of ``tuples`` of sets alone: the
+    forced stage patched to give them, no draws, and no seed, so nothing is kept."""
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "_forced_tuples", lambda family, arity: values_of(tuples))
+        return laws._sampled_verdict(family, _SetOps(family), law, 0, None)
 
 
 def outcome(scan):
@@ -1325,7 +1342,7 @@ class TestPointwiseSampledScan:
                 sampled += 1
         assert sampled >= 6
 
-    def test_escape_at_a_later_point_raises_the_set_scans_error(self):
+    def test_escape_at_a_later_point_raises_the_set_scans_error(self, monkeypatch):
         chain3 = chain_algebra(3)
         # both orders escape alike, so only the carrier check can see it
         leaky = dataclasses.replace(
@@ -1345,10 +1362,9 @@ class TestPointwiseSampledScan:
         # the escaping pair sits at the last point, after two points that pass
         A, B = (modern_set(family, {"x1": I2, "x2": "O", "x3": v}) for v in ("m", "I"))
         law = get_law("commutative-vee")
-        got = outcome(lambda: laws._sampled_verdict(family, _SetOps(family), law, values_of([(A, B)]), 0))
-        assert got == (StructuralError, message)
+        assert outcome(lambda: scan_of_sets(family, law, [(A, B)], monkeypatch)) == (StructuralError, message)
 
-    def test_a_failure_at_a_later_point_wins_over_an_error_in_a_later_equation(self):
+    def test_a_failure_at_a_later_point_wins_over_an_error_in_a_later_equation(self, monkeypatch):
         def vee(x, y):
             raise ArithmeticError("vee is undefined here")
 
@@ -1361,7 +1377,7 @@ class TestPointwiseSampledScan:
         A, B = (modern_set(family, {"x1": "O", "x2": m}) for m in (E01, E10))
         expected = reference_verdict(ops, law, [(A, B)], 0)
         assert expected.failed and expected.witness.note == "x wedge y = y wedge x"
-        assert laws._sampled_verdict(family, ops, law, values_of([(A, B)]), 0) == expected
+        assert scan_of_sets(family, law, [(A, B)], monkeypatch) == expected
         # the whole scan meets the error first, at the empty sets
         expected = outcome(lambda: reference_verdict(ops, law, sampled_tuples(family, 2, 40, 0), 0))
         assert expected == (ArithmeticError, "vee is undefined here")
@@ -2346,6 +2362,12 @@ def on_values(alg):
 
 CODED = {"fuzzy": fuzzy_algebra(), "mat2": matrix_algebra(2), "mat3": matrix_algebra(3)}
 
+# Handles that share a coded carrier's sampler, and so its streams, with other boundaries.
+SHARED_SAMPLERS = {
+    "fuzzy-thirds": dataclasses.replace(fuzzy_algebra(), boundary=(Fraction(1, 3), Fraction(2, 3), Fraction(0))),
+    "mat2-reversed": dataclasses.replace(matrix_algebra(2), boundary=matrix_algebra(2).boundary[::-1]),
+}
+
 
 class TestCodeRoute:
     """Scans of the infinite carriers on their integer codes (``algebra._Codes``)."""
@@ -2559,6 +2581,45 @@ def scan_outcome(scan, law, samples, seed):
     return got, expected
 
 
+def assert_batteries_match_fresh_draws(scanned):
+    """Every law at seeds 0-2, over a family or each of a list of handles in turn, gives
+    what the reference scan of fresh draws gives, with the laws in registry order, in
+    reverse, and with the kept slabs, then the streams too, cleared before each scan.
+    Failing verdicts are compared too: every family here has a matrix point, so none of
+    its verdicts is exhaustive."""
+    if isinstance(scanned, list):
+        scans = [(
+            lambda law, seed, alg=alg: check_law(alg, law, samples=150, seed=seed).verdict,
+            lambda law, seed, alg=alg: reference_check_law(alg, law, 150, seed),
+        ) for alg in scanned]
+    else:
+        scans = [(
+            lambda law, seed: check_family_law(scanned, law, samples=100, seed=seed).verdict,
+            lambda law, seed: reference_family_verdict(scanned, law, 100, seed),
+        )]
+    battery = [law for law in LAWS if scans[0][0](law, 0).applicable]
+    expected = {
+        (i, law.name, seed): reference(law, seed)
+        for i, (_, reference) in enumerate(scans) for law in battery for seed in range(3)
+    }
+    sampled = {key for key, verdict in expected.items() if verdict.mode == "sampled"}
+    for order in ("registry", "reversed", "slabs cleared", "cleared"):
+        for seed in range(3):
+            for law in battery[::-1] if order == "reversed" else battery:
+                for i, (scan, _) in enumerate(scans):
+                    if order in ("slabs cleared", "cleared"):
+                        for stream in laws._streams.values():
+                            stream.slabs.clear()
+                    if order == "cleared":
+                        laws._streams.clear()
+                    got = scan(law, seed)
+                    if got.mode != "exhaustive":
+                        assert got == expected[i, law.name, seed], (order, seed, law.name, i)
+                        sampled.discard((i, law.name, seed))
+    assert not sampled  # every sampled reference verdict was met
+    assert len(laws._streams) <= laws._STREAMS
+
+
 class TestSharedStreams:
     """Every law of a battery at one seed reads one kept stream of draws, a slab of
     ``_DRAW_SLAB`` tuples at a time; verdicts, witnesses and counts are those of the
@@ -2571,28 +2632,40 @@ class TestSharedStreams:
     def test_batteries_in_any_order_match_fresh_draws(self, names):
         algebras = {**NAMED_ALGEBRAS, **CODED}
         if len(names) == 1:
-            alg, samples = algebras[names[0]], 150
-            scan = lambda law, seed: check_law(alg, law, samples=samples, seed=seed).verdict  # noqa: E731
-            reference = lambda law, seed: reference_check_law(alg, law, samples, seed)  # noqa: E731
+            assert_batteries_match_fresh_draws([algebras[names[0]]])
         else:
-            family, samples = family_of([algebras[name] for name in names]), 100
-            scan = lambda law, seed: check_family_law(family, law, samples=samples, seed=seed).verdict  # noqa: E731
-            reference = lambda law, seed: reference_family_verdict(family, law, samples, seed)  # noqa: E731
-        battery = [law for law in LAWS if scan(law, 0).applicable]
-        expected = {(law.name, seed): reference(law, seed) for law in battery for seed in range(3)}
-        sampled = {key for key, verdict in expected.items() if verdict.mode == "sampled"}
-        for order in ("registry", "reversed", "cleared"):
-            for seed in range(3):
-                for law in battery[::-1] if order == "reversed" else battery:
-                    if order == "cleared":
-                        laws._streams.clear()
-                    got = scan(law, seed)
-                    if got.mode == "sampled":
-                        assert got == expected[law.name, seed], (order, seed, law.name)
-                        sampled.discard((law.name, seed))
-        assert not sampled  # every sampled reference verdict was met
-        assert len(laws._streams) <= laws._STREAMS
+            assert_batteries_match_fresh_draws(family_of([algebras[name] for name in names]))
 
+    @pytest.mark.parametrize("names", [("fuzzy", "fuzzy-thirds"), ("mat2-reversed", "mat2")])
+    def test_handles_of_one_sampler_match_fresh_draws(self, names):
+        # the handles read one stream, and their boundaries differ
+        assert_batteries_match_fresh_draws([{**CODED, **SHARED_SAMPLERS}[name] for name in names])
+
+    def test_the_slab_key_names_everything_a_slab_depends_on(self, monkeypatch):
+        fz, thirds = fuzzy_algebra(), SHARED_SAMPLERS["fuzzy-thirds"]
+        # the handle and the sample count, at one sampler and seed: excluded middle fails
+        # at the boundary values 1/2 and 1/3, and non-contradiction too
+        for alg, samples in ((fz, 100), (fz, 150), (thirds, 150), (fz, 100), (thirds, 150)):
+            for law in map(get_law, ("distributive", "excluded-middle", "de-morgan", "non-contradiction")):
+                got = check_law(alg, law, samples=samples, seed=11).verdict
+                assert got == reference_check_law(alg, law, samples, 11), (alg.boundary, samples, law.name)
+        # the caps of the forced stage, at one family and seed
+        family = family_of([matrix_algebra(2), NAMED_ALGEBRAS["n5"], matrix_algebra(2)])
+        commutative = get_law("commutative-vee")
+        for forced, per_point in ((20_000, 1000), (3, 1000), (20_000, 5), (20_000, 1000)):
+            monkeypatch.setattr(laws, "_FORCED_CAP", forced)
+            monkeypatch.setattr(laws, "_PER_POINT_CAP", per_point)
+            got = check_family_law(family, commutative, samples=40, seed=11).verdict
+            assert got == reference_family_verdict(family, commutative, 40, 11), (forced, per_point)
+        # each point's lane route: chain3's complement leaves its carrier, so a complement
+        # law holds it as values where the other laws of its arity hold element indices
+        chain3 = chain_algebra(3)
+        escaping = dataclasses.replace(chain3, name="escaping", complement=lambda x: "z" if x == "m" else "m")
+        assert escaping._tables is not None and escaping._tables_with_complement is None
+        family = family_of([escaping, dataclasses.replace(fz, deciding=None)])
+        for law in ("idempotent-wedge", "non-contradiction", "commutative-wedge", "de-morgan", "idempotent-vee"):
+            got, expected = scan_outcome(family, get_law(law), 60, 11)
+            assert got == expected, law
     @pytest.mark.parametrize("at", [0, 63, 64, 65, 127, 128, 149])
     @pytest.mark.parametrize("law", [IDEMPOTENT, IDEMPOTENT_PAIR], ids=["arity1", "arity2"])
     def test_a_failure_at_each_slab_edge(self, at, law):
@@ -2689,6 +2762,43 @@ class TestSharedStreams:
         got, expected = scan_outcome(family, IDEMPOTENT, 50, 0)
         assert got == expected and expected[0] is DomainError
 
+    def test_an_error_building_a_slab_is_kept_in_its_place(self, monkeypatch):
+        # The first slab holds the bounds and the marked point's spike; building the
+        # second raises, as the other point's spike 3/2 is outside its carrier. Every later
+        # scan replays the first slab and then the error, and builds nothing again.
+        bad, _, scans = marked_scans()
+        spiked = dataclasses.replace(scans["codes"], boundary=(7,))
+        outside = dataclasses.replace(fuzzy_algebra(), name="outside", boundary=(Fraction(3, 2),))
+        family, forced, built = family_of([spiked, outside]), laws._forced_tuples, []
+        monkeypatch.setattr(laws, "_forced_tuples", lambda *args: built.append(args) or forced(*args))
+        for scan, mark in enumerate((None, 7, None, 7, None)):
+            bad.clear()
+            bad.update([mark] if mark else [])
+            built.clear()
+            got = outcome(lambda: check_family_law(family, IDEMPOTENT, samples=50).verdict)
+            assert len(built) == (scan == 0), scan
+            assert got == outcome(lambda: reference_family_verdict(family, IDEMPOTENT, 50, 0)), scan
+            assert (got[0] is DomainError) if mark is None else got.failed, scan
+
+    def test_an_interrupted_build_leaves_no_slab_behind(self, monkeypatch):
+        # the first spike of the forced stage is interrupted once, after the bounds
+        lift, interrupted = laws.lift_point_value, []
+
+        def interrupting(*args):
+            if not interrupted:
+                interrupted.append(args)
+                raise KeyboardInterrupt
+            return lift(*args)
+
+        monkeypatch.setattr(laws, "lift_point_value", interrupting)
+        family = family_of([matrix_algebra(2), chain_algebra(3)])
+        law = get_law("commutative-vee")
+        with pytest.raises(KeyboardInterrupt):
+            check_family_law(family, law, samples=40, seed=12)
+        assert not any(key[0] is family for stream in laws._streams.values() for key in stream.slabs)
+        got, expected = scan_outcome(family, law, 40, 12)
+        assert got == expected and expected.mode == "sampled"
+
     def test_an_interrupted_draw_leaves_no_stream_behind(self):
         # The 40th draw is interrupted once, after taking its random bits. The scan stops
         # there; the next one draws afresh, not on from the generator's state.
@@ -2760,6 +2870,65 @@ class TestStreamMemoryBound:
             low, high = self.peak(lambda: scan(small)), self.peak(lambda: scan(large))
             # the tuple free lists alone move the peak by some 15 KB between runs
             assert high < low + 64 * 1024, (scan.__name__, low, high)
+
+    def test_unkept_streams_keep_no_slabs(self, monkeypatch):
+        made = []
+
+        class Recorded(laws._Stream):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(laws, "_Stream", Recorded)
+        fz, mat2 = fuzzy_algebra(), matrix_algebra(2)
+        check_law(fz, "distributive", samples=1001, seed=13)  # 3,003 values
+        check_law(mat2, "commutative-vee", samples=100, seed=13.0)  # a seed that is not an int
+        check_family_law(family_of([mat2, fz]), "associative-vee", samples=1001, seed=13)
+        assert len(made) == 3
+        assert all(not stream.keep and not stream.slabs for stream in made)
+
+    def test_a_stream_evicted_or_drawn_again_drops_its_slabs(self):
+        fz = fuzzy_algebra()
+        check_law(fz, "distributive", samples=50, seed=1400)
+        first = laws._streams[fz._codes.sample, 1400]
+        assert first.slabs
+        for seed in range(1401, 1401 + laws._STREAMS):
+            check_law(fz, "distributive", samples=50, seed=seed)
+        assert (fz._codes.sample, 1400) not in laws._streams
+        assert not first.slabs  # else the slabs' builds, which hold the stream, hold it in a cycle
+        # a stream whose draw raised is drawn again by the next scan
+        _, refused, scans = marked_scans()
+        marked = scans["codes"]
+        refused.add(marked_values(marked, 1400, 70)[-1])
+        ended = None
+        for _ in range(2):
+            assert outcome(lambda: check_law(marked, IDEMPOTENT, samples=100, seed=1400))[0] is ArithmeticError
+            assert ended is None or not ended.slabs
+            ended = laws._streams[marked._codes.sample, 1400]
+            assert ended.error is not None and ended.slabs
+        refused.clear()
+        assert check_law(marked, IDEMPOTENT, samples=100, seed=1400).verdict.holds
+        assert laws._streams[marked._codes.sample, 1400] is not ended and not ended.slabs
+
+    def test_a_stream_keeps_the_slabs_of_few_small_scans(self):
+        # chain10 at 5 points tries 52 forced sets and 504 forced pairs, kept, and 5,008
+        # forced triples, not kept
+        family = constant_family(("p", "q", "r", "s", "t"), chain_algebra(10))
+        for other in (family, family_of([matrix_algebra(2), chain_algebra(3), fuzzy_algebra()])):
+            for arity in (1, 2, 3):
+                forced = islice(laws._forced_tuples(other, arity), laws._FORCED_CAP)
+                assert laws._forced_count(other, arity) == sum(1 for _ in forced)
+        for law in ("idempotent-wedge", "commutative-wedge", "associative-wedge"):
+            check_family_law(family, law, samples=100, seed=1500)
+        assert sorted(key[1] for key in laws._streams[family, 1500].slabs) == [1, 2]
+        # the newest keys of one stream
+        fz = fuzzy_algebra()
+        for samples in range(10, 10 + 2 * laws._SLAB_KEYS):
+            check_law(fz, "commutative-wedge", samples=samples, seed=1500)
+        keys = laws._streams[fz._codes.sample, 1500].slabs
+        assert [key[2] for key in keys] == [*range(10 + laws._SLAB_KEYS, 10 + 2 * laws._SLAB_KEYS)]
 
     def test_the_memo_keeps_at_most_its_streams_and_values(self):
         fz, mat2 = fuzzy_algebra(), matrix_algebra(2)
