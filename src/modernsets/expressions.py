@@ -247,13 +247,15 @@ def _label(node: Expression, nested: bool = False) -> str:
     return f"({text})" if nested else text
 
 
-def _source(node: Expression, names: Mapping[str, str]) -> str:
-    """``node`` as calls on the ops object ``o``, each leaf renamed by ``names``."""
+def _source(node: Expression, names: Mapping[str, str], ops: str = "o.") -> str:
+    """``node`` as calls on the ops object ``o``, each leaf renamed by ``names``; with
+    ``ops`` empty, as calls on locals named for the operations."""
     if isinstance(node, Ident):
         return names[node.name]
     if isinstance(node, Complement):
-        return f"o.complement({_source(node.operand, names)})"
-    return f"o.{_WORDS[type(node)]}({_source(node.left, names)}, {_source(node.right, names)})"
+        return f"{ops}complement({_source(node.operand, names, ops)})"
+    left, right = _source(node.left, names, ops), _source(node.right, names, ops)
+    return f"{ops}{_WORDS[type(node)]}({left}, {right})"
 
 
 def _compile(

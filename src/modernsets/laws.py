@@ -23,18 +23,20 @@ eight defining identities are registry equations too, each evaluated once
 by :func:`check_wba_axioms` so that every violation is reported. Every
 verdict, certificate row, ring condition (crisp restriction among them)
 and noncommuting-pair search scans the tuples its check chooses. Small
-single-carrier scans run on the values (:func:`_verdict`); the larger ones,
-and every family and sampled scan, run a slab of tuples at a time on one
-column kernel (:func:`_slab_verdict`), with each point held as element
-indices, integer codes or values, and re-check only their first failing
-tuple on the values.
+single-carrier scans run on the values (:func:`_verdict`), each law on one
+loop generated from it on first use: a registry law's loop inlines its
+equations, and any other law shares the loop of its arity and number of
+equations. The larger scans, and every family and sampled scan, run a slab
+of tuples at a time on one column kernel (:func:`_slab_verdict`), with each
+point held as element indices, integer codes or values, and re-check only
+their first failing tuple on the values.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import chain, islice, product
 from math import inf, prod
 from operator import itemgetter, ne
@@ -42,7 +44,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 from .algebra import AlgebraHandle, Element, _bound_codes, _carrier
 from .errors import PreconditionError, StructuralError, UnknownLawError, require_count
-from .expressions import _compile, _identifiers, _label, parse_expression
+from .expressions import Expression, _compile, _identifiers, _label, _source, parse_expression
 from .lattice import FiniteLattice, _PointTables
 from .reporting import LawReport, Verdict, Witness, render_element
 from .sets import (
@@ -67,16 +69,34 @@ class Law:
     two sides to compare; ``ops`` exposes wedge/vee/complement/zero/one.
     Registry laws are written once, as equation text in the expression
     language (:func:`_law`), and the labels, arity, ``needs_complement``
-    and closures are all derived from that text.
+    and closures are all derived from that text; such a law keeps the
+    parsed sides of each equation in ``_trees``, which ``replace`` does not
+    carry over. Every law is scanned by one loop derived from it
+    (:func:`_verdict`), generated on first use.
     """
 
     name: str
     arity: int
     needs_complement: bool
     equations: tuple[Equation, ...]
+    _trees: tuple[tuple[Expression, Expression], ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    @cached_property
+    def _loop(self) -> Callable:
+        if self._trees is None:
+            return _shape_loop(self.arity, len(self.equations))
+        return _tree_loop(self._trees)
 
 
 _CONSTANTS = {"O": "o.zero", "I": "o.one"}
+
+
+def _variables(trees) -> list[str]:
+    """The variables of a law's equation sides, in name order: its arguments."""
+    identifiers = set().union(*(_identifiers(side) for pair in trees for side in pair))
+    return sorted(identifiers - _CONSTANTS.keys())
 
 
 def _law(name: str, *equations: str) -> Law:
@@ -89,16 +109,20 @@ def _law(name: str, *equations: str) -> Law:
     only fixed strings and the parameter names ``a0, a1, ...`` reach its
     source.
     """
-    trees = [tuple(map(parse_expression, text.split("="))) for text in equations]
-    identifiers = set().union(*(_identifiers(side) for pair in trees for side in pair))
-    variables = sorted(identifiers - _CONSTANTS.keys())
+    trees = tuple(tuple(map(parse_expression, text.split("="))) for text in equations)
+    variables = _variables(trees)
     params = [f"a{i}" for i in range(len(variables))]
     names = {**_CONSTANTS, **dict(zip(variables, params))}
     labels = [f"{_label(lhs)} = {_label(rhs)}" for lhs, rhs in trees]
     # An identifier is never followed by "(", so only a complement writes one.
     needs_complement = any("complement(" in label for label in labels)
     equations = tuple((label, _compile(pair, names, params)) for label, pair in zip(labels, trees))
-    return Law(name, len(variables), needs_complement, equations)
+    return _with_trees(Law(name, len(variables), needs_complement, equations), trees)
+
+
+def _with_trees(law: Law, trees: tuple) -> Law:
+    object.__setattr__(law, "_trees", trees)  # not an init field, so that replace drops it
+    return law
 
 
 LAWS: tuple[Law, ...] = (
@@ -143,19 +167,70 @@ def _verdict(ops, law: Law, tuples) -> Verdict:
     """The first failing tuple, or an exhaustive pass over all of ``tuples``.
 
     At each tuple the law's equations are tried in order, and the first
-    one whose sides differ is the witness. Small single-carrier scans run
-    here. The column kernel (:func:`_slab_verdict`), which runs every other
-    scan, finds its first failing tuple
-    as the lowest lane where some equation differs and re-checks it here,
-    and scans here any slab it cannot evaluate.
+    one whose sides differ is the witness. The scan runs the law's loop
+    (:attr:`Law._loop`), and builds a witness only for the failing tuple.
+    Small single-carrier scans run here. The column kernel
+    (:func:`_slab_verdict`), which runs every other scan, finds its first
+    failing tuple as the lowest lane where some equation differs and
+    re-checks it here, and scans here any slab it cannot evaluate.
     """
-    equations = law.equations
-    for args in tuples:
-        for label, fn in equations:
-            lhs, rhs = fn(ops, *args)
-            if lhs != rhs:
-                return Verdict.fails(Witness(inputs=args, lhs=lhs, rhs=rhs, note=label))
-    return Verdict.holds_exhaustive()
+    if (found := law._loop(ops, tuples, law.equations)) is None:
+        return Verdict.holds_exhaustive()
+    args, lhs, rhs, i = found
+    return Verdict.fails(Witness(args, lhs, rhs, law.equations[i][0]))
+
+
+# A scan loop ``scan(o, tuples, equations)`` gives the first tuple of ``tuples`` where the
+# two sides of some equation differ, as ``(args, lhs, rhs, index of the equation)``, else
+# None. It unpacks each tuple into the law's variables ``a0, a1, ...``, tries the equations
+# in order, and reads the operations it calls from ``o`` at the first tuple, so a scan of no
+# tuples reads none. A registry law's loop is generated from its trees, each equation
+# inlined as its lambda's source with the operations as locals (:func:`_tree_loop`); any
+# other law shares the loop of its shape, which calls its functions (:func:`_shape_loop`).
+# Each equation is evaluated as its function is, call for call, so a raising operation
+# raises at the same tuple and call.
+_OPERATIONS = ("wedge", "vee", "complement", "zero", "one")
+
+
+def _generated_loop(arity: int, bind: str, pairs: list[str]) -> Callable:
+    """The scan loop whose first tuple runs ``bind`` and whose equation ``i`` evaluates
+    ``pairs[i]`` to its two sides; only fixed strings and integers reach its source."""
+    body = [f"        [{', '.join(f'a{i}' for i in range(arity))}] = args"]
+    for i, pair in enumerate(pairs):
+        body += [f"        lhs, rhs = {pair}", "        if lhs != rhs:", f"            return args, lhs, rhs, {i}"]
+    lines = [
+        "def scan(o, tuples, equations):",
+        "    tuples = iter(tuples)",
+        "    for args in tuples:",
+        f"        {bind}",
+        *body,
+        "        break",
+        "    for args in tuples:",
+        *body,
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["scan"]
+
+
+def _tree_loop(trees: tuple) -> Callable:
+    """The scan loop of a registry law, generated from its ``trees`` (:attr:`Law._trees`)."""
+    variables = _variables(trees)
+    names = {"O": "zero", "I": "one", **{v: f"a{i}" for i, v in enumerate(variables)}}
+    pairs = [", ".join(_source(side, names, "") for side in pair) for pair in trees]
+    words = set(" ".join(pairs).replace("(", " ").replace(")", " ").replace(",", " ").split())
+    used = [op for op in _OPERATIONS if op in words]
+    bind = f"{', '.join(used)} = {', '.join(f'o.{op}' for op in used)}" if used else "pass"
+    return _generated_loop(len(variables), bind, pairs)
+
+
+@cache
+def _shape_loop(arity: int, count: int) -> Callable:
+    """The scan loop that laws of ``arity`` variables and ``count`` equations share, calling
+    each equation's function; generated once per shape."""
+    params = "".join(f", a{i}" for i in range(arity))
+    bind = f"[{', '.join(f'(_, f{i})' for i in range(count))}] = equations"
+    return _generated_loop(arity, bind, [f"f{i}(o{params})" for i in range(count)])
 
 
 def _scan(ops, law: Law, tuples) -> Witness | None:
@@ -359,14 +434,45 @@ def _batched(tuples):
             return
 
 
-def _sampled_slabs(encoders: list, makers: list, tuples, stream: _Stream | None, arity: int, samples: int):
+def _boundary_slabs(column: list, arity: int):
+    """check_law's boundary tuples, ``product(column, repeat=arity)``, as slabs of at most
+    ``_DRAW_SLAB``, each argument a one-point column."""
+    tuples = product(column, repeat=arity)
+    while slab := [*islice(tuples, _DRAW_SLAB)]:
+        yield [([*c],) for c in zip(*slab)]
+
+
+def _forced_slabs(encoders: list, family: AlgebraFamily, arity: int):
+    """The forced stage of a sampled family scan (:func:`_forced_tuples`, at most
+    ``_FORCED_CAP`` tuples) as slabs (:func:`_batched`), each argument its points' columns.
+
+    Each set is encoded once per build, at each point by its ``encoders`` entry, in the
+    first slab that reaches its number, and each column is looked up from those codes by
+    its argument's set numbers (:func:`_looked_up`).
+    """
+    sets: list[tuple] = []
+    codes, lookups = [None] * len(encoders), []
+    for slab in _batched(islice(_forced_tuples(family, arity, sets), _FORCED_CAP)):
+        if (top := max(map(max, slab)) + 1) > (done := len(codes[0] or ())):
+            columns = [make(values) for make, values in zip(encoders, zip(*sets[done:top]))]
+            codes = [c if old is None else old + c for old, c in zip(codes, columns)]
+            lookups = [*map(_looked_up, codes)]
+        yield [tuple(look(numbers) for look in lookups) for numbers in slab]
+
+
+def _looked_up(codes: bytes | list) -> Callable[[list[int]], bytes | list]:
+    """The column of the ``codes`` of a list of set numbers: one ``translate`` of bytes
+    while the numbers fit a byte, else a lookup per lane."""
+    if type(codes) is bytes and len(codes) <= 256:
+        table = codes.ljust(256, b"\0")
+        return lambda numbers: bytes(numbers).translate(table)
+    return lambda numbers: type(codes)(map(codes.__getitem__, numbers))
+
+
+def _sampled_slabs(forced, makers: list, stream: _Stream | None, arity: int, samples: int):
     """A sampled scan's slabs, each the tuple of its points' columns for every argument:
-    ``tuples`` (:func:`_batched`), each argument given in point order, each point's column
-    made by its ``encoders`` entry, then ``samples`` tuples of ``stream``'s draws
-    (:func:`_draws`; none without a stream), made by its ``makers`` entry."""
-    forced = (
-        [tuple(make(v) for make, v in zip(encoders, zip(*arg))) for arg in slab] for slab in _batched(tuples)
-    )
+    the ``forced`` slabs, then ``samples`` tuples of ``stream``'s draws (:func:`_draws`;
+    none without a stream), each point's column made by its ``makers`` entry."""
     if stream is None:
         return forced
     draws = _draws(stream, arity, samples)
@@ -445,7 +551,7 @@ def check_law(a: AlgebraHandle, law: "Law | str", samples: int = 1000, seed: int
     stream = sample and _stream(sample, seed, arity * samples, lambda: ((0,), (sample,)))
     key, tuples = (a, arity, samples, codes is not None), len(a.boundary) ** arity + samples
     slabs = _kept(stream, key, tuples, lambda: _sampled_slabs(
-        [list], [point.column], product(zip(point.encoded(a.boundary)), repeat=arity), stream, arity, samples,
+        _boundary_slabs(point.encoded(a.boundary), arity), [point.column], stream, arity, samples,
     ))
     return LawReport(law.name, _slab_verdict(
         a, law, _ColumnOps([point], itemgetter(0)), slabs, f"the {'codes' if codes else 'values'} of {a!r}", seed,
@@ -523,7 +629,8 @@ def check_wba_axioms(a: AlgebraHandle) -> AxiomReport:
 def _joined(name: str, *parts: str) -> Law:
     """One law whose equations are those of the named registry laws, in order."""
     laws = [get_law(part) for part in parts]
-    return Law(name, laws[0].arity, False, tuple(eq for law in laws for eq in law.equations))
+    law = Law(name, laws[0].arity, False, tuple(eq for law in laws for eq in law.equations))
+    return _with_trees(law, tuple(tree for law in laws for tree in law._trees))
 
 
 _COMMUTATIVE_LAW = _joined("commutative", "commutative-wedge", "commutative-vee")
@@ -1086,11 +1193,13 @@ def _column_verdict(route: str, ops, law: Law, carriers, points, argument: Calla
     return _slab_verdict(ops, law, _ColumnOps(points, argument), slabs, route, record=record)
 
 
-# Single-carrier scans of fewer tuples run on the values, where the kernel costs more
-# to set up than it saves (distributive on chain3, 27 tuples: 0.035 ms on the
-# elements, 0.044 ms on columns; on chain4, 64 tuples: 0.080 ms and
-# 0.042 ms; compiling either takes 0.01 ms; best of 7, 2-vCPU VM). A
-# 3-element algebra thus never compiles for its own laws.
+# Single-carrier scans of fewer tuples run on the values, on the law's generated loop,
+# and a 3-element algebra never compiles its tables for its own laws. With the tables
+# and lanes already built, the two routes meet near 27-36 tuples: distributive on
+# chain3, 27 tuples, 0.026 ms on the elements and 0.024 ms on columns; absorption on
+# chain6, 36 pairs, 0.014 and 0.010 ms; on chain4, 64 tuples, 0.079 and 0.023 ms; pairs
+# of 9-16 tuples 0.004-0.007 ms on the elements, 0.008-0.011 ms on columns (best of 7,
+# 2-vCPU VM, Python 3.11).
 _MIN_COLUMN_TUPLES = 64
 
 
@@ -1218,8 +1327,8 @@ def _sampled_verdict(family: AlgebraFamily, ops: _SetOps, law: Law, samples: int
     stream = _stream(family, seed, arity * samples * len(points), partial(_point_draws, family))
     key = (family, arity, samples, _FORCED_CAP, _PER_POINT_CAP, tuple(p.table is not None for p in points))
     slabs = _kept(stream, key, _forced_count(family, arity) + samples, lambda: _sampled_slabs(
-        [p.encoded for p in points], [p.column for p in points],
-        islice(_forced_tuples(family, arity), _FORCED_CAP), stream, arity, samples,
+        _forced_slabs([p.encoded for p in points], family, arity),
+        [p.column for p in points], stream, arity, samples,
     ))
     return _slab_verdict(
         ops, law, _ColumnOps(points, partial(ModernSet, family)), slabs, f"the points of {family!r}", seed,
@@ -1248,21 +1357,25 @@ _FORCED_CAP = 20_000
 _PER_POINT_CAP = 1000
 
 
-def _forced_tuples(family: AlgebraFamily, arity: int):
-    """Deterministic tuples every sampled family check must try, each set as its values.
+def _forced_tuples(family: AlgebraFamily, arity: int, sets: list | None = None):
+    """Deterministic tuples every sampled family check must try, each set as its number
+    in ``sets`` (a new list by default), to which the stage appends each set's values as
+    it builds the set.
 
     All empty/full combinations, then for each point all tuples of spikes
     at that same point (capped per point). Same-point spike tuples are the
     lifted images of per-point counterexample tuples, so a law failing at
     a boundary value of any single point cannot slip past this stage.
     """
-    bounds = [s._values for s in family._bounds]
-    yield from product(bounds, repeat=arity)
+    sets = [] if sets is None else sets
+    sets += (s._values for s in family._bounds)
+    yield from product(range(2), repeat=arity)
     for x in family.universe.points:
         alg = family.algebra_at(x)
         values = alg.elements if alg.elements is not None else alg.boundary
-        spikes = [lift_point_value(family, x, v)._values for v in values]
-        yield from islice(product(spikes, repeat=arity), _PER_POINT_CAP)
+        start = len(sets)
+        sets += (lift_point_value(family, x, v)._values for v in values)
+        yield from islice(product(range(start, len(sets)), repeat=arity), _PER_POINT_CAP)
 
 
 def _forced_count(family: AlgebraFamily, arity: int) -> int:

@@ -5,6 +5,13 @@ holds (exhaustively or on a recorded sample), it fails with a concrete
 re-checkable witness, or it is not applicable (e.g. a complement law on an
 algebra that declares no complement). Sampled verdicts always record the
 sample count and seed so a run can be reproduced exactly.
+
+The records are frozen dataclasses. Each writes its fields into its instance
+dict in its own ``__init__``, with the parameters, order and defaults of its
+fields, as a law scan builds thousands of them: a generated frozen
+``__init__`` sets each field through ``object.__setattr__``, about twice the
+cost. Equality, hashing, ``repr``, ``replace`` and ``fields`` are the
+dataclass's own.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ class Witness:
     rhs: Any
     note: str = ""
 
+    def __init__(self, inputs: tuple, lhs: Any, rhs: Any, note: str = ""):
+        fields = self.__dict__
+        fields["inputs"], fields["lhs"], fields["rhs"], fields["note"] = inputs, lhs, rhs, note
+
     def describe(self) -> str:
         ins = ", ".join(render_element(v) for v in self.inputs)
         text = f"inputs ({ins}) give {render_element(self.lhs)} != {render_element(self.rhs)}"
@@ -45,9 +56,24 @@ class Verdict:
     reason: str | None = None
     details: tuple[tuple[str, Any], ...] = field(default=())
 
+    def __init__(
+        self,
+        status: str,
+        mode: str | None = None,
+        witness: Witness | None = None,
+        samples: int | None = None,
+        seed: int | None = None,
+        reason: str | None = None,
+        details: tuple[tuple[str, Any], ...] = (),
+    ):
+        fields = self.__dict__
+        fields["status"], fields["mode"], fields["witness"], fields["samples"] = status, mode, witness, samples
+        fields["seed"], fields["reason"], fields["details"] = seed, reason, details
+
     @classmethod
     def holds_exhaustive(cls, **extra) -> "Verdict":
-        return cls(status="holds", mode="exhaustive", **extra)
+        """An exhaustive pass; with no ``extra`` fields, the one shared instance."""
+        return cls(status="holds", mode="exhaustive", **extra) if extra else _HOLDS_EXHAUSTIVE
 
     @classmethod
     def holds_sampled(cls, samples: int, seed: int, **extra) -> "Verdict":
@@ -55,7 +81,7 @@ class Verdict:
 
     @classmethod
     def fails(cls, witness: Witness, **extra) -> "Verdict":
-        return cls(status="fails", witness=witness, **extra)
+        return cls("fails", None, witness, **extra)
 
     @classmethod
     def not_applicable(cls, reason: str) -> "Verdict":
@@ -83,12 +109,19 @@ class Verdict:
         return f"not applicable ({self.reason})"
 
 
+_HOLDS_EXHAUSTIVE = Verdict("holds", "exhaustive")
+
+
 @dataclass(frozen=True)
 class LawReport:
     """Per-law verdict for one algebra or one family."""
 
     law: str
     verdict: Verdict
+
+    def __init__(self, law: str, verdict: Verdict):
+        fields = self.__dict__
+        fields["law"], fields["verdict"] = law, verdict
 
     def describe(self) -> str:
         return f"{self.law}: {self.verdict.describe()}"

@@ -40,6 +40,7 @@ LAWS = "modernsets/laws.py"
 CLI = "modernsets/cli.py"
 FILEFORMAT = "modernsets/fileformat.py"
 INSTANCES = "modernsets/instances.py"
+REPORTING = "modernsets/reporting.py"
 STREAMS = "tests/test_laws.py::TestSharedStreams"
 MEMORY = "tests/test_laws.py::TestStreamMemoryBound"
 TABLES = "tests/test_laws.py::TestLawTables"
@@ -51,6 +52,8 @@ MESSAGES = "tests/test_fileformat.py::test_reader_messages_name_source_and_line"
 CODES = "tests/test_instances.py::TestCarrierCodes"
 KERNELS = "tests/test_instances.py::TestMatrixKernels"
 DRAWS = "tests/test_instances.py::TestMatrixAlgebra::test_sampler_draws_what_the_public_constructor_builds"
+LOOPS = "tests/test_laws.py::TestScanLoops"
+CRISP = "tests/test_sets.py::TestCrispRestrictionMatchesFullScan"
 
 MUTANTS = [
     Mutant(
@@ -95,18 +98,20 @@ MUTANTS = [
     Mutant(
         "_forced_tuples yields the spikes before the bounds",
         LAWS,
-        "    yield from product(bounds, repeat=arity)\n"
+        "    yield from product(range(2), repeat=arity)\n"
         "    for x in family.universe.points:\n"
         "        alg = family.algebra_at(x)\n"
         "        values = alg.elements if alg.elements is not None else alg.boundary\n"
-        "        spikes = [lift_point_value(family, x, v)._values for v in values]\n"
-        "        yield from islice(product(spikes, repeat=arity), _PER_POINT_CAP)\n",
+        "        start = len(sets)\n"
+        "        sets += (lift_point_value(family, x, v)._values for v in values)\n"
+        "        yield from islice(product(range(start, len(sets)), repeat=arity), _PER_POINT_CAP)\n",
         "    for x in family.universe.points:\n"
         "        alg = family.algebra_at(x)\n"
         "        values = alg.elements if alg.elements is not None else alg.boundary\n"
-        "        spikes = [lift_point_value(family, x, v)._values for v in values]\n"
-        "        yield from islice(product(spikes, repeat=arity), _PER_POINT_CAP)\n"
-        "    yield from product(bounds, repeat=arity)\n",
+        "        start = len(sets)\n"
+        "        sets += (lift_point_value(family, x, v)._values for v in values)\n"
+        "        yield from islice(product(range(start, len(sets)), repeat=arity), _PER_POINT_CAP)\n"
+        "    yield from product(range(2), repeat=arity)\n",
         ("tests/test_laws.py::test_the_forced_stage_tries_the_bounds_before_the_spikes",),
     ),
     Mutant(
@@ -403,6 +408,105 @@ MUTANTS = [
         "while e{i} >= 5:",
         "if e{i} >= 5:",
         (f"{DRAWS}[1]", f"{DRAWS}[4]"),
+    ),
+    # The generated scan loops, the verdict records and the slabs of sampled scans.
+    Mutant(
+        "a scan loop tries the equations last to first, so it reports the last failing one",
+        LAWS,
+        "    for i, pair in enumerate(pairs):\n",
+        "    for i, pair in reversed([*enumerate(pairs)]):\n",
+        (f"{LOOPS}::test_census_tables_with_and_without_the_complement",),
+    ),
+    Mutant(
+        "the shape loops are kept by arity alone",
+        LAWS,
+        "            return _shape_loop(self.arity, len(self.equations))\n",
+        "            return _shape_loop.__dict__.setdefault(self.arity, _shape_loop(self.arity, len(self.equations)))\n",
+        (f"{LOOPS}::test_hand_built_laws_of_each_shape[2-1]",),
+    ),
+    Mutant(
+        "the shared exhaustive pass is returned even when fields are given",
+        REPORTING,
+        'return cls(status="holds", mode="exhaustive", **extra) if extra else _HOLDS_EXHAUSTIVE',
+        "return _HOLDS_EXHAUSTIVE",
+        ("tests/test_reporting.py::test_only_a_bare_exhaustive_pass_is_shared",),
+    ),
+    Mutant(
+        "Verdict's __init__ swaps samples and seed",
+        REPORTING,
+        "= status, mode, witness, samples\n"
+        '        fields["seed"], fields["reason"], fields["details"] = seed, reason',
+        "= status, mode, witness, seed\n"
+        '        fields["seed"], fields["reason"], fields["details"] = samples, reason',
+        (
+            "tests/test_reporting.py::test_a_record_acts_as_its_twin[holds-sampled]",
+            "tests/test_reporting.py::test_each_init_takes_the_fields_in_order_with_their_defaults[Verdict]",
+        ),
+    ),
+    Mutant(
+        "check_law's boundary slabs give the arguments in reverse",
+        LAWS,
+        "        yield [([*c],) for c in zip(*slab)]\n",
+        "        yield [([*c],) for c in [*zip(*slab)][::-1]]\n",
+        (f"{STREAMS}::test_batteries_in_any_order_match_fresh_draws[names1]", "tests/test_cli.py::test_golden_transcript[laws-mat2]"),
+    ),
+    Mutant(
+        "the forced slabs encode the sets of a slab but its last",
+        LAWS,
+        "zip(encoders, zip(*sets[done:top]))",
+        "zip(encoders, zip(*sets[done:top - 1]))",
+        (f"{SAMPLED}[names6]",),
+    ),
+    # PR 27's crisp pair reduction, first checked by hand; it now scans on the loops that
+    # hand-built laws of one shape share.
+    Mutant(
+        "the crisp pairs are scanned unsorted",
+        LAWS,
+        "found = _scan(ops, pairs, sorted({(a, b) for i in range(n)",
+        "found = _scan(ops, pairs, list({(a, b) for i in range(n)",
+        (f"{CRISP}::test_same_verdict_witness_and_error[0]", f"{CRISP}::test_same_verdict_witness_and_error[1]"),
+    ),
+    Mutant(
+        "a crisp result is read as O before I",
+        LAWS,
+        "bits = [1 if alg.one == v else 0 if alg.zero == v else None for",
+        "bits = [0 if alg.zero == v else 1 if alg.one == v else None for",
+        ("tests/test_sets.py::TestCrispRestriction::test_point_with_o_equal_to_i_fails",),
+    ),
+    Mutant(
+        "the crisp pairs leave out the diagonal",
+        LAWS,
+        "for a in (0, 1 << i) for b in (0, 1 << i)}))",
+        "for a in (0, 1 << i) for b in (0, 1 << i) if a != b}))",
+        (f"{CRISP}::test_same_verdict_witness_and_error[0]", f"{CRISP}::test_same_verdict_witness_and_error[1]"),
+    ),
+    Mutant(
+        "the crisp pairs are scanned in column-major order",
+        LAWS,
+        "for a in (0, 1 << i) for b in (0, 1 << i)}))",
+        "for a in (0, 1 << i) for b in (0, 1 << i)}, key=lambda p: p[::-1]))",
+        (f"{CRISP}::test_same_verdict_witness_and_error[0]", f"{CRISP}::test_same_verdict_witness_and_error[1]"),
+    ),
+    Mutant(
+        "the crisp complement stage scans the empty set only",
+        LAWS,
+        "found = _scan(ops, complements, zip(crisp))",
+        "found = _scan(ops, complements, [(0,)])",
+        (f"{CRISP}::test_same_verdict_witness_and_error[0]", f"{CRISP}::test_same_verdict_witness_and_error[1]"),
+    ),
+    Mutant(
+        "the crisp complement stage scans the sets in reverse",
+        LAWS,
+        "found = _scan(ops, complements, zip(crisp))",
+        "found = _scan(ops, complements, zip(reversed(crisp)))",
+        (f"{CRISP}::test_same_verdict_witness_and_error[0]", f"{CRISP}::test_same_verdict_witness_and_error[1]"),
+    ),
+    Mutant(
+        "the crisp complement stage scans each set twice",
+        LAWS,
+        "found = _scan(ops, complements, zip(crisp))",
+        "found = _scan(ops, complements, zip([*crisp, *crisp]))",
+        ("tests/test_sets.py::TestCrispRestriction::test_work_is_counted_per_point",),
     ),
     Mutant(
         "validate reports every name, the built-in and --load-ed ones too",

@@ -583,6 +583,10 @@ GOLDEN_CASES = [
         ("oracle", "chain3id@2", "--load", str(GOLDEN / "identity-complement.def")),
     ),
     ("witness-mat2-wedge", ("witness", "mat2", "wedge")),
+    # scanned on the values: chain3 with the identity complement, and census table 31707
+    # with the involutive complement, where three laws fail on their second equation
+    ("laws-chain3id", ("laws", "chain3id", "--load", str(GOLDEN / "identity-complement.def"))),
+    ("laws-c31707n", ("laws", "c31707n", "--load", str(GOLDEN / "census-31707.def"))),
 ]
 
 

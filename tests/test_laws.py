@@ -1,5 +1,8 @@
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
@@ -57,6 +60,7 @@ from modernsets import (
     n5_lattice,
     powerset_lattice,
     union,
+    verify_crisp_restriction,
 )
 from modernsets import laws
 from modernsets.algebra import Deciding, _Codes, _bound_codes, _coded_attributes
@@ -1281,9 +1285,10 @@ def decoded_draw(family, drawn):
 
 def sampled_tuples(family, arity, samples, seed):
     """The sampled stage's tuples of sets: forced tuples, then seeded draws."""
-    forced = islice(laws._forced_tuples(family, arity), laws._FORCED_CAP)
+    sets = []
+    forced = islice(laws._forced_tuples(family, arity, sets), laws._FORCED_CAP)
     return chain(
-        (tuple(ModernSet(family, values) for values in args) for args in forced),
+        (tuple(ModernSet(family, sets[n]) for n in args) for args in forced),
         reference_draws(lambda rng: modern_set(family, reference_draw(family, rng)), arity, samples, seed),
     )
 
@@ -1293,11 +1298,19 @@ def values_of(tuples):
     return [tuple(s._values for s in args) for args in tuples]
 
 
+def numbered(tuples, sets):
+    """``tuples`` of sets as ``_forced_tuples`` gives them: each set's values appended to
+    ``sets`` as its tuple is reached, and each tuple given as its sets' numbers there."""
+    for args in values_of(tuples):
+        sets += args
+        yield tuple(range(len(sets) - len(args), len(sets)))
+
+
 def scan_of_sets(family, law, tuples, monkeypatch):
     """The sampled family scan (``laws._sampled_verdict``) of ``tuples`` of sets alone: the
     forced stage patched to give them, no draws, and no seed, so nothing is kept."""
     with monkeypatch.context() as patch:
-        patch.setattr(laws, "_forced_tuples", lambda family, arity: values_of(tuples))
+        patch.setattr(laws, "_forced_tuples", lambda family, arity, sets: numbered(tuples, sets))
         return laws._sampled_verdict(family, _SetOps(family), law, 0, None)
 
 
@@ -2940,3 +2953,231 @@ class TestStreamMemoryBound:
         assert all(len(stream.values) <= laws._STREAM_VALUES for stream in laws._streams.values())
         assert all(stream.keep for stream in laws._streams.values())
         assert mat2._codes.sample not in {key for key, _ in laws._streams}
+
+
+# ---------------------------------------------------------------------------
+# Generated scan loops
+
+
+def reference_loop(ops, law, tuples):
+    """``_verdict`` as it read before each law had a generated loop: at each tuple every
+    equation's function is called in turn, and the first whose sides differ is the witness."""
+    equations = law.equations
+    for args in tuples:
+        for label, fn in equations:
+            lhs, rhs = fn(ops, *args)
+            if lhs != rhs:
+                return Verdict.fails(Witness(inputs=args, lhs=lhs, rhs=rhs, note=label))
+    return Verdict.holds_exhaustive()
+
+
+def hand_built(law):
+    """``law`` as a hand-built ``Law`` of the same equations, which has no trees and so
+    runs the loop of its shape."""
+    return Law(law.name, law.arity, law.needs_complement, law.equations)
+
+
+INVOLUTION = {"O": "I", "m": "m", "I": "O"}
+# Every law with trees, and so a loop of its own: the registry, the certificate's joined
+# rows, the frame law's triples, the defining identities (no variables) and a law that
+# is not distributivity
+LOOP_LAWS = (
+    *LAWS, laws._COMMUTATIVE_LAW, laws._ASSOCIATIVE_LAW, laws._CHA_TRIPLE_LAW, laws._WBA_LAW, MIXED_LAW,
+)
+
+
+def assert_loops_match_reference(ops, law, tuples):
+    """The law's own loop and its shape's loop each give the reference loop's verdict,
+    witness and equation label, or raise what it raises; the reference's outcome."""
+    tuples = list(tuples)
+    expected = outcome(lambda: reference_loop(ops, law, tuples))
+    assert outcome(lambda: _verdict(ops, law, tuples)) == expected, law.name
+    assert outcome(lambda: _verdict(ops, hand_built(law), tuples)) == expected, law.name
+    return expected
+
+
+def random_law(rng, arity, count):
+    """A law of ``count`` random equations whose variables are the first ``arity`` of x, y, z."""
+    variables = "xyz"[:arity]
+
+    def side(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice([*variables, "O", "I"])
+        if rng.random() < 0.2:
+            return f"~{side(depth - 1)}"
+        operator = rng.choice(("/\\", "\\/"))
+        return f"({side(depth - 1)} {operator} {side(depth - 1)})"
+
+    while True:
+        law = laws._law(f"random-{arity}-{count}", *(f"{side(3)} = {side(3)}" for _ in range(count)))
+        if law.arity == arity:
+            return law
+
+
+class TestScanLoops:
+    """Each law's generated loop (``Law._loop``), and the loop a hand-built law of its shape
+    shares, against the reference loop: the same witness, equation label and error."""
+
+    def test_census_tables_with_and_without_the_complement(self, census_table):
+        statuses = {law.name: set() for law in LOOP_LAWS}
+        for index in Random(38).sample(range(3 ** 10), 5000):
+            for complement in (INVOLUTION, None):
+                h = census_table(index, complement).as_handle()
+                for law in LOOP_LAWS:
+                    tuples = product(h.elements, repeat=law.arity)
+                    found = assert_loops_match_reference(h, law, tuples)
+                    statuses[law.name].add(found.status if isinstance(found, Verdict) else found[0])
+        # every census table keeps the defining identities; each registry law holds and
+        # fails, and a complement law without a complement raises
+        assert statuses[laws._WBA_LAW.name] == {"holds"}
+        assert all({"holds", "fails"} <= statuses[law.name] for law in LAWS), statuses
+        assert all(TypeError in statuses[law.name] for law in LAWS if law.needs_complement)
+
+    def test_every_census_table_failing_a_second_equation_first(self, census_table):
+        # census 31707 with the involutive complement: absorption, distributive and de-morgan
+        # fail on their second equation (the golden laws-c31707n.out)
+        two = [law for law in LOOP_LAWS if len(law.equations) == 2]
+        seen = {law.name: [] for law in two}
+        for index in range(3 ** 10):
+            h = census_table(index, INVOLUTION).as_handle()
+            for law in two:
+                tuples = list(product(h.elements, repeat=law.arity))
+                expected = reference_loop(h, law, tuples)
+                if expected.failed and expected.witness.note == law.equations[1][0]:
+                    seen[law.name].append(index)
+                    assert _verdict(h, law, tuples) == expected, (index, law.name)
+                    assert _verdict(h, hand_built(law), tuples) == expected, (index, law.name)
+        for name in ("absorption", "distributive", "de-morgan"):
+            assert 31707 in seen[name], name
+        assert all(len(indices) >= 100 for indices in seen.values()), {k: len(v) for k, v in seen.items()}
+
+    def test_shipped_algebras_and_lattices(self):
+        workspace = builtin_workspace()
+        lattices = list(workspace.lattices.values())
+        carriers = [a for a in workspace.algebras.values() if a.elements is not None]
+        carriers += [pow2_algebra(), *lattices, *map(lattice_algebra, lattices)]
+        for ops in carriers:
+            for law in LOOP_LAWS:
+                # a lattice has no complement, so a complement law raises on it
+                assert_loops_match_reference(ops, law, product(ops.elements, repeat=law.arity))
+        for lat in lattices:
+            assert_loops_match_reference(lat, laws._BOOLEAN_LAW, zip(lat.elements))
+            assert_loops_match_reference(lat, CHA_PAIR_LAW, product(combinations(lat.elements, 2), lat.elements))
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_hand_built_laws_of_each_shape(self, arity, count, census_table):
+        rng = Random(arity * 10 + count)
+        carriers = [pow2_algebra(), census_table(31707, INVOLUTION).as_handle(), census_table(12345).as_handle()]
+        found = set()
+        for _ in range(40):
+            law = random_law(rng, arity, count)
+            for ops in carriers:
+                for tuples in (product(ops.elements, repeat=arity), []):
+                    verdict = assert_loops_match_reference(ops, law, tuples)
+                    found.add(verdict.witness.note if isinstance(verdict, Verdict) and verdict.failed else None)
+        assert len(found - {None}) >= count
+        # the hand-written reference laws are hand-built laws of arity 1 to 3
+        for law in REFERENCE_LAWS:
+            for ops in carriers:
+                tuples = list(product(ops.elements, repeat=law.arity))
+                assert outcome(lambda: _verdict(ops, law, tuples)) == outcome(lambda: reference_loop(ops, law, tuples))
+
+    def test_a_raising_operation_raises_at_the_same_tuple_and_call(self, census_table):
+        class Counting:
+            """A carrier's operations, logging each call; call number ``fail`` raises."""
+
+            def __init__(self, base, fail):
+                self.base, self.fail, self.calls = base, fail, []
+                self.zero, self.one = base.zero, base.one
+
+            def call(self, name, *args):
+                self.calls.append((name, args))
+                if len(self.calls) == self.fail:
+                    raise ArithmeticError(f"call {len(self.calls)}: {name}{args}")
+                return getattr(self.base, name)(*args)
+
+            def wedge(self, x, y):
+                return self.call("wedge", x, y)
+
+            def vee(self, x, y):
+                return self.call("vee", x, y)
+
+            def complement(self, x):
+                return self.call("complement", x)
+
+        rng = Random(5)
+        for base in (pow2_algebra(), census_table(31707, INVOLUTION).as_handle()):
+            for law in (*LOOP_LAWS, *map(hand_built, LOOP_LAWS)):
+                tuples = list(product(base.elements, repeat=law.arity))
+                total = Counting(base, None)
+                reference_loop(total, law, tuples)
+                calls = len(total.calls)
+                for fail in sorted({*range(1, min(calls, 12) + 1), *rng.sample(range(1, calls + 1), min(calls, 8))}):
+                    got, expected = Counting(base, fail), Counting(base, fail)
+                    outcome_got = outcome(lambda: _verdict(got, law, tuples))
+                    assert outcome_got == outcome(lambda: reference_loop(expected, law, tuples)), (law.name, fail)
+                    assert outcome_got[0] is ArithmeticError and got.calls == expected.calls, (law.name, fail)
+
+    def test_a_scan_of_no_tuples_reads_no_operation(self):
+        class Unreadable:
+            def __init__(self):
+                self.read = []
+
+            def __getattr__(self, name):
+                self.read.append(name)
+                raise AttributeError(name)
+
+        for law in (*LOOP_LAWS, *map(hand_built, LOOP_LAWS), laws._BOOLEAN_LAW, CHA_PAIR_LAW):
+            for tuples in ([], (), iter(()), (args for args in ())):
+                ops = Unreadable()
+                assert _verdict(ops, law, tuples) == Verdict.holds_exhaustive(), law.name
+                assert ops.read == [], law.name
+
+    def test_a_replaced_law_scans_its_own_equations(self, census_table):
+        # replace drops the trees, so a law with other equations is not scanned by the
+        # loop of the law it was made from
+        absorption = get_law("absorption")
+        swapped = dataclasses.replace(absorption, equations=absorption.equations[::-1])
+        assert swapped._trees is None and absorption._trees is not None
+        assert swapped._loop is laws._shape_loop(2, 2)
+        h = census_table(31707, INVOLUTION).as_handle()
+        tuples = list(product(h.elements, repeat=2))
+        verdict = _verdict(h, swapped, tuples)
+        assert verdict == reference_loop(h, swapped, tuples)
+        assert verdict.witness.note == swapped.equations[0][0] == absorption.equations[1][0]
+        # the trees take no part in equality or repr
+        assert hand_built(absorption) == absorption and repr(hand_built(absorption)) == repr(absorption)
+
+    def test_laws_built_on_every_call_share_the_loop_of_their_shape(self, monkeypatch):
+        families = [
+            constant_family(("p", "q"), classical_algebra()),
+            constant_family(("p", "q", "r"), chain_algebra(3)),
+            family_of([pow2_algebra(), classical_algebra()]),
+        ]
+        verify_crisp_restriction(families[0])  # from here on, both crisp laws' shapes have loops
+        generated, generate = [], laws._generated_loop
+        monkeypatch.setattr(laws, "_generated_loop", lambda *args: generated.append(args) or generate(*args))
+        for family in families * 2:
+            assert verify_crisp_restriction(family).verdict.holds
+        assert generated == []
+        # laws of one shape share one loop; another count of equations is another shape
+        eq = ("x", lambda o, a, b: (a, b))
+        assert Law("a", 2, False, (eq, eq))._loop is Law("b", 2, True, (eq, eq))._loop
+        assert Law("a", 2, False, (eq,))._loop is not Law("a", 2, False, (eq, eq))._loop
+        assert Law("a", 2, False, (eq,))._loop is not Law("a", 3, False, (eq,))._loop
+
+    def test_importing_the_package_generates_no_loop(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "from modernsets import laws\n"
+            "made = [law.name for law in vars(laws).values() if isinstance(law, laws.Law) and '_loop' in vars(law)]\n"
+            "made += [law.name for law in laws.LAWS if '_loop' in vars(law)]\n"
+            "assert not made and laws._shape_loop.cache_info().currsize == 0, made\n"
+            "assert all(law._trees is not None for law in laws.LAWS)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60, check=False,
+        )
+        assert result.returncode == 0, result.stderr.decode()
