@@ -27,13 +27,16 @@ class _PointTables:
     are those of ``base`` take its compiled ones. ``scanned`` records what column scans
     proved on them of each equation function (``laws._carrier_verdict``), and ``lookup``
     holds each equation function's table over the point tuples (``laws._law_table``);
-    their keys are weak, so they keep no function alive."""
+    their keys are weak, so they keep no function alive. ``factors`` holds, once first
+    needed, the operations that each verified map of the tables into a power of the
+    two-element lattice preserves (``laws._factors``)."""
 
-    __slots__ = ("wedge", "vee", "complement", "zero", "one", "base", "columns", "scanned", "lookup")
+    __slots__ = ("wedge", "vee", "complement", "zero", "one", "base", "columns", "scanned", "lookup", "factors")
 
     def __init__(self, wedge: list[int], vee: list[int], complement: list[int], zero: int, one: int, base=None):
         self.wedge, self.vee, self.complement, self.zero, self.one = wedge, vee, complement, zero, one
         self.base, self.columns, self.scanned, self.lookup = base, None, WeakKeyDictionary(), WeakKeyDictionary()
+        self.factors = None
 
 
 class FiniteLattice:

@@ -29,17 +29,21 @@ equations, and any other law shares the loop of its arity and number of
 equations. The larger scans, and every family and sampled scan, run a slab
 of tuples at a time on one column kernel (:func:`_slab_verdict`), with each
 point held as element indices, integer codes or values, and re-check only
-their first failing tuple on the values.
+their first failing tuple on the values. A single-carrier law that holds may
+be decided instead on a verified map of its tables into a power of the
+two-element lattice (:func:`_carrier_verdict`).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, lru_cache, partial
-from itertools import chain, islice, product
+from itertools import chain, cycle, islice, product, repeat
 from math import inf, prod
-from operator import itemgetter, ne
+from operator import and_, eq, itemgetter, ne, or_
+from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .algebra import AlgebraHandle, Element, _bound_codes, _carrier
@@ -88,6 +92,17 @@ class Law:
         if self._trees is None:
             return _shape_loop(self.arity, len(self.equations))
         return _tree_loop(self._trees)
+
+    @cached_property
+    def _on_two(self) -> tuple[frozenset[str] | None, ...] | None:
+        """For each equation, what it reads (:func:`_reads`) when it holds on all
+        ``2 ** arity`` tuples of ``_TWO``, else None; None for a law with no trees."""
+        if self._trees is None:
+            return None
+        return tuple(
+            None if any(ne(*fn(_TWO, *args)) for args in product((0, 1), repeat=self.arity)) else _reads((pair,))
+            for pair, (_, fn) in zip(self._trees, self.equations)
+        )
 
 
 _CONSTANTS = {"O": "o.zero", "I": "o.one"}
@@ -213,13 +228,19 @@ def _generated_loop(arity: int, bind: str, pairs: list[str]) -> Callable:
     return namespace["scan"]
 
 
+def _reads(trees: tuple) -> frozenset[str]:
+    """The names in ``_OPERATIONS`` of what the sides of ``trees`` read."""
+    names = {"O": "zero", "I": "one", **dict.fromkeys(_variables(trees), "x")}
+    text = " ".join(_source(side, names, "") for pair in trees for side in pair)
+    return frozenset(_OPERATIONS).intersection(text.replace("(", " ").replace(")", " ").replace(",", " ").split())
+
+
 def _tree_loop(trees: tuple) -> Callable:
     """The scan loop of a registry law, generated from its ``trees`` (:attr:`Law._trees`)."""
     variables = _variables(trees)
     names = {"O": "zero", "I": "one", **{v: f"a{i}" for i, v in enumerate(variables)}}
     pairs = [", ".join(_source(side, names, "") for side in pair) for pair in trees]
-    words = set(" ".join(pairs).replace("(", " ").replace(")", " ").replace(",", " ").split())
-    used = [op for op in _OPERATIONS if op in words]
+    used = [op for op in _OPERATIONS if op in _reads(trees)]
     bind = f"{', '.join(used)} = {', '.join(f'o.{op}' for op in used)}" if used else "pass"
     return _generated_loop(len(variables), bind, pairs)
 
@@ -1206,9 +1227,10 @@ _MIN_COLUMN_TUPLES = 64
 def _carrier_verdict(ops: AlgebraHandle | FiniteLattice, law: Law) -> Verdict:
     """Every ``law.arity``-tuple of a finite algebra's or lattice's elements, in row-major order.
 
-    A one-carrier column scan (:func:`_column_verdict`) when it has at least
-    ``_MIN_COLUMN_TUPLES`` tuples over at most 256 elements and the tables of
-    ``ops`` compile, else ``ops`` evaluated on the elements.
+    When it has at least ``_MIN_COLUMN_TUPLES`` tuples and the tables of ``ops``
+    compile: the record below, then a verified factor, then a one-carrier column
+    scan (:func:`_column_verdict`) over at most 256 elements. Else ``ops`` is
+    evaluated on the elements.
 
     Each equation is scanned once per compiled carrier. The tables' record
     (``_PointTables.scanned``) holds, for each equation function scanned on them,
@@ -1222,21 +1244,96 @@ def _carrier_verdict(ops: AlgebraHandle | FiniteLattice, law: Law) -> Verdict:
     whichever ``ops`` share them; a pass never evaluates ``ops``; a failure is still
     re-checked on the live operations; and a scan that fell back to ``ops`` for any slab
     records nothing. So every verdict, witness and error is a fresh scan's.
+
+    A law the record does not answer holds, and the record gains the pass, when each
+    of its equations holds on the two-element lattice 2 and reads only operations that
+    one map of the tables into a power of 2 preserves, checked on every cell
+    (:func:`_factored`). That is exact by Birkhoff's HSP theorem: the map embeds the
+    carrier in a power of 2 for those operations, and an identity of 2 holds on its
+    powers and their subalgebras. A failing law, a law with no trees (made of lambdas),
+    an equation that reads the complement, and a carrier whose maps fail their check are
+    scanned, so every witness is still a scan's; a quasi-law, being no identity, must
+    never come here. The maps read only the tables, so this decides any number of
+    elements; above 256, a law it does not decide is evaluated on the elements.
     """
     elements, arity = ops.elements, law.arity
     k = len(elements)
-    if k <= 256 and k ** arity >= _MIN_COLUMN_TUPLES:
+    total = k ** arity
+    if total >= _MIN_COLUMN_TUPLES:
         tables = ops._tables_with_complement if law.needs_complement else ops._tables
         if tables is not None:
-            route, first = f"the compiled tables of {ops!r}", _recorded(tables.scanned, law, k ** arity)
-            if first is None:
+            route, first = f"the compiled tables of {ops!r}", _recorded(tables.scanned, law, total)
+            if first is None and _factored(k, tables, law):
+                _prove(tables.scanned, law, total)
+                first = total
+            if first is None and k <= 256:
                 points = [_indexed(elements, tables)]
                 return _column_verdict(route, ops, law, [elements], points, itemgetter(0), tables.scanned)
-            if first == k ** arity:
+            if first == total:
                 return Verdict.holds_exhaustive()
-            args = tuple(elements[first // k ** p % k] for p in reversed(range(arity)))
-            return _rechecked(ops, law, args, route)
+            if first is not None:
+                args = tuple(elements[first // k ** p % k] for p in reversed(range(arity)))
+                return _rechecked(ops, law, args, route)
     return _verdict(ops, law, product(elements, repeat=arity))
+
+
+# The two-element lattice 2. Every equation can be evaluated on it, but no map is checked
+# to preserve a complement (_factors), so no equation that reads one is decided there.
+_TWO = SimpleNamespace(wedge=and_, vee=or_, complement=(1).__sub__, zero=0, one=1)
+_MEET, _JOIN, _LATTICE = frozenset({"wedge"}), frozenset({"vee"}), frozenset(_OPERATIONS) - {"complement"}
+
+
+def _factored(k: int, tables: _PointTables, law: Law) -> bool:
+    """Whether every equation of ``law`` holds on the two-element lattice and reads only
+    operations that one verified map of ``tables`` preserves (:attr:`Law._on_two`,
+    :func:`_factors`); the maps are computed on first need."""
+    reads = law._on_two
+    if reads is None or None in reads:
+        return False
+    if tables.factors is None:
+        tables.factors = _factors(k, tables)
+    return all(any(r <= kept for kept in tables.factors) for r in reads)
+
+
+def _factors(k: int, tables: _PointTables) -> tuple[frozenset[str], ...]:
+    """The operations preserved by each map of ``tables`` into a power of 2 that passes its
+    check (:func:`_embeds`), a set being a mask with one byte per element (Davey &
+    Priestley, *Introduction to Lattices and Order*, ch. 5):
+
+    * x -> {z : z wedge x = z} sends wedge to meet exactly when wedge is a semilattice
+      operation, and x -> {z : z vee x = z} vee (its complement sends vee to join);
+    * Birkhoff's x -> {join-irreducible j : j wedge x = j}, the first map cut down, so
+      tried only where that one passed, must also send vee to join, O to the empty set
+      and I to every j: it does exactly when the tables form a distributive lattice.
+    """
+    wedge, vee = tables.wedge, tables.vee
+    down = _below(k, wedge)
+    candidates = ((_MEET, down, wedge), (_JOIN, _below(k, vee), vee))
+    found = [ops for ops, masks, cells in candidates if _embeds(k, masks, cells, and_)]
+    if _MEET in found:
+        # In a lattice, j is the join of the 2|down j| - 1 pairs of j and an element below
+        # it, and of no other pair exactly when it is join-irreducible or the bottom.
+        count, zero = Counter(vee), tables.zero
+        irreducible = bytes(j != zero and count[j] == 2 * down[j].bit_count() - 1 for j in range(k))
+        joins = int.from_bytes(irreducible, "little")
+        phi = [d & joins for d in down]
+        if phi[zero] == 0 and phi[tables.one] == joins and _embeds(k, phi, vee, or_):
+            found.append(_LATTICE)
+    return tuple(found)
+
+
+def _below(k: int, cells: list[int]) -> list[int]:
+    """For each x, the mask of the z with ``cells[z * k + x] == z``, byte z set for z."""
+    return [int.from_bytes(bytes(map(eq, cells[x::k], range(k))), "little") for x in range(k)]
+
+
+def _embeds(k: int, masks: list[int], cells: list[int], op: Callable) -> bool:
+    """Whether ``masks`` are distinct and send every cell ``cells[x * k + y]`` to ``op`` of
+    the masks of x and y, checked in row-major order up to the first cell that differs."""
+    if len(set(masks)) < k:
+        return False
+    rows = chain.from_iterable(map(repeat, masks, repeat(k, k)))  # x's mask for each cell of row x
+    return all(map(eq, map(masks.__getitem__, cells), map(op, rows, cycle(masks))))
 
 
 def _recorded(record, law: Law, total: int) -> int | None:

@@ -54,6 +54,7 @@ KERNELS = "tests/test_instances.py::TestMatrixKernels"
 DRAWS = "tests/test_instances.py::TestMatrixAlgebra::test_sampler_draws_what_the_public_constructor_builds"
 LOOPS = "tests/test_laws.py::TestScanLoops"
 CRISP = "tests/test_sets.py::TestCrispRestrictionMatchesFullScan"
+FACTORS = "tests/test_lattice.py::TestFactorRoute::test_factor_decided_verdicts_match_full_scans"
 
 MUTANTS = [
     Mutant(
@@ -529,6 +530,34 @@ MUTANTS = [
             f"{MESSAGES}[lattice-in-workspace]",
             f"{MESSAGES}[family-twice]",
         ),
+    ),
+    Mutant(
+        "a factor map is not checked to be injective",
+        LAWS,
+        "    if len(set(masks)) < k:\n        return False\n",
+        "",
+        (FACTORS,),
+    ),
+    Mutant(
+        "a factor map's homomorphism check skips the last row of cells",
+        LAWS,
+        "map(repeat, masks, repeat(k, k))",
+        "map(repeat, masks, repeat(k, k - 1))",
+        (FACTORS,),
+    ),
+    Mutant(
+        "the Birkhoff map is not checked to send I to every join-irreducible",
+        LAWS,
+        "phi[zero] == 0 and phi[tables.one] == joins and ",
+        "phi[zero] == 0 and ",
+        (FACTORS,),
+    ),
+    Mutant(
+        "an equation that reads the complement is decided on a factor",
+        LAWS,
+        "any(r <= kept for kept in tables.factors)",
+        "any(r - {'complement'} <= kept for kept in tables.factors)",
+        (FACTORS,),
     ),
 ]
 

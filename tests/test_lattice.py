@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from modernsets import (
+    LAWS,
     DomainError,
     FiniteAlgebraTable,
     FiniteLattice,
@@ -35,6 +36,8 @@ from modernsets import (
 from modernsets import laws
 from modernsets.cli import builtin_workspace
 from modernsets.reporting import Witness
+
+from conftest import rebuilt
 
 
 def naive_meet(lat, x, y):
@@ -801,15 +804,22 @@ def test_a_certificate_leaves_the_battery_and_gfcheck_nothing_to_scan(kernel_sca
         "commutative", "commutative-wedge", "commutative-vee", "associative", "associative-wedge",
         "associative-vee", "absorption", "distributive", "complete-heyting",
     }
+    scanned = []
     for lat in lattices:
         kernel_scans.clear()
         check_lattice_laws(lat)
-        assert "distributive" in kernel_scans and "complete-heyting" in kernel_scans, lat.name
+        # a non-distributive lattice scans its distributive and frame rows; on a distributive
+        # one, a verified Birkhoff map into a power of 2 answers them (laws._factors)
+        if {"distributive", "complete-heyting"} <= set(kernel_scans):
+            scanned.append(lat.name)
+        distributive = laws._verdict(lat, get_law("distributive"), product(lat.elements, repeat=3)).holds
+        assert (laws._LATTICE in lat._tables.factors) == distributive, lat.name
         kernel_scans.clear()
         alg = lattice_algebra(lat)
         check_all_laws(alg)
         check_gf_ring_conditions(constant_family(("p", "q"), alg))
         assert not shared & set(kernel_scans), lat.name
+    assert scanned == ["m3", "n5", lattices[-1].name]
 
 
 def test_a_law_whose_second_equation_alone_fails_reads_the_record(kernel_scans):
@@ -922,3 +932,154 @@ def test_one_function_at_two_arities_reads_no_entry_of_the_other(fresh_copy):
     pair, triple = (laws.Law(f"arity{n}", n, False, (("x wedge last = x", fn),)) for n in (2, 3))
     expected = [laws._verdict(alg, law, product(alg.elements, repeat=law.arity)) for law in (pair, triple)]
     assert [check_law(alg, law).verdict for law in (pair, triple, pair, triple)] == expected * 2
+
+
+# ---------------------------------------------------------------------------
+# A law that holds may be decided on a verified map of the tables into a power of
+# the two-element lattice (laws._factors); each such verdict is a full scan's.
+
+# The registry's laws, the certificate's joined rows, the frame triple and a law that
+# reads O and I, which a map sending them elsewhere gets wrong.
+BOUNDS_LAW = laws._law("bounds", r"x /\ (y /\ (z /\ O)) = O", r"x \/ (y \/ (z \/ I)) = I")
+FACTOR_LAWS = (*LAWS, laws._COMMUTATIVE_LAW, laws._ASSOCIATIVE_LAW, laws._CHA_TRIPLE_LAW, BOUNDS_LAW)
+
+
+def table_algebra(name, tokens, zero, one, wedge, vee):
+    """A table algebra from operations on token indices."""
+    cells = lambda op: {(x, y): tokens[op(i, j)] for i, x in enumerate(tokens) for j, y in enumerate(tokens)}  # noqa: E731
+    return FiniteAlgebraTable(name, tokens, zero, one, cells(wedge), cells(vee))
+
+
+def lattice_tables(name, lat, zero=None, one=None, changed=None):
+    """``lat``'s meet and join as a table algebra, with O and I at ``zero`` and ``one``
+    (its bounds by default), and the join cell ``changed`` (a pair of tokens) set to the
+    bottom, or to the top where the bottom is the join."""
+    vee = {(x, y): lat.join(x, y) for x in lat.elements for y in lat.elements}
+    if changed is not None:
+        vee[changed] = lat.top if vee[changed] == lat.bottom else lat.bottom
+    wedge = {(x, y): lat.meet(x, y) for x in lat.elements for y in lat.elements}
+    return FiniteAlgebraTable(name, lat.elements, zero or lat.bottom, one or lat.top, wedge, vee)
+
+
+def unfaithful_table():
+    """Wedge is min where an argument is O or a, and on {b, I} gives the other of its left
+    argument: b and I both map to {O, a} under x -> {z : z wedge x = z}, a homomorphism
+    that is not injective, while wedge is not associative: (b, b, b) gives I and b."""
+    wedge = lambda i, j: min(i, j) if min(i, j) < 2 else 5 - i  # noqa: E731
+    return table_algebra("unfaithful", ("O", "a", "b", "I"), "O", "I", wedge, max)
+
+
+def factor_tables(seed):
+    """Seeded tables of 4 to 6 elements that are not lattices: random wedge and vee; a
+    lattice's meet with a random vee; two lattices' meet and join on one carrier; a wedge
+    whose map x -> {z : z wedge x = z} is a homomorphism but not injective; and pow3's
+    tables with I below the top, O above the bottom, or one join cell changed."""
+    rng = Random(seed)
+    tables = []
+    for n in (4, 5, 6, 4, 5, 6):
+        tokens = ("O", *"abcd"[:n - 2], "I")
+        wedge, vee = ([rng.randrange(n) for _ in range(n * n)] for _ in "wv")
+        tables.append(table_algebra(f"random{n}-{len(tables)}", tokens, "O", "I",
+                                    lambda i, j: wedge[i * n + j], lambda i, j: vee[i * n + j]))
+    small = [lat for lat in random_lattices(seed, 40, 6) if len(lat) >= 4]
+    for i, (lat, other) in enumerate(zip(small, small[1:])):
+        tokens, n = lat.elements, len(lat)
+        wedge = lambda a, b: lat.index(lat.meet(tokens[a], tokens[b]))  # noqa: E731
+        if len(other) == n and i % 2:  # other's join, its tokens read as lat's
+            vee = lambda a, b: other.index(other.join(other.elements[a], other.elements[b]))  # noqa: E731
+        else:
+            cells = [rng.randrange(n) for _ in range(n * n)]
+            vee = lambda a, b: cells[a * n + b]  # noqa: E731
+        tables.append(table_algebra(f"semilattice{n}-{i}", tokens, lat.bottom, lat.top, wedge, vee))
+    pow3 = powerset_lattice(3)
+    tables += [
+        unfaithful_table(),
+        lattice_tables("pow3-low-top", pow3, one="ab"),
+        lattice_tables("pow3-high-bottom", pow3, zero="a"),
+        lattice_tables("pow3-first-join", pow3, changed=("0", "ab")),
+        lattice_tables("pow3-last-join", pow3, changed=("abc", "b")),
+    ]
+    return tables
+
+
+def factor_targets():
+    """Every shipped finite algebra and lattice, pow3 with its Boolean complement and with
+    a seeded one, seeded random lattices up to about 100 elements, distributive and not,
+    and factor_tables."""
+    workspace = builtin_workspace()
+    targets = [alg for alg in workspace.algebras.values() if alg.finite]
+    targets += [*workspace.lattices.values(), *map(powerset_lattice, (4, 5, 6))]
+    pow3, rng = powerset_lattice(3), Random(39)
+    targets.append(lattice_algebra(pow3, dict(zip(pow3.elements, reversed(pow3.elements))), "pow3-boolean"))
+    scrambled = {x: rng.choice(pow3.elements) for x in pow3.elements}
+    targets.append(lattice_algebra(pow3, scrambled, "pow3-scrambled"))
+    targets += [lat for lat in random_lattices(seed=39, count=16, max_size=32) if len(lat) >= 2]
+    while not 80 <= len(masks := downsets(rng, 10)) <= 110:
+        pass
+    targets.append(lattice_of_masks("downsets100", rng, masks))
+    targets.append(lattice_of_masks("closure100", rng, closure_system(rng, 7, 100)))
+    targets += factor_tables(seed=39)
+    return [pytest.param(target, id=target.name) for target in targets]
+
+
+def factor_scans_match_full_scans(target):
+    """Each of FACTOR_LAWS on a copy of ``target`` (a lattice, a finite handle or a table),
+    with no record to answer it, gives what a full scan of its elements gives, witness for
+    witness; returns the names of the laws a factor decided."""
+    ops = target.as_handle() if isinstance(target, FiniteAlgebraTable) else rebuilt(target)
+    k, decided = len(ops.elements), set()
+    for law in FACTOR_LAWS:
+        if law.needs_complement and getattr(ops, "complement", None) is None:
+            continue
+        if law is BOUNDS_LAW and isinstance(ops, FiniteLattice):  # a lattice names no O or I
+            continue
+        tables = ops._tables_with_complement if law.needs_complement else ops._tables
+        if tables is not None:
+            tables.scanned.clear()
+            if k ** law.arity >= laws._MIN_COLUMN_TUPLES and laws._factored(k, tables, law):
+                decided.add(law.name)
+        expected = laws._verdict(ops, law, product(ops.elements, repeat=law.arity))
+        assert laws._carrier_verdict(ops, law) == expected, (ops.name, law.name)
+    return decided
+
+
+class TestFactorRoute:
+    @pytest.mark.parametrize("target", factor_targets())
+    def test_factor_decided_verdicts_match_full_scans(self, target):
+        factor_scans_match_full_scans(target)
+
+    def test_distributive_lattices_are_answered_by_a_verified_birkhoff_map(self, fresh_copy):
+        lattices = [powerset_lattice(3), chain_algebra(5).lattice, *random_lattices(seed=39, count=8, max_size=32)]
+        for lat in (lat for lat in lattices if len(lat) >= 4):  # 64 triples or more reach the tables
+            distributive = laws._verdict(lat, get_law("distributive"), product(lat.elements, repeat=3)).holds
+            decided = factor_scans_match_full_scans(lat)
+            rows = {"distributive", "complete-heyting", *["absorption"] * (len(lat) >= 8)}
+            assert (rows <= decided) == distributive, lat.name
+            # associativity is decided on both semilattice maps, distributive or not
+            assert {"associative-wedge", "associative-vee", "associative"} <= decided, lat.name
+        for lat in (m3_lattice(), n5_lattice()):
+            fresh = fresh_copy(lat)
+            assert check_distributive(fresh).failed
+            assert fresh._tables.factors == (laws._MEET, laws._JOIN), lat.name
+
+    @pytest.mark.parametrize("cell", [("0", "ab"), ("abc", "b")], ids=["first-row", "last-row"])
+    def test_a_changed_join_cell_rejects_the_birkhoff_map(self, cell):
+        alg = lattice_tables("pow3-changed", powerset_lattice(3), changed=cell).as_handle()
+        verdict = check_law(alg, "commutative-vee").verdict
+        assert alg._tables.factors == (laws._MEET,)
+        assert verdict.failed and set(verdict.witness.inputs) == set(cell)
+        assert verdict == laws._verdict(alg, get_law("commutative-vee"), product(alg.elements, repeat=2))
+
+    def test_a_non_injective_homomorphism_is_rejected(self):
+        alg = unfaithful_table().as_handle()
+        verdict = check_law(alg, "associative-wedge").verdict
+        assert laws._MEET not in alg._tables.factors and verdict.failed
+        assert verdict.witness.inputs == ("b", "b", "b")
+
+    def test_complement_and_lambda_laws_are_scanned(self, kernel_scans):
+        pow3 = rebuilt(powerset_lattice(3))
+        alg = lattice_algebra(pow3, dict(zip(pow3.elements, reversed(pow3.elements))))
+        for law in (get_law("de-morgan"), dataclasses.replace(get_law("distributive"))):
+            kernel_scans.clear()
+            assert check_law(alg, law).verdict.holds
+            assert kernel_scans == [law.name]
